@@ -1,7 +1,8 @@
-"""Benchmark: compiled orbit kernel vs the pure-numpy fallback.
+"""Benchmark: the dense orbit kernel on five coadjoint actions.
 
 The dense orbit partition over p^d indices is the hot loop behind orbit
 censuses, conjugacy classes of Lazard groups, and base-change towers.
+Prints the best of three wall times and the points partitioned per second.
 Run:  python benchmarks/bench_orbits.py
 """
 
@@ -24,37 +25,23 @@ def cases():
     yield "fake Heisenberg level 6, 3^12", fh3.coadjoint_generators(), 3
 
 
-def run_one(mats, p, backend, repeats=3):
+def run_one(mats, p, repeats=3):
     best = float("inf")
-    out = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        out = kernels.orbit_partition(mats, p, backend=backend)
+        labels = kernels.orbit_partition(mats, p)
         best = min(best, time.perf_counter() - t0)
-    return best, out
+    return best, labels
 
 
 def main():
-    backends = ["python"]
-    try:
-        kernels._select("c")
-        backends.append("c")
-    except RuntimeError:
-        print("compiled kernel not built; benchmarking the fallback only")
-    print("%-34s %12s %12s %9s" % ("case", "python (s)", "c (s)", "speedup"))
+    print("%-34s %10s %8s %12s" % ("case", "seconds", "orbits", "points/s"))
     for name, mats, p in cases():
-        times = {}
-        results = {}
-        for b in backends:
-            times[b], results[b] = run_one(np.asarray(mats), p, b)
-        if len(backends) == 2:
-            assert (results["python"] == results["c"]).all(), "backends disagree"
-            print(
-                "%-34s %12.3f %12.3f %8.1fx"
-                % (name, times["python"], times["c"], times["python"] / times["c"])
-            )
-        else:
-            print("%-34s %12.3f" % (name, times["python"]))
+        secs, labels = run_one(np.asarray(mats), p)
+        print(
+            "%-34s %10.3f %8d %12.0f"
+            % (name, secs, int(labels.max()) + 1, len(labels) / secs)
+        )
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ def build_parser():
         prog="nilorbit",
         description="characters of finite nilpotent groups via the orbit method",
     )
-    ap.add_argument("--jobs", type=int, default=0, help="worker budget (0 = auto)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(sp, family=True):

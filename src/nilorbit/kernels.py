@@ -1,29 +1,40 @@
-"""Kernel dispatch: compiled extension when built, numpy fallback otherwise.
+"""The dense orbit kernel: partition of F_p^d under invertible matrices.
 
-The dense orbit enumeration over p^d indices dominates the runtime of orbit
-censuses and base-change towers; both backends implement the identical
-contract and the test suite cross-checks them (see also benchmarks/).
+The dense orbit enumeration over p^d indices dominates orbit censuses,
+conjugacy classes of Lazard groups and base-change towers.  Points are
+little-endian base-p indices; generators act as d x d matrices mod p on
+coordinate columns.  The kernel works on the whole index space at once:
+
+* each generator's action is materialized as one int32 image table in
+  O(p^d), meet-in-the-middle: the input digits split into a low and a high
+  half, so M x = M x_lo + M x_hi, and each chunk of output digits of the
+  image is read from one shared F_p-addition table indexed by the two
+  half-images' chunk indices;
+* orbits are the connected components of the image graph, found by
+  min-label propagation (lab = min(lab, lab[img]) over the generators)
+  with pointer jumping (lab = lab[lab]) until nothing changes.  Each label
+  then points at its orbit's minimal index, so renumbering the roots in
+  index order numbers the orbits by increasing seed.
+
+Propagation along images alone reaches the whole orbit only when the
+generators generate a group, so singular generators are rejected.
+Memory is one int32 table per generator plus a few int32 arrays per point.
 """
 
-from . import _kernels_py
+import numpy as np
 
-try:
-    from . import _orbitc
+from . import linalg
 
-    _impl = _orbitc
-except ImportError:
-    _impl = _kernels_py
-
-BACKEND = _impl.BACKEND
+BACKEND = "numpy"  # the kernel implementation, reported with benchmark results
 
 _MAX_DENSE_BITS = 24
 
 
-def orbit_partition(mats, p, backend=None):
-    """Partition F_p^d under the matrix monoid; labels by increasing seed.
+def orbit_partition(mats, p):
+    """labels[i] = orbit id of point i; ids numbered by increasing seed.
 
     Guard: the dense index space must fit 2^24 points (the documented
-    budget for dense bitset visitation).
+    budget for dense visitation).
     """
     d = mats.shape[1] if hasattr(mats, "shape") else len(mats[0])
     if p**d > (1 << _MAX_DENSE_BITS):
@@ -31,23 +42,63 @@ def orbit_partition(mats, p, backend=None):
             "dense orbit enumeration over %d^%d points exceeds the 2^%d budget"
             % (p, d, _MAX_DENSE_BITS)
         )
-    impl = _select(backend)
-    return impl.orbit_partition(mats, p)
+    mats = np.asarray(mats, dtype=np.int64) % p
+    if mats.ndim != 3 or mats.shape[2] != d:
+        raise ValueError("generator matrices must be square")
+    for M in mats:
+        if linalg.rank(M, p) < d:
+            raise ValueError("orbit generators must be invertible mod %d" % p)
+    n = p**d
+    images = _image_tables(mats, p)
+    lab = np.arange(n, dtype=np.int32)
+    while True:
+        prev = lab
+        lab = lab.copy()
+        for img in images:
+            np.minimum(lab, lab[img], out=lab)
+        lab = lab[lab]
+        if np.array_equal(lab, prev):
+            break
+    roots = lab == np.arange(n, dtype=np.int32)
+    ids = np.cumsum(roots, dtype=np.int64) - 1
+    return ids[lab]
 
 
-def _select(backend):
-    if backend in (None, BACKEND):
-        return _impl
-    if backend == "python":
-        return _kernels_py
-    if backend == "c":
-        try:
-            from . import _orbitc
+def _image_tables(mats, p):
+    """images[a][i] = index of mats[a] @ point(i), as int32 arrays."""
+    d = mats.shape[1]
+    if d == 1:  # a single digit needs no table, and p^2 may exceed the budget
+        return [(M[0, 0] * np.arange(p) % p).astype(np.int32) for M in mats]
+    # h digits per input half and per output chunk, so the addition table
+    # has p^2h <= p^d entries
+    h = d // 2
+    P = p**h
+    add = _addition_table(p, h).ravel()
+    lo_pts = linalg.all_vectors(h, p)  # p^h x h
+    hi_pts = linalg.all_vectors(d - h, p)
+    images = []
+    for M in mats:
+        lo = (lo_pts @ M[:, :h].T) % p  # M x_lo, one row per low half
+        hi = (hi_pts @ M[:, h:].T) % p
+        img = np.zeros((len(hi), len(lo)), dtype=np.int32)  # [x_hi, x_lo]
+        for a in range(0, d, h):
+            radix = p ** np.arange(min(h, d - a), dtype=np.int64)
+            A = (lo[:, a : a + h] @ radix).astype(np.int32)
+            B = (hi[:, a : a + h] @ radix).astype(np.int32) * np.int32(P)
+            img += add[B[:, None] + A[None, :]] * np.int32(p**a)
+        images.append(img.ravel())
+    return images
 
-            return _orbitc
-        except ImportError:
-            raise RuntimeError("compiled kernel requested but not built")
-    raise ValueError("unknown backend %r" % backend)
+
+def _addition_table(p, c):
+    """add[a, b] = index of point(a) + point(b) mod p, over F_p^c."""
+    add = np.zeros((1, 1), dtype=np.int32)
+    digit = np.add.outer(np.arange(p), np.arange(p)).astype(np.int32) % p
+    for k in range(c):
+        # prepend the new most significant digit to both operands
+        add = add[None, :, None, :] + (digit * np.int32(p**k))[:, None, :, None]
+        add = add.reshape(p ** (k + 1), p ** (k + 1))
+    return add
 
 
 def single_orbit(mats, p, seed_vec, limit=1 << 22):
@@ -58,8 +109,6 @@ def single_orbit(mats, p, seed_vec, limit=1 << 22):
     steps are vectorized; visited points are tracked by byte keys, so the
     cost scales with the orbit, not with p^d.
     """
-    import numpy as np
-
     mats = np.asarray(mats, dtype=np.int64) % p
     d = mats.shape[1]
     seed = np.asarray(seed_vec, dtype=np.int64).reshape(1, d) % p

@@ -8,6 +8,7 @@ matrices of the basis exponentials, found by the dense kernel; conjugacy
 classes of Exp(g) are adjoint-matrix components of the same index space.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +47,10 @@ class CoadjointOrbit:
             )
         self.half_log = m2 // 2
         self.base_point = ring.element_from_index(self.base_index)
-        self.stabilizer = ring.stabilizer_subspace(self.base_point)
+
+    @functools.cached_property
+    def stabilizer(self):
+        return self.ring.stabilizer_subspace(self.base_point)
 
     def points(self):
         return linalg.decode_indices(self.indices, self.ring.dim, self.ring.p)
@@ -73,12 +77,19 @@ class OrbitSet:
 
 
 def coadjoint_orbits(ring, psi_k=1):
-    """Partition of g* into coadjoint orbits with stabilizer subspaces."""
+    """Partition of g* into coadjoint orbits with stabilizer subspaces.
+
+    The partition does not depend on psi_k; only the orbit objects carry it.
+    """
     _require_lazard(ring)
     key = ("orbits", psi_k)
     if key in ring._cache:
         return ring._cache[key]
-    labels = kernels.orbit_partition(ring.coadjoint_generators(), ring.p)
+    if "coadjoint_labels" not in ring._cache:
+        ring._cache["coadjoint_labels"] = kernels.orbit_partition(
+            ring.coadjoint_generators(), ring.p
+        )
+    labels = ring._cache["coadjoint_labels"]
     orbits = []
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order], np.arange(labels.max() + 1))

@@ -260,7 +260,9 @@ def base_change_and_packets(scheme, m=1, max_level=512, psi_k=1):
         if (mid[map1] != map2).any():
             raise AssertionError("base-change maps do not compose")
     packets = rounds[-1][1]
-    report = PacketReport(scheme, m, certified, confirmed, rounds, packets, dense_rounds)
+    report = PacketReport(
+        scheme, m, certified, confirmed, rounds, packets, dense_rounds, psi_k
+    )
     if dense_rounds:
         n_last, map_last, om_last, on_last = dense_rounds[-1]
         report.fixed_orbit_coverage = _fixed_orbit_coverage(
@@ -301,7 +303,9 @@ def _fixed_orbit_coverage(scheme, m, n, mapping, on):
 
 
 class PacketReport:
-    def __init__(self, scheme, m, certified_at, confirmed_at, rounds, packets, dense_rounds):
+    def __init__(
+        self, scheme, m, certified_at, confirmed_at, rounds, packets, dense_rounds, psi_k
+    ):
         self.scheme = scheme
         self.m = m
         self.certified_at = certified_at
@@ -309,7 +313,8 @@ class PacketReport:
         self.rounds = rounds
         self.dense_rounds = dense_rounds
         self.packets = packets  # list of tuples of level-m orbit ids
-        self.orbit_set = TowerInstance(scheme, m).orbits()
+        self.orbit_set = rounds[-1][2][2]  # the ladder's level-m orbits
+        self.psi_k = psi_k
         self._packet_of = {}
         for pid, pack in enumerate(packets):
             for oid in pack:
@@ -334,12 +339,16 @@ class PacketReport:
         s = self.scheme.field.s
         # compose down to level m when the dense rounds are not at level m
         base1, _, _ = (
-            base_change_map(self.scheme, self.m, n1, check_equivariance=False)
+            base_change_map(
+                self.scheme, self.m, n1, psi_k=self.psi_k, check_equivariance=False
+            )
             if n1 != self.m
             else (np.arange(len(om.orbits)), None, None)
         )
         base2, _, _ = (
-            base_change_map(self.scheme, self.m, n2, check_equivariance=False)
+            base_change_map(
+                self.scheme, self.m, n2, psi_k=self.psi_k, check_equivariance=False
+            )
             if n2 != self.m
             else (np.arange(len(om.orbits)), None, None)
         )

@@ -1,23 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilorbit import kernels
-from nilorbit._kernels_py import orbit_partition as orbit_py
 from nilorbit.battery import witness_ring
 from nilorbit.liering import heisenberg_ring
 
 
-def _have_compiled():
-    try:
-        kernels._select("c")
-        return True
-    except RuntimeError:
-        return False
-
-
-def test_fallback_always_available():
+def test_heisenberg_f3_orbit_count():
     h3 = heisenberg_ring(3)
-    labels = orbit_py(h3.coadjoint_generators(), 3)
+    labels = kernels.orbit_partition(h3.coadjoint_generators(), 3)
     assert labels.shape == (27,)
     assert labels.max() == 10  # 11 orbits
 
@@ -35,18 +27,86 @@ def test_labels_are_seed_ordered():
     assert firsts == sorted(firsts)
 
 
-@pytest.mark.skipif(not _have_compiled(), reason="compiled kernel not built")
-def test_backends_agree_on_varied_inputs():
-    rng = np.random.default_rng(13)
-    for p, d, g in ((3, 6, 5), (5, 5, 4), (2, 10, 6)):
-        mats = []
-        for _ in range(g):
-            M = (np.triu(rng.integers(0, p, (d, d)), 1) + np.eye(d, dtype=np.int64)) % p
-            mats.append(M)
-        mats = np.array(mats, dtype=np.int64)
-        a = kernels.orbit_partition(mats, p, backend="python")
-        b = kernels.orbit_partition(mats, p, backend="c")
-        assert (a == b).all()
+def _reference_partition(mats, p):
+    """Orbit labels by a plain BFS over Python ints, seeds in index order."""
+    d = len(mats[0])
+    n = p**d
+
+    def image(M, i):
+        x = [(i // p**j) % p for j in range(d)]
+        return sum((sum(M[r][c] * x[c] for c in range(d)) % p) * p**r for r in range(d))
+
+    labels = [-1] * n
+    next_id = 0
+    for seed in range(n):
+        if labels[seed] >= 0:
+            continue
+        labels[seed] = next_id
+        stack = [seed]
+        while stack:
+            cur = stack.pop()
+            for M in mats:
+                img = image(M, cur)
+                if labels[img] < 0:
+                    labels[img] = next_id
+                    stack.append(img)
+        next_id += 1
+    return labels
+
+
+# dimensions up to a few hundred points, so the reference stays quick
+_MAX_DIM = {2: 8, 3: 6, 5: 4, 7: 3}
+
+
+@st.composite
+def generator_sets(draw):
+    """(mats, p): 1-5 unitriangular or random invertible matrices mod p.
+
+    An invertible matrix is drawn as P L D U: a permutation, unit lower and
+    unit upper triangular factors, and a diagonal of units.
+    """
+    p = draw(st.sampled_from(sorted(_MAX_DIM)))
+    d = draw(st.integers(1, _MAX_DIM[p]))
+    unitriangular = draw(st.booleans())
+    entries = st.integers(0, p - 1)
+    units = st.integers(1, p - 1)
+
+    def triangular():
+        T = np.eye(d, dtype=np.int64)
+        for i in range(d):
+            for j in range(i + 1, d):
+                T[i, j] = draw(entries)
+        return T
+
+    mats = []
+    for _ in range(draw(st.integers(1, 5))):
+        U = triangular()
+        if not unitriangular:
+            perm = draw(st.permutations(range(d)))
+            D = np.diag([draw(units) for _ in range(d)])
+            U = np.eye(d, dtype=np.int64)[list(perm)] @ triangular().T @ D @ U
+        mats.append(U % p)
+    return np.array(mats, dtype=np.int64), p
+
+
+@settings(max_examples=80)
+@given(generator_sets())
+def test_kernel_matches_reference_bfs(case):
+    mats, p = case
+    labels = kernels.orbit_partition(mats, p)
+    assert labels.tolist() == _reference_partition(mats.tolist(), p)
+
+
+def test_one_dimensional_large_prime():
+    # 3 generates F_65537^*, so the orbits are {0} and the nonzero residues
+    labels = kernels.orbit_partition(np.array([[[3]]]), 65537)
+    assert labels[0] == 0 and (labels[1:] == 1).all()
+
+
+def test_singular_generator_rejected():
+    mats = np.array([np.eye(3, dtype=np.int64), np.diag([1, 1, 0])])
+    with pytest.raises(ValueError, match="invertible"):
+        kernels.orbit_partition(mats, 3)
 
 
 def test_budget_guard():

@@ -127,3 +127,29 @@ def test_packet_csv_shape():
         "certified_level",
     ]
     assert len(lines) == 1 + len(rep.orbit_set.orbits)
+
+
+def test_packets_reuse_orbits_across_psi(monkeypatch):
+    # orbits do not depend on psi_k: any psi_k gives the same report from
+    # the same number of kernel calls, and the report keeps the ladder's
+    # level-m orbit set
+    from nilorbit import kernels
+
+    calls = []
+    partition = kernels.orbit_partition
+
+    def counted(mats, p):
+        calls.append(p)
+        return partition(mats, p)
+
+    monkeypatch.setattr(kernels, "orbit_partition", counted)
+    reports = {}
+    for psi_k in (1, 2):
+        del calls[:]
+        _, rep = pk.base_change_and_packets(fake_heisenberg_scheme(3, 1), 1, psi_k=psi_k)
+        reports[psi_k] = (rep, len(calls))
+    (rep1, calls1), (rep2, calls2) = reports[1], reports[2]
+    assert rep2.to_csv() == rep1.to_csv()
+    assert calls2 == calls1
+    assert rep2.orbit_set is rep2.rounds[0][2][2]
+    assert all(orb.psi_k == 2 for orb in rep2.orbit_set.orbits)
