@@ -60,10 +60,6 @@ class ClassFunction:
     def conj(self):
         return ClassFunction(self.class_data, tuple(v.conj() for v in self.values))
 
-    def at_inverse(self):
-        cd = self.class_data
-        return ClassFunction(cd, tuple(self.values[cd.inv_class[j]] for j in range(cd.num_classes)))
-
     def inner(self, other):
         """<self, other> = |G|^-1 sum_g self(g) other(g^-1)."""
         cd = self.class_data

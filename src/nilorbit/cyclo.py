@@ -13,6 +13,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import prime_factors
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -110,7 +112,7 @@ class Cyclotomic:
         k %= m
         phi = _phi(m)
         row = _reduction_rows(m)[k]
-        return Cyclotomic(m, _strip(m, row[:phi]), _canonical=False)
+        return Cyclotomic(m, tuple(Fraction(c) for c in row[:phi]), _canonical=False)
 
     @staticmethod
     def from_root_counts(m, counts, scale=1):
@@ -131,10 +133,6 @@ class Cyclotomic:
         return Cyclotomic(m, tuple(acc))
 
     # -- canonical access --------------------------------------------------
-
-    def padded(self):
-        """Full length-m coefficient tuple (positions >= phi(m) are zero)."""
-        return self.coeffs + (_ZERO,) * (self.order - len(self.coeffs))
 
     def is_rational(self):
         return self.order == 1
@@ -367,10 +365,6 @@ def _poly_sub(a, b):
     return _trim(out)
 
 
-def _strip(order, coeffs):
-    return tuple(Fraction(c) for c in coeffs)
-
-
 def _canonicalize(order, coeffs):
     """Reduce mod Phi_order, then minimize the order."""
     coeffs = [Fraction(c) for c in coeffs]
@@ -384,7 +378,7 @@ def _canonicalize(order, coeffs):
     changed = True
     while changed and order > 1:
         changed = False
-        for q in _prime_divisors(order):
+        for q in prime_factors(order):
             sub = order // q
             down = _descend(order, sub, coeffs)
             if down is not None:
@@ -394,21 +388,6 @@ def _canonicalize(order, coeffs):
     if order == 1:
         return 1, (coeffs[0] if coeffs else _ZERO,)
     return order, tuple(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _prime_divisors(m):
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -425,9 +404,8 @@ def _descend(order, sub, coeffs):
     mat = _descend_matrix(order, sub)
     phi = _phi(order)
     # solve sum_j a_j * mat[j] = coeffs by Gaussian elimination over Q
-    rows = [list(mat[j]) + [Fraction(0)] * 0 for j in range(phis)]
     # augmented system: columns are the phi coordinates
-    aug = [[rows[j][i] for j in range(phis)] for i in range(phi)]
+    aug = [[mat[j][i] for j in range(phis)] for i in range(phi)]
     rhs = list(coeffs)
     sol = _solve_rational(aug, rhs, phis)
     return sol

@@ -28,34 +28,13 @@ def dixon_prime(order, exponent):
         l += 1
         if l % exponent != 1 % exponent:
             continue
-        if _is_prime(l):
+        if linalg.is_prime(l):
             return l
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _primitive_root(l):
     n = l - 1
-    factors = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
+    factors = linalg.prime_factors(n)
     for g in range(2, l):
         if all(pow(g, n // q, l) != 1 for q in factors):
             return g

@@ -200,28 +200,25 @@ class AssocAlgebra:
 
     def _validate(self):
         d = self.dim
+        A = self.constants
+        E = np.eye(d, dtype=np.int64)
+        # associativity one i-slice at a time: (e_i e_j) e_k = e_i (e_j e_k)
         for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    ei, ej, ek = (np.eye(d, dtype=np.int64)[t] for t in (i, j, k))
-                    lhs = self.product(self.product(ei, ej), ek)
-                    rhs = self.product(ei, self.product(ej, ek))
-                    if (lhs != rhs).any():
-                        raise ValueError("product is not associative at (%d,%d,%d)" % (i, j, k))
+            lhs = self.product(A[i][:, None], E)
+            rhs = (A @ A[i]) % self.p  # A[i] is the matrix of v -> e_i v
+            bad = np.argwhere((lhs != rhs).any(axis=2))
+            if len(bad):
+                j, k = bad[0]
+                raise ValueError("product is not associative at (%d,%d,%d)" % (i, j, k))
         # nilpotency: powers of the whole algebra must vanish
-        span = np.eye(d, dtype=np.int64)
         self.nil_index = 1
-        cur = span
+        cur = E
         while cur.shape[0]:
-            rows = []
-            for v in cur:
-                for w in span:
-                    u = self.product(v, w)
-                    if u.any():
-                        rows.append(u)
-            if not rows:
+            rows = self.product(cur[:, None], E).reshape(-1, d)
+            rows = rows[rows.any(axis=1)]
+            if not len(rows):
                 break
-            cur, _ = linalg.rref(np.array(rows), self.p)
+            cur, _ = linalg.rref(rows, self.p)
             self.nil_index += 1
             if self.nil_index > d + 1:
                 raise ValueError("algebra is not nilpotent")
@@ -231,10 +228,9 @@ class AssocAlgebra:
         return self.p**self.dim
 
     def product(self, x, y):
-        return np.einsum("i,j,ijk->k", np.asarray(x) % self.p, np.asarray(y) % self.p, self.constants) % self.p
-
-    def product_bulk(self, X, Y):
-        return np.einsum("ni,nj,ijk->nk", np.asarray(X) % self.p, np.asarray(Y) % self.p, self.constants) % self.p
+        """xy for vectors or batches of rows broadcasting against each other
+        over their leading axes."""
+        return linalg.bilinear(self.constants, x, y, self.p)
 
     def lie_ring(self):
         """The associated Lie ring [a, b] = ab - ba."""
@@ -299,7 +295,7 @@ def algebra_group(A, spot_check=True):
     def mult_bulk(I, J):
         X = linalg.decode_indices(np.asarray(I, dtype=np.int64), d, p)
         Y = linalg.decode_indices(np.asarray(J, dtype=np.int64), d, p)
-        Z = (X + Y + A.product_bulk(X, Y)) % p
+        Z = (X + Y + A.product(X, Y)) % p
         return linalg.encode_vectors(Z, p)
 
     gens = [
@@ -342,6 +338,8 @@ def _split_prime_power(q):
 
 # -- generalized unipotent symplectic groups -------------------------------------
 
+_SCAN_BLOCK = 1 << 10
+
 
 def sp_a_sigma(A, sigma, check_bijection=True):
     """Sp(A, sigma) = {x in 1+A : x + sigma(x) + x sigma(x) = 0}.
@@ -355,21 +353,18 @@ def sp_a_sigma(A, sigma, check_bijection=True):
     # sigma axioms
     if (linalg.matmul(S, S, p) != np.eye(d, dtype=np.int64)).any():
         raise ValueError("sigma^2 != 1")
-    for i in range(d):
-        for j in range(d):
-            ei = np.eye(d, dtype=np.int64)[i]
-            ej = np.eye(d, dtype=np.int64)[j]
-            lhs = (S @ A.product(ei, ej)) % p
-            rhs = A.product((S @ ej) % p, (S @ ei) % p)
-            if (lhs != rhs).any():
-                raise ValueError("sigma is not an anti-homomorphism")
+    # sigma(e_i e_j) = sigma(e_j) sigma(e_i); row t of S.T is sigma(e_t)
+    if ((A.constants @ S.T) % p != A.product(S.T, S.T[:, None])).any():
+        raise ValueError("sigma is not an anti-homomorphism")
+    # 1 + x is a member iff x + sigma(x) + x sigma(x) = 0; the scan runs in
+    # blocks of indices to bound the (rows, d, d) stage of the product
     members = []
-    for idx in range(A.order):
-        x = linalg.decode_indices(np.int64(idx), d, p)
-        sx = (S @ x) % p
-        if not ((x + sx + A.product(x, sx)) % p).any():
-            members.append(idx)
-    members = np.array(sorted(members), dtype=np.int64)
+    for start in range(0, A.order, _SCAN_BLOCK):
+        X = linalg.decode_indices(np.arange(start, min(start + _SCAN_BLOCK, A.order)), d, p)
+        SX = (X @ S.T) % p
+        hits = ~((X + SX + A.product(X, SX)) % p).any(axis=1)
+        members.extend((start + np.flatnonzero(hits)).tolist())
+    members = np.array(members, dtype=np.int64)
     if p > 2 and check_bijection:
         minus_dim = linalg.kernel((S + np.eye(d, dtype=np.int64)) % p, p).shape[0]
         if len(members) != p**minus_dim:
@@ -717,17 +712,8 @@ def gutkin_witness(A, chi, G=None, cd=None):
     if p**target_dim * deg != p**d:
         raise ValueError("degree does not divide the group order compatibly")
     for rows in _subspaces(d, target_dim, p):
-        closed = True
-        for i in range(rows.shape[0]):
-            for j in range(rows.shape[0]):
-                v = A.product(rows[i], rows[j])
-                if v.any() and not linalg.row_space_contains(rows, v, p):
-                    closed = False
-                    break
-            if not closed:
-                break
-        if not closed:
-            continue
+        if linalg.reduce_by(rows, A.product(rows[:, None], rows), p).any():
+            continue  # not a subalgebra
         sub_elems = np.sort(
             linalg.encode_vectors(linalg.enumerate_row_space(rows, p), p)
         )

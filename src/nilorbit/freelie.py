@@ -162,10 +162,6 @@ class LieSeries:
     def component(self, n):
         return LieSeries(self.c, {w: v for w, v in self.terms.items() if degree(w) == n})
 
-    def min_degree(self):
-        degs = [degree(w) for w in self.terms]
-        return min(degs) if degs else None
-
     def is_zero(self):
         return not self.terms
 
@@ -179,9 +175,6 @@ class LieSeries:
         return "LieSeries(%s)" % " + ".join(
             "%s*%s" % (v, word_str(w)) for w, v in items
         )
-
-    def max_denominator(self):
-        return max((v.denominator for v in self.terms.values()), default=1)
 
 
 def exp_ad(phi, target):
@@ -450,7 +443,8 @@ def evaluate(series, ring, assignment):
     """Evaluate a LieSeries in a LieRing under generator -> vector.
 
     assignment maps X and Y (or just the generators appearing) to ring
-    vectors; requires ring nilpotence class <= series bound and < p.
+    vectors or to (n, d) batches of rows, evaluated rowwise; requires ring
+    nilpotence class <= series bound and < p.
     """
     import numpy as np
 
@@ -474,27 +468,6 @@ def evaluate(series, ring, assignment):
     return acc
 
 
-def evaluate_pairs(series, ring, XS, YS):
-    """Vectorized evaluate over aligned batches of X- and Y-assignments."""
-    import numpy as np
-
-    XS = np.asarray(XS, dtype=np.int64) % ring.p
-    YS = np.asarray(YS, dtype=np.int64) % ring.p
-    values = {X: XS, Y: YS}
-
-    def val(w):
-        if w in values:
-            return values[w]
-        out = ring.bracket_bulk(val(w[0]), val(w[1]))
-        values[w] = out
-        return out
-
-    acc = np.zeros_like(XS)
-    for w, coeff in series.terms.items():
-        acc = (acc + _coeff_mod(coeff, ring.p) * val(w)) % ring.p
-    return acc
-
-
 def _exp_ad_pairs(ring, PHI, TARGET, c):
     """exp(ad phi_i)(target_i) rowwise, truncated at the class bound."""
     import numpy as np
@@ -502,7 +475,7 @@ def _exp_ad_pairs(ring, PHI, TARGET, c):
     out = TARGET.copy()
     cur = TARGET
     for k in range(1, c + 1):
-        cur = ring.bracket_bulk(PHI, cur)
+        cur = ring.bracket(PHI, cur)
         if not cur.any():
             break
         out = (out + _coeff_mod(Fraction(1, math.factorial(k)), ring.p) * cur) % ring.p
@@ -522,8 +495,8 @@ def substitution_bijection(ring):
     pts = ring.all_elements()
     XS = np.repeat(pts, n, axis=0)
     YS = np.tile(pts, (n, 1))
-    PHI = evaluate_pairs(phi, ring, XS, YS)
-    PSI = evaluate_pairs(psi, ring, XS, YS)
+    PHI = evaluate(phi, ring, {X: XS, Y: YS})
+    PSI = evaluate(psi, ring, {X: XS, Y: YS})
     HX = _exp_ad_pairs(ring, PHI, XS, c)
     HY = _exp_ad_pairs(ring, PSI, YS, c)
     keys = linalg.encode_vectors(HX, ring.p) * n + linalg.encode_vectors(HY, ring.p)

@@ -42,17 +42,6 @@ _FIXED_MODULI = {
 }
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _poly_mulmod(a, b, mod, p):
     s = len(mod) - 1
     if s >= 24:
@@ -133,7 +122,7 @@ def is_irreducible(modulus, p):
     t = [0, 1] + [0] * (s - 2)
     if _poly_powmod(t, p**s, modulus, p) != t:
         return False
-    for r in {q for q in range(2, s + 1) if s % q == 0 and _is_prime(q)}:
+    for r in linalg.prime_factors(s):
         cur = _poly_powmod(t, p ** (s // r), modulus, p)
         diff = list(cur)
         diff[1] = (diff[1] - 1) % p
@@ -149,7 +138,7 @@ def _order_of_t(modulus, p):
     n = p**s - 1
     one = [1] + [0] * (s - 1)
     order = n
-    for q in _prime_factors(n):
+    for q in linalg.prime_factors(n):
         while order % q == 0 and _poly_powmod(_tpoly(s), order // q, modulus, p) == one:
             order //= q
     return order
@@ -157,20 +146,6 @@ def _order_of_t(modulus, p):
 
 def _tpoly(s):
     return ([0, 1] + [0] * (s - 2)) if s >= 2 else None
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def is_primitive(modulus, p):
@@ -182,7 +157,7 @@ def is_primitive(modulus, p):
         if g == 0:
             return False
         n = p - 1
-        return all(pow(g, n // q, p) != 1 for q in _prime_factors(n)) if n > 1 else True
+        return all(pow(g, n // q, p) != 1 for q in linalg.prime_factors(n))
     return _order_of_t(modulus, p) == p**s - 1
 
 
@@ -202,6 +177,7 @@ def _first_irreducible(p, s, primitive=False):
     raise ArithmeticError("no irreducible polynomial found")
 
 
+@lru_cache(maxsize=None)
 def default_modulus(p, s):
     if (p, s) in _FIXED_MODULI:
         return _FIXED_MODULI[(p, s)]
@@ -214,17 +190,20 @@ class FqField:
     """F_{p^s} = F_p[t]/(modulus); elements are length-s coefficient tuples."""
 
     def __init__(self, p, s=1, modulus=None):
-        if not _is_prime(p):
+        if not linalg.is_prime(p):
             raise ValueError("characteristic must be prime")
         if s < 1:
             raise ValueError("degree must be >= 1")
         if modulus is None:
+            # fixed entries are checked primitive by the test suite, searched
+            # ones passed the primitivity or irreducibility test
             modulus = default_modulus(p, s)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != s + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree s")
-        if not is_irreducible(modulus, p):
-            raise ValueError("modulus is reducible mod %d" % p)
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != s + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree s")
+            if not is_irreducible(modulus, p):
+                raise ValueError("modulus is reducible mod %d" % p)
         self.p = p
         self.s = s
         self.modulus = modulus
@@ -333,17 +312,6 @@ class FqField:
         step = self.p**subdeg
         for _ in range(self.s // subdeg):
             out = self.add(out, cur)
-            cur = self.pow(cur, step)
-        return out
-
-    def norm(self, a, subdeg=1):
-        if self.s % subdeg != 0:
-            raise ValueError("subdeg must divide the field degree")
-        out = self.one
-        cur = a
-        step = self.p**subdeg
-        for _ in range(self.s // subdeg):
-            out = self.mul(out, cur)
             cur = self.pow(cur, step)
         return out
 

@@ -218,33 +218,6 @@ class FiniteGroup:
 
     # -- subgroups ---------------------------------------------------------------
 
-    def subgroup_closure(self, elems):
-        seen = set()
-        frontier = list(dict.fromkeys(list(elems) + [self.identity]))
-        for x in frontier:
-            seen.add(x)
-        gens = [x for x in frontier if x != self.identity]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self._mult(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return np.array(sorted(seen), dtype=np.int64)
-
-    def is_subgroup(self, elems):
-        elems_set = set(int(x) for x in elems)
-        if self.identity not in elems_set:
-            return False
-        for x in elems_set:
-            if self.inv(x) not in elems_set:
-                return False
-            for y in elems_set:
-                if self._mult(x, y) not in elems_set:
-                    return False
-        return True
-
     def normal_closure(self, seeds):
         gens = self.generators()
         gen_invs = [self.inv(g) for g in gens]

@@ -125,11 +125,6 @@ class AbCharacters:
         return sorted(set(out))
 
 
-def _scalar_part(chi, j, cd):
-    """chi(g)/chi(1) for g in class j, valid when g acts as a scalar."""
-    return chi.values[j] * chi.degree.inv()
-
-
 def _scalar_classes(chi, cd):
     """Classes on which the representation acts by scalars:
     chi(g) conj(chi(g)) = chi(1)^2."""
@@ -268,11 +263,8 @@ def _lift_subgroup(G, Q, qreps, coset_rep, qcoords, L_rows, C, p):
         members_q = {Q.identity}
     else:
         R, _ = linalg.rref(np.asarray(L_rows, dtype=np.int64) % p, p)
-        members_q = set()
-        for e in range(Q.n):
-            v = np.array(qcoords.coord_vector(e), dtype=np.int64)
-            if linalg.row_space_contains(R, v, p):
-                members_q.add(e)
+        V = np.array([qcoords.coord_vector(e) for e in range(Q.n)], dtype=np.int64)
+        members_q = set(np.flatnonzero(~linalg.reduce_by(R, V, p).any(axis=1)).tolist())
     member_reps = {int(qreps[e]) for e in members_q}
     out = [x for x in range(G.n) if int(coset_rep[x]) in member_reps]
     return np.array(sorted(out), dtype=np.int64)

@@ -35,10 +35,11 @@ class Subspace:
         return self.rows.shape[0]
 
     def contains(self, v):
-        return linalg.row_space_contains(self.rows, v, self.p)
+        """Whether the vector v, or every row of the batch v, lies in self."""
+        return not linalg.reduce_by(self.rows, v, self.p).any()
 
     def contains_space(self, other):
-        return all(self.contains(r) for r in other.rows)
+        return self.contains(other.rows)
 
     def __eq__(self, other):
         return (
@@ -72,15 +73,6 @@ class Subspace:
     def points(self):
         """All p^dim vectors of the subspace."""
         return linalg.enumerate_row_space(self.rows, self.p)
-
-    def coset_reps_in(self, bigger):
-        """Vectors of `bigger` reducing to distinct cosets modulo self."""
-        reps = {}
-        for v in bigger.points():
-            key = tuple(linalg.reduce_by(self.rows, v, self.p))
-            if key not in reps:
-                reps[key] = v
-        return [reps[k] for k in sorted(reps)]
 
     def __repr__(self):
         return "Subspace(dim=%d/%d, p=%d)" % (self.dim, self.ambient, self.p)
@@ -139,20 +131,13 @@ class LieRing:
     # -- bracket ---------------------------------------------------------------
 
     def bracket(self, x, y):
-        x = np.asarray(x, dtype=np.int64) % self.p
-        y = np.asarray(y, dtype=np.int64) % self.p
-        return np.einsum("i,j,ijk->k", x, y, self.constants) % self.p
-
-    def bracket_bulk(self, XS, YS):
-        """Rowwise brackets of two (n, d) batches."""
-        XS = np.asarray(XS, dtype=np.int64) % self.p
-        YS = np.asarray(YS, dtype=np.int64) % self.p
-        return np.einsum("ni,nj,ijk->nk", XS, YS, self.constants) % self.p
+        """[x, y] for vectors or batches of rows broadcasting against each
+        other over their leading axes."""
+        return linalg.bilinear(self.constants, x, y, self.p)
 
     def ad_matrix(self, x):
         """Matrix of ad x = [x, -] acting on column vectors."""
-        x = np.asarray(x, dtype=np.int64) % self.p
-        return np.einsum("i,ijk->kj", x, self.constants) % self.p
+        return self.bracket(x, np.eye(self.dim, dtype=np.int64)).T
 
     def basis_vector(self, i):
         v = np.zeros(self.dim, dtype=np.int64)
@@ -175,31 +160,34 @@ class LieRing:
         failures = []
         C = self.constants
         d = self.dim
-        for i in range(d):
-            if C[i, i].any():
-                failures.append(("alternating", (i, i)))
-        anti = (C + np.swapaxes(C, 0, 1)) % self.p
+        p = self.p
+        diagonal = C[np.arange(d), np.arange(d)].any(axis=1)
+        failures.extend(("alternating", (int(i), int(i))) for i in np.flatnonzero(diagonal))
+        anti = (C + np.swapaxes(C, 0, 1)) % p
         if anti.any():
             ij = np.argwhere(anti.any(axis=2))
             failures.append(("antisymmetric", tuple(ij[0])))
+        # Jacobi one i-slice at a time, over all (j, k) at once:
+        # [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
+        E = np.eye(d, dtype=np.int64)
         for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    v = (
-                        self.bracket(self.bracket(self.basis_vector(i), self.basis_vector(j)), self.basis_vector(k))
-                        + self.bracket(self.bracket(self.basis_vector(j), self.basis_vector(k)), self.basis_vector(i))
-                        + self.bracket(self.bracket(self.basis_vector(k), self.basis_vector(i)), self.basis_vector(j))
-                    ) % self.p
-                    if v.any():
-                        failures.append(("jacobi", (i, j, k)))
+            ki = C[:, i]  # rows [e_k, e_i], also the matrix of v -> [v, e_i]
+            jac = (
+                self.bracket(C[i][:, None], E)
+                + (C @ ki) % p
+                + self.bracket(ki[:, None], E).swapaxes(0, 1)
+            ) % p
+            bad = np.triu(jac.any(axis=2), 1)  # k > j
+            bad[: i + 1] = False  # j > i
+            failures.extend(("jacobi", (i, int(j), int(k))) for j, k in np.argwhere(bad))
         if failures:
             return ValidationReport(False, None, failures)
         cls = self.nilpotence_class()
         report = ValidationReport(True, cls, [])
         if for_lazard:
-            report.lazard_ok = cls < self.p
+            report.lazard_ok = cls < p
             if not report.lazard_ok:
-                report.failures.append(("class >= p", (cls, self.p)))
+                report.failures.append(("class >= p", (cls, p)))
         if self.fq is not None:
             self._validate_fq(report)
         return report
@@ -207,31 +195,27 @@ class LieRing:
     def _validate_fq(self, report):
         fq = self.fq
         F = fq.frobenius_matrix
-        # Frobenius is a Lie-ring automorphism: F[x,y] = [Fx, Fy]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                lhs = (F @ self.bracket(self.basis_vector(i), self.basis_vector(j))) % self.p
-                rhs = self.bracket(F[:, i], F[:, j])
-                if (lhs != rhs).any():
-                    report.ok = False
-                    report.failures.append(("frobenius not automorphism", (i, j)))
-                    return
+        C = self.constants
+        p = self.p
+        E = np.eye(self.dim, dtype=np.int64)
+        # Frobenius is a Lie-ring automorphism: F[e_i,e_j] = [Fe_i, Fe_j]
+        bad = ((C @ F.T) % p != self.bracket(F.T[:, None], F.T)).any(axis=2)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            report.ok = False
+            report.failures.append(("frobenius not automorphism", (int(i), int(j))))
+            return
         # F^s = identity on the F_q-points (q-power Frobenius fixes them)
-        if linalg.matpow(F, fq.field.s, self.p).tolist() != np.eye(self.dim, dtype=np.int64).tolist():
+        if linalg.matpow(F, fq.field.s, p).tolist() != E.tolist():
             report.ok = False
             report.failures.append(("frobenius order", fq.field.s))
         # Is the bracket F_q-bilinear?  Recorded, not required: honest F_q-Lie
         # algebras (exponential type) say yes; fake Heisenberg brackets are
         # only F_p-bilinear by design.
-        report.fq_bilinear = True
-        for S in fq.scalar_matrices:
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    lhs = self.bracket(S[:, i], self.basis_vector(j))
-                    rhs = (S @ self.bracket(self.basis_vector(i), self.basis_vector(j))) % self.p
-                    if (lhs != rhs).any():
-                        report.fq_bilinear = False
-                        return
+        report.fq_bilinear = all(
+            (self.bracket(S.T[:, None], E) == (C @ S.T) % p).all()
+            for S in fq.scalar_matrices
+        )
 
     def nilpotence_class(self):
         return len(self.lower_central_series()) - 1
@@ -240,18 +224,12 @@ class LieRing:
         """g >= [g,g] >= [g,[g,g]] >= ... >= 0, as Subspace values."""
         if "lcs" in self._cache:
             return self._cache["lcs"]
+        E = np.eye(self.dim, dtype=np.int64)
         series = [self.full_subspace()]
         current = series[0]
         while current.dim > 0:
-            rows = []
-            for i in range(self.dim):
-                for w in current.rows:
-                    rows.append(self.bracket(self.basis_vector(i), w))
-            nxt = (
-                Subspace(np.array(rows), self.p, d=self.dim)
-                if rows
-                else self.zero_subspace()
-            )
+            # [e_i, w] for every basis vector e_i and every row w
+            nxt = self.subspace(self.bracket(E[:, None], current.rows).reshape(-1, self.dim))
             if nxt.dim == current.dim:
                 raise ValueError("ring is not nilpotent")
             series.append(nxt)
@@ -260,17 +238,11 @@ class LieRing:
         return series
 
     def derived_subring(self):
-        rows = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                rows.append(self.bracket(self.basis_vector(i), self.basis_vector(j)))
-        if not rows:
-            return self.zero_subspace()
-        return Subspace(np.array(rows), self.p, d=self.dim)
+        return self.subspace(self.constants[np.triu_indices(self.dim, 1)])
 
     def center(self):
-        mats = [self.ad_matrix(self.basis_vector(i)) for i in range(self.dim)]
-        M = np.concatenate(mats, axis=0)
+        # x is central iff [e_i, x] = 0 for all i: rows (i, k) of C[i, :, k]
+        M = self.constants.transpose(0, 2, 1).reshape(-1, self.dim)
         return Subspace(linalg.kernel(M, self.p), self.p, d=self.dim)
 
     def largest_ideal_within(self, W):
@@ -279,6 +251,7 @@ class LieRing:
         Descending fixed point: I_{k+1} = {x in I_k : [e_i, x] in I_k for
         all basis e_i}; dimensions strictly decrease until stable.
         """
+        ads = self.constants.transpose(0, 2, 1)  # ads[i] = ad(e_i)
         current = W
         while current.dim > 0:
             K = current.rows
@@ -286,12 +259,8 @@ class LieRing:
             D = linalg.kernel(K, self.p)
             if D.shape[0] == 0:
                 return current  # current is everything
-            constraints = []
-            for i in range(self.dim):
-                ad = self.ad_matrix(self.basis_vector(i))
-                constraints.append((D @ ad @ K.T) % self.p)
-            M = np.concatenate(constraints, axis=0)
-            coeffs = linalg.kernel(M, self.p)
+            M = (((D @ ads) % self.p) @ K.T) % self.p
+            coeffs = linalg.kernel(M.reshape(-1, K.shape[0]), self.p)
             if coeffs.shape[0] == current.dim:
                 return current
             if coeffs.shape[0] == 0:
@@ -310,12 +279,10 @@ class LieRing:
         return self._cache["bch"]
 
     def group_mul(self, x, y):
-        return freelie.evaluate(
-            self.bch(), self, {freelie.X: x, freelie.Y: y}
-        )
+        """x * y in Exp(g) for vectors or (n, d) batches of rows."""
+        return freelie.evaluate(self.bch(), self, {freelie.X: x, freelie.Y: y})
 
-    def group_mul_bulk(self, XS, YS):
-        return freelie.evaluate_pairs(self.bch(), self, XS, YS)
+    group_mul_bulk = group_mul
 
     def group_inv(self, x):
         return (-np.asarray(x, dtype=np.int64)) % self.p
@@ -345,8 +312,7 @@ class LieRing:
 
     def bf_matrix(self, lam):
         """Matrix of the alternating form B_f(x, y) = <lam, [x, y]>."""
-        lam = np.asarray(lam, dtype=np.int64) % self.p
-        return np.einsum("ijk,k->ij", self.constants, lam) % self.p
+        return (self.constants @ linalg.asmod(lam, self.p)) % self.p
 
     def stabilizer_subspace(self, lam):
         """g^f = radical of B_f (the Lie ring of the stabilizer of f)."""
@@ -373,36 +339,20 @@ class LieRing:
         Returns (ring, basis_rows) where basis_rows embeds the new basis.
         """
         rows = space.rows
-        k = rows.shape[0]
-        consts = np.zeros((k, k, k), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                v = self.bracket(rows[i], rows[j])
-                coeff = linalg.solve(rows.T, v, self.p)
-                if coeff is None:
-                    raise ValueError("subspace is not bracket-closed")
-                consts[i, j] = coeff
-        return LieRing(self.p, consts), rows
+        V = self.bracket(rows[:, None], rows)
+        if not space.contains(V):
+            raise ValueError("subspace is not bracket-closed")
+        # an RREF basis has the identity at its pivot columns, so the
+        # coordinates of a vector in the span are its pivot entries
+        return LieRing(self.p, V[..., _pivots(rows)]), rows
 
     def quotient(self, ideal_space):
-        """Quotient ring by an ideal; returns (ring, projection matrix)."""
+        """Quotient ring by an ideal; returns (ring, projection)."""
         I = ideal_space.rows
-        comp_idx = _complement_coords(I, self.dim, self.p)
-        k = len(comp_idx)
-        # projection: reduce mod I then read off complement coordinates
-        basis = []
-        for c in comp_idx:
-            v = np.zeros(self.dim, dtype=np.int64)
-            v[c] = 1
-            basis.append(v)
-        consts = np.zeros((k, k, k), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                v = linalg.reduce_by(I, self.bracket(basis[i], basis[j]), self.p)
-                consts[i, j] = v[comp_idx]
-        proj = np.zeros((k, self.dim), dtype=np.int64)
-        for r, c in enumerate(comp_idx):
-            proj[r, c] = 1
+        pivots = _pivots(I)
+        comp_idx = [c for c in range(self.dim) if c not in pivots]
+        V = self.constants[np.ix_(comp_idx, comp_idx)]
+        consts = linalg.reduce_by(I, V, self.p)[..., comp_idx]
 
         def project(v):
             return linalg.reduce_by(I, v, self.p)[comp_idx]
@@ -410,45 +360,8 @@ class LieRing:
         return LieRing(self.p, consts), project
 
 
-def _complement_coords(rref_rows, d, p):
-    pivots = []
-    for row in rref_rows:
-        nz = np.nonzero(row)[0]
-        if len(nz):
-            pivots.append(int(nz[0]))
-    return [c for c in range(d) if c not in pivots]
-
-
-def validate(ring, for_lazard=True):
-    return ring.validate(for_lazard=for_lazard)
-
-
-def lower_central_series(ring):
-    return ring.lower_central_series()
-
-
-def largest_ideal_within(ring, W):
-    return ring.largest_ideal_within(W)
-
-
-def group_mul(ring, x, y):
-    return ring.group_mul(x, y)
-
-
-def group_inv(ring, x):
-    return ring.group_inv(x)
-
-
-def coadjoint_matrix(ring, x):
-    return ring.coadjoint_matrix(x)
-
-
-def element_index(ring, x):
-    return ring.element_index(x)
-
-
-def element_from_index(ring, idx):
-    return ring.element_from_index(idx)
+def _pivots(rref_rows):
+    return [int(c) for c in (rref_rows != 0).argmax(axis=1)]
 
 
 # -- basic constructors -------------------------------------------------------

@@ -3,7 +3,12 @@
 Matrices are numpy int64 arrays with entries reduced mod p.  Sizes here are
 small (dimensions <= ~20 for ring computations, a few hundred for the Dixon
 oracle), so clarity wins over asymptotics; row operations are vectorized.
+`bilinear` is the one structure-constant contraction behind every Lie
+bracket and algebra product.  The primality and prime-factor helpers are
+shared by the field, cyclotomic and oracle modules.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,6 +22,33 @@ def modinv(a, p):
     if a == 0:
         raise ZeroDivisionError("inverse of 0 mod %d" % p)
     return pow(a, -1, p)
+
+
+def is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+@lru_cache(maxsize=None)
+def prime_factors(n):
+    """The distinct prime factors of n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 def rref(mat, p):
@@ -128,38 +160,29 @@ def _factorial_mod(i, p):
     return out
 
 
-def row_space_contains(R, v, p):
-    """Membership of v in the row space of an RREF matrix R."""
-    v = asmod(v, p).copy()
-    for row in R:
-        c = np.nonzero(row)[0]
-        if len(c) == 0:
-            continue
-        c = c[0]
-        if v[c]:
-            v = (v - v[c] * row) % p
-    return not v.any()
+def reduce_by(R, V, p):
+    """Reduce V, a vector or a batch of rows, modulo the row space of the
+    RREF matrix R: the canonical coset representative of each row."""
+    V = asmod(V, p)
+    for row, c in zip(R, (R != 0).argmax(axis=1)):
+        V = (V - V[..., c, None] * row) % p
+    return V
 
 
-def reduce_by(R, v, p):
-    """Reduce v modulo the row space of RREF matrix R (canonical coset rep)."""
-    v = asmod(v, p).copy()
-    for row in R:
-        c = np.nonzero(row)[0]
-        if len(c) == 0:
-            continue
-        c = c[0]
-        if v[c]:
-            v = (v - v[c] * row) % p
-    return v
+def bilinear(C, X, Y, p):
+    """The bilinear map with structure constants C[i, j, k] (coefficient of
+    e_k in e_i * e_j, reduced mod p) on X and Y, which are vectors or
+    batches of rows that broadcast against each other over their leading
+    axes.
 
-
-def span_rows(mats, p):
-    """RREF basis of the row space spanned by the stacked matrices."""
-    mats = [asmod(m, p).reshape(-1, mats[0].shape[-1]) for m in mats if m.size]
-    if not mats:
-        raise ValueError("no rows given")
-    return rref(np.concatenate(mats, axis=0), p)[0]
+    The contraction runs one slot at a time, reduced mod p after each stage,
+    so every partial sum stays below d * (p-1)^2 and the result is exact
+    while that is < 2^63.
+    """
+    d = C.shape[0]
+    X = asmod(X, p)
+    T = ((X @ C.reshape(d, d * d)) % p).reshape(X.shape[:-1] + (d, d))
+    return (asmod(Y, p)[..., None, :] @ T)[..., 0, :] % p
 
 
 def intersect_row_spaces(A, B, p):

@@ -71,12 +71,6 @@ def _block_diag(mats):
     return out
 
 
-def extend_with_frobenius(scheme_or_ring, n):
-    """Materialize level n of a tower (spec entry point)."""
-    scheme = getattr(scheme_or_ring, "scheme", scheme_or_ring)
-    return TowerInstance(scheme, n)
-
-
 def dual_embedding_matrix(scheme, m, n):
     """F_p-linear map of dual vectors from level m into level n.
 
@@ -159,13 +153,12 @@ def _affine_fusion_partition(scheme, m, n, psi_k=1):
     DE = dual_embedding_matrix(scheme, m, n)
     tm = TowerInstance(scheme, m)
     om = tm.orbits(psi_k)
-    ads = [ring_n.ad_matrix(ring_n.basis_vector(i)) for i in range(ring_n.dim)]
     bases = []
     points = []
     for orb in om.orbits:
         lam_n = (DE @ orb.base_point) % p
-        rows = np.array([(lam_n @ A) % p for A in ads], dtype=np.int64)
-        R, _ = linalg.rref(rows, p)
+        # row i of B_f is lam o ad(e_i), so B_f spans W(lam)
+        R, _ = linalg.rref(ring_n.bf_matrix(lam_n), p)
         bases.append(R)
         points.append(lam_n)
     # union-find by pairwise membership of differences
@@ -177,12 +170,11 @@ def _affine_fusion_partition(scheme, m, n, psi_k=1):
             i = parent[i]
         return i
 
+    points = np.array(points)
     for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if find(i) == find(j):
-                continue
-            diff = (points[i] - points[j]) % p
-            if linalg.row_space_contains(bases[i], diff, p):
+        fused = ~linalg.reduce_by(bases[i], points[i + 1 :] - points[i], p).any(axis=1)
+        for j in i + 1 + np.flatnonzero(fused):
+            if find(i) != find(j):
                 parent[find(j)] = find(i)
     groups = {}
     for i in range(len(points)):

@@ -61,13 +61,8 @@ class FlagOfIdeals:
 
 
 def _is_ideal(ring, V):
-    if V.dim == 0:
-        return True
-    for i in range(ring.dim):
-        for w in V.rows:
-            if not V.contains(ring.bracket(ring.basis_vector(i), w)):
-                return False
-    return True
+    """[e_i, w] in V for every basis vector e_i and every row w of V."""
+    return V.contains(ring.bracket(np.eye(ring.dim, dtype=np.int64)[:, None], V.rows))
 
 
 def flag_from_weights(ring):
@@ -84,9 +79,7 @@ def flag_from_weights(ring):
         if term.dim == 0:
             continue
         for r in term.rows:
-            if rows and linalg.row_space_contains(
-                np.array(rows, dtype=np.int64), r, ring.p
-            ):
+            if rows and not linalg.reduce_by(np.array(rows), r, ring.p).any():
                 continue
             rows.append(r)
             spaces.append(ring.subspace(np.array(rows)))
@@ -144,27 +137,23 @@ class Polarization:
         return "Polarization(dim=%d, kind=%s)" % (self.dim, self.kind)
 
 
+def _pair_brackets(ring, S):
+    """[r_i, r_j] for the basis rows r_i, r_j of S with i < j."""
+    i, j = np.triu_indices(S.dim, 1)
+    return ring.bracket(S.rows[i], S.rows[j])
+
+
 def _is_subring(ring, S):
-    for i in range(S.dim):
-        for j in range(i + 1, S.dim):
-            if not S.contains(ring.bracket(S.rows[i], S.rows[j])):
-                return False
-    return True
+    return S.contains(_pair_brackets(ring, S))
 
 
 def bracket_closure(ring, S):
     cur = S
     while True:
-        rows = [cur.rows] if cur.dim else []
-        extra = []
-        for i in range(cur.dim):
-            for j in range(i + 1, cur.dim):
-                v = ring.bracket(cur.rows[i], cur.rows[j])
-                if v.any() and not cur.contains(v):
-                    extra.append(v)
-        if not extra:
+        V = _pair_brackets(ring, cur)
+        if cur.contains(V):
             return cur
-        cur = ring.subspace(np.concatenate([cur.rows, np.array(extra)]))
+        cur = ring.subspace(np.concatenate([cur.rows, V]))
 
 
 # -- Vergne ---------------------------------------------------------------------
@@ -347,17 +336,10 @@ def associative_vergne(algebra, flag_spaces, B):
     p = algebra.p
     B = np.asarray(B, dtype=np.int64) % p
     d = algebra.dim
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                x, y, z = (np.eye(d, dtype=np.int64)[t] for t in (i, j, k))
-                s = (
-                    int(algebra.product(x, y) @ B @ z)
-                    + int(algebra.product(y, z) @ B @ x)
-                    + int(algebra.product(z, x) @ B @ y)
-                ) % p
-                if s:
-                    raise ValueError("cyclic identity fails on basis triple")
+    # T[i, j, k] = B(e_i e_j, e_k); the identity is T + its two cyclic shifts
+    T = (algebra.constants @ B) % p
+    if ((T + T.transpose(2, 0, 1) + T.transpose(1, 2, 0)) % p).any():
+        raise ValueError("cyclic identity fails on basis triple")
     for V in flag_spaces:
         if not _is_twosided_ideal(algebra, V):
             raise ValueError("flag member is not a two-sided ideal")
@@ -371,24 +353,14 @@ def associative_vergne(algebra, flag_spaces, B):
         if K.shape[0]:
             total = total.sum(Subspace((K @ S) % p, p, d=d))
     # multiplicative closure
-    for i in range(total.dim):
-        for j in range(total.dim):
-            if not total.contains(algebra.product(total.rows[i], total.rows[j])):
-                raise AssertionError("associative Vergne output not closed")
+    if not total.contains(algebra.product(total.rows[:, None], total.rows)):
+        raise AssertionError("associative Vergne output not closed")
     return total
 
 
 def _is_twosided_ideal(algebra, V):
-    if V.dim == 0:
-        return True
-    for i in range(algebra.dim):
-        e = np.eye(algebra.dim, dtype=np.int64)[i]
-        for w in V.rows:
-            if not V.contains(algebra.product(e, w)) or not V.contains(
-                algebra.product(w, e)
-            ):
-                return False
-    return True
+    E = np.eye(algebra.dim, dtype=np.int64)[:, None]
+    return V.contains(algebra.product(E, V.rows)) and V.contains(algebra.product(V.rows, E))
 
 
 # -- quasi-polarizations -------------------------------------------------------------
@@ -423,12 +395,9 @@ def quasi_polarization(ring, f_vec):
         nid = cur_ring.largest_ideal_within(stab)
         # z~ = {x : [x, e_j] in n for all j}
         D = linalg.kernel(nid.rows, p) if nid.dim else np.eye(cur_ring.dim, dtype=np.int64)
-        constraints = []
-        for j in range(cur_ring.dim):
-            # [x, e_j] = M_j x with M_j[k, i] = C[i, j, k]
-            Mj = cur_ring.constants[:, j, :].T
-            constraints.append((D @ Mj) % p)
-        ztilde = cur_ring.subspace(linalg.kernel(np.concatenate(constraints), p))
+        # [x, e_j] = M_j x with M_j[k, i] = C[i, j, k]
+        M = cur_ring.constants.transpose(1, 2, 0)
+        ztilde = cur_ring.subspace(linalg.kernel(((D @ M) % p).reshape(-1, cur_ring.dim), p))
         zperp = ztilde.perp(cur_ring.bf_matrix(cur_f))
         g1 = ztilde.sum(zperp)
         if g1.dim >= cur_ring.dim:

@@ -1,5 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import nilorbit
 
 from nilorbit import orbits as ob
 from nilorbit.battery import appendix_h2_ring
@@ -67,3 +72,30 @@ def test_budget_guard():
     G = ob.lazard_group(appendix_h2_ring(5))
     with pytest.raises(ValueError):
         dixon_table(G, max_order=100)
+
+
+def _package_imports(module):
+    """nilorbit modules that `module` imports anywhere in its source,
+    function-local imports included."""
+    tree = ast.parse((Path(nilorbit.__file__).parent / (module + ".py")).read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nilorbit"):
+            out |= {node.module.partition(".")[2] or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {a.name.partition(".")[2] for a in node.names if a.name.startswith("nilorbit.")}
+    return out
+
+
+def test_oracle_does_not_import_the_orbit_method():
+    # the oracle is an independent judge: nothing it imports, directly or
+    # through other modules, may reach the orbit-method path
+    seen, todo = set(), ["dixon"]
+    while todo:
+        mod = todo.pop()
+        if mod not in seen:
+            seen.add(mod)
+            todo.extend(_package_imports(mod))
+    assert not seen & {"orbits", "polar", "heisenberg"}

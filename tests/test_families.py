@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilorbit import orbits as ob
 from nilorbit import families as fam
+from nilorbit import linalg
 from nilorbit.chartable import table_fingerprint
 from nilorbit.dixon import dixon_table
 from nilorbit.packets import TowerInstance
@@ -196,3 +198,67 @@ def test_gutkin_witnesses():
     lin = next(r for r in t3.rows if r.degree.rational_value() == 1)
     rows, _ = fam.gutkin_witness(A3, lin, G=G3, cd=t3.class_data)
     assert rows.shape[0] == A3.dim
+
+
+def _assoc_checks_ref(p, C):
+    """The basis-loop associativity and nilpotency checks of AssocAlgebra,
+    kept as the reference: the nil index, or the error message."""
+    d = C.shape[0]
+    e = np.eye(d, dtype=np.int64)
+    prod = lambda x, y: np.einsum("i,j,ijk->k", x % p, y % p, C) % p  # noqa: E731
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                if (prod(prod(e[i], e[j]), e[k]) != prod(e[i], prod(e[j], e[k]))).any():
+                    return "product is not associative at (%d,%d,%d)" % (i, j, k)
+    nil_index = 1
+    cur = e
+    while cur.shape[0]:
+        rows = [u for v in cur for w in e for u in [prod(v, w)] if u.any()]
+        if not rows:
+            break
+        cur, _ = linalg.rref(np.array(rows), p)
+        nil_index += 1
+        if nil_index > d + 1:
+            return "algebra is not nilpotent"
+    return nil_index
+
+
+@st.composite
+def algebra_constants(draw):
+    """Raw random tensors (rarely associative); square-zero extensions (the
+    low part multiplies into the high part, which annihilates everything:
+    associative, nil index <= 2); strictly upper triangular matrices (higher
+    nil index); and any of these with one entry changed or with e_1 made
+    idempotent (not nilpotent)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["raw", "square_zero", "upper"]))
+    change = draw(st.sampled_from([None, "perturbed", "idempotent"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "upper":
+        C = fam.strict_upper_algebra(draw(st.integers(2, 4)), p).constants.copy()
+    else:
+        d = draw(st.integers(1, 5))
+        C = rng.integers(0, p, (d, d, d))
+    d = C.shape[0]
+    if kind == "square_zero":
+        h = int(rng.integers(0, d + 1))
+        C[h:] = 0
+        C[:, h:] = 0
+        C[..., :h] = 0
+    if change == "perturbed":
+        C[tuple(rng.integers(0, d, 3))] = rng.integers(1, p)
+    if change == "idempotent":
+        C[0, 0, 0] = 1
+    return p, C % p
+
+
+@settings(max_examples=150)
+@given(algebra_constants())
+def test_algebra_checks_match_basis_loops(case):
+    p, C = case
+    try:
+        got = fam.AssocAlgebra(p, C).nil_index
+    except ValueError as exc:
+        got = str(exc)
+    assert got == _assoc_checks_ref(p, C)

@@ -77,15 +77,19 @@ def test_evaluate_rejects_bad_characteristic():
         )
 
 
-def test_evaluate_pairs_matches_scalar():
+def test_evaluate_batches_match_scalar():
     h5 = heisenberg_ring(5)
     rng = np.random.default_rng(0)
     XS = rng.integers(0, 5, (40, 3))
     YS = rng.integers(0, 5, (40, 3))
-    bulk = fl.evaluate_pairs(h5.bch(), h5, XS, YS)
+    bulk = fl.evaluate(h5.bch(), h5, {fl.X: XS, fl.Y: YS})
+    # a single vector broadcasts against a batch
+    against_one = fl.evaluate(h5.bch(), h5, {fl.X: XS, fl.Y: YS[0]})
     for k in range(40):
         single = fl.evaluate(h5.bch(), h5, {fl.X: XS[k], fl.Y: YS[k]})
         assert (bulk[k] == single).all()
+        single = fl.evaluate(h5.bch(), h5, {fl.X: XS[k], fl.Y: YS[0]})
+        assert (against_one[k] == single).all()
 
 
 def test_substitution_bijection_small_rings():

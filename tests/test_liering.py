@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nilorbit.battery import appendix_h2_ring
-from nilorbit.families import fake_heisenberg, fake_heisenberg_scheme, ul_lie_scheme
+from nilorbit import linalg
+from nilorbit.battery import appendix_h2_ring, random_class_le3_rings
+from nilorbit.families import AssocAlgebra, fake_heisenberg, fake_heisenberg_scheme, ul_lie_scheme
+from nilorbit.gfq import FqField
 from nilorbit.liering import (
+    FqStructure,
     LieRing,
     Subspace,
+    ValidationReport,
     abelian_ring,
     from_bracket_table,
     heisenberg_ring,
@@ -203,3 +208,161 @@ def test_subring_and_quotient():
     q, project = h2.quotient(h2.subspace(np.array([[0, 0, 0, 1]])))
     assert q.dim == 3 and q.validate().ok
     assert q.nilpotence_class() == 2
+
+
+def test_bracket_and_product_exact_at_large_prime():
+    # (p-1)^3 overflows int64; each contraction stage stays below d (p-1)^2
+    p = 3000017
+    ring = from_bracket_table(p, 3, {(0, 1): {2: p - 1}})
+    assert ring.bracket([p - 1, 0, 0], [0, p - 1, 0]).tolist() == [0, 0, p - 1]
+    C = np.zeros((3, 3, 3), dtype=np.int64)
+    C[0, 1, 2] = p - 1
+    assert AssocAlgebra(p, C).product([p - 1, 0, 0], [0, p - 1, 0]).tolist() == [0, 0, p - 1]
+    # full random tensors and batches against Python-int arithmetic
+    rng = np.random.default_rng(3)
+    d = 4
+    C = rng.integers(0, p, (d, d, d))
+    X = rng.integers(0, p, (6, d))
+    Y = rng.integers(0, p, (6, d))
+    exact = [
+        [sum(int(x[i]) * int(y[j]) * int(C[i, j, k]) for i in range(d) for j in range(d)) % p for k in range(d)]
+        for x, y in zip(X, Y)
+    ]
+    assert LieRing(p, C).bracket(X, Y).tolist() == exact
+    assert LieRing(p, C).bracket(X[2], Y[2]).tolist() == exact[2]
+
+
+# -- basis-vector loop versions of the tensor checks, kept as references -------
+
+
+def _bracket_ref(C, x, y, p):
+    return np.einsum("i,j,ijk->k", np.asarray(x) % p, np.asarray(y) % p, C) % p
+
+
+def _basis(d, i):
+    return np.eye(d, dtype=np.int64)[i]
+
+
+def _lcs_ref(ring):
+    C, p, d = ring.constants, ring.p, ring.dim
+    series = [ring.full_subspace()]
+    current = series[0]
+    while current.dim > 0:
+        rows = [_bracket_ref(C, _basis(d, i), w, p) for i in range(d) for w in current.rows]
+        nxt = Subspace(np.array(rows), p, d=d)
+        if nxt.dim == current.dim:
+            raise ValueError("ring is not nilpotent")
+        series.append(nxt)
+        current = nxt
+    return series
+
+
+def _validate_ref(ring):
+    C, p, d = ring.constants, ring.p, ring.dim
+    e = [_basis(d, i) for i in range(d)]
+    br = lambda x, y: _bracket_ref(C, x, y, p)  # noqa: E731
+    failures = []
+    for i in range(d):
+        if C[i, i].any():
+            failures.append(("alternating", (i, i)))
+    anti = (C + np.swapaxes(C, 0, 1)) % p
+    if anti.any():
+        failures.append(("antisymmetric", tuple(np.argwhere(anti.any(axis=2))[0])))
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                v = (br(br(e[i], e[j]), e[k]) + br(br(e[j], e[k]), e[i]) + br(br(e[k], e[i]), e[j])) % p
+                if v.any():
+                    failures.append(("jacobi", (i, j, k)))
+    if failures:
+        return ValidationReport(False, None, failures)
+    cls = len(_lcs_ref(ring)) - 1
+    report = ValidationReport(True, cls, [], lazard_ok=cls < p)
+    if not report.lazard_ok:
+        report.failures.append(("class >= p", (cls, p)))
+    if ring.fq is None:
+        return report
+    F = ring.fq.frobenius_matrix
+    for i in range(d):
+        for j in range(d):
+            if ((F @ br(e[i], e[j])) % p != br(F[:, i], F[:, j])).any():
+                report.ok = False
+                report.failures.append(("frobenius not automorphism", (i, j)))
+                return report
+    if linalg.matpow(F, ring.fq.field.s, p).tolist() != np.eye(d, dtype=np.int64).tolist():
+        report.ok = False
+        report.failures.append(("frobenius order", ring.fq.field.s))
+    report.fq_bilinear = True
+    for S in ring.fq.scalar_matrices:
+        for i in range(d):
+            for j in range(d):
+                if (br(S[:, i], e[j]) != (S @ br(e[i], e[j])) % p).any():
+                    report.fq_bilinear = False
+                    return report
+    return report
+
+
+def _center_ref(ring):
+    C, p, d = ring.constants, ring.p, ring.dim
+    mats = [np.einsum("i,ijk->kj", _basis(d, i), C) % p for i in range(d)]
+    return linalg.kernel(np.concatenate(mats, axis=0), p)
+
+
+def _outcome(f):
+    try:
+        return "ok", f()
+    except ValueError as exc:
+        return "raises", str(exc)
+
+
+def _assert_checks_match(ring):
+    fresh = lambda: LieRing(ring.p, ring.constants, fq=ring.fq)  # noqa: E731
+    assert repr(_outcome(fresh().validate)) == repr(_outcome(lambda: _validate_ref(ring)))
+    rows = lambda series: [s.rows.tolist() for s in series]  # noqa: E731
+    assert _outcome(lambda: rows(fresh().lower_central_series())) == _outcome(lambda: rows(_lcs_ref(ring)))
+    assert fresh().center().rows.tolist() == _center_ref(ring).tolist()
+
+
+@st.composite
+def structure_constants(draw):
+    """Random tensors: raw (not alternating), alternating (Jacobi and
+    nilpotency usually fail) and strictly increasing alternating ones
+    (nilpotent; Jacobi holds on sparse draws)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["raw", "alternating", "increasing"]))
+    density = draw(st.sampled_from([0.1, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    C = rng.integers(0, p, (d, d, d)) * (rng.random((d, d, d)) < density)
+    if kind != "raw":
+        if kind == "increasing":
+            i, j, k = np.indices((d, d, d))
+            C = C * (k > np.maximum(i, j))
+        C = np.triu(C.transpose(2, 0, 1), 1).transpose(1, 2, 0)
+        C = C - C.transpose(1, 0, 2)
+    return LieRing(p, C)
+
+
+@settings(max_examples=150)
+@given(structure_constants())
+def test_tensor_checks_match_basis_loops(ring):
+    _assert_checks_match(ring)
+
+
+def test_tensor_checks_match_basis_loops_on_class_le3_zoo():
+    # with an F_q structure so the Frobenius and F_q-bilinearity checks run:
+    # identity, random and field-scalar matrices hit every branch
+    rng = np.random.default_rng(11)
+    for p in (3, 5):
+        for ring in random_class_le3_rings(p, 6, seed=p):
+            d = ring.dim
+            _assert_checks_match(ring)
+            for F, S in [
+                (np.eye(d, dtype=np.int64), 2 * np.eye(d, dtype=np.int64)),
+                (np.eye(d, dtype=np.int64), rng.integers(0, p, (d, d))),
+                (rng.integers(0, p, (d, d)), np.eye(d, dtype=np.int64)),
+            ]:
+                fq = FqStructure(FqField(p, 1), d, None, F, (S,))
+                _assert_checks_match(LieRing(p, ring.constants, fq=fq))
+    for ring in (fake_heisenberg(3, 2), fake_heisenberg_scheme(3, 1).at_level(2), ul_lie_scheme(3, 3, 2).at_level(1)):
+        _assert_checks_match(ring)
