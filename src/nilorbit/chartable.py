@@ -2,18 +2,26 @@
 
 Tables verify their own invariants exactly: row orthonormality under
 <f1, f2> = |G|^-1 sum f1(g) f2(g^-1), column orthogonality, and
-sum deg^2 = |G|.  The pairwise check is the definition; for larger tables
-an equivalent integer-tensor path clears denominators, coerces every value
-to a common cyclotomic order, and verifies the same identities with int64
-matrix algebra (magnitudes are bounded and asserted).
+sum deg^2 = |G|.  Inner products, convolutions and both orthogonality
+checks are contractions in the integer coefficient form of `cyclo`, so
+each sums products without rounding or canonicalizing partial sums.
 """
-
-import math
-from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import ONE, ZERO, Cyclotomic, _phi, _reduction_rows, parse, render
+from .cyclo import (
+    ONE,
+    ZERO,
+    Cyclotomic,
+    contract,
+    from_ints,
+    lincomb,
+    parse,
+    product_table,
+    render,
+    times,
+    to_ints,
+)
 
 
 class ClassFunction:
@@ -63,10 +71,10 @@ class ClassFunction:
     def inner(self, other):
         """<self, other> = |G|^-1 sum_g self(g) other(g^-1)."""
         cd = self.class_data
-        acc = ZERO
-        for j in range(cd.num_classes):
-            acc = acc + self.values[j] * other.values[cd.inv_class[j]] * int(cd.sizes[j])
-        return acc * Fraction(1, cd.n)
+        t = cd.num_classes
+        C, M, s = to_ints(self.values + tuple(other.values[j] for j in cd.inv_class))
+        Z = contract(times(C[None, :t], cd.sizes[None, :, None]), C[t:, None], M)
+        return from_ints(Z, M, s * s / cd.n)[0]
 
     def serialize(self):
         return ",".join(render(v) for v in self.values)
@@ -81,31 +89,24 @@ class ClassFunction:
 def convolve(f, g, group):
     """Group-algebra convolution (f * g)(z) = sum_x f(x) g(x^-1 z).
 
-    Exact; cost O(t * |G|) index work plus O(t^2) value work per class, so
-    keep it to the sizes where it is used as a test oracle.
+    Exact: one table of the products f(a) g(b) over class pairs, then per
+    class z the counts of the pairs (class of x, class of x^-1 z) times that
+    table.  Cost O(t * |G|) index work plus O(t^2) integer work per class,
+    so keep it to the sizes where it is used as a test oracle.
     """
     cd = f.class_data
     n = group.n
     t = cd.num_classes
+    P, M, s = product_table(f.values, g.values)
+    P = P.reshape(t * t, -1)
     all_idx = np.arange(n, dtype=np.int64)
     inv_all = group.inv_bulk(all_idx)
-    values = []
-    for j, z in enumerate(cd.reps):
+    sums = []
+    for z in cd.reps:
         w = group.mult_bulk(inv_all, np.full(n, int(z), dtype=np.int64))
-        pair = cd.class_of[all_idx] * t + cd.class_of[w]
-        counts = np.bincount(pair, minlength=t * t).reshape(t, t)
-        acc = ZERO
-        for a in range(t):
-            row = counts[a]
-            if not row.any():
-                continue
-            inner = ZERO
-            for b in range(t):
-                if row[b]:
-                    inner = inner + g.values[b] * int(row[b])
-            acc = acc + f.values[a] * inner
-        values.append(acc)
-    return ClassFunction(cd, tuple(values))
+        counts = np.bincount(cd.class_of[all_idx] * t + cd.class_of[w], minlength=t * t)
+        sums.append(lincomb(counts, P))
+    return ClassFunction(cd, tuple(from_ints(np.array(sums), M, s)))
 
 
 class CharacterTable:
@@ -160,73 +161,19 @@ class CharacterTable:
             )
         if sum(d * d for d in self.degrees) != cd.n:
             raise AssertionError("sum of squared degrees != group order")
-        C, scales, M = self._integer_tensor()
-        phi = C.shape[2]
+        C, M, s = to_ints([v for r in self.rows for v in r.values])
+        C = C.reshape(t, t, -1)
+        Cbar = C[:, cd.inv_class]  # chi(g^-1)
+        den2 = s.denominator**2  # the values are C / den
+        # rows: sum_j |class j| chi_a(j) chi_b(j^-1) = |G| delta_ab
         w = cd.sizes.astype(np.int64)
-        invp = cd.inv_class
-        fold = _fold_tensor(M)
-        # rows: R[i1,i2,:] = canonical coeffs of sum_j w_j chi_i1(j) chi_i2(inv j)
-        Cw = C * w[None, :, None]
-        Cp = C[:, invp, :]
-        R = np.zeros((t, t, phi), dtype=np.int64)
-        for a in range(phi):
-            for b in range(phi):
-                if not fold[a, b].any():
-                    continue
-                prod = Cw[:, :, a] @ Cp[:, :, b].T
-                for c in np.nonzero(fold[a, b])[0]:
-                    R[:, :, c] += prod * int(fold[a, b, c])
-        row_target = np.zeros((t, t, phi), dtype=np.int64)
-        row_target[np.arange(t), np.arange(t), 0] = cd.n * scales * scales
-        if not (R == row_target).all():
-            bad = np.argwhere(R != row_target)
-            raise AssertionError("row orthogonality fails at %s" % (bad[0],))
+        _orthogonal(times(C, w[None, :, None]), Cbar.transpose(1, 0, 2), M,
+                    [cd.n * den2] * t, "row")
         if columns:
-            L = int(np.lcm.reduce(scales))
-            B = C * (L // scales)[:, None, None]
-            S = np.zeros((t, t, phi), dtype=np.int64)
-            for a in range(phi):
-                for b in range(phi):
-                    if not fold[a, b].any():
-                        continue
-                    prod = B[:, :, a].T @ B[:, invp, b]
-                    for c in np.nonzero(fold[a, b])[0]:
-                        S[:, :, c] += prod * int(fold[a, b, c])
-            tgt = np.zeros((t, t, phi), dtype=np.int64)
-            for j in range(t):
-                tgt[j, j, 0] = (cd.n // int(cd.sizes[j])) * L * L
-            if not (S == tgt).all():
-                bad = np.argwhere(S != tgt)
-                raise AssertionError("column orthogonality fails at %s" % (bad[0],))
+            # columns: sum_a chi_a(j) chi_a(k^-1) = |C_G(j)| delta_jk
+            _orthogonal(C.transpose(1, 0, 2), Cbar, M,
+                        [cd.n // int(c) * den2 for c in cd.sizes], "column")
         return True
-
-    def _integer_tensor(self):
-        """(C, scales, M): C[i,j,:] integer coeffs of scales[i] * value over
-        the common order M, canonical basis of length phi(M)."""
-        M = 1
-        for r in self.rows:
-            for v in r.values:
-                M = math.lcm(M, v.order)
-        phi = _phi(M)
-        t = len(self.rows)
-        C = np.zeros((t, self.class_data.num_classes, phi), dtype=np.int64)
-        scales = np.zeros(t, dtype=np.int64)
-        for i, r in enumerate(self.rows):
-            den = 1
-            for v in r.values:
-                for c in v.coeffs:
-                    den = math.lcm(den, c.denominator)
-            scales[i] = den
-            for j, v in enumerate(r.values):
-                vec = v._to_order(M) if v.order != M else list(v.coeffs)
-                for a, c in enumerate(vec):
-                    C[i, j, a] = int(c * den)
-        # int64 safety: |sum| <= n * max|C|^2 * max fold entries
-        maxc = int(np.abs(C).max()) if C.size else 0
-        bound = self.class_data.n * (maxc + 1) ** 2 * (phi + 1) * M
-        if bound > 2**62:
-            raise OverflowError("table too large for the int64 verification path")
-        return C, scales, M
 
     # -- serialization ------------------------------------------------------------
 
@@ -257,24 +204,14 @@ class CharacterTable:
         return CharacterTable(class_data, rows)
 
 
-_fold_cache = {}
-
-
-def _fold_tensor(M):
-    """fold[a, b, c]: canonical coefficient c of zeta_M^(a+b), for a, b < phi."""
-    if M in _fold_cache:
-        return _fold_cache[M]
-    phi = _phi(M)
-    rows = _reduction_rows(M)
-    fold = np.zeros((phi, phi, phi), dtype=np.int64)
-    for a in range(phi):
-        for b in range(phi):
-            row = rows[(a + b) % M]
-            for c in range(phi):
-                if row[c]:
-                    fold[a, b, c] = int(row[c])
-    _fold_cache[M] = fold
-    return fold
+def _orthogonal(X, Y, M, diag, what):
+    """sum_j X[i, j] Y[j, k] over Q(zeta_M) must be diag[i] delta_ik."""
+    Z = contract(X, Y, M)
+    target = np.zeros(Z.shape, dtype=object)
+    target[np.arange(len(diag)), np.arange(len(diag)), 0] = diag
+    if not (Z == target).all():
+        bad = np.argwhere(Z != target)
+        raise AssertionError("%s orthogonality fails at %s" % (what, bad[0]))
 
 
 def table_fingerprint(table, group):

@@ -1,22 +1,38 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 A value is stored as a coefficient vector against the powers
-1, zeta_m, ..., zeta_m^{m-1}, reduced modulo the m-th cyclotomic polynomial
-(so entries at positions >= phi(m) vanish) and then pushed down to the
-smallest order that can represent it.  This makes the representation unique
-per value: equality is (order, coefficients) equality and values hash
-consistently across how they were built.  Rationals are Fraction, never
-floats.
+1, zeta_m, ..., zeta_m^{phi(m)-1}, reduced modulo the m-th cyclotomic
+polynomial and then pushed down to the smallest order that can represent
+it.  This makes the representation unique per value: equality is
+(order, coefficients) equality and values hash consistently across how they
+were built.  Rationals are Fraction, never floats.
+
+Sums, products and canonical forms, of one value or many, run on one
+integer coefficient form (only `inv` keeps a Euclid over Fraction):
+a batch of values is an integer array C at a common order M with one scale
+1/den, value i = scale * sum_k C[i, k] zeta_M^k.  `to_ints` and `from_ints`
+convert (the latter once per output value), `lincomb` takes integer
+combinations of rows, and `contract` is the one sum-of-products contraction
+against the fold tensor fold[a, b] = zeta_M^(a+b) (rows of the cached
+reduction matrix).  Arrays are int64 when a magnitude bound computed from
+the inputs fits and Python ints (dtype object) when it does not; both run
+the same code.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
+from . import linalg
 from .linalg import prime_factors
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_INT64_MAX = np.iinfo(np.int64).max
+# Prime for computing the (unimodular) descent inverses; the result is
+# checked exactly over the integers.
+_LIFT_PRIME = 2**31 - 1
 
 
 @lru_cache(maxsize=None)
@@ -59,31 +75,164 @@ def _phi(m):
     return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
 
 
+# -- the integer coefficient form ----------------------------------------------
+
+
 @lru_cache(maxsize=None)
-def _reduction_rows(m):
-    """Row k (0 <= k < m) = canonical coefficients of zeta_m^k, length phi(m)."""
+def _reduction_matrix(m):
+    """int64 (m, phi(m)): row k holds the canonical coefficients of zeta_m^k.
+
+    Phi_m is monic, so every row is integral: zeta^k = zeta * zeta^(k-1),
+    with zeta^phi replaced by -(Phi_m(zeta) - zeta^phi).
+    """
     phi = _phi(m)
-    mod = cyclotomic_polynomial(m)
-    rows = []
-    for k in range(m):
-        vec = [_ZERO] * max(k + 1, phi)
-        vec[k] = _ONE
-        rows.append(tuple(_poly_mod(vec, mod, phi)))
-    return tuple(rows)
+    low = np.array(cyclotomic_polynomial(m)[:phi], dtype=np.int64)
+    R = np.zeros((m, phi), dtype=np.int64)
+    R[:phi] = np.eye(phi, dtype=np.int64)
+    for k in range(phi, m):
+        R[k, 1:] = R[k - 1, :-1]
+        R[k] -= R[k - 1, -1] * low
+    R.flags.writeable = False
+    return R
 
 
-def _poly_mod(vec, mod, phi):
-    vec = list(vec)
-    dn = len(mod) - 1
-    for i in range(len(vec) - 1, dn - 1, -1):
-        c = vec[i]
-        if c == 0:
-            continue
-        for j in range(dn + 1):
-            vec[i - dn + j] -= c * mod[j]
-    out = vec[:phi]
-    out += [_ZERO] * (phi - len(out))
+@lru_cache(maxsize=None)
+def _descent(m, q):
+    """(E, pivots, L) for the subfield Q(zeta_{m/q}) of Q(zeta_m).
+
+    Row j of E is the order-m form of zeta_{m/q}^j, so a value y at order
+    m/q is y @ E at order m.  E[:, pivots] is unimodular with inverse L:
+    x at order m lies in the subfield iff y = x[:, pivots] @ L re-embeds to
+    x, and then y is its form at order m/q.
+    """
+    E = _reduction_matrix(m)[q * np.arange(_phi(m // q))]
+    _, pivots = linalg.rref(E, _LIFT_PRIME)
+    B = E[:, pivots]
+    L = linalg.inverse(B, _LIFT_PRIME)
+    L = np.where(L > _LIFT_PRIME // 2, L - _LIFT_PRIME, L)
+    if not (B @ L == np.eye(len(pivots), dtype=np.int64)).all():
+        raise ArithmeticError("no integral descent from order %d by %d" % (m, q))
+    return E, pivots, L
+
+
+def _maxabs(A):
+    """max |A|, but at least 1, so a product of these bounds each factor."""
+    return max(1, int(np.abs(A).max())) if A.size else 1
+
+
+def _exact(bound, *arrays):
+    """The integer arrays as int64 when they and every magnitude the caller
+    computes from them are at most `bound` <= 2^63 - 1, else as Python ints."""
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    return [np.asarray(a).astype(dtype, copy=False) for a in arrays]
+
+
+def lincomb(W, C):
+    """W @ C exactly, for integer weights W (..., k) and integer rows C (k, ...)."""
+    W, C = np.asarray(W), np.asarray(C)
+    W, C = _exact(W.shape[-1] * _maxabs(W) * _maxabs(C), W, C)
+    return W @ C
+
+
+def times(A, B):
+    """A * B exactly (elementwise, broadcasting) for integer arrays."""
+    A, B = np.asarray(A), np.asarray(B)
+    A, B = _exact(_maxabs(A) * _maxabs(B), A, B)
+    return A * B
+
+
+def _gather(C, exps, M):
+    """sum_k C[..., k] * zeta_M^exps[k] in integer form at order M."""
+    return lincomb(C, _reduction_matrix(M)[np.asarray(exps) % M])
+
+
+def contract(X, Y, M):
+    """Z[..., i, l] = sum_j X[..., i, j] * Y[..., j, l] over Q(zeta_M).
+
+    X and Y hold integer forms at order M (last axis phi(M)); leading axes
+    broadcast as in matmul.  The product of coefficient a of one factor and
+    b of the other lands on zeta_M^(a+b), so the result is the coefficient
+    sum per exponent times the reduction rows of those exponents.
+    """
+    phi = X.shape[-1]
+    fold = _reduction_matrix(M)[np.arange(2 * phi - 1) % M]
+    bound = X.shape[-2] * phi * _maxabs(X) * _maxabs(Y) * (2 * phi - 1) * _maxabs(fold)
+    X, Y, fold = _exact(bound, X, Y, fold)
+    shape = np.broadcast_shapes(X.shape[:-3], Y.shape[:-3]) + (X.shape[-3], Y.shape[-2])
+    Yf = Y.reshape(Y.shape[:-2] + (-1,))
+    acc = np.zeros(shape + (2 * phi - 1,), dtype=X.dtype)
+    for a in range(phi):
+        acc[..., a:a + phi] += (X[..., a] @ Yf).reshape(shape + (phi,))
+    return acc @ fold
+
+
+def to_ints(values, order=1):
+    """(C, M, scale): values[i] == scale * sum_k C[i, k] zeta_M^k.
+
+    M is the least common multiple of `order` and the values' orders, and
+    scale = 1/den for the least common denominator of all coefficients.
+    """
+    values = [_coerce(v) for v in values]
+    M, den = order, 1
+    for v in values:
+        M = math.lcm(M, v.order)
+        den = math.lcm(den, *(c.denominator for c in v.coeffs))
+    by_order = {}
+    for i, v in enumerate(values):
+        by_order.setdefault(v.order, []).append(i)
+    idx, blocks = [], []
+    for m, rows in by_order.items():
+        ints = np.array(
+            [[c.numerator * (den // c.denominator) for c in values[i].coeffs] for i in rows],
+            dtype=object,
+        )
+        blocks.append(_gather(ints, np.arange(_phi(m)) * (M // m), M))
+        idx += rows
+    C = np.zeros((len(values), _phi(M)), dtype=np.int64)
+    if blocks:
+        C = np.concatenate(blocks)[np.argsort(idx)]
+    (C,) = _exact(_maxabs(C), C)
+    return C, M, Fraction(1, den)
+
+
+def from_ints(C, M, scale=1):
+    """The canonical Cyclotomic of scale * C[i] for every row of C (order M).
+
+    Each row descends one prime at a time while it lies in the subfield;
+    the canonical form is unique, so the order of the descents is immaterial.
+    """
+    scale = Fraction(scale)
+    num, den = scale.numerator, scale.denominator
+    C = np.asarray(C).reshape(-1, _phi(M))
+    out = [None] * len(C)
+    pending = {M: (np.arange(len(C)), C)}
+    while pending:
+        m = max(pending)
+        idx, X = pending.pop(m)
+        for q in prime_factors(m):
+            if not len(idx):
+                break
+            E, pivots, L = _descent(m, q)
+            Y = lincomb(X[:, pivots], L)
+            ok = (lincomb(Y, E) == X).all(axis=1)
+            if ok.any():
+                sub = m // q
+                if sub in pending:
+                    i0, Y0 = pending[sub]
+                    pending[sub] = (np.concatenate([i0, idx[ok]]), np.concatenate([Y0, Y[ok]]))
+                else:
+                    pending[sub] = (idx[ok], Y[ok])
+                idx, X = idx[~ok], X[~ok]
+        for i, row in zip(idx.tolist(), X.tolist()):
+            out[i] = Cyclotomic(m, tuple(Fraction(c * num, den) for c in row), _canonical=True)
     return out
+
+
+def product_table(xs, ys):
+    """(P, M, scale): P[a, b] is xs[a] * ys[b] in integer form at order M."""
+    C, M, s = to_ints(list(xs) + list(ys))
+    n = len(xs)
+    return contract(C[:n, None], C[None, n:], M), M, s * s
 
 
 class Cyclotomic:
@@ -109,28 +258,15 @@ class Cyclotomic:
         """zeta_m^k."""
         if m < 1:
             raise ValueError("order must be >= 1")
-        k %= m
-        phi = _phi(m)
-        row = _reduction_rows(m)[k]
-        return Cyclotomic(m, tuple(Fraction(c) for c in row[:phi]), _canonical=False)
+        return _zeta(m, k % m)
 
     @staticmethod
     def from_root_counts(m, counts, scale=1):
-        """scale * sum_k counts[k] * zeta_m^k  (counts: integer sequence)."""
-        scale = Fraction(scale)
-        rows = _reduction_rows(m)
-        phi = _phi(m)
-        acc = [_ZERO] * phi
-        for k, n in enumerate(counts):
-            if n == 0:
-                continue
-            row = rows[k % m]
-            for j in range(phi):
-                if row[j]:
-                    acc[j] += n * row[j]
-        if scale != 1:
-            acc = [scale * c for c in acc]
-        return Cyclotomic(m, tuple(acc))
+        """scale * sum_k counts[k] * zeta_m^k for an integer sequence counts;
+        for a 2-D array, the list of these values, one per row."""
+        counts = np.asarray(counts)
+        values = from_ints(_gather(counts, np.arange(counts.shape[-1]), m), m, scale)
+        return values if counts.ndim == 2 else values[0]
 
     # -- canonical access --------------------------------------------------
 
@@ -147,23 +283,6 @@ class Cyclotomic:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _to_order(self, m):
-        """Coefficient list of self in Q(zeta_m) (self.order must divide m)."""
-        if m == self.order:
-            return list(self.coeffs)
-        step = m // self.order
-        phi = _phi(m)
-        rows = _reduction_rows(m)
-        acc = [_ZERO] * phi
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            row = rows[(k * step) % m]
-            for j in range(phi):
-                if row[j]:
-                    acc[j] += c * row[j]
-        return acc
-
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -172,10 +291,8 @@ class Cyclotomic:
             return Cyclotomic(
                 1, (self.coeffs[0] + other.coeffs[0],), _canonical=True
             )
-        m = _lcm(self.order, other.order)
-        a = self._to_order(m)
-        b = other._to_order(m)
-        return Cyclotomic(m, tuple(x + y for x, y in zip(a, b)))
+        C, M, s = to_ints((self, other))
+        return from_ints(lincomb([1, 1], C), M, s)[0]
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -204,25 +321,12 @@ class Cyclotomic:
                 return Cyclotomic(1, (r * other.coeffs[0],), _canonical=True)
             if r == 0:
                 return ZERO
-            return Cyclotomic(other.order, tuple(r * c for c in other.coeffs))
+            # a nonzero rational multiple keeps the minimal order
+            return Cyclotomic(other.order, tuple(r * c for c in other.coeffs), _canonical=True)
         if other.order == 1:
             return other.__mul__(self)
-        m = _lcm(self.order, other.order)
-        a = self._to_order(m)
-        b = other._to_order(m)
-        prod = [_ZERO] * (2 * len(a))
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] += x * y
-        # fold exponents >= m back (zeta_m^m = 1), then reduce mod Phi_m
-        folded = [_ZERO] * m
-        for e, c in enumerate(prod):
-            if c:
-                folded[e % m] += c
-        return Cyclotomic(m, tuple(_poly_mod(folded, cyclotomic_polynomial(m), _phi(m))))
+        P, M, s = product_table((self,), (other,))
+        return from_ints(P, M, s)[0]
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -234,13 +338,10 @@ class Cyclotomic:
         if self.order == 1:
             return Cyclotomic(1, (1 / self.coeffs[0],), _canonical=True)
         mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = list(self.coeffs)
-        g, u = _poly_ext_gcd(a, mod)
+        g, u = _poly_ext_gcd(list(self.coeffs), mod)
         if len(g) != 1:
             raise ArithmeticError("unit gcd expected in a field")
-        c = g[0]
-        inv = [x / c for x in u]
-        return Cyclotomic(self.order, tuple(_poly_mod(inv, cyclotomic_polynomial(self.order), _phi(self.order))))
+        return Cyclotomic(self.order, tuple(x / g[0] for x in u))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -262,17 +363,8 @@ class Cyclotomic:
             return self
         if math.gcd(j % m, m) != 1:
             raise ValueError("galois exponent not coprime to order")
-        rows = _reduction_rows(m)
-        phi = _phi(m)
-        acc = [_ZERO] * phi
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            row = rows[(k * j) % m]
-            for t in range(phi):
-                if row[t]:
-                    acc[t] += c * row[t]
-        return Cyclotomic(m, tuple(acc))
+        C, _, s = to_ints((self,))
+        return from_ints(_gather(C, np.arange(_phi(m)) * j, m), m, s)[0]
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -303,8 +395,18 @@ def _coerce(x):
     return NotImplemented
 
 
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
+@lru_cache(maxsize=None)
+def _zeta(m, k):
+    return from_ints(_reduction_matrix(m)[[k]], m)[0]
+
+
+def _canonicalize(order, coeffs):
+    """Reduce mod Phi_order, then minimize the order."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(1, *(c.denominator for c in coeffs))
+    ints = np.array([[c.numerator * (den // c.denominator) for c in coeffs]], dtype=object)
+    v = from_ints(_gather(ints, np.arange(len(coeffs)), order), order, Fraction(1, den))[0]
+    return v.order, v.coeffs
 
 
 def _poly_ext_gcd(a, b):
@@ -363,84 +465,6 @@ def _poly_sub(a, b):
     for i, y in enumerate(b):
         out[i] -= y
     return _trim(out)
-
-
-def _canonicalize(order, coeffs):
-    """Reduce mod Phi_order, then minimize the order."""
-    coeffs = [Fraction(c) for c in coeffs]
-    phi = _phi(order)
-    if len(coeffs) > phi:
-        coeffs = _poly_mod(coeffs, cyclotomic_polynomial(order), phi)
-    else:
-        coeffs += [_ZERO] * (phi - len(coeffs))
-    # strip trailing zeros beyond what the minimal order requires later;
-    # first try to descend to a smaller order.
-    changed = True
-    while changed and order > 1:
-        changed = False
-        for q in prime_factors(order):
-            sub = order // q
-            down = _descend(order, sub, coeffs)
-            if down is not None:
-                order, coeffs = sub, down
-                changed = True
-                break
-    if order == 1:
-        return 1, (coeffs[0] if coeffs else _ZERO,)
-    return order, tuple(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _descend_matrix(order, sub):
-    """Rows: canonical order-coeffs of zeta_sub^j for j < phi(sub)."""
-    step = order // sub
-    rows = _reduction_rows(order)
-    return tuple(rows[(j * step) % order] for j in range(_phi(sub)))
-
-
-def _descend(order, sub, coeffs):
-    """Express coeffs (canonical over order) in Q(zeta_sub), or None."""
-    phis = _phi(sub)
-    mat = _descend_matrix(order, sub)
-    phi = _phi(order)
-    # solve sum_j a_j * mat[j] = coeffs by Gaussian elimination over Q
-    # augmented system: columns are the phi coordinates
-    aug = [[mat[j][i] for j in range(phis)] for i in range(phi)]
-    rhs = list(coeffs)
-    sol = _solve_rational(aug, rhs, phis)
-    return sol
-
-
-def _solve_rational(A, b, ncols):
-    """Solve A x = b over Q; A given as list of rows. None if inconsistent."""
-    m = len(A)
-    rows = [list(A[i]) + [b[i]] for i in range(m)]
-    piv = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, m):
-        if rows[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(piv):
-        x[c] = rows[i][ncols]
-    return x
 
 
 ZERO = Cyclotomic.rational(0)

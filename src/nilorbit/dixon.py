@@ -180,9 +180,9 @@ def dixon_table(G, class_data=None, max_order=DEFAULT_MAX_ORDER):
         if deg > sqrt_n or (deg * deg - deg_sq) % l != 0:
             raise ArithmeticError("no valid degree lift (bug)")
         chi_mod = [(deg * int(v[k])) % l for k in range(t)]
-        values = []
+        counts = []
         for k in range(t):
-            counts = []
+            row = []
             total = 0
             for s in range(e):
                 acc = 0
@@ -191,12 +191,12 @@ def dixon_table(G, class_data=None, max_order=DEFAULT_MAX_ORDER):
                 m_s = (acc * inv_e) % l
                 if m_s > deg:
                     raise ArithmeticError("multiplicity lift out of range (bug)")
-                counts.append(m_s)
+                row.append(m_s)
                 total += m_s
             if total != deg:
                 raise ArithmeticError("multiplicities do not sum to the degree (bug)")
-            values.append(Cyclotomic.from_root_counts(e, counts))
-        rows.append(ClassFunction(cd, tuple(values)))
+            counts.append(row)
+        rows.append(ClassFunction(cd, tuple(Cyclotomic.from_root_counts(e, counts))))
     table = CharacterTable(cd, rows)
     table.dixon_prime = l
     return table

@@ -448,24 +448,23 @@ def evaluate(series, ring, assignment):
     """
     import numpy as np
 
-    values = {}
-
-    def val(w):
-        if w in values:
-            return values[w]
-        if isinstance(w, int):
-            raise KeyError("generator %d unassigned" % w)
-        out = ring.bracket(val(w[0]), val(w[1]))
-        values[w] = out
-        return out
-
-    for g, v in assignment.items():
-        values[g] = np.asarray(v, dtype=np.int64) % ring.p
-
+    values = {g: np.asarray(v, dtype=np.int64) % ring.p for g, v in assignment.items()}
     acc = np.zeros(ring.dim, dtype=np.int64)
     for w, coeff in series.terms.items():
-        acc = (acc + _coeff_mod(coeff, ring.p) * val(w)) % ring.p
+        acc = (acc + _coeff_mod(coeff, ring.p) * _word_value(w, values, ring)) % ring.p
     return acc
+
+
+def _word_value(w, values, ring):
+    """The bracket word w under `values` (memoized in it).  A module-level
+    function, not a closure over `values`: a recursive closure is a
+    reference cycle, which keeps every intermediate batch alive until the
+    cyclic garbage collector runs."""
+    if w not in values:
+        if isinstance(w, int):
+            raise KeyError("generator %d unassigned" % w)
+        values[w] = ring.bracket(_word_value(w[0], values, ring), _word_value(w[1], values, ring))
+    return values[w]
 
 
 def _exp_ad_pairs(ring, PHI, TARGET, c):

@@ -448,9 +448,10 @@ _embedding_registry = {}
 def fq_embed(small, big):
     """Deterministic embedding small -> big (degrees must divide).
 
-    The root is the lexicographically least root of small.modulus in big
-    (by coefficient tuple).  Within a run, embeddings along a chain that was
-    explicitly composed are registered so that composites stay consistent.
+    The root is the root of small.modulus in big with the least element
+    index (little-endian digits).  Within a run, embeddings along a chain
+    that was explicitly composed are registered so that composites stay
+    consistent.
     """
     if small.p != big.p or big.s % small.s != 0:
         raise ValueError("no embedding: degrees incompatible")
@@ -477,19 +478,22 @@ def register_composite(small, mid, big):
 
 
 def _least_root(modulus, big):
-    """Lexicographically least root of modulus among big's elements."""
-    n = big.order
-    batch = min(n, 1 << 16)
-    coeffs = [c % big.p for c in modulus]
-    for start in range(0, n, batch):
-        idx = np.arange(start, min(start + batch, n))
-        pts = linalg.decode_indices(idx, big.s, big.p)
-        acc = np.zeros_like(pts)
-        acc[:, 0] = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = big.bulk_mul(acc, pts)
-            acc[:, 0] = (acc[:, 0] + c) % big.p
-        hit = np.nonzero(~acc.any(axis=1))[0]
-        if len(hit):
-            return tuple(int(v) for v in pts[hit[0]])
+    """Least-index root of modulus among big's elements.
+
+    A root of a degree-s modulus lies in the subfield F_{p^s} of big, the
+    kernel of Frob^s - I, so only that subfield's p^s points are tried.
+    """
+    p = big.p
+    frob_s = linalg.matpow(big.frobenius_matrix(), len(modulus) - 1, p)
+    sub = linalg.kernel((frob_s - np.eye(big.s, dtype=np.int64)) % p, p)
+    pts = linalg.enumerate_row_space(sub, p)
+    pts = pts[np.argsort(linalg.encode_vectors(pts, p))]
+    acc = np.zeros_like(pts)
+    acc[:, 0] = modulus[-1] % p
+    for c in reversed(modulus[:-1]):
+        acc = big.bulk_mul(acc, pts)
+        acc[:, 0] = (acc[:, 0] + c) % p
+    hit = np.nonzero(~acc.any(axis=1))[0]
+    if len(hit):
+        return tuple(int(v) for v in pts[hit[0]])
     raise ArithmeticError("modulus has no root in the big field")

@@ -8,11 +8,10 @@ let callers vectorize the inner loops with numpy when they can.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, from_ints, lincomb, times, to_ints
 
 
 @dataclass
@@ -317,18 +316,13 @@ def induce_character(G, subgroup_elems, chi_sub, class_data=None):
     """
     cd = class_data or G.conjugacy_classes()
     H = np.asarray(subgroup_elems, dtype=np.int64)
-    Hset = set(int(x) for x in H)
     lookup = chi_sub if callable(chi_sub) else (lambda x: chi_sub[x])
-    by_class = [[] for _ in range(cd.num_classes)]
-    for x in Hset:
-        by_class[cd.class_of[x]].append(x)
-    values = []
-    for j in range(cd.num_classes):
-        acc = Cyclotomic.rational(0)
-        for x in by_class[j]:
-            acc = acc + lookup(int(x))
-        scale = Fraction(cd.centralizer_order(j), len(H))
-        values.append(acc * scale)
+    elems = sorted(set(int(x) for x in H))
+    C, M, s = to_ints([lookup(x) for x in elems])
+    member = np.zeros((cd.num_classes, len(elems)), dtype=np.int64)
+    member[cd.class_of[elems], np.arange(len(elems))] = 1
+    centralizers = [[cd.centralizer_order(j)] for j in range(cd.num_classes)]
+    values = from_ints(times(lincomb(member, C), centralizers), M, s / len(H))
     from .chartable import ClassFunction
 
     return ClassFunction(cd, tuple(values))

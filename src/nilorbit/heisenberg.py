@@ -15,13 +15,12 @@ their subquotients).
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg, polar
 from .chartable import ClassFunction
-from .cyclo import ZERO, Cyclotomic
+from .cyclo import Cyclotomic, from_ints, lincomb, product_table
 from .groups import FiniteGroup, induce_character
 
 
@@ -366,26 +365,21 @@ def _pos(H, e):
     return int(np.searchsorted(H.parent_elems, int(e)))
 
 
+def _residue_table(chi, p):
+    """(P, M, scale): row j * p + r of P is chi_j * zeta_p^(-r) in integer form."""
+    P, M, s = product_table(chi.values, [Cyclotomic.zeta(p, -r) for r in range(p)])
+    return P.reshape(-1, P.shape[-1]), M, s
+
+
 def _canonical_constituent(G, cd, chi, AC, p, psi_k):
     """The lex-least character of A with nonzero multiplicity in Res_A chi."""
     elems = AC.elems
-    classes = cd.class_of[elems]
     coords = np.array([AC.coord_vector(int(e)) for e in elems], dtype=np.int64)
+    P, _, _ = _residue_table(chi, p)
+    key = cd.class_of[elems] * p
     for mu in AC.dual_vectors():
-        res = (psi_k * (coords @ mu)) % p
-        acc = ZERO
-        key = classes * p + res
-        counts = np.bincount(key, minlength=cd.num_classes * p).reshape(
-            cd.num_classes, p
-        )
-        for j in np.nonzero(counts.any(axis=1))[0]:
-            v = chi.values[j]
-            if v.is_zero():
-                continue
-            for r in range(p):
-                if counts[j, r]:
-                    acc = acc + v * Cyclotomic.zeta(p, (-r) % p) * int(counts[j, r])
-        if not acc.is_zero():
+        counts = np.bincount(key + (psi_k * (coords @ mu)) % p, minlength=cd.num_classes * p)
+        if lincomb(counts, P).any():
             return mu
     raise AssertionError("restriction has no constituent (bug)")
 
@@ -412,21 +406,11 @@ def _constituent_over(G, cd, chi, H, hcd, AC, mu, p, psi_k):
     elems = AC.elems
     coords = np.array([AC.coord_vector(int(e)) for e in elems], dtype=np.int64)
     res = (psi_k * (coords @ mu)) % p
-    values = []
+    P, M, s = _residue_table(chi, p)
+    counts = []
     for r_idx in hcd.reps:
         g = int(H.parent_elems[int(r_idx)])
         prods = G.mult_bulk(np.full(len(elems), g, dtype=np.int64), elems)
-        key = cd.class_of[prods] * p + res
-        counts = np.bincount(key, minlength=cd.num_classes * p).reshape(
-            cd.num_classes, p
-        )
-        acc = ZERO
-        for j in np.nonzero(counts.any(axis=1))[0]:
-            v = chi.values[j]
-            if v.is_zero():
-                continue
-            for r in range(p):
-                if counts[j, r]:
-                    acc = acc + v * Cyclotomic.zeta(p, (-r) % p) * int(counts[j, r])
-        values.append(acc * Fraction(1, len(elems)))
+        counts.append(np.bincount(cd.class_of[prods] * p + res, minlength=cd.num_classes * p))
+    values = from_ints(lincomb(np.array(counts), P), M, s / len(elems))
     return ClassFunction(hcd, tuple(values))

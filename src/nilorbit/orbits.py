@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels, linalg
 from .chartable import CharacterTable, ClassFunction
-from .cyclo import ZERO, Cyclotomic
+from .cyclo import Cyclotomic, contract, from_ints, lincomb, product_table, to_ints
 from .groups import ClassData, FiniteGroup
 
 
@@ -186,12 +186,10 @@ def orbit_character(ring, orbit, class_data=None, psi_k=1):
     pts = orbit.points()
     p = ring.p
     reps = linalg.decode_indices(cd.reps, ring.dim, p)
-    dots = (pts @ reps.T) % p  # |Omega| x t
-    scale = Fraction(1, p**orbit.half_log)
-    values = []
-    for j in range(cd.num_classes):
-        counts = np.bincount((psi_k * dots[:, j]) % p, minlength=p)
-        values.append(Cyclotomic.from_root_counts(p, counts.tolist(), scale))
+    t = cd.num_classes
+    res = (psi_k * (pts @ reps.T)) % p  # |Omega| x t
+    counts = np.bincount((res + p * np.arange(t)).ravel(), minlength=t * p).reshape(t, p)
+    values = Cyclotomic.from_root_counts(p, counts, Fraction(1, p**orbit.half_log))
     return ClassFunction(cd, tuple(values))
 
 
@@ -225,61 +223,28 @@ def phi_transform(ring, mu, psi_k=1):
     Returns the dense list of values over dual indices.  The kernel sign is
     fixed so that central idempotents map to orbit indicators.
     """
-    p, d = ring.p, ring.dim
-    n = ring.order
-    X = ring.all_elements()
-    out = []
-    mu_vals = [
-        v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v) for v in mu
-    ]
-    nonzero = [i for i, v in enumerate(mu_vals) if not v.is_zero()]
-    Xnz = X[nonzero]
-    lams = ring.all_elements()
-    dots = (lams @ Xnz.T) % p  # n_dual x n_nonzero
-    for li in range(n):
-        acc = ZERO
-        row = (psi_k * dots[li]) % p
-        # group by residue to keep cyclotomic work at p terms
-        by_r = [[] for _ in range(p)]
-        for pos, r in enumerate(row):
-            by_r[r].append(nonzero[pos])
-        for r in range(p):
-            if not by_r[r]:
-                continue
-            s = ZERO
-            for i in by_r[r]:
-                s = s + mu_vals[i]
-            acc = acc + s * Cyclotomic.zeta(p, r)
-        out.append(acc)
-    return out
+    return _fourier(ring, mu, psi_k, 1)
 
 
 def phi_inverse(ring, F, psi_k=1):
     """Inverse of phi_transform (inverse finite Fourier + exp_*)."""
+    return _fourier(ring, F, -psi_k, Fraction(1, ring.order))
+
+
+def _fourier(ring, values, k, scale):
+    """scale * sum_x values[x] * zeta_p^(k y.x) for every index y.
+
+    Values are summed per residue r = k y.x (one indicator matmul per r),
+    then the p sums are contracted against zeta_p^r.
+    """
     p = ring.p
-    n = ring.order
-    lams = ring.all_elements()
     X = ring.all_elements()
-    F_vals = [v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v) for v in F]
-    nonzero = [i for i, v in enumerate(F_vals) if not v.is_zero()]
-    dots = (X @ lams[nonzero].T) % p
-    out = []
-    scale = Fraction(1, n)
-    for xi in range(n):
-        acc = ZERO
-        row = (-psi_k * dots[xi]) % p
-        by_r = [[] for _ in range(p)]
-        for pos, r in enumerate(row):
-            by_r[r].append(nonzero[pos])
-        for r in range(p):
-            if not by_r[r]:
-                continue
-            s = ZERO
-            for i in by_r[r]:
-                s = s + F_vals[i]
-            acc = acc + s * Cyclotomic.zeta(p, r)
-        out.append(acc * scale)
-    return out
+    C, M, s = to_ints(values, order=p)
+    nonzero = np.nonzero(C.any(axis=1))[0]
+    res = (k * (X @ X[nonzero].T)) % p  # n x n_nonzero
+    sums = np.stack([lincomb((res == r).astype(np.int64), C[nonzero]) for r in range(p)], axis=1)
+    Z, _, _ = to_ints([Cyclotomic.zeta(p, r) for r in range(p)], order=M)
+    return from_ints(contract(sums, Z[:, None], M), M, s * scale)
 
 
 def central_idempotent(ring, character, class_data=None):
@@ -301,53 +266,26 @@ def verify_phi_idempotents(ring, table, orbits, psi_k=1):
     the transform is evaluated by residue counting and compared against
     |G| * indicator exactly.
     """
-    p, d = ring.p, ring.dim
+    p = ring.p
     n = ring.order
     cd = table.class_data
     t = cd.num_classes
     X = ring.all_elements()
-    lams = X
-    phi_deg = p - 1
-    red = _reduction_int_rows(p)
-    R = (psi_k * (lams @ X.T)) % p  # n_dual x n
-    neg_class = cd.class_of[
-        linalg.encode_vectors((-X) % p, p)
-    ]  # class of exp(-x) per x
-    key = neg_class[None, :] * p + R
-    counts = np.zeros((n, t, p), dtype=np.int64)
-    flat = key + (np.arange(n)[:, None] * t * p)
-    counts = np.bincount(flat.ravel(), minlength=n * t * p).reshape(n, t, p)
+    R = (psi_k * (X @ X.T)) % p  # n_dual x n
+    neg_class = cd.class_of[linalg.encode_vectors((-X) % p, p)]  # class of exp(-x)
+    flat = neg_class[None, :] * p + R + np.arange(n)[:, None] * t * p
+    counts = np.bincount(flat.ravel(), minlength=n * t * p).reshape(n, t * p)
+    zetas = [Cyclotomic.zeta(p, r) for r in range(p)]
     for row, orb in zip(table.rows, orbits):
+        # |G| Phi(e)(lambda) = deg * sum_{j,r} counts[lambda, j, r] chi_j zeta^r
+        P, M, s = product_table(row.values, zetas)
         deg = int(row.degree.rational_value())
-        m = orb.half_log
-        # |G| * e(x) = deg * p^{-m} * (integer combination); clear p^{-m}
-        # by scaling with p^m: M[j, r, :] = p^m * deg * chi_j * zeta^r coeffs
-        M = np.zeros((t, p, phi_deg), dtype=np.int64)
-        for j in range(t):
-            v = row.values[j]
-            vec = v._to_order(p) if v.order != 1 else [v.coeffs[0]] + [0] * (phi_deg - 1)
-            for a, c in enumerate(vec):
-                ci = c * (p**m) * deg
-                if ci != int(ci):
-                    raise AssertionError("unexpected denominator in chi")
-                if int(ci):
-                    for rr in range(p):
-                        M[j, rr] += int(ci) * red[(a + rr) % p]
-        result = np.einsum("ljr,jra->la", counts, M)
-        target = np.zeros((n, phi_deg), dtype=np.int64)
-        target[orb.indices, 0] = n * p**m
-        if not (result == target).all():
+        got = lincomb(counts * deg, P.reshape(t * p, -1))
+        target = np.zeros(got.shape, dtype=object)
+        target[orb.indices, 0] = n * s.denominator  # P is scaled by s = 1/den
+        if not (got == target).all():
             return False
     return True
-
-
-def _reduction_int_rows(p):
-    from .cyclo import _reduction_rows
-
-    rows = _reduction_rows(p)
-    return np.array(
-        [[int(c) for c in row] for row in rows], dtype=np.int64
-    )
 
 
 # -- Appendix-style diagnostics --------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import linalg
 from .chartable import ClassFunction
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, from_ints, lincomb, to_ints
 from .liering import Subspace
 from .orbits import conjugacy_class_data
 
@@ -79,7 +79,7 @@ def flag_from_weights(ring):
         if term.dim == 0:
             continue
         for r in term.rows:
-            if rows and not linalg.reduce_by(np.array(rows), r, ring.p).any():
+            if spaces[-1].contains(r):
                 continue
             rows.append(r)
             spaces.append(ring.subspace(np.array(rows)))
@@ -473,11 +473,8 @@ class MonomialRep:
 
     def trace(self, g_vec):
         perm, diag = self.matrix(g_vec)
-        acc = Cyclotomic.rational(0)
-        for i in range(self.dim):
-            if perm[i] == i:
-                acc = acc + diag[i]
-        return acc
+        C, M, s = to_ints(diag)
+        return from_ints(lincomb(perm == np.arange(self.dim), C), M, s)[0]
 
     def compose(self, m1, m2):
         p1, d1 = m1
@@ -508,25 +505,19 @@ def induced_character(ring, pol, class_data=None, psi_k=1):
     p = ring.p
     H_rows = pol.space.rows
     D = linalg.kernel(H_rows, p) if pol.space.dim else np.eye(ring.dim, dtype=np.int64)
-    values = []
     all_pts = ring.all_elements()
     in_H = (
         ~((all_pts @ D.T % p).any(axis=1))
         if D.shape[0]
         else np.ones(ring.order, dtype=bool)
     )
-    order_H = p**pol.space.dim
-    f = pol.f_vec
-    for j in range(cd.num_classes):
-        members = np.nonzero((cd.class_of == j) & in_H)[0]
-        if len(members) == 0:
-            values.append(Cyclotomic.rational(0))
-            continue
-        pts = linalg.decode_indices(members, ring.dim, p)
-        res = (psi_k * (pts @ f)) % p
-        counts = np.bincount(res, minlength=p)
-        scale = Fraction(cd.centralizer_order(j), order_H)
-        values.append(Cyclotomic.from_root_counts(p, counts.tolist(), scale))
+    t = cd.num_classes
+    members = np.nonzero(in_H)[0]
+    res = (psi_k * (all_pts[members] @ pol.f_vec)) % p
+    counts = np.bincount(cd.class_of[members] * p + res, minlength=t * p).reshape(t, p)
+    centralizers = np.array([[cd.centralizer_order(j)] for j in range(t)], dtype=np.int64)
+    scale = Fraction(1, p**pol.space.dim)
+    values = Cyclotomic.from_root_counts(p, counts * centralizers, scale)
     return ClassFunction(cd, tuple(values))
 
 

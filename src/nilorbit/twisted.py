@@ -9,7 +9,7 @@ classes and form a basis of the space of phi-class functions.
 
 import numpy as np
 
-from .cyclo import ZERO, Cyclotomic
+from .cyclo import ZERO, Cyclotomic, contract, from_ints, lincomb, to_ints
 from .groups import twisted_classes
 
 
@@ -22,26 +22,26 @@ def _dense_matrix(rep, g_vec):
     return M
 
 
+def _nested(values, n):
+    return [values[i * n:(i + 1) * n] for i in range(n)]
+
+
 def _mat_mul(A, B):
+    """A @ B for n x n matrices of Cyclotomic values (nested lists)."""
     n = len(A)
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            a = A[i][k]
-            if a.is_zero():
-                continue
-            for j in range(n):
-                b = B[k][j]
-                if not b.is_zero():
-                    out[i][j] = out[i][j] + a * b
-    return out
+    C, M, s = to_ints([v for row in A + B for v in row])
+    X = C.reshape(2, n, n, -1)
+    return _nested(from_ints(contract(X[0], X[1], M), M, s * s), n)
 
 
-def _trace(A):
-    acc = ZERO
-    for i in range(len(A)):
-        acc = acc + A[i][i]
-    return acc
+def _twisted_traces(T, rep, gs):
+    """tr(T rho(g)) for every g in gs."""
+    n = rep.dim
+    mats = [T] + [_dense_matrix(rep, g) for g in gs]
+    C, M, s = to_ints([v for A in mats for row in A for v in row])
+    C = C.reshape(len(mats), n, n, -1)
+    diag = contract(C[0], C[1:], M)[:, np.arange(n), np.arange(n)]
+    return from_ints(lincomb(np.ones(n, dtype=np.int64), diag), M, s * s)
 
 
 def schur_intertwiner(ring, rep, phi, seed=1, max_tries=8):
@@ -58,15 +58,15 @@ def schur_intertwiner(ring, rep, phi, seed=1, max_tries=8):
             [Cyclotomic.rational(int(v)) for v in row]
             for row in rng.integers(0, p, (n, n))
         ]
-        acc = [[ZERO] * n for _ in range(n)]
-        for idx in range(ring.order):
-            g = ring.element_from_index(idx)
-            left = _dense_matrix(rep, phi(g))
-            right = _dense_matrix(rep, ring.group_inv(g))
-            term = _mat_mul(_mat_mul(left, M), right)
-            for i in range(n):
-                for j in range(n):
-                    acc[i][j] = acc[i][j] + term[i][j]
+        gs = [ring.element_from_index(idx) for idx in range(ring.order)]
+        mats = [_dense_matrix(rep, phi(g)) for g in gs] + [M]
+        mats += [_dense_matrix(rep, ring.group_inv(g)) for g in gs]
+        C, order, s = to_ints([v for A in mats for row in A for v in row])
+        C = C.reshape(len(mats), n, n, -1)
+        N = len(gs)
+        terms = contract(contract(C[:N], C[N], order), C[N + 1:], order)
+        total = lincomb(np.ones(N, dtype=np.int64), terms.reshape(N, -1))
+        acc = _nested(from_ints(total, order, s**3), n)
         # normalize: first nonzero entry in row-major order becomes 1
         piv = None
         for i in range(n):
@@ -120,10 +120,7 @@ def twisted_trace_basis(ring, G, phi_matrix, table, orbit_reps, psi_k=1, seed=1)
         T = schur_intertwiner(ring, rep, phi, seed=seed)
         if not verify_intertwiner(ring, rep, phi, T):
             raise AssertionError("Schur average is not an intertwiner (bug)")
-        full = []
-        for idx in range(ring.order):
-            g = ring.element_from_index(idx)
-            full.append(_trace(_mat_mul(T, _dense_matrix(rep, g))))
+        full = _twisted_traces(T, rep, [ring.element_from_index(i) for i in range(ring.order)])
         for idx in range(ring.order):
             rep_idx = int(report["reps"][labels[idx]])
             if full[idx] != full[rep_idx]:

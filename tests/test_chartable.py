@@ -37,6 +37,21 @@ def test_verify_catches_corruption():
         bad.verify()
 
 
+@pytest.mark.parametrize("factor", [10**3, 10**9])
+def test_verify_is_exact_at_any_magnitude(factor):
+    # a scaled value makes the orthogonality sums exceed int64 at 10^9: the
+    # check must still run exactly and report the failing relation
+    table, _ = ob.orbit_method_table(heisenberg_ring(3))
+    cd = table.class_data
+    rows = list(table.rows)
+    vals = list(rows[-1].values)
+    j = next(j for j, v in enumerate(vals) if j != cd.identity_class and not v.is_zero())
+    vals[j] = vals[j] * factor
+    rows[-1] = ClassFunction(cd, tuple(vals))
+    with pytest.raises(AssertionError, match="row orthogonality fails"):
+        CharacterTable(cd, rows, sort=False).verify()
+
+
 def test_verify_catches_wrong_row_count():
     h3 = heisenberg_ring(3)
     table, _ = ob.orbit_method_table(h3)

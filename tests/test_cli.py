@@ -63,6 +63,12 @@ def test_orbits_census(capsys):
     assert len(lines) == 1 + 11
 
 
+def test_orbits_census_with_tower_levels(capsys):
+    # the functional-dimension estimates embed F_9 into higher tower levels
+    assert main(["orbits", "--family", "fakeheis", "--p", "3", "--s", "2"]) == 0
+    assert capsys.readouterr().out.startswith("orbit_id,")
+
+
 def test_packets_cli(capsys):
     assert main(["packets", "--family", "fakeheis", "--p", "3", "--s", "1"]) == 0
     out = capsys.readouterr().out

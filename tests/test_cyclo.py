@@ -1,15 +1,22 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilorbit.cyclo import (
     Cyclotomic,
+    contract,
     cyclo_arith,
     cyclo_conjugate,
+    cyclotomic_polynomial,
+    from_ints,
     parse,
     render,
     root_of_unity,
+    to_ints,
 )
+from nilorbit.linalg import prime_factors
 
 
 def test_roots_of_unity_basics():
@@ -96,3 +103,161 @@ def test_from_root_counts():
     assert v == w
     # equal counts at every root sum to zero
     assert Cyclotomic.from_root_counts(5, [4, 4, 4, 4, 4]) == 0
+
+
+# -- the integer coefficient form against a root-count model ------------------
+#
+# A reference value is (m, v): sum_k v[k] zeta_m^k with Fraction entries, one
+# per root (not unique).  Sums add lifted vectors, products convolve them
+# cyclically; canonical forms come from reduction by Phi_m and descent by
+# Gaussian elimination over Q, as the object path computed them before the
+# integer form replaced it.
+
+
+def _ref_reduce(m, v):
+    """Canonical coefficients at order m of sum_k v[k] zeta_m^k."""
+    mod = cyclotomic_polynomial(m)
+    dn = len(mod) - 1
+    vec = [Fraction(c) for c in v] + [Fraction(0)] * max(0, dn - len(v))
+    for i in range(len(vec) - 1, dn - 1, -1):
+        c = vec[i]
+        if c:
+            for j in range(dn + 1):
+                vec[i - dn + j] -= c * mod[j]
+    return vec[:dn] if m > 1 else [sum(v, Fraction(0))]
+
+
+def _ref_solve_rational(A, b, ncols):
+    """Solve A x = b over Q; A given as list of rows. None if inconsistent."""
+    m = len(A)
+    rows = [list(A[i]) + [b[i]] for i in range(m)]
+    piv = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, m):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        piv.append(c)
+        r += 1
+    for i in range(r, m):
+        if rows[i][ncols] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for i, c in enumerate(piv):
+        x[c] = rows[i][ncols]
+    return x
+
+
+def _ref_canonical(m, v):
+    """(order, coeffs) of the reference value (m, v)."""
+    coeffs = _ref_reduce(m, v)
+    changed = True
+    while changed and m > 1:
+        changed = False
+        for q in prime_factors(m):
+            sub = m // q
+            phi_sub = len(_ref_reduce(sub, [0]))
+            embed = [_ref_reduce(m, [0] * (j * q) + [1]) for j in range(phi_sub)]
+            aug = [[row[i] for row in embed] for i in range(len(coeffs))]
+            down = _ref_solve_rational(aug, coeffs, len(embed))
+            if down is not None:
+                m, coeffs, changed = sub, down, True
+                break
+    return m, tuple(coeffs)
+
+
+def _ref_lift(m, v, M):
+    out = [Fraction(0)] * M
+    for k, c in enumerate(v):
+        out[k * (M // m) % M] += c
+    return out
+
+
+def _ref_dot(xs, ys):
+    """sum_i xs[i] * ys[i] in the root-count model."""
+    M = math.lcm(*(m for m, _ in xs + ys))
+    acc = [Fraction(0)] * M
+    for (mx, x), (my, y) in zip(xs, ys):
+        x, y = _ref_lift(mx, x, M), _ref_lift(my, y, M)
+        for a in range(M):
+            if x[a]:
+                for b in range(M):
+                    acc[(a + b) % M] += x[a] * y[b]
+    return M, acc
+
+
+@st.composite
+def _ref_pairs(draw):
+    """Pairs of reference values at divisors m of one order M <= 36; each
+    holds root counts over a divisor d of m lifted to m, so the canonical
+    order is often a proper divisor of m.  Some scales are large enough that
+    the integer form needs Python ints."""
+    M = draw(st.integers(1, 36))
+    divisors = [d for d in range(1, M + 1) if M % d == 0]
+
+    def value():
+        m = draw(st.sampled_from(divisors))
+        d = draw(st.sampled_from([d for d in divisors if m % d == 0]))
+        counts = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+        scale = Fraction(draw(st.sampled_from([1, -2, 7, 10**20])), draw(st.integers(1, 6)))
+        return m, _ref_lift(d, [c * scale for c in counts], m)
+
+    return [(value(), value()) for _ in range(draw(st.integers(1, 4)))]
+
+
+def _from_ref(m, v):
+    den = math.lcm(*(c.denominator for c in v))
+    return Cyclotomic.from_root_counts(m, [int(c * den) for c in v], Fraction(1, den))
+
+
+@given(_ref_pairs())
+@settings(max_examples=150)
+def test_integer_form_matches_root_count_model(pairs):
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    vals_x = [_from_ref(m, v) for m, v in xs]
+    vals_y = [_from_ref(m, v) for m, v in ys]
+    # from_root_counts and the cached descent against elimination over Q,
+    # and against a sum of zeta terms
+    for (m, v), val in zip(xs + ys, vals_x + vals_y):
+        assert (val.order, val.coeffs) == _ref_canonical(m, v)
+        terms = [root_of_unity(m, k) * c for k, c in enumerate(v)]
+        assert sum(terms, Cyclotomic.rational(0)) == val
+    # the to/from round trip
+    C, M, s = to_ints(vals_x + vals_y)
+    back = from_ints(C, M, s)
+    assert [(b.order, b.coeffs) for b in back] == [(v.order, v.coeffs) for v in vals_x + vals_y]
+    # the contraction against the model and a plain loop over objects
+    n = len(pairs)
+    got = from_ints(contract(C[None, :n], C[n:, None], M), M, s * s)[0]
+    assert (got.order, got.coeffs) == _ref_canonical(*_ref_dot(xs, ys))
+    plain = Cyclotomic.rational(0)
+    for x, y in zip(vals_x, vals_y):
+        plain = plain + x * y
+    assert got == plain
+    # equal iff the serialized forms are equal
+    for a in vals_x:
+        for b in vals_y:
+            assert (a == b) == (render(a) == render(b))
+
+
+def test_descent_at_every_order_and_subfield():
+    # a dense value of every subfield Q(zeta_d), d | M <= 36, written at
+    # order M, so each cached descent step and all of its entries are used
+    for M in range(1, 37):
+        for d in (d for d in range(1, M + 1) if M % d == 0):
+            for dense in ([k + 1 for k in range(d)], [(-2) ** k for k in range(d)]):
+                counts = _ref_lift(d, [Fraction(c) for c in dense], M)
+                val = Cyclotomic.from_root_counts(M, [int(c) for c in counts])
+                assert (val.order, val.coeffs) == _ref_canonical(M, counts), (M, d)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from nilorbit import linalg
 from nilorbit.gfq import (
     FqField,
     _FIXED_MODULI,
+    _least_root,
     fq_arith,
     fq_embed,
     fq_trace_frobenius,
@@ -117,3 +119,25 @@ def test_frobenius_and_trace_matrices():
 def test_modulus_rejects_reducible():
     with pytest.raises(ValueError):
         FqField(2, 2, modulus=(0, 0, 1))  # t^2 is reducible
+
+
+def _least_root_brute_force(modulus, big):
+    """Reference: scan all of big in index order and return the first root."""
+    pts = linalg.all_vectors(big.s, big.p)
+    acc = np.zeros_like(pts)
+    acc[:, 0] = modulus[-1] % big.p
+    for c in reversed(modulus[:-1]):
+        acc = big.bulk_mul(acc, pts)
+        acc[:, 0] = (acc[:, 0] + c) % big.p
+    return tuple(int(v) for v in pts[np.nonzero(~acc.any(axis=1))[0][0]])
+
+
+@pytest.mark.parametrize(
+    "p,s,S",
+    [(2, 2, 4), (2, 2, 6), (2, 3, 6), (2, 2, 8), (2, 4, 8), (2, 3, 9), (2, 5, 10),
+     (2, 2, 12), (2, 3, 12), (2, 4, 12), (2, 6, 12), (3, 2, 4), (3, 2, 6), (3, 3, 6),
+     (3, 2, 8), (3, 4, 8), (5, 2, 4), (5, 3, 6), (7, 2, 4)],
+)
+def test_least_root_searches_the_subfield(p, s, S):
+    small, big = FqField(p, s), FqField(p, S)
+    assert _least_root(small.modulus, big) == _least_root_brute_force(small.modulus, big)

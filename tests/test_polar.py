@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nilorbit import orbits as ob, polar
-from nilorbit.battery import appendix_h2_ring
+from nilorbit.battery import appendix_h2_ring, random_class_le3_rings
 from nilorbit.families import strict_upper_algebra
 from nilorbit.liering import Subspace, abelian_ring, heisenberg_ring
 
@@ -22,6 +22,15 @@ def test_vergne_heisenberg_example():
     assert pol.space.rows.tolist() == [[0, 1, 0], [0, 0, 1]]
     rec = polar.vergne_polarization(h5, flag, np.array([0, 0, 1]), "recursive")
     assert pol.space == rec.space
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_flag_from_weights_is_complete(p):
+    # every step adds exactly one dimension and every member is an ideal
+    for ring in random_class_le3_rings(p, 30, seed=p):
+        spaces = polar.flag_from_weights(ring).spaces
+        assert [V.dim for V in spaces] == list(range(ring.dim + 1))
+        assert all(polar._is_ideal(ring, V) for V in spaces)
 
 
 def test_vergne_abelian_gives_everything():
