@@ -133,11 +133,9 @@ def statement3_explicit_pair(p=5):
     n = ring.order
     for gi in range(ring.dim):
         gamma = int(ring.element_index(ring.basis_vector(gi)))
-        ginv = G.inv(gamma)
         # (e * delta_gamma)(g) = e(g gamma^-1)
-        shifted = [None] * n
-        for g in range(n):
-            shifted[g] = e[G.mult(g, ginv)]
+        prods = G.mult_bulk(np.arange(n), np.full(n, G.inv(gamma)))
+        shifted = [e[int(x)] for x in prods]
         lhs = phi_transform(ring, shifted)
         F_e = phi_transform(ring, e)
         log_gamma = ring.element_from_index(gamma)

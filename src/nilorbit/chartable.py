@@ -220,7 +220,7 @@ def table_fingerprint(table, group):
     with equal tables fingerprint equally regardless of element indexing.
     """
     cd = table.class_data
-    orders = [group.element_order(int(r)) for r in cd.reps]
+    orders = group.element_orders(cd.reps).tolist()
     rows = []
     for r in table.rows:
         rows.append(

@@ -267,7 +267,13 @@ def cmd_polarize(args):
 def cmd_golden(args):
     q = args.q
     lines = []
-    if q & (q - 1) == 0 and q > 1:  # power of 2
+    even = q & (q - 1) == 0 and q > 1  # power of 2
+    # the oracle runs on USp4(F_q), q^4 elements: refuse before any table
+    if even and args.oracle and q**4 > args.max_order:
+        raise InputError("oracle over budget at q=%d" % q)
+    if not even and q**4 > args.max_order:
+        raise InputError("group order %d exceeds the oracle budget %d" % (q**4, args.max_order))
+    if even:
         table = families.usp4_lusztig_table(q, psi_k=args.psi)
         table.verify()
         counts = table.degree_multiset()
@@ -281,8 +287,6 @@ def cmd_golden(args):
         lines.append("lusztig_counts %s" % sorted(counts.items()))
         if args.oracle:
             G = families.usp4(q, spot_check=False)
-            if G.n > args.max_order:
-                raise InputError("oracle over budget at q=%d" % q)
             oracle = dixon_table(G, max_order=args.max_order)
             if not table.equals_as_set(oracle):
                 raise VerificationError("Lusztig table differs from the oracle")

@@ -282,38 +282,27 @@ def algebra_group(A, spot_check=True):
     """The group 1 + A with x o y = x + y + xy, as a FiniteGroup."""
     p, d = A.p, A.dim
 
-    def mult(i, j):
-        x = linalg.decode_indices(np.int64(i), d, p)
-        y = linalg.decode_indices(np.int64(j), d, p)
-        z = (x + y + A.product(x, y)) % p
-        return int(linalg.encode_vectors(z, p))
+    def mult(I, J):
+        return linalg.encode_vectors(_algebra_mul(A, I, J), p)
 
-    def inv(i):
-        x = linalg.decode_indices(np.int64(i), d, p)
-        return int(linalg.encode_vectors(A.group_inv_vec(x), p))
-
-    def mult_bulk(I, J):
-        X = linalg.decode_indices(np.asarray(I, dtype=np.int64), d, p)
-        Y = linalg.decode_indices(np.asarray(J, dtype=np.int64), d, p)
-        Z = (X + Y + A.product(X, Y)) % p
-        return linalg.encode_vectors(Z, p)
+    def inv(I):
+        return linalg.encode_vectors(A.group_inv_vec(linalg.decode_indices(I, d, p)), p)
 
     gens = [
         int(linalg.encode_vectors(np.eye(d, dtype=np.int64)[k], p)) for k in range(d)
     ]
-    G = FiniteGroup(
-        A.order,
-        mult,
-        inv=inv,
-        identity=0,
-        gens=gens,
-        mult_bulk=mult_bulk,
-        name="1+A",
-    )
+    G = FiniteGroup(A.order, mult, inv_bulk=inv, identity=0, gens=gens, name="1+A")
     G.algebra = A
     if spot_check:
         G.spot_check_axioms()
     return G
+
+
+def _algebra_mul(A, I, J):
+    """x o y = x + y + xy for the element indices I, J of 1 + A, as vectors."""
+    X = linalg.decode_indices(I, A.dim, A.p)
+    Y = linalg.decode_indices(J, A.dim, A.p)
+    return (X + Y + A.product(X, Y)) % A.p
 
 
 def ul_group(n, q):
@@ -370,22 +359,28 @@ def sp_a_sigma(A, sigma, check_bijection=True):
         if len(members) != p**minus_dim:
             raise AssertionError("|Sp(A,sigma)| != |A_-|")
         _check_sqrt_bijection(A, S, members)
-    pos = {int(e): k for k, e in enumerate(members)}
 
-    def mult(i, j):
-        x = linalg.decode_indices(members[i], d, p)
-        y = linalg.decode_indices(members[j], d, p)
-        z = (x + y + A.product(x, y)) % p
-        return pos[int(linalg.encode_vectors(z, p))]
+    def mult(I, J):
+        return _member_positions(members, _algebra_mul(A, members[I], members[J]), p)
 
-    def inv(i):
-        x = linalg.decode_indices(members[i], d, p)
-        return pos[int(linalg.encode_vectors(A.group_inv_vec(x), p))]
+    def inv(I):
+        X = linalg.decode_indices(members[I], d, p)
+        return _member_positions(members, A.group_inv_vec(X), p)
 
-    G = FiniteGroup(len(members), mult, inv=inv, identity=pos[0], name="Sp(A,sigma)")
+    G = FiniteGroup(len(members), mult, inv_bulk=inv, identity=0, name="Sp(A,sigma)")
     G.members = members
     G.algebra = A
     return G
+
+
+def _member_positions(members, X, p):
+    """Positions of the vectors X in the sorted member indices; a vector
+    outside the members is a product that left the group."""
+    idx = linalg.encode_vectors(X, p)
+    pos = np.minimum(np.searchsorted(members, idx), len(members) - 1)
+    if (members[pos] != idx).any():
+        raise AssertionError("a product left Sp(A, sigma) (bug)")
+    return pos
 
 
 def _binomial_half(j):
@@ -517,10 +512,19 @@ class USp4:
         d3 = F.add(d, d2)
         return (a3, b3, c3, d3)
 
-    def group(self, spot_check=True):
-        def mult(i, j):
-            return self.index(self.mult_quads(self.from_index(i), self.from_index(j)))
+    def mult_indices(self, I, J):
+        """mult_quads on index arrays, through the field's index tables."""
+        add, sub, mul = self.field.index_tables()
+        a, b, c, d = _base_q_digits(I, self.q)
+        a2, b2, c2, d2 = _base_q_digits(J, self.q)
+        a3 = add[a, a2]
+        b3 = add[add[b, b2], mul[a, d2]]
+        inner = sub[mul[a2, d2], b2]
+        c3 = add[add[c, c2], add[mul[a, inner], mul[b, a2]]]
+        d3 = add[d, d2]
+        return a3 + self.q * (b3 + self.q * (c3 + self.q * d3))
 
+    def group(self, spot_check=True):
         F = self.field
         gens = []
         for slot in range(4):
@@ -528,7 +532,7 @@ class USp4:
                 quad = [F.zero] * 4
                 quad[slot] = F.from_index(self.field.p**t)
                 gens.append(self.index(tuple(quad)))
-        G = FiniteGroup(self.n, mult, identity=0, gens=gens, name="USp4(%d)" % self.q)
+        G = FiniteGroup(self.n, self.mult_indices, identity=0, gens=gens, name="USp4(%d)" % self.q)
         G.usp4 = self
         if spot_check:
             G.spot_check_axioms()
@@ -541,9 +545,6 @@ class USp4:
         s = F.s
         H = AbelianGroup([F.p] * s)
         A = AbelianGroup([F.p] * (3 * s))
-
-        def h_elem(htup):
-            return tuple(htup)
 
         def to_field(tup):
             return tuple(int(t) % F.p for t in tup)
@@ -564,18 +565,13 @@ class USp4:
                 raise AssertionError("A is not normal (bug)")
             return tuple(y[1]) + tuple(y[2]) + tuple(y[3])
 
-        def pair_to_index(htup, atup):
-            h = to_field(htup)
-            b, c, d = (
-                to_field(atup[:s]),
-                to_field(atup[s : 2 * s]),
-                to_field(atup[2 * s :]),
-            )
-            # (h,0,0,0) * (0,b,c,d)
-            quad = self.mult_quads((h, F.zero, F.zero, F.zero), (F.zero, b, c, d))
-            return self.index(quad)
+        return H, A, act
 
-        return H, A, act, pair_to_index
+
+def _base_q_digits(I, q):
+    """The four base-q digits of quadruple indices (a first)."""
+    I = np.asarray(I, dtype=np.int64)
+    return [(I // q**k) % q for k in range(4)]
 
 
 def usp4(q, spot_check=True):
@@ -588,21 +584,19 @@ def usp4_little_groups_table(q):
     quadruple group so it is directly comparable with other tables."""
     U = USp4(q)
     G = U.group(spot_check=False)
-    H, A, act, pair_to_index = U.semidirect_data()
+    H, A, act = U.semidirect_data()
     table = little_groups(H, A, act)
     Gsemi = table.group
-    # verify the index correspondence is an isomorphism onto U
-    n = G.n
-    to_u = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        h, a = Gsemi.unpack(i)
-        to_u[i] = pair_to_index(h, a)
-    if len(set(to_u.tolist())) != n:
+    # (h, a) -> (h,0,0,0) * (0,b,c,d): the H and A indices are the field
+    # index of h and the base-q index of (b, c, d), so (0,b,c,d) is q * a
+    h, a = np.divmod(np.arange(G.n, dtype=np.int64), A.order)
+    to_u = G.mult_bulk(h, q * a)
+    if (np.bincount(to_u, minlength=G.n) != 1).any():
         raise AssertionError("semidirect correspondence is not a bijection")
-    for g1 in Gsemi.generators():
-        for g2 in Gsemi.generators():
-            if to_u[Gsemi.mult(g1, g2)] != G.mult(int(to_u[g1]), int(to_u[g2])):
-                raise AssertionError("semidirect correspondence is not a homomorphism")
+    gens = np.array(Gsemi.generators(), dtype=np.int64)
+    g1, g2 = np.repeat(gens, len(gens)), np.tile(gens, len(gens))
+    if (to_u[Gsemi.mult_bulk(g1, g2)] != G.mult_bulk(to_u[g1], to_u[g2])).any():
+        raise AssertionError("semidirect correspondence is not a homomorphism")
     cd_u = G.conjugacy_classes()
     cd_s = table.class_data
     rows = []
@@ -634,66 +628,39 @@ def usp4_lusztig_table(q, psi_k=1):
     G = U.group(spot_check=False)
     cd = G.conjugacy_classes()
 
-    def psi0(x):
-        # tr-composed additive character: values are +-1
-        return -1 if (psi_k * F.trace_to_prime(x)) % 2 else 1
+    # each formula on every quadruple at once, in field-index arithmetic
+    add, _, mul = F.index_tables()
+    inv = np.argmax(mul == F.index(F.one), axis=1)  # inv[0] is unused
+    trace = np.array([F.trace_to_prime(F.from_index(x)) for x in range(q)])
+    psi0 = np.where((psi_k * trace) % 2, -1, 1)  # tr-composed additive character
+    a, b, c, d = _base_q_digits(np.arange(G.n), q)
 
-    formulas = []
-    for xi in range(q):
-        for yi in range(q):
-            x, y = F.from_index(xi), F.from_index(yi)
+    def formulas():
+        for x in range(q):
+            for y in range(q):
+                yield psi0[add[mul[x, a], mul[y, d]]]
+        central = (a == 0) & (d == 0)
+        for entry in (b, c):
+            for x in range(1, q):
+                yield np.where(central, q * psi0[mul[x, entry]], 0)
+        half = q // 2
+        for a0 in range(1, q):
+            for d0 in range(1, q):
+                coef = mul[inv[mul[a0, a0]], inv[d0]]
+                support = ((a == 0) | (a == a0)) & ((d == 0) | (d == d0))
+                chi = half * psi0[mul[coef, add[add[mul[b, a], mul[b, a0]], c]]]
+                for e1 in (1, -1):
+                    for e2 in (1, -1):
+                        sign = np.where(a == a0, e1, 1) * np.where(d == d0, e2, 1)
+                        yield np.where(support, sign * chi, 0)
 
-            def lin(quad, x=x, y=y):
-                a, b, c, d = quad
-                return psi0(F.add(F.mul(x, a), F.mul(y, d)))
-
-            formulas.append(lin)
-    for family in ("b", "c"):
-        for xi in range(1, q):
-            x = F.from_index(xi)
-
-            def mid(quad, x=x, family=family):
-                a, b, c, d = quad
-                if a != F.zero or d != F.zero:
-                    return 0
-                return q * psi0(F.mul(x, b if family == "b" else c))
-
-            formulas.append(mid)
-    half = q // 2
-    for a0i in range(1, q):
-        for d0i in range(1, q):
-            a0, d0 = F.from_index(a0i), F.from_index(d0i)
-            coef = F.mul(F.inv(F.mul(a0, a0)), F.inv(d0))
-            for e1 in (1, -1):
-                for e2 in (1, -1):
-
-                    def small(quad, a0=a0, d0=d0, coef=coef, e1=e1, e2=e2):
-                        a, b, c, d = quad
-                        if a not in (F.zero, a0) or d not in (F.zero, d0):
-                            return 0
-                        s1 = e1 if a == a0 else 1
-                        s2 = e2 if d == d0 else 1
-                        arg = F.mul(
-                            coef, F.add(F.add(F.mul(b, a), F.mul(b, a0)), c)
-                        )
-                        return half * s1 * s2 * psi0(arg)
-
-                    formulas.append(small)
-    # class constancy: every displayed formula is constant on classes
-    values = np.empty((len(formulas), G.n), dtype=np.int64)
-    for i in range(G.n):
-        quad = U.from_index(i)
-        for ridx, fam in enumerate(formulas):
-            values[ridx, i] = fam(quad)
-    for j in range(cd.num_classes):
-        members = np.nonzero(cd.class_of == j)[0]
-        col = values[:, members]
-        if (col != col[:, :1]).any():
+    rep_of = cd.reps[cd.class_of]
+    rows = []
+    for values in formulas():
+        # class constancy: every displayed formula is constant on classes
+        if (values != values[rep_of]).any():
             raise AssertionError("a Lusztig formula is not a class function")
-    rows = [
-        ClassFunction(cd, tuple(Cyclotomic.rational(int(v)) for v in values[ridx, cd.reps]))
-        for ridx in range(len(formulas))
-    ]
+        rows.append(ClassFunction(cd, tuple(Cyclotomic.rational(int(v)) for v in values[cd.reps])))
     table = CharacterTable(cd, rows)
     table.group = G
     return table

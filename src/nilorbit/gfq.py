@@ -31,6 +31,7 @@ _FIXED_MODULI = {
     (3, 4): (2, 1, 0, 0, 1),
     (3, 6): (2, 1, 0, 0, 0, 0, 1),
     (3, 8): (2, 0, 0, 1, 0, 0, 0, 0, 1),
+    (3, 12): (2, 2, 2, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1),
     (5, 1): (2, 1),
     (5, 2): (2, 1, 1),
     (5, 3): (2, 3, 0, 1),
@@ -39,6 +40,7 @@ _FIXED_MODULI = {
     (5, 8): (3, 2, 1, 0, 0, 0, 0, 0, 1),
     (7, 1): (2, 1),
     (7, 2): (3, 1, 1),
+    (7, 4): (5, 3, 1, 0, 1),
 }
 
 
@@ -369,6 +371,12 @@ class FqField:
         out = conv[:, :s] + conv[:, s:] @ red
         return out % self.p
 
+    def index_tables(self):
+        """(add, sub, mul): q x q arrays of element indices, mul[i, j] the
+        index of from_index(i) * from_index(j) and so on, for table-driven
+        arithmetic on index arrays at small q (cached per field)."""
+        return _index_tables(self)
+
     def bulk_pow(self, A, e):
         A = np.asarray(A, dtype=np.int64) % self.p
         out = np.tile(np.array(self.one, dtype=np.int64), (len(A), 1))
@@ -379,6 +387,25 @@ class FqField:
             base = self.bulk_mul(base, base)
             e >>= 1
         return out
+
+
+_TABLE_MAX_ORDER = 1 << 8
+
+
+@lru_cache(maxsize=None)
+def _index_tables(field):
+    q = field.order
+    if q > _TABLE_MAX_ORDER:
+        raise ValueError("index tables are for q <= %d, not %d" % (_TABLE_MAX_ORDER, q))
+    pts = linalg.all_vectors(field.s, field.p)  # index order
+    X = np.repeat(pts, q, axis=0)
+    Y = np.tile(pts, (q, 1))
+    tables = []
+    for Z in (X + Y, X - Y, field.bulk_mul(X, Y)):
+        T = linalg.encode_vectors(Z, field.p).reshape(q, q)
+        T.flags.writeable = False  # shared by every caller
+        tables.append(T)
+    return tuple(tables)
 
 
 @lru_cache(maxsize=None)

@@ -1,16 +1,23 @@
-"""Black-box finite groups: elements are indices, multiplication an oracle.
+"""Black-box finite groups: elements are indices, multiplication one
+vectorized law on index arrays.
 
 Conjugacy classes, center, derived subgroup, subgroup closure, quotients,
 induced characters, the abelian little-groups method, and twisted (phi-)
-conjugacy all live here.  Group sizes stay small (<= ~20000); bulk hooks
-let callers vectorize the inner loops with numpy when they can.
+conjugacy all live here.  Group sizes stay small (<= ~20000).  Every
+algorithm calls the law on whole index arrays: classes and twisted classes
+are one image table per generator partitioned by the orbit kernel's label
+propagation, inverses and element orders one powering pass, closures one
+bulk call per frontier.  A scalar oracle enters through build_group, which
+loops over the pairs of each bulk call.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from . import kernels
 from .cyclo import Cyclotomic, from_ints, lincomb, times, to_ints
 
 
@@ -41,75 +48,99 @@ class ClassData:
 
 
 class FiniteGroup:
-    """A finite group given by a multiplication oracle on [0, n)."""
+    """A finite group on [0, n) given by one vectorized law.
+
+    mult_bulk(I, J) returns the products I[k] J[k] of two index arrays;
+    inv_bulk(I), when given, the inverses (otherwise one bulk powering pass
+    computes them all, once).  Every algorithm below works on whole index
+    arrays; the scalar mult/inv/conj/commutator are conveniences on top.
+    """
 
     def __init__(
         self,
         n,
-        mult,
-        inv=None,
+        mult_bulk,
+        inv_bulk=None,
         identity=0,
         gens=None,
-        mult_bulk=None,
-        inv_bulk=None,
         classes_hook=None,
         name="",
     ):
         self.n = n
-        self._mult = mult
-        self._inv = inv
-        self.identity = identity
-        self.gens = list(gens) if gens is not None else None
         self._mult_bulk = mult_bulk
         self._inv_bulk = inv_bulk
+        self.identity = identity
+        self.gens = list(gens) if gens is not None else None
         self._classes_hook = classes_hook
         self.name = name
-        self._inv_cache = {}
+        self._inverses = None
         self._classes = None
 
     def __repr__(self):
         return "FiniteGroup(n=%d%s)" % (self.n, ", %s" % self.name if self.name else "")
 
-    # -- oracle access -----------------------------------------------------
-
-    def mult(self, i, j):
-        return self._mult(i, j)
-
-    def inv(self, i):
-        if self._inv is not None:
-            return self._inv(i)
-        if i in self._inv_cache:
-            return self._inv_cache[i]
-        # brute scan; cached. Fine for the sizes this engine is for.
-        for j in range(self.n):
-            if self._mult(i, j) == self.identity:
-                self._inv_cache[i] = j
-                return j
-        raise ValueError("element %d has no inverse (oracle broken)" % i)
+    # -- the law -------------------------------------------------------------
 
     def mult_bulk(self, I, J):
-        if self._mult_bulk is not None:
-            return self._mult_bulk(I, J)
-        I = np.asarray(I)
-        J = np.asarray(J)
-        out = np.empty(len(I), dtype=np.int64)
-        for k in range(len(I)):
-            out[k] = self._mult(int(I[k]), int(J[k]))
-        return out
+        I = np.asarray(I, dtype=np.int64)
+        J = np.asarray(J, dtype=np.int64)
+        if not I.size:
+            return I.copy()
+        return np.asarray(self._mult_bulk(I, J), dtype=np.int64)
 
     def inv_bulk(self, I):
+        I = np.asarray(I, dtype=np.int64)
         if self._inv_bulk is not None:
-            return self._inv_bulk(I)
-        return np.array([self.inv(int(i)) for i in np.asarray(I)], dtype=np.int64)
+            return np.asarray(self._inv_bulk(I), dtype=np.int64)
+        return self.inverses()[I]
+
+    def inverses(self):
+        """inverses()[i] = i^-1 for every element, computed once."""
+        if self._inverses is None:
+            everything = np.arange(self.n, dtype=np.int64)
+            if self._inv_bulk is not None:
+                self._inverses = self.inv_bulk(everything)
+            else:
+                self._inverses = self._powering_pass(everything)[1]
+        return self._inverses
+
+    def _powering_pass(self, I):
+        """(orders, inverses) of the elements I: all are raised to x^k at
+        once, k = 1, 2, ..., each dropping out when x^(k+1) is the identity."""
+        I = np.asarray(I, dtype=np.int64)
+        orders = np.ones(len(I), dtype=np.int64)
+        inverses = I.copy()  # the identity is its own inverse
+        cur = I.copy()
+        active = np.flatnonzero(I != self.identity)
+        for k in range(2, self.n + 2):
+            if not len(active):
+                return orders, inverses
+            nxt = self.mult_bulk(cur[active], I[active])
+            done = nxt == self.identity
+            inverses[active[done]] = cur[active[done]]
+            orders[active[done]] = k
+            cur[active] = nxt
+            active = active[~done]
+        raise ValueError("element %d has no inverse (oracle broken)" % I[active[0]])
+
+    def mult(self, i, j):
+        return int(self.mult_bulk([i], [j])[0])
+
+    def inv(self, i):
+        return int(self.inv_bulk([i])[0])
 
     def conj(self, g, x):
         """g x g^-1."""
-        return self._mult(self._mult(g, x), self.inv(g))
+        return self.mult(self.mult(g, x), self.inv(g))
 
     def commutator(self, a, b):
-        return self._mult(
-            self._mult(a, b), self._mult(self.inv(a), self.inv(b))
-        )
+        return self.mult(self.mult(a, b), self.mult(self.inv(a), self.inv(b)))
+
+    def _conj_bulk(self, g, X):
+        """g x g^-1 for every x in X."""
+        X = np.asarray(X, dtype=np.int64)
+        left = self.mult_bulk(np.full(len(X), g, dtype=np.int64), X)
+        return self.mult_bulk(left, np.full(len(X), self.inv(g), dtype=np.int64))
 
     def generators(self):
         if self.gens is not None:
@@ -119,153 +150,121 @@ class FiniteGroup:
 
     def minimal_generators(self):
         """A small generating set, greedily: adjoin the least element
-        outside the closure so far, then re-close under right products."""
+        outside the closure so far, then re-close under right products by
+        the generators, one bulk call per frontier."""
         gens = []
-        closure = {self.identity}
-        while len(closure) < self.n:
-            nxt = next(x for x in range(self.n) if x not in closure)
-            gens.append(nxt)
-            frontier = list(closure)
-            while frontier:
-                x = frontier.pop()
-                for g in gens:
-                    y = self._mult(x, g)
-                    if y not in closure:
-                        closure.add(y)
-                        frontier.append(y)
+        closure = np.zeros(self.n, dtype=bool)
+        closure[self.identity] = True
+        while not closure.all():
+            gens.append(int(np.argmin(closure)))
+            frontier = np.flatnonzero(closure)
+            while len(frontier):
+                prods = self.mult_bulk(np.repeat(frontier, len(gens)), np.tile(gens, len(frontier)))
+                frontier = _fresh(closure, prods)
         return gens
 
     # -- axioms (spot check) -------------------------------------------------
 
     def spot_check_axioms(self, seed=0, triples=200):
         """Identity/inverses exhaustively; associativity on random triples."""
-        for i in range(self.n):
-            if self._mult(self.identity, i) != i or self._mult(i, self.identity) != i:
-                raise AssertionError("identity axiom fails at %d" % i)
+        everything = np.arange(self.n, dtype=np.int64)
+        ident = np.full(self.n, self.identity, dtype=np.int64)
+        bad = (self.mult_bulk(ident, everything) != everything) | (
+            self.mult_bulk(everything, ident) != everything
+        )
+        if bad.any():
+            raise AssertionError("identity axiom fails at %d" % np.argmax(bad))
+        bad = self.mult_bulk(everything, self.inverses()) != self.identity
+        if bad.any():
+            raise AssertionError("inverse axiom fails at %d" % np.argmax(bad))
         rng = np.random.default_rng(seed)
-        for i in range(self.n):
-            j = self.inv(i)
-            if self._mult(i, j) != self.identity:
-                raise AssertionError("inverse axiom fails at %d" % i)
-        for _ in range(triples):
-            a, b, c = (int(x) for x in rng.integers(0, self.n, 3))
-            if self._mult(self._mult(a, b), c) != self._mult(a, self._mult(b, c)):
-                raise AssertionError("associativity fails at (%d,%d,%d)" % (a, b, c))
+        a, b, c = np.array([rng.integers(0, self.n, 3) for _ in range(triples)]).T
+        bad = self.mult_bulk(self.mult_bulk(a, b), c) != self.mult_bulk(a, self.mult_bulk(b, c))
+        if bad.any():
+            k = np.argmax(bad)
+            raise AssertionError("associativity fails at (%d,%d,%d)" % (a[k], b[k], c[k]))
         return True
 
     # -- conjugacy classes ------------------------------------------------------
 
     def conjugacy_classes(self):
+        """Classes as connected components of the conjugation action of the
+        generators: one image table per generator, then the orbit kernel's
+        label propagation.  Classes are numbered by increasing seed and
+        each rep is its class minimum."""
         if self._classes is not None:
             return self._classes
         if self._classes_hook is not None:
             self._classes = self._classes_hook()
             return self._classes
-        gens = self.generators()
-        gen_invs = [self.inv(g) for g in gens]
-        class_of = np.full(self.n, -1, dtype=np.int64)
-        reps = []
-        for seed in range(self.n):
-            if class_of[seed] >= 0:
-                continue
-            cid = len(reps)
-            reps.append(seed)
-            class_of[seed] = cid
-            frontier = [seed]
-            while frontier:
-                x = frontier.pop()
-                for g, gi in zip(gens, gen_invs):
-                    y = self._mult(self._mult(g, x), gi)
-                    if class_of[y] < 0:
-                        class_of[y] = cid
-                        frontier.append(y)
-        reps = np.array(reps, dtype=np.int64)
+        everything = np.arange(self.n, dtype=np.int64)
+        tables = [self._conj_bulk(g, everything).astype(np.int32) for g in self.generators()]
+        class_of = kernels.orbit_labels(tables, self.n)
+        reps = np.unique(class_of, return_index=True)[1].astype(np.int64)
         sizes = np.bincount(class_of, minlength=len(reps))
-        inv_class = np.array(
-            [class_of[self.inv(int(r))] for r in reps], dtype=np.int64
-        )
+        inv_class = class_of[self.inv_bulk(reps)]
         self._classes = ClassData(
             self.n, class_of, reps, sizes, inv_class, int(class_of[self.identity])
         )
         return self._classes
 
-    def element_order(self, i):
-        k = 1
-        x = i
-        while x != self.identity:
-            x = self._mult(x, i)
-            k += 1
-        return k
+    def element_orders(self, I):
+        return self._powering_pass(I)[0]
 
     def exponent(self):
-        cd = self.conjugacy_classes()
-        out = 1
-        for r in cd.reps:
-            out = math.lcm(out, self.element_order(int(r)))
-        return out
+        return math.lcm(*self.element_orders(self.conjugacy_classes().reps).tolist())
 
     def power_classes(self, e):
         """pm[j][s] = class of rep_j^s for 0 <= s < e."""
         cd = self.conjugacy_classes()
         pm = np.zeros((cd.num_classes, e), dtype=np.int64)
-        for j, r in enumerate(cd.reps):
-            x = self.identity
-            for s in range(e):
-                pm[j, s] = cd.class_of[x]
-                x = self._mult(x, int(r))
+        x = np.full(cd.num_classes, self.identity, dtype=np.int64)
+        for s in range(e):
+            pm[:, s] = cd.class_of[x]
+            x = self.mult_bulk(x, cd.reps)
         return pm
 
     # -- subgroups ---------------------------------------------------------------
 
     def normal_closure(self, seeds):
+        """The least normal subgroup containing seeds: the closure of the
+        identity under right products by seeds and conjugation by the
+        generators, one frontier at a time.  (A set closed under both is
+        closed under right products by every conjugate of a seed.)"""
         gens = self.generators()
-        gen_invs = [self.inv(g) for g in gens]
-        seen = {self.identity}
-        frontier = [s for s in seeds if s != self.identity]
-        seen.update(frontier)
-        members = list(seen)
-        while frontier:
-            x = frontier.pop()
-            candidates = [self._mult(self._mult(g, x), gi) for g, gi in zip(gens, gen_invs)]
-            candidates.extend(self._mult(x, m) for m in list(members))
-            candidates.append(self.inv(x))
-            for y in candidates:
-                if y not in seen:
-                    seen.add(y)
-                    members.append(y)
-                    frontier.append(y)
-        # close under multiplication until stable
-        stable = False
-        while not stable:
-            stable = True
-            members_list = sorted(seen)
-            for x in members_list:
-                for y in members_list:
-                    z = self._mult(x, y)
-                    if z not in seen:
-                        seen.add(z)
-                        stable = False
-        return np.array(sorted(seen), dtype=np.int64)
+        seeds = np.flatnonzero(np.bincount(np.asarray(seeds, dtype=np.int64), minlength=self.n))
+        members = np.zeros(self.n, dtype=bool)
+        members[self.identity] = True
+        frontier = np.array([self.identity], dtype=np.int64)
+        while len(frontier):
+            prods = [frontier] + [self._conj_bulk(g, frontier) for g in gens]
+            if len(seeds):
+                prods.append(
+                    self.mult_bulk(np.repeat(frontier, len(seeds)), np.tile(seeds, len(frontier)))
+                )
+            frontier = _fresh(members, np.concatenate(prods))
+        return np.flatnonzero(members).astype(np.int64)
 
     def center(self):
-        gens = self.generators()
-        out = [
-            x
-            for x in range(self.n)
-            if all(self._mult(x, g) == self._mult(g, x) for g in gens)
-        ]
-        return np.array(out, dtype=np.int64)
+        everything = np.arange(self.n, dtype=np.int64)
+        central = np.ones(self.n, dtype=bool)
+        for g in self.generators():
+            G = np.full(self.n, g, dtype=np.int64)
+            central &= self.mult_bulk(everything, G) == self.mult_bulk(G, everything)
+        return np.flatnonzero(central).astype(np.int64)
+
+    def _generator_pairs(self):
+        gens = np.asarray(self.generators(), dtype=np.int64)
+        return np.repeat(gens, len(gens)), np.tile(gens, len(gens))
 
     def derived_subgroup(self):
-        gens = self.generators()
-        comms = {self.commutator(a, b) for a in gens for b in gens}
-        return self.normal_closure(sorted(comms))
+        a, b = self._generator_pairs()
+        comms = self.mult_bulk(self.mult_bulk(a, b), self.mult_bulk(self.inv_bulk(a), self.inv_bulk(b)))
+        return self.normal_closure(comms)
 
     def is_abelian(self):
-        gens = self.generators()
-        return all(
-            self._mult(a, b) == self._mult(b, a) for a in gens for b in gens
-        )
+        a, b = self._generator_pairs()
+        return bool((self.mult_bulk(a, b) == self.mult_bulk(b, a)).all())
 
     def quotient(self, normal_elems):
         """Quotient by a normal subgroup; returns (group, coset_rep array)."""
@@ -280,24 +279,48 @@ class FiniteGroup:
             coset_rep[coset] = r
             reps.append(r)
         reps = np.array(sorted(reps), dtype=np.int64)
-        rep_index = {int(r): k for k, r in enumerate(reps)}
+        rep_index = np.searchsorted(reps, coset_rep)  # coset of each element
 
-        def qmult(i, j):
-            return rep_index[int(coset_rep[self._mult(int(reps[i]), int(reps[j]))])]
+        def qmult(I, J):
+            return rep_index[self.mult_bulk(reps[I], reps[J])]
 
         q = FiniteGroup(
             len(reps),
             qmult,
-            identity=rep_index[int(coset_rep[self.identity])],
-            gens=sorted({rep_index[int(coset_rep[g])] for g in self.generators()}),
+            identity=int(rep_index[self.identity]),
+            gens=sorted({int(rep_index[g]) for g in self.generators()}),
             name=self.name + "/N",
         )
         return q, coset_rep, reps
 
 
+def _fresh(members, elems):
+    """The distinct elems outside the membership mask, in increasing order;
+    they are marked as members."""
+    hit = np.zeros(len(members), dtype=bool)
+    hit[elems] = True
+    hit &= ~members
+    members |= hit
+    return np.flatnonzero(hit)
+
+
 def build_group(mult, n, gens=None, inv=None, identity=0, spot_check=True, **kw):
-    """Spec entry point: wrap an oracle, build caches, sanity-check axioms."""
-    G = FiniteGroup(n, mult, inv=inv, identity=identity, gens=gens, **kw)
+    """Spec entry point: wrap a scalar oracle mult(i, j) (and optionally
+    inv(i)) as a bulk law, build caches, sanity-check axioms."""
+
+    def scalar_loop(f):
+        return lambda *args: np.fromiter(
+            (f(*map(int, t)) for t in zip(*args)), dtype=np.int64, count=len(args[0])
+        )
+
+    G = FiniteGroup(
+        n,
+        scalar_loop(mult),
+        inv_bulk=None if inv is None else scalar_loop(inv),
+        identity=identity,
+        gens=gens,
+        **kw,
+    )
     if spot_check:
         G.spot_check_axioms()
     G.conjugacy_classes()
@@ -332,7 +355,12 @@ def induce_character(G, subgroup_elems, chi_sub, class_data=None):
 
 
 class AbelianGroup:
-    """A finite abelian group presented as Z_{m1} x ... x Z_{mk}."""
+    """A finite abelian group presented as Z_{m1} x ... x Z_{mk}.
+
+    Element indices are little-endian mixed radix (the first coordinate is
+    the least significant digit); the *_indices methods are the group law
+    on index arrays.
+    """
 
     def __init__(self, moduli):
         self.moduli = tuple(int(m) for m in moduli)
@@ -340,12 +368,8 @@ class AbelianGroup:
             raise ValueError("moduli must be positive")
         self.order = math.prod(self.moduli)
         self.exponent = math.lcm(*self.moduli) if self.moduli else 1
-
-    def elements(self):
-        out = [()]
-        for m in self.moduli:
-            out = [t + (r,) for t in out for r in range(m)]
-        return out
+        self._m = np.array(self.moduli, dtype=np.int64)
+        self._radix = np.cumprod((1,) + self.moduli[:-1], dtype=np.int64)[: len(self.moduli)]
 
     def index(self, x):
         idx = 0
@@ -366,16 +390,38 @@ class AbelianGroup:
     def neg(self, x):
         return tuple((-a) % m for a, m in zip(x, self.moduli))
 
-    def char_value(self, chi, x):
-        """Value of the character indexed by chi (a dual tuple) at x."""
-        e = self.exponent
-        r = 0
-        for c, a, m in zip(chi, x, self.moduli):
-            r = (r + c * a * (e // m)) % e
-        return Cyclotomic.zeta(e, r) if e > 1 else Cyclotomic.rational(1)
+    def digits(self, I):
+        """Coordinates of an index array, on a new trailing axis."""
+        return (np.asarray(I, dtype=np.int64)[..., None] // self._radix) % self._m
 
-    def characters(self):
-        return self.elements()
+    def encode(self, D):
+        """Indices of coordinate arrays (last axis), reduced mod the moduli."""
+        return (np.asarray(D, dtype=np.int64) % self._m) @ self._radix
+
+    def add_indices(self, I, J):
+        return self.encode(self.digits(I) + self.digits(J))
+
+    def neg_indices(self, I):
+        return self.encode(-self.digits(I))
+
+    def unit_indices(self):
+        """Index of the k-th coordinate vector, for each k."""
+        return self._radix * (1 % self._m)
+
+    def char_exponents(self, chi, I):
+        """r[..., k] with chi(I[k]) = zeta_e^r (e the exponent), for the
+        character index chi (or an array of them, one row each)."""
+        w = self.exponent // self._m
+        return ((self.digits(chi) * w) @ self.digits(I).T) % self.exponent
+
+
+def _action_table(H, A, act):
+    """table[h, a] = index of act(h, a) in A: act evaluated once per pair."""
+    a_elems = [A.from_index(i) for i in range(A.order)]
+    return np.array(
+        [[A.index(act(H.from_index(h), a)) for a in a_elems] for h in range(H.order)],
+        dtype=np.int64,
+    ).reshape(H.order, A.order)
 
 
 def semidirect_product(H, A, act):
@@ -384,43 +430,25 @@ def semidirect_product(H, A, act):
     Elements are pairs (h, a) indexed as h_index * |A| + a_index, with
     (h1, a1) * (h2, a2) = (h1 h2, act(h2^-1, a1) + a2)  [so A is normal].
     """
+    return _semidirect(H, A, _action_table(H, A, act))
+
+
+def _semidirect(H, A, table):
+    """The semidirect product on the action table: law and inverse are
+    index arithmetic, (h, a)^-1 = (h^-1, -act(h, a))."""
     nA = A.order
 
-    def pair_index(h, a):
-        return H.index(h) * nA + A.index(a)
+    def mult(I, J):
+        h1, a1 = np.divmod(I, nA)
+        h2, a2 = np.divmod(J, nA)
+        return H.add_indices(h1, h2) * nA + A.add_indices(table[H.neg_indices(h2), a1], a2)
 
-    def unpack(i):
-        return H.from_index(i // nA), A.from_index(i % nA)
+    def inv(I):
+        h, a = np.divmod(I, nA)
+        return H.neg_indices(h) * nA + A.neg_indices(table[h, a])
 
-    def mult(i, j):
-        h1, a1 = unpack(i)
-        h2, a2 = unpack(j)
-        return pair_index(H.add(h1, h2), A.add(act(H.neg(h2), a1), a2))
-
-    def inv(i):
-        h, a = unpack(i)
-        hn = H.neg(h)
-        return pair_index(hn, A.neg(act(h, a)))
-
-    gens = []
-    for k in range(len(H.moduli)):
-        h = tuple(1 if t == k else 0 for t in range(len(H.moduli)))
-        gens.append(pair_index(h, A.from_index(0)))
-    for k in range(len(A.moduli)):
-        a = tuple(1 if t == k else 0 for t in range(len(A.moduli)))
-        gens.append(pair_index(H.from_index(0), a))
-
-    G = FiniteGroup(
-        H.order * nA,
-        mult,
-        inv=inv,
-        identity=pair_index(H.from_index(0), A.from_index(0)),
-        gens=gens,
-        name="semidirect",
-    )
-    G.pair_index = pair_index
-    G.unpack = unpack
-    return G
+    gens = [int(u) * nA for u in H.unit_indices()] + [int(u) for u in A.unit_indices()]
+    return FiniteGroup(H.order * nA, mult, inv_bulk=inv, identity=0, gens=gens, name="semidirect")
 
 
 def little_groups(H, A, act, verify_action=True):
@@ -430,126 +458,90 @@ def little_groups(H, A, act, verify_action=True):
     H^chi, and characters psi of H^chi; the irreducible for (Omega, psi) is
     Ind_{H^chi lt-semidirect A}^{G} (psi-tilde tensor chi-tilde).
     """
-    from .chartable import CharacterTable, ClassFunction
+    from .chartable import CharacterTable
 
+    action = _action_table(H, A, act)
     if verify_action:
-        _check_action(H, A, act)
-    G = semidirect_product(H, A, act)
+        _check_action(H, A, action)
+    G = _semidirect(H, A, action)
     cd = G.conjugacy_classes()
-
-    # H acts on A^* by (h . chi)(a) = chi(act(h^-1? , a)); with our normal-
-    # subgroup convention conjugation by (h, 0) sends (1, a) to (1, act(h^-1, a)),
-    # wait: (h,0)(1,a)(h,0)^-1 = (h, act(..)) -- compute via the group itself.
-    hs = H.elements()
-    chars = A.characters()
-    char_index = {c: k for k, c in enumerate(chars)}
-
-    def h_act_on_char(h, chi):
-        # (h.chi)(a) = chi(a conjugated back): conjugation of (1,a) by (h,0)
-        # in G sends a to act(h, a) [derived from the product rule], so
-        # (h.chi)(a) = chi(act(neg h, a)).
-        hn = H.neg(h)
-        # represent the new character by evaluating on A's generators:
-        out = []
-        e = A.exponent
-        for k, m in enumerate(A.moduli):
-            a = tuple(1 if t == k else 0 for t in range(len(A.moduli)))
-            b = act(hn, a)
-            r = 0
-            for c, bb, mm in zip(chi, b, A.moduli):
-                r = (r + c * bb * (e // mm)) % e
-            # r is the exponent of zeta_e; convert to dual coordinate mod m
-            if (r * m) % e != 0:
-                raise ArithmeticError("action does not permute characters")
-            out.append((r * m // e) % m)
-        return tuple(out)
-
-    seen = set()
+    nA = A.order
+    dual = _dual_action(H, A, action)
+    orbit_of = kernels.orbit_labels([dual[h] for h in H.unit_indices()], nA)
+    # psi~ (x) chi~ at (h, a) is zeta_E^r, r the sum of both exponents at E
+    E = math.lcm(H.exponent, A.exponent)
     rows = []
-    for chi in chars:
-        if chi in seen:
-            continue
-        orbit = {chi}
-        frontier = [chi]
-        while frontier:
-            c0 = frontier.pop()
-            for k in range(len(H.moduli)):
-                h = tuple(1 if t == k else 0 for t in range(len(H.moduli)))
-                c1 = h_act_on_char(h, c0)
-                if c1 not in orbit:
-                    orbit.add(c1)
-                    frontier.append(c1)
-        seen |= orbit
-        stab = [h for h in hs if h_act_on_char(h, chi) == chi]
-        # subgroup S = H^chi lt-semidirect A inside G
-        S_elems = np.array(
-            sorted(
-                G.pair_index(h, a) for h in stab for a in A.elements()
-            ),
-            dtype=np.int64,
-        )
-        # characters of the abelian group H^chi: restrict characters of H
-        # (H abelian: every character of a subgroup extends, and restriction
-        # hits every character; deduplicate by values on stab)
-        stab_chars = _subgroup_characters(H, stab)
-        for psi_vals in stab_chars:
-            def lam(idx, psi_vals=psi_vals, chi=chi):
-                h, a = G.unpack(int(idx))
-                return psi_vals[h] * A.char_value(chi, a)
-
-            rows.append(induce_character(G, S_elems, lam, class_data=cd))
+    for chi in np.unique(orbit_of, return_index=True)[1]:
+        stab = np.flatnonzero(dual[:, chi] == chi)  # H^chi, the same on the orbit
+        S_elems = (stab[:, None] * nA + np.arange(nA)).ravel()
+        r_chi = A.char_exponents(chi, np.arange(nA)) * (E // A.exponent)
+        for psi in _subgroup_characters(H, stab):
+            r = ((psi * (E // H.exponent))[:, None] + r_chi).ravel() % E
+            rows.append(_induce_from_roots(cd, S_elems, r, E))
     table = CharacterTable(cd, rows)
     table.group = G
     return table
 
 
+def _dual_action(H, A, table):
+    """dual[h, c] = index of the character h.chi_c, (h.chi)(a) = chi(act(h^-1, a)).
+
+    The image character is read off A's coordinate vectors: its dual
+    coordinate k is chi(act(h^-1, e_k)), an exponent of zeta_e that must be
+    a multiple of e / m_k.
+    """
+    e, m = A.exponent, A._m
+    B = A.digits(table[H.neg_indices(np.arange(H.order))][:, A.unit_indices()])  # [h, k, t]
+    C = A.digits(np.arange(A.order)) * (e // m)  # [c, t]
+    R = np.einsum("ct,hkt->hck", C, B) % e
+    if ((R * m) % e).any():
+        raise ArithmeticError("action does not permute characters")
+    return A.encode(R * m // e)
+
+
 def _subgroup_characters(H, stab):
-    """All characters of the subgroup `stab` of the abelian group H,
-    as dicts element-tuple -> Cyclotomic."""
-    e = H.exponent
-    out = {}
-    for chi in H.elements():
-        key = tuple(
-            _char_exponent(H, chi, h) for h in stab
-        )
-        if key not in out:
-            out[key] = {
-                h: (Cyclotomic.zeta(e, r) if e > 1 else Cyclotomic.rational(1))
-                for h, r in zip(stab, key)
-            }
+    """All characters of the subgroup `stab` (element indices) of the
+    abelian group H, as rows of zeta_e exponents on stab (e the exponent
+    of H), in increasing lexicographic order."""
+    keys = sorted(set(map(tuple, H.char_exponents(np.arange(H.order), stab).tolist())))
+    keys = np.array(keys, dtype=np.int64).reshape(len(keys), len(stab))
     # a subgroup of an abelian group has exactly |stab| characters
-    assert len(out) == len(stab), "character restriction miscount"
-    return [out[k] for k in sorted(out)]
+    assert len(keys) == len(stab), "character restriction miscount"
+    return keys
 
 
-def _char_exponent(H, chi, x):
-    e = H.exponent
-    r = 0
-    for c, a, m in zip(chi, x, H.moduli):
-        r = (r + c * a * (e // m)) % e
-    return r
+def _induce_from_roots(cd, elems, r, e):
+    """Ind from the subgroup on elems of the class function zeta_e^r[k] at
+    elems[k]: |C_G(g)|/|H| times the root counts on class(g) meet H."""
+    from .chartable import ClassFunction
+
+    t = cd.num_classes
+    counts = np.bincount(cd.class_of[elems] * e + r, minlength=t * e).reshape(t, e)
+    centralizers = (cd.n // cd.sizes).astype(np.int64)
+    values = Cyclotomic.from_root_counts(e, counts * centralizers[:, None], Fraction(1, len(elems)))
+    return ClassFunction(cd, tuple(values))
 
 
-def _check_action(H, A, act):
-    zero_h = H.from_index(0)
-    for a in A.elements():
-        if act(zero_h, a) != a:
-            raise ValueError("identity of H must act trivially")
-    h_gens = [
-        tuple(1 if t == k else 0 for t in range(len(H.moduli)))
-        for k in range(len(H.moduli))
-    ]
-    a_elems = A.elements()
+def _check_action(H, A, table):
+    """The action is by automorphisms: the identity acts trivially, each
+    generator of H additively on all pairs (a, b), and composition of
+    generators matches the product in H; as identities on the table."""
+    nA = A.order
+    everything = np.arange(nA)
+    if (table[0] != everything).any():
+        raise ValueError("identity of H must act trivially")
+    h_gens = [int(h) for h in H.unit_indices()]
+    block = max(1, (1 << 16) // nA)  # rows of (a, b) pairs per comparison
     for h in h_gens:
-        for a in a_elems:
-            for b in a_elems:
-                if act(h, A.add(a, b)) != A.add(act(h, a), act(h, b)):
-                    raise ValueError("action of %r is not additive" % (h,))
+        T = table[h]
+        for start in range(0, nA, block):
+            a = everything[start : start + block, None]
+            if (T[A.add_indices(a, everything)] != A.add_indices(T[a], T)).any():
+                raise ValueError("action of %r is not additive" % (H.from_index(h),))
     for h1 in h_gens:
         for h2 in h_gens:
-            for a in a_elems:
-                if act(H.add(h1, h2), a) != act(h1, act(h2, a)):
-                    raise ValueError("action is not a homomorphism in H")
+            if (table[int(H.add_indices(h1, h2))] != table[h1][table[h2]]).any():
+                raise ValueError("action is not a homomorphism in H")
 
 
 # -- twisted conjugacy ------------------------------------------------------------
@@ -567,34 +559,23 @@ def twisted_classes(G, phi, table=None, reps_for_basis=None, seed=1):
     """
     phi = np.asarray(phi, dtype=np.int64)
     n = G.n
-    for a in G.generators():
-        for b in G.generators():
-            if phi[G.mult(a, b)] != G.mult(int(phi[a]), int(phi[b])):
-                raise ValueError("phi is not an automorphism")
+    a, b = G._generator_pairs()
+    if (phi[G.mult_bulk(a, b)] != G.mult_bulk(phi[a], phi[b])).any():
+        raise ValueError("phi is not an automorphism")
     if phi[G.identity] != G.identity:
         raise ValueError("phi is not an automorphism (identity moves)")
 
-    gens = G.generators()
-    gen_invs = [G.inv(g) for g in gens]
-    labels = np.full(n, -1, dtype=np.int64)
-    reps = []
-    for seed_pt in range(n):
-        if labels[seed_pt] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(seed_pt)
-        labels[seed_pt] = cid
-        frontier = [seed_pt]
-        while frontier:
-            x = frontier.pop()
-            for g, gi in zip(gens, gen_invs):
-                y = G.mult(G.mult(int(phi[g]), x), gi)
-                if labels[y] < 0:
-                    labels[y] = cid
-                    frontier.append(y)
+    # x -> phi(g) x g^-1 for each generator g, partitioned by the kernel
+    everything = np.arange(n, dtype=np.int64)
+    tables = []
+    for g in G.generators():
+        left = G.mult_bulk(np.full(n, phi[g], dtype=np.int64), everything)
+        tables.append(G.mult_bulk(left, np.full(n, G.inv(g), dtype=np.int64)).astype(np.int32))
+    labels = kernels.orbit_labels(tables, n)
+    reps = np.unique(labels, return_index=True)[1]
     report = {
         "labels": labels,
-        "reps": np.array(reps, dtype=np.int64),
+        "reps": reps.astype(np.int64),
         "num_classes": len(reps),
     }
     if table is not None:

@@ -37,7 +37,7 @@ class ElementaryCoords:
             a = int(a)
             if a in coords:
                 continue
-            if G.element_order(a) != p:
+            if G.element_orders([a])[0] != p:
                 raise ValueError("subgroup is not of prime exponent %d" % p)
             k = len(basis)
             basis.append(a)
@@ -274,31 +274,19 @@ def _lift_subgroup(G, Q, qreps, coset_rep, qcoords, L_rows, C, p):
 
 def _subgroup_group(G, elems):
     """The subgroup on sorted parent indices as its own FiniteGroup."""
-    elems = np.asarray(sorted(int(x) for x in elems), dtype=np.int64)
-    pos = {int(e): i for i, e in enumerate(elems)}
-
-    def mult(i, j):
-        return pos[G.mult(int(elems[i]), int(elems[j]))]
-
-    def inv(i):
-        return pos[G.inv(int(elems[i]))]
+    elems = np.sort(np.asarray(elems, dtype=np.int64))
 
     def mult_bulk(I, J):
-        out = G.mult_bulk(elems[np.asarray(I)], elems[np.asarray(J)])
-        return np.searchsorted(elems, out)
+        return np.searchsorted(elems, G.mult_bulk(elems[I], elems[J]))
 
     def inv_bulk(I):
-        out = G.inv_bulk(elems[np.asarray(I)])
-        return np.searchsorted(elems, out)
+        return np.searchsorted(elems, G.inv_bulk(elems[I]))
 
     H = FiniteGroup(
         len(elems),
-        mult,
-        inv=inv,
-        identity=pos[G.identity],
-        gens=None,
-        mult_bulk=mult_bulk,
+        mult_bulk,
         inv_bulk=inv_bulk,
+        identity=int(np.searchsorted(elems, G.identity)),
         name="subgroup",
     )
     H.parent_elems = elems

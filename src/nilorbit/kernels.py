@@ -17,7 +17,9 @@ coordinate columns.  The kernel works on the whole index space at once:
   index order numbers the orbits by increasing seed.
 
 Propagation along images alone reaches the whole orbit only when the
-generators generate a group, so singular generators are rejected.
+generators generate a group, so singular generators are rejected.  The
+propagation, `orbit_labels`, takes any permutation tables: black-box
+groups partition themselves into conjugacy classes with it.
 Memory is one int32 table per generator plus a few int32 arrays per point.
 """
 
@@ -48,8 +50,18 @@ def orbit_partition(mats, p):
     for M in mats:
         if linalg.rank(M, p) < d:
             raise ValueError("orbit generators must be invertible mod %d" % p)
-    n = p**d
-    images = _image_tables(mats, p)
+    return orbit_labels(_image_tables(mats, p), p**d)
+
+
+def orbit_labels(images, n):
+    """labels[i] = orbit id of i under the permutations images[a] of
+    [0, n) (int arrays, i -> images[a][i]); ids numbered by increasing seed.
+
+    Min-label propagation with pointer jumping: every label ends at its
+    orbit's minimal index, and the roots renumbered in index order give
+    the ids.  Propagation along images covers a whole orbit only because
+    each image table is a permutation (a group action).
+    """
     lab = np.arange(n, dtype=np.int32)
     while True:
         prev = lab

@@ -145,32 +145,21 @@ def lazard_group(ring, spot_check=False):
     _require_lazard(ring)
     p, d = ring.p, ring.dim
 
-    def mult(i, j):
-        x = ring.element_from_index(i)
-        y = ring.element_from_index(j)
-        return int(ring.element_index(ring.group_mul(x, y)))
-
-    def inv(i):
-        return int(ring.element_index((-ring.element_from_index(i)) % p))
-
     def mult_bulk(I, J):
-        XS = linalg.decode_indices(np.asarray(I, dtype=np.int64), d, p)
-        YS = linalg.decode_indices(np.asarray(J, dtype=np.int64), d, p)
+        XS = linalg.decode_indices(I, d, p)
+        YS = linalg.decode_indices(J, d, p)
         return linalg.encode_vectors(ring.group_mul_bulk(XS, YS), p)
 
     def inv_bulk(I):
-        XS = linalg.decode_indices(np.asarray(I, dtype=np.int64), d, p)
-        return linalg.encode_vectors((-XS) % p, p)
+        return linalg.encode_vectors(-linalg.decode_indices(I, d, p), p)
 
     gens = [int(ring.element_index(ring.basis_vector(i))) for i in range(d)]
     G = FiniteGroup(
         ring.order,
-        mult,
-        inv=inv,
+        mult_bulk,
+        inv_bulk=inv_bulk,
         identity=0,
         gens=gens,
-        mult_bulk=mult_bulk,
-        inv_bulk=inv_bulk,
         classes_hook=lambda: conjugacy_class_data(ring),
         name="Exp(%r)" % (ring,),
     )

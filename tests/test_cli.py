@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 from nilorbit.cli import main
 
@@ -145,3 +146,22 @@ def test_exit_codes():
     assert main(["chartable"]) == 2
     # verification failure path: class >= p ring through chartable
     assert main(["chartable", "--family", "ul", "--n", "4", "--q", "3"]) == 2
+
+
+def test_golden_oracle_budget_is_checked_first(capsys):
+    # USp4(F_16) has 65,536 elements: refused before the Lusztig table is built
+    start = time.perf_counter()
+    assert main(["golden", "--q", "16", "--oracle"]) == 2
+    assert time.perf_counter() - start < 30
+    assert "input error: oracle over budget at q=16" in capsys.readouterr().err
+    # the odd-q branch always runs the oracle
+    assert main(["golden", "--q", "3", "--max-order", "80"]) == 2
+    assert "input error: group order 81 exceeds the oracle budget 80" in capsys.readouterr().err
+
+
+def test_out_of_budget_inputs_exit_2(capsys):
+    assert main(["orbits", "--family", "ul", "--n", "5", "--q", "7"]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+    args = ["chartable", "--family", "ul", "--n", "4", "--q", "5", "--oracle", "--max-order", "100"]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("input error:")

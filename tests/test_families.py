@@ -138,6 +138,58 @@ def test_lusztig_degree_multiset_psi_invariant():
     assert base == twisted
 
 
+def _lusztig_formulas_scalar(U, psi_k):
+    """The golden-table formulas one quadruple at a time, in F_q tuples."""
+    F, q = U.field, U.q
+
+    def psi0(x):
+        return -1 if (psi_k * F.trace_to_prime(x)) % 2 else 1
+
+    out = []
+    for xi in range(q):
+        for yi in range(q):
+            x, y = F.from_index(xi), F.from_index(yi)
+            out.append(lambda a, b, c, d, x=x, y=y: psi0(F.add(F.mul(x, a), F.mul(y, d))))
+    for family in ("b", "c"):
+        for xi in range(1, q):
+            x = F.from_index(xi)
+
+            def mid(a, b, c, d, x=x, family=family):
+                if a != F.zero or d != F.zero:
+                    return 0
+                return q * psi0(F.mul(x, b if family == "b" else c))
+
+            out.append(mid)
+    for a0i in range(1, q):
+        for d0i in range(1, q):
+            a0, d0 = F.from_index(a0i), F.from_index(d0i)
+            coef = F.mul(F.inv(F.mul(a0, a0)), F.inv(d0))
+            for e1 in (1, -1):
+                for e2 in (1, -1):
+
+                    def small(a, b, c, d, a0=a0, d0=d0, coef=coef, e1=e1, e2=e2):
+                        if a not in (F.zero, a0) or d not in (F.zero, d0):
+                            return 0
+                        s1 = e1 if a == a0 else 1
+                        s2 = e2 if d == d0 else 1
+                        arg = F.mul(coef, F.add(F.add(F.mul(b, a), F.mul(b, a0)), c))
+                        return (q // 2) * s1 * s2 * psi0(arg)
+
+                    out.append(small)
+    return out
+
+
+@pytest.mark.parametrize("q, psi_k", [(2, 1), (4, 1), (4, 3), (8, 1)])
+def test_lusztig_rows_match_scalar_formulas(q, psi_k):
+    table = fam.usp4_lusztig_table(q, psi_k=psi_k)
+    cd = table.class_data
+    U = fam.USp4(q)
+    quads = [U.from_index(int(r)) for r in cd.reps]
+    expected = sorted(tuple(f(*quad) for quad in quads) for f in _lusztig_formulas_scalar(U, psi_k))
+    got = sorted(tuple(int(v.rational_value()) for v in row.values) for row in table.rows)
+    assert got == expected
+
+
 def test_lemma_ex2_statistics():
     # group nonlinear rows by their central character: degree-q rows come
     # from 2(q-1) central characters with one row each; degree-q/2 rows from

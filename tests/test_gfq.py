@@ -5,6 +5,7 @@ from nilorbit import linalg
 from nilorbit.gfq import (
     FqField,
     _FIXED_MODULI,
+    _first_irreducible,
     _least_root,
     fq_arith,
     fq_embed,
@@ -19,6 +20,25 @@ def test_fixed_moduli_are_primitive():
     for (p, s), modulus in _FIXED_MODULI.items():
         assert is_irreducible(modulus, p), (p, s)
         assert is_primitive(modulus, p), (p, s)
+
+
+def test_fixed_moduli_are_the_least_primitive():
+    # the table only pins what the search would return, so default_modulus
+    # is the same function with or without it
+    for (p, s), modulus in _FIXED_MODULI.items():
+        assert modulus == _first_irreducible(p, s, primitive=True), (p, s)
+
+
+@pytest.mark.parametrize("p, s", sorted(k for k in _FIXED_MODULI if k[0] ** k[1] <= 256))
+def test_index_tables_match_polynomial_arithmetic(p, s):
+    F = FqField(p, s)
+    add, sub, mul = F.index_tables()
+    elems = list(F.elements())
+    for i, x in enumerate(elems):
+        assert [F.index(F.add(x, y)) for y in elems] == add[i].tolist()
+        assert [F.index(F.sub(x, y)) for y in elems] == sub[i].tolist()
+        assert [F.index(F.mul(x, y)) for y in elems] == mul[i].tolist()
+    assert F.index_tables() is FqField(p, s).index_tables()  # cached per field
 
 
 def test_arith_examples():

@@ -1,18 +1,25 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nilorbit import families as fam
+from nilorbit import linalg
 from nilorbit import orbits as ob
 from nilorbit.chartable import ClassFunction, convolve, regular_character, trivial_character
 from nilorbit.cyclo import Cyclotomic
 from nilorbit.dixon import dixon_table
-from nilorbit.families import ul_group, usp4
+from nilorbit.families import USp4, ul_group, usp4, usp4_via_sp
 from nilorbit.groups import (
     AbelianGroup,
+    ClassData,
     build_group,
     induce_character,
     little_groups,
+    semidirect_product,
     twisted_classes,
 )
 from nilorbit.liering import heisenberg_ring
@@ -191,3 +198,326 @@ def test_minimal_ideal_elements_via_monomial_reps():
             assert all(
                 acc[i][j].is_zero() for i in range(rep.dim) for j in range(rep.dim)
             )
+
+
+# -- the bulk law against the scalar oracles it replaced ----------------------
+#
+# The references below are the scalar laws and the one-product-at-a-time
+# group algorithms (class BFS, brute-scan inverse, element-by-element
+# powering) that FiniteGroup ran before it had one vectorized law.
+
+
+def _usp4_scalar(U):
+    return lambda i, j: U.index(U.mult_quads(U.from_index(i), U.from_index(j)))
+
+
+def _sp_scalar(G):
+    A, members = G.algebra, G.members
+    p, d = A.p, A.dim
+    pos = {int(e): k for k, e in enumerate(members)}
+
+    def mult(i, j):
+        x = linalg.decode_indices(members[i], d, p)
+        y = linalg.decode_indices(members[j], d, p)
+        return pos[int(linalg.encode_vectors((x + y + A.product(x, y)) % p, p))]
+
+    return mult
+
+
+def _semidirect_scalar(H, A, act):
+    nA = A.order
+
+    def mult(i, j):
+        h1, a1 = H.from_index(i // nA), A.from_index(i % nA)
+        h2, a2 = H.from_index(j // nA), A.from_index(j % nA)
+        return H.index(H.add(h1, h2)) * nA + A.index(A.add(act(H.neg(h2), a1), a2))
+
+    return mult
+
+
+def _scan_inverses(n, mult, identity):
+    return [next(j for j in range(n) if mult(i, j) == identity) for i in range(n)]
+
+
+def _bfs_class_data(n, mult, inv, identity, gens):
+    class_of = np.full(n, -1, dtype=np.int64)
+    reps = []
+    for seed in range(n):
+        if class_of[seed] >= 0:
+            continue
+        reps.append(seed)
+        class_of[seed] = len(reps) - 1
+        frontier = [seed]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = mult(mult(g, x), inv[g])
+                if class_of[y] < 0:
+                    class_of[y] = len(reps) - 1
+                    frontier.append(y)
+    reps = np.array(reps, dtype=np.int64)
+    sizes = np.bincount(class_of, minlength=len(reps))
+    inv_class = np.array([class_of[inv[r]] for r in reps], dtype=np.int64)
+    return ClassData(n, class_of, reps, sizes, inv_class, int(class_of[identity]))
+
+
+def _element_order(mult, identity, i):
+    k, x = 1, i
+    while x != identity:
+        x, k = mult(x, i), k + 1
+    return k
+
+
+def _assert_matches_scalar_algorithms(G, mult):
+    """Classes, inverses, orders, exponent and power map of G against the
+    scalar algorithms run on the scalar law."""
+    inv = _scan_inverses(G.n, mult, G.identity)
+    assert G.inverses().tolist() == inv
+    ref = _bfs_class_data(G.n, mult, inv, G.identity, G.generators())
+    cd = G.conjugacy_classes()
+    assert cd.n == ref.n and cd.identity_class == ref.identity_class
+    for field in ("class_of", "reps", "sizes", "inv_class"):
+        assert getattr(cd, field).tolist() == getattr(ref, field).tolist(), field
+    orders = [_element_order(mult, G.identity, int(r)) for r in ref.reps]
+    assert G.element_orders(cd.reps).tolist() == orders
+    e = math.lcm(*orders)
+    assert G.exponent() == e
+    pm = np.zeros((len(ref.reps), e), dtype=np.int64)
+    for j, r in enumerate(ref.reps):
+        x = G.identity
+        for s in range(e):
+            pm[j, s] = ref.class_of[x]
+            x = mult(x, int(r))
+    assert (G.power_classes(e) == pm).all()
+
+
+def _pairs(n, draw_seed, count=300):
+    rng = np.random.default_rng(draw_seed)
+    return rng.integers(0, n, count), rng.integers(0, n, count)
+
+
+@settings(max_examples=25)
+@given(q=st.sampled_from([2, 3, 4, 5, 8]), seed=st.integers(0, 2**32 - 1))
+def test_usp4_bulk_law_matches_quadruple_law(q, seed):
+    U = USp4(q)
+    G = U.group(spot_check=False)
+    mult = _usp4_scalar(U)
+    I, J = _pairs(G.n, seed)
+    assert G.mult_bulk(I, J).tolist() == [mult(int(i), int(j)) for i, j in zip(I, J)]
+    inv = G.inv_bulk(I)
+    assert (G.mult_bulk(I, inv) == 0).all() and (G.mult_bulk(inv, I) == 0).all()
+
+
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sp_a_sigma_bulk_law_matches_member_lookup(seed):
+    G = usp4_via_sp(3)
+    mult = _sp_scalar(G)
+    I, J = _pairs(G.n, seed)
+    assert G.mult_bulk(I, J).tolist() == [mult(int(i), int(j)) for i, j in zip(I, J)]
+
+
+def test_sp_a_sigma_product_outside_the_members_raises():
+    G = usp4_via_sp(3)
+    outside = np.setdiff1d(np.arange(G.algebra.order), G.members)[:3]
+    X = linalg.decode_indices(outside, G.algebra.dim, 3)
+    with pytest.raises(AssertionError):
+        fam._member_positions(G.members, X, 3)
+    inside = linalg.decode_indices(G.members[[0, 5, 7]], G.algebra.dim, 3)
+    assert fam._member_positions(G.members, inside, 3).tolist() == [0, 5, 7]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_usp4_classes_and_powers_match_scalar_algorithms(q):
+    U = USp4(q)
+    _assert_matches_scalar_algorithms(U.group(spot_check=False), _usp4_scalar(U))
+
+
+@pytest.mark.parametrize("q", [3])
+def test_sp_a_sigma_classes_and_powers_match_scalar_algorithms(q):
+    G = usp4_via_sp(q)
+    _assert_matches_scalar_algorithms(G, _sp_scalar(G))
+
+
+def _dihedral(m):
+    # r^i s^f as i + m f; (r^i s^f)(r^j s^g) = r^(i + (-1)^f j) s^(f + g)
+    def mult(x, y):
+        i, f = x % m, x // m
+        j, g = y % m, y // m
+        return (i + (-1) ** f * j) % m + m * ((f + g) % 2)
+
+    return mult
+
+
+def _symmetric(k):
+    perms = sorted(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    return lambda x, y: index[tuple(perms[x][t] for t in perms[y])], len(perms)
+
+
+@pytest.mark.parametrize(
+    "mult, n",
+    [
+        (lambda i, j: (i + j) % 12, 12),
+        (_dihedral(5), 10),
+        (_dihedral(8), 16),
+        _symmetric(4),
+        (lambda i, j: (i % 4 + j % 4) % 4 + 4 * ((i // 4 + j // 4) % 2), 8),  # Z4 x Z2
+    ],
+)
+def test_scalar_oracle_groups_match_scalar_algorithms(mult, n):
+    G = build_group(mult, n)
+    _assert_matches_scalar_algorithms(G, mult)
+    # the greedy generators are the parent's: least element outside the closure
+    closure, gens = {0}, []
+    while len(closure) < n:
+        gens.append(min(set(range(n)) - closure))
+        frontier = list(closure)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                if mult(x, g) not in closure:
+                    closure.add(mult(x, g))
+                    frontier.append(mult(x, g))
+    assert G.generators() == gens
+    center = [x for x in range(n) if all(mult(x, g) == mult(g, x) for g in gens)]
+    assert G.center().tolist() == center
+    assert G.is_abelian() == (len(center) == n)
+    inv = _scan_inverses(n, mult, 0)
+    comms = {mult(mult(a, b), mult(inv[a], inv[b])) for a in gens for b in gens}
+    D = G.derived_subgroup()
+    assert D.tolist() == _normal_closure(mult, inv, 0, gens, sorted(comms))
+    for x in range(n):
+        assert G.normal_closure([x]).tolist() == _normal_closure(mult, inv, 0, gens, [x])
+    Q, coset_rep, reps = G.quotient(D)
+    rep_index = {int(r): k for k, r in enumerate(reps)}
+    I, J = np.divmod(np.arange(Q.n * Q.n), Q.n)
+    assert Q.mult_bulk(I, J).tolist() == [
+        rep_index[int(coset_rep[mult(int(reps[i]), int(reps[j]))])] for i, j in zip(I, J)
+    ]
+    assert Q.is_abelian()
+
+
+def _normal_closure(mult, inv, identity, gens, seeds):
+    seen = {identity}
+    frontier = [s for s in seeds if s != identity]
+    seen.update(frontier)
+    members = list(seen)
+    while frontier:
+        x = frontier.pop()
+        candidates = [mult(mult(g, x), inv[g]) for g in gens]
+        candidates.extend(mult(x, m) for m in list(members))
+        candidates.append(inv[x])
+        for y in candidates:
+            if y not in seen:
+                seen.add(y)
+                members.append(y)
+                frontier.append(y)
+    stable = False
+    while not stable:
+        stable = True
+        members_list = sorted(seen)
+        for x in members_list:
+            for y in members_list:
+                if mult(x, y) not in seen:
+                    seen.add(mult(x, y))
+                    stable = False
+    return sorted(seen)
+
+
+@st.composite
+def abelian_actions(draw):
+    """A finite abelian H acting on A = Z_m^k by automorphisms: the first
+    generator of H by a unimodular matrix M, the second by a unit scalar c,
+    with H = Z_ord(M) x Z_ord(c), of order at most 300."""
+    m = draw(st.sampled_from([2, 3, 4, 5]))
+    k = draw(st.integers(1, 2))
+    entries = draw(st.lists(st.integers(0, m - 1), min_size=k * k, max_size=k * k))
+    M = np.array(entries, dtype=np.int64).reshape(k, k)
+    if math.gcd(round(np.linalg.det(M)), m) != 1:
+        M = np.eye(k, dtype=np.int64)
+    c = draw(st.sampled_from([u for u in range(1, m) if math.gcd(u, m) == 1]))
+
+    def order(step, x):
+        r, y = 1, step(x)
+        while not np.array_equal(y, x):
+            y, r = step(y), r + 1
+        return r
+
+    eye = np.eye(k, dtype=np.int64)
+    r2 = order(lambda X: (c * X) % m, eye)
+    r1 = order(lambda X: (M @ X) % m, eye)
+    if r1 * r2 * m**k > 300:  # keep the scalar references quick
+        M, r1 = eye, 1
+    H, A = AbelianGroup([r1, r2]), AbelianGroup([m] * k)
+    Mpow = [np.linalg.matrix_power(M, t) % m for t in range(r1)]
+
+    def act(h, a):
+        return tuple(int(v) for v in (pow(c, h[1], m) * (Mpow[h[0]] @ np.array(a))) % m)
+
+    return H, A, act
+
+
+@settings(max_examples=30)
+@given(abelian_actions(), st.integers(0, 2**32 - 1))
+def test_semidirect_bulk_law_matches_scalar_law(data, seed):
+    H, A, act = data
+    G = semidirect_product(H, A, act)
+    mult = _semidirect_scalar(H, A, act)
+    I, J = _pairs(G.n, seed)
+    assert G.mult_bulk(I, J).tolist() == [mult(int(i), int(j)) for i, j in zip(I, J)]
+    inverses = [
+        H.index(H.neg(h)) * A.order + A.index(A.neg(act(h, a)))
+        for h, a in ((H.from_index(int(i) // A.order), A.from_index(int(i) % A.order)) for i in I)
+    ]
+    assert G.inv_bulk(I).tolist() == inverses
+
+
+@settings(max_examples=25)
+@given(abelian_actions())
+def test_semidirect_classes_and_little_groups_match_scalar_algorithms(data):
+    H, A, act = data
+    G = semidirect_product(H, A, act)
+    _assert_matches_scalar_algorithms(G, _semidirect_scalar(H, A, act))
+    table = little_groups(H, A, act)
+    assert table.verify()
+    assert table.equals_as_set(dixon_table(table.group))
+
+
+def test_little_groups_rejects_bad_actions():
+    H, A = AbelianGroup([2]), AbelianGroup([3])
+    with pytest.raises(ValueError, match="not additive"):
+        little_groups(H, A, lambda h, a: a if h[0] == 0 else ((a[0] * a[0]) % 3,))
+    H = AbelianGroup([3])
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        little_groups(H, A, lambda h, a: ((1, 2, 2)[h[0]] * a[0] % 3,))
+    with pytest.raises(ValueError, match="identity of H"):
+        little_groups(H, A, lambda h, a: (2 * a[0] % 3,))
+
+
+def test_twisted_classes_match_scalar_bfs():
+    from nilorbit import families
+
+    ring = families.fake_heisenberg(3, 2)
+    G = ob.lazard_group(ring)
+    phi = linalg.encode_vectors((ring.all_elements() @ ring.fq.frobenius_matrix.T) % 3, 3)
+    gens = G.generators()
+    labels = np.full(G.n, -1, dtype=np.int64)
+    reps = []
+    for seed in range(G.n):
+        if labels[seed] >= 0:
+            continue
+        reps.append(seed)
+        labels[seed] = len(reps) - 1
+        frontier = [seed]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = G.mult(G.mult(int(phi[g]), x), G.inv(g))
+                if labels[y] < 0:
+                    labels[y] = len(reps) - 1
+                    frontier.append(y)
+    report = twisted_classes(G, phi)
+    assert report["labels"].tolist() == labels.tolist()
+    assert report["reps"].tolist() == reps and report["num_classes"] == len(reps)
+
