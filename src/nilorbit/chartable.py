@@ -7,6 +7,9 @@ checks are contractions in the integer coefficient form of `cyclo`, so
 each sums products without rounding or canonicalizing partial sums.
 """
 
+import math
+from collections import Counter
+
 import numpy as np
 
 from .cyclo import (
@@ -72,15 +75,12 @@ class ClassFunction:
         """<self, other> = |G|^-1 sum_g self(g) other(g^-1)."""
         cd = self.class_data
         t = cd.num_classes
-        C, M, s = to_ints(self.values + tuple(other.values[j] for j in cd.inv_class))
+        C, M, den = to_ints(self.values + tuple(other.values[j] for j in cd.inv_class))
         Z = contract(times(C[None, :t], cd.sizes[None, :, None]), C[t:, None], M)
-        return from_ints(Z, M, s * s / cd.n)[0]
+        return from_ints(Z, M, den * den * cd.n)[0]
 
     def serialize(self):
         return ",".join(render(v) for v in self.values)
-
-    def sort_key(self):
-        return tuple(v.sort_key() for v in self.values)
 
     def __repr__(self):
         return "ClassFunction(deg=%s, t=%d)" % (self.degree, len(self.values))
@@ -97,7 +97,7 @@ def convolve(f, g, group):
     cd = f.class_data
     n = group.n
     t = cd.num_classes
-    P, M, s = product_table(f.values, g.values)
+    P, M, den = product_table(f.values, g.values)
     P = P.reshape(t * t, -1)
     all_idx = np.arange(n, dtype=np.int64)
     inv_all = group.inv_bulk(all_idx)
@@ -106,21 +106,36 @@ def convolve(f, g, group):
         w = group.mult_bulk(inv_all, np.full(n, int(z), dtype=np.int64))
         counts = np.bincount(cd.class_of[all_idx] * t + cd.class_of[w], minlength=t * t)
         sums.append(lincomb(counts, P))
-    return ClassFunction(cd, tuple(from_ints(np.array(sums), M, s)))
+    return ClassFunction(cd, tuple(from_ints(np.array(sums), M, den)))
+
+
+def row_order(rows):
+    """The permutation that puts class functions in table order.
+
+    Rows sort by degree, then by their values, each value keyed by its
+    order and then its numerators over one denominator shared by the whole
+    table; on values of equal order that is the order of the rational
+    coefficients.  The key is deterministic, not a numeric order.
+    """
+    den = math.lcm(1, *(v.den for r in rows for v in r.values))
+
+    def key(v):
+        return v.order, tuple(c * (den // v.den) for c in v.num)
+
+    keys = [(key(r.degree), tuple(key(v) for v in r.values)) for r in rows]
+    return sorted(range(len(rows)), key=keys.__getitem__)
 
 
 class CharacterTable:
     """A complete set of irreducible characters over shared class data."""
 
-    def __init__(self, class_data, rows, sort=True):
+    def __init__(self, class_data, rows):
         rows = [
             r if isinstance(r, ClassFunction) else ClassFunction(class_data, r)
             for r in rows
         ]
-        if sort:
-            rows.sort(key=lambda r: (r.degree.sort_key(), r.sort_key()))
         self.class_data = class_data
-        self.rows = rows
+        self.rows = [rows[i] for i in row_order(rows)]
 
     @property
     def degrees(self):
@@ -139,7 +154,7 @@ class CharacterTable:
         return out
 
     def row_multiset(self):
-        return sorted(r.sort_key() for r in self.rows)
+        return Counter(r.values for r in self.rows)
 
     def equals_as_set(self, other):
         if not self.class_data.same_as(other.class_data):
@@ -161,10 +176,10 @@ class CharacterTable:
             )
         if sum(d * d for d in self.degrees) != cd.n:
             raise AssertionError("sum of squared degrees != group order")
-        C, M, s = to_ints([v for r in self.rows for v in r.values])
+        C, M, den = to_ints([v for r in self.rows for v in r.values])
         C = C.reshape(t, t, -1)
         Cbar = C[:, cd.inv_class]  # chi(g^-1)
-        den2 = s.denominator**2  # the values are C / den
+        den2 = den**2  # the values are C / den
         # rows: sum_j |class j| chi_a(j) chi_b(j^-1) = |G| delta_ab
         w = cd.sizes.astype(np.int64)
         _orthogonal(times(C, w[None, :, None]), Cbar.transpose(1, 0, 2), M,
@@ -226,8 +241,8 @@ def table_fingerprint(table, group):
         rows.append(
             tuple(
                 sorted(
-                    (int(cd.sizes[j]), orders[j], r.values[j].sort_key())
-                    for j in range(cd.num_classes)
+                    (int(cd.sizes[j]), orders[j], (v.order, v.den, v.num))
+                    for j, v in enumerate(r.values)
                 )
             )
         )

@@ -1,22 +1,23 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-A value is stored as a coefficient vector against the powers
-1, zeta_m, ..., zeta_m^{phi(m)-1}, reduced modulo the m-th cyclotomic
-polynomial and then pushed down to the smallest order that can represent
-it.  This makes the representation unique per value: equality is
-(order, coefficients) equality and values hash consistently across how they
-were built.  Rationals are Fraction, never floats.
+Everything runs on one integer coefficient form: a batch of values is an
+integer array C at a common order M over one denominator den, value
+i = (1/den) * sum_k C[i, k] zeta_M^k.  A `Cyclotomic` is one row of that
+form: the order m is the least that holds the value, the phi(m)
+numerators are its coefficients against 1, zeta_m, ..., zeta_m^{phi(m)-1}
+(reduced modulo the m-th cyclotomic polynomial) and den > 0 is coprime to
+them.  So the representation is unique per value, equality is field
+equality and hashes agree however a value was built.  Rationals enter as
+int or Fraction and leave through `rational_value`; no float is used.
 
-Sums, products and canonical forms, of one value or many, run on one
-integer coefficient form (only `inv` keeps a Euclid over Fraction):
-a batch of values is an integer array C at a common order M with one scale
-1/den, value i = scale * sum_k C[i, k] zeta_M^k.  `to_ints` and `from_ints`
-convert (the latter once per output value), `lincomb` takes integer
-combinations of rows, and `contract` is the one sum-of-products contraction
-against the fold tensor fold[a, b] = zeta_M^(a+b) (rows of the cached
-reduction matrix).  Arrays are int64 when a magnitude bound computed from
-the inputs fits and Python ints (dtype object) when it does not; both run
-the same code.
+`to_ints` rescales values to a common order and denominator and
+`from_ints` canonicalizes rows (descent to the least order, then lowest
+terms), `lincomb` takes integer combinations of rows, and `contract` is the
+one sum-of-products contraction against the fold tensor
+fold[a, b] = zeta_M^(a+b) (rows of the cached reduction matrix); `inv` is a
+product of Galois conjugates over the rational norm.  Arrays are int64
+when a magnitude bound computed from the inputs fits and Python ints
+(dtype object) when it does not; both run the same code.
 """
 
 import math
@@ -28,7 +29,6 @@ import numpy as np
 from . import linalg
 from .linalg import prime_factors
 
-_ZERO = Fraction(0)
 _INT64_MAX = np.iinfo(np.int64).max
 # Prime for computing the (unimodular) descent inverses; the result is
 # checked exactly over the integers.
@@ -167,23 +167,21 @@ def contract(X, Y, M):
 
 
 def to_ints(values, order=1):
-    """(C, M, scale): values[i] == scale * sum_k C[i, k] zeta_M^k.
+    """(C, M, den): values[i] == (1/den) * sum_k C[i, k] zeta_M^k.
 
     M is the least common multiple of `order` and the values' orders, and
-    scale = 1/den for the least common denominator of all coefficients.
+    den the least common multiple of their denominators.
     """
     values = [_coerce(v) for v in values]
-    M, den = order, 1
-    for v in values:
-        M = math.lcm(M, v.order)
-        den = math.lcm(den, *(c.denominator for c in v.coeffs))
+    M = math.lcm(order, *(v.order for v in values))
+    den = math.lcm(1, *(v.den for v in values))
     by_order = {}
     for i, v in enumerate(values):
         by_order.setdefault(v.order, []).append(i)
     idx, blocks = [], []
     for m, rows in by_order.items():
         ints = np.array(
-            [[c.numerator * (den // c.denominator) for c in values[i].coeffs] for i in rows],
+            [[c * (den // values[i].den) for c in values[i].num] for i in rows],
             dtype=object,
         )
         blocks.append(_gather(ints, np.arange(_phi(m)) * (M // m), M))
@@ -192,17 +190,15 @@ def to_ints(values, order=1):
     if blocks:
         C = np.concatenate(blocks)[np.argsort(idx)]
     (C,) = _exact(_maxabs(C), C)
-    return C, M, Fraction(1, den)
+    return C, M, den
 
 
-def from_ints(C, M, scale=1):
-    """The canonical Cyclotomic of scale * C[i] for every row of C (order M).
+def from_ints(C, M, den=1):
+    """The canonical Cyclotomic of C[i] / den for every row of C (order M).
 
     Each row descends one prime at a time while it lies in the subfield;
     the canonical form is unique, so the order of the descents is immaterial.
     """
-    scale = Fraction(scale)
-    num, den = scale.numerator, scale.denominator
     C = np.asarray(C).reshape(-1, _phi(M))
     out = [None] * len(C)
     pending = {M: (np.arange(len(C)), C)}
@@ -224,34 +220,48 @@ def from_ints(C, M, scale=1):
                     pending[sub] = (idx[ok], Y[ok])
                 idx, X = idx[~ok], X[~ok]
         for i, row in zip(idx.tolist(), X.tolist()):
-            out[i] = Cyclotomic(m, tuple(Fraction(c * num, den) for c in row), _canonical=True)
+            out[i] = _lowest_terms(m, row, den)
     return out
 
 
+def _lowest_terms(order, num, den):
+    """The Cyclotomic sum_k num[k] zeta_order^k / den, for a canonical row
+    num at its minimal order and den > 0."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+    return Cyclotomic(order, tuple(num), den // g)
+
+
 def product_table(xs, ys):
-    """(P, M, scale): P[a, b] is xs[a] * ys[b] in integer form at order M."""
-    C, M, s = to_ints(list(xs) + list(ys))
+    """(P, M, den): P[a, b] / den is xs[a] * ys[b] in integer form at order M."""
+    C, M, den = to_ints(list(xs) + list(ys))
     n = len(xs)
-    return contract(C[:n, None], C[None, n:], M), M, s * s
+    return contract(C[:n, None], C[None, n:], M), M, den * den
 
 
 class Cyclotomic:
-    """An exact element of Q(zeta_m), canonical and immutable."""
+    """An exact element of Q(zeta_m), canonical and immutable.
 
-    __slots__ = ("order", "coeffs", "_hash")
+    The value is sum_k num[k] zeta_m^k / den: m is the least order that
+    holds it, num its phi(m) coefficients against 1, zeta_m, ...,
+    zeta_m^(phi(m)-1) and den > 0 with gcd(num..., den) = 1, so one row of
+    the integer form.  The constructor takes these fields as they are.
+    """
 
-    def __init__(self, order, coeffs, _canonical=False):
-        if not _canonical:
-            order, coeffs = _canonicalize(order, coeffs)
+    __slots__ = ("order", "num", "den", "_hash")
+
+    def __init__(self, order, num, den=1):
         self.order = order
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rational(r):
-        return Cyclotomic(1, (Fraction(r),), _canonical=True)
+        return _coerce(r if isinstance(r, (int, Fraction)) else Fraction(r))
 
     @staticmethod
     def zeta(m, k=1):
@@ -265,7 +275,9 @@ class Cyclotomic:
         """scale * sum_k counts[k] * zeta_m^k for an integer sequence counts;
         for a 2-D array, the list of these values, one per row."""
         counts = np.asarray(counts)
-        values = from_ints(_gather(counts, np.arange(counts.shape[-1]), m), m, scale)
+        scale = Fraction(scale)
+        C = _gather(times(counts, scale.numerator), np.arange(counts.shape[-1]), m)
+        values = from_ints(C, m, scale.denominator)
         return values if counts.ndim == 2 else values[0]
 
     # -- canonical access --------------------------------------------------
@@ -276,10 +288,10 @@ class Cyclotomic:
     def rational_value(self):
         if self.order != 1:
             raise ValueError("not rational: %r" % (self,))
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_zero(self):
-        return self.order == 1 and self.coeffs[0] == 0
+        return self.order == 1 and self.num[0] == 0
 
     # -- arithmetic --------------------------------------------------------
 
@@ -288,19 +300,17 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         if self.order == 1 and other.order == 1:
-            return Cyclotomic(
-                1, (self.coeffs[0] + other.coeffs[0],), _canonical=True
+            return _lowest_terms(
+                1, [self.num[0] * other.den + other.num[0] * self.den], self.den * other.den
             )
-        C, M, s = to_ints((self, other))
-        return from_ints(lincomb([1, 1], C), M, s)[0]
+        C, M, den = to_ints((self, other))
+        return from_ints(lincomb([1, 1], C), M, den)[0]
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Cyclotomic(
-            self.order, tuple(-c for c in self.coeffs), _canonical=True
-        )
+        return Cyclotomic(self.order, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -316,32 +326,41 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         if self.order == 1:
-            r = self.coeffs[0]
+            r = self.num[0]
             if other.order == 1:
-                return Cyclotomic(1, (r * other.coeffs[0],), _canonical=True)
+                return _lowest_terms(1, [r * other.num[0]], self.den * other.den)
             if r == 0:
                 return ZERO
             # a nonzero rational multiple keeps the minimal order
-            return Cyclotomic(other.order, tuple(r * c for c in other.coeffs), _canonical=True)
+            return _lowest_terms(other.order, [r * c for c in other.num], self.den * other.den)
         if other.order == 1:
             return other.__mul__(self)
-        P, M, s = product_table((self,), (other,))
-        return from_ints(P, M, s)[0]
+        P, M, den = product_table((self,), (other,))
+        return from_ints(P, M, den)[0]
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def inv(self):
-        """Multiplicative inverse (extended Euclid against Phi_m)."""
+        """Multiplicative inverse: the product y of the Galois conjugates
+        sigma_j(x), j != 1, over the rational norm x * y."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
-        if self.order == 1:
-            return Cyclotomic(1, (1 / self.coeffs[0],), _canonical=True)
-        mod = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        g, u = _poly_ext_gcd(list(self.coeffs), mod)
-        if len(g) != 1:
-            raise ArithmeticError("unit gcd expected in a field")
-        return Cyclotomic(self.order, tuple(x / g[0] for x in u))
+        m = self.order
+        if m == 1:
+            n = self.num[0]
+            return _lowest_terms(1, [self.den if n > 0 else -self.den], abs(n))
+        C = np.array([self.num], dtype=object)
+        y = None
+        for j in range(2, m):
+            if math.gcd(j, m) == 1:
+                conj = _gather(C, np.arange(_phi(m)) * j, m)
+                y = conj if y is None else contract(y[None], conj[None], m)[0]
+        # norm = x * y * den^phi, positive: complex conjugation pairs the
+        # conjugates, so x * y is a product of squared absolute values
+        norm = int(contract(C[None], y[None], m)[0, 0, 0])
+        # x^-1 = y / (x * y) = (y / den^(phi-1)) / (norm / den^phi)
+        return from_ints(times(y, self.den), m, norm)[0]
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -363,8 +382,8 @@ class Cyclotomic:
             return self
         if math.gcd(j % m, m) != 1:
             raise ValueError("galois exponent not coprime to order")
-        C, _, s = to_ints((self,))
-        return from_ints(_gather(C, np.arange(_phi(m)) * j, m), m, s)[0]
+        C = np.array([self.num], dtype=object)
+        return from_ints(_gather(C, np.arange(_phi(m)) * j, m), m, self.den)[0]
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -372,99 +391,30 @@ class Cyclotomic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.den == other.den and self.num == other.num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.order, self.coeffs))
+            self._hash = hash((self.order, self.num, self.den))
         return self._hash
 
     def __repr__(self):
         return "Cyclotomic(%s)" % render(self)
 
-    # A deterministic sort key (not a numeric order).
-    def sort_key(self):
-        return (self.order, self.coeffs)
-
 
 def _coerce(x):
     if isinstance(x, Cyclotomic):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Cyclotomic(1, (Fraction(x),), _canonical=True)
+    if isinstance(x, int):
+        return Cyclotomic(1, (int(x),))
+    if isinstance(x, Fraction):
+        return Cyclotomic(1, (x.numerator,), x.denominator)
     return NotImplemented
 
 
 @lru_cache(maxsize=None)
 def _zeta(m, k):
     return from_ints(_reduction_matrix(m)[[k]], m)[0]
-
-
-def _canonicalize(order, coeffs):
-    """Reduce mod Phi_order, then minimize the order."""
-    coeffs = [Fraction(c) for c in coeffs]
-    den = math.lcm(1, *(c.denominator for c in coeffs))
-    ints = np.array([[c.numerator * (den // c.denominator) for c in coeffs]], dtype=object)
-    v = from_ints(_gather(ints, np.arange(len(coeffs)), order), order, Fraction(1, den))[0]
-    return v.order, v.coeffs
-
-
-def _poly_ext_gcd(a, b):
-    """Return (g, u) with u*a = g mod b, over Q (ascending coeff lists)."""
-    a = _trim(list(a))
-    b = _trim(list(b))
-    r0, r1 = a, b
-    u0, u1 = [Fraction(1)], []
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-    return r0, u0
-
-
-def _trim(v):
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    out = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    db = len(b) - 1
-    lead = b[-1]
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c == 0:
-            continue
-        q = c / lead
-        out[i - db] = q
-        for j in range(db + 1):
-            a[i - db + j] -= q * b[j]
-    return _trim(out), _trim(a)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
 
 
 ZERO = Cyclotomic.rational(0)
@@ -476,48 +426,24 @@ def root_of_unity(m, k=1):
     return Cyclotomic.zeta(m, k)
 
 
-def cyclo_arith(op, a, b=None):
-    """Field arithmetic dispatcher: op in {add, mul, neg, inv}."""
-    a = _coerce(a)
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inv()
-    raise ValueError("unknown op %r" % op)
-
-
-def cyclo_conjugate(a):
-    return _coerce(a).conj()
-
-
 # -- text form: "a0+a1*z+a2*z^2@m" ----------------------------------------
 
 
 def render(x):
     x = _coerce(x)
     parts = []
-    for k, c in enumerate(x.coeffs):
-        if c == 0 and not (x.order == 1 and k == 0 and len(x.coeffs) == 1):
+    for k, c in enumerate(x.num):
+        if c == 0:
             continue
+        g = math.gcd(c, x.den)
+        coeff = "%d" % (c // g) if g == x.den else "%d/%d" % (c // g, x.den // g)
         if k == 0:
-            parts.append(_render_frac(c))
+            parts.append(coeff)
         elif k == 1:
-            parts.append("%s*z" % _render_frac(c))
+            parts.append("%s*z" % coeff)
         else:
-            parts.append("%s*z^%d" % (_render_frac(c), k))
-    if not parts:
-        parts = ["0"]
-    return "+".join(parts) + "@%d" % x.order
-
-
-def _render_frac(c):
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
+            parts.append("%s*z^%d" % (coeff, k))
+    return "+".join(parts or ["0"]) + "@%d" % x.order
 
 
 def parse(text):
@@ -525,9 +451,9 @@ def parse(text):
     if not _:
         raise ValueError("missing @order in %r" % text)
     m = int(m)
-    coeffs = [_ZERO] * max(_phi(m), 1)
-    # split on '+' not inside a fraction; '-' signs are attached to numerators
-    for term in body.replace("+-", "+-").split("+"):
+    coeffs = [Fraction(0)] * max(_phi(m), 1)
+    # '-' signs are attached to the numerators
+    for term in body.split("+"):
         term = term.strip()
         if not term:
             continue
@@ -536,5 +462,7 @@ def parse(text):
             k = int(rest[1:]) if rest.startswith("^") else 1
         else:
             c, k = term, 0
-        coeffs[k] = coeffs[k] + Fraction(c)
-    return Cyclotomic(m, tuple(coeffs))
+        coeffs[k] += Fraction(c)
+    den = math.lcm(1, *(c.denominator for c in coeffs))
+    ints = np.array([[c.numerator * (den // c.denominator) for c in coeffs]], dtype=object)
+    return from_ints(_gather(ints, np.arange(len(coeffs)), m), m, den)[0]

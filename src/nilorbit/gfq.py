@@ -64,17 +64,12 @@ def _poly_mulmod(a, b, mod, p):
 
 
 def _poly_mulmod_np(a, b, mod, p):
-    """numpy product-and-reduce for large degrees."""
-    out = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)) % p
+    """numpy product-and-reduce for large degrees and operands of s
+    coefficients: those of t^s, ..., t^(2s-2) fold back through the
+    reduction matrix."""
     s = len(mod) - 1
-    mvec = np.asarray(mod, dtype=np.int64)
-    for i in range(len(out) - 1, s - 1, -1):
-        c = out[i]
-        if c:
-            out[i - s : i + 1] = (out[i - s : i + 1] - c * mvec) % p
-    res = out[:s].tolist()
-    res += [0] * (s - len(res))
-    return [int(v) for v in res]
+    conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)) % p
+    return ((conv[:s] + conv[s:] @ _reduction_matrix(p, mod)) % p).tolist()
 
 
 def _poly_powmod(a, e, mod, p):
@@ -410,31 +405,26 @@ def _index_tables(field):
 
 @lru_cache(maxsize=None)
 def _reduction_matrix_cached(p, modulus):
+    """int64 (s - 1, s): row k holds t^(s+k) reduced modulo (p, modulus).
+
+    The modulus is monic, so t^s = -(modulus - t^s) and each further row is
+    t times the previous one: shift up, then subtract the overflowing
+    coefficient times the low part of the modulus.
+    """
     s = len(modulus) - 1
-    rows = []
-    for k in range(s - 1):
-        # t^(s+k) reduced to degree < s
-        vec = [0] * (s + k) + [1]
-        vec = _poly_mulmod(vec, [1] + [0] * (s - 1), list(modulus), p)
-        rows.append(vec)
-    return np.array(rows, dtype=np.int64) if rows else np.zeros((0, s), dtype=np.int64)
+    low = np.array(modulus[:s], dtype=np.int64) % p
+    R = np.zeros((max(s - 1, 0), s), dtype=np.int64)
+    if s > 1:
+        R[0] = -low % p
+    for k in range(1, s - 1):
+        R[k, 1:] = R[k - 1, :-1]
+        R[k] = (R[k] - R[k - 1, -1] * low) % p
+    R.flags.writeable = False
+    return R
 
 
 def _reduction_matrix(p, modulus):
     return _reduction_matrix_cached(p, tuple(modulus))
-
-
-def fq_arith(field, op, a, b=None):
-    """Dispatcher: op in {add, mul, inv, pow}."""
-    if op == "add":
-        return field.add(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "inv":
-        return field.inv(a)
-    if op == "pow":
-        return field.pow(a, b)
-    raise ValueError("unknown op %r" % op)
 
 
 def fq_trace_frobenius(field, subdeg, x):

@@ -53,7 +53,7 @@ class FiniteGroup:
     mult_bulk(I, J) returns the products I[k] J[k] of two index arrays;
     inv_bulk(I), when given, the inverses (otherwise one bulk powering pass
     computes them all, once).  Every algorithm below works on whole index
-    arrays; the scalar mult/inv/conj/commutator are conveniences on top.
+    arrays; the scalar mult/inv are conveniences on top.
     """
 
     def __init__(
@@ -129,12 +129,10 @@ class FiniteGroup:
     def inv(self, i):
         return int(self.inv_bulk([i])[0])
 
-    def conj(self, g, x):
-        """g x g^-1."""
-        return self.mult(self.mult(g, x), self.inv(g))
-
-    def commutator(self, a, b):
-        return self.mult(self.mult(a, b), self.mult(self.inv(a), self.inv(b)))
+    def commutator_bulk(self, A, B):
+        """[a, b] = a b a^-1 b^-1 for every pair (A[k], B[k])."""
+        AB = self.mult_bulk(A, B)
+        return self.mult_bulk(AB, self.mult_bulk(self.inv_bulk(A), self.inv_bulk(B)))
 
     def _conj_bulk(self, g, X):
         """g x g^-1 for every x in X."""
@@ -258,9 +256,7 @@ class FiniteGroup:
         return np.repeat(gens, len(gens)), np.tile(gens, len(gens))
 
     def derived_subgroup(self):
-        a, b = self._generator_pairs()
-        comms = self.mult_bulk(self.mult_bulk(a, b), self.mult_bulk(self.inv_bulk(a), self.inv_bulk(b)))
-        return self.normal_closure(comms)
+        return self.normal_closure(self.commutator_bulk(*self._generator_pairs()))
 
     def is_abelian(self):
         a, b = self._generator_pairs()
@@ -341,11 +337,11 @@ def induce_character(G, subgroup_elems, chi_sub, class_data=None):
     H = np.asarray(subgroup_elems, dtype=np.int64)
     lookup = chi_sub if callable(chi_sub) else (lambda x: chi_sub[x])
     elems = sorted(set(int(x) for x in H))
-    C, M, s = to_ints([lookup(x) for x in elems])
+    C, M, den = to_ints([lookup(x) for x in elems])
     member = np.zeros((cd.num_classes, len(elems)), dtype=np.int64)
     member[cd.class_of[elems], np.arange(len(elems))] = 1
     centralizers = [[cd.centralizer_order(j)] for j in range(cd.num_classes)]
-    values = from_ints(times(lincomb(member, C), centralizers), M, s / len(H))
+    values = from_ints(times(lincomb(member, C), centralizers), M, den * len(H))
     from .chartable import ClassFunction
 
     return ClassFunction(cd, tuple(values))

@@ -67,10 +67,6 @@ class ElementaryCoords:
     def dual_vectors(self):
         return linalg.all_vectors(self.rank, self.p)
 
-    def char_value(self, mu, e, psi_k=1):
-        r = int(np.dot(mu, self.coords[int(e)])) % self.p
-        return Cyclotomic.zeta(self.p, (psi_k * r) % self.p)
-
 
 class AbCharacters:
     """Characters of a subgroup that kill its derived subgroup.
@@ -96,7 +92,7 @@ class AbCharacters:
 
     def value(self, mu, parent_element, psi_k=1):
         r = (psi_k * self.residue(mu, parent_element)) % self.p
-        return Cyclotomic.zeta(self.p, r) if r or self.p > 1 else Cyclotomic.rational(1)
+        return Cyclotomic.zeta(self.p, r)
 
     def dual_vectors(self):
         return linalg.all_vectors(self.rank, self.p)
@@ -162,20 +158,11 @@ def heisenberg_classify(G, p, psi_k=1, cd=None, flag_perm=None):
     if DC is None:
         invariant_nus = [None]
     else:
-        invariant_nus = []
-        for mu in DC.dual_vectors():
-            ok = True
-            for a in DC.basis:
-                for g in gens:
-                    if (
-                        np.dot(mu, DC.coord_vector(G.conj(g, a))) - np.dot(mu, DC.coord_vector(a))
-                    ) % p != 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                invariant_nus.append(mu)
+        # nu(g a g^-1) - nu(a) = nu([g, a]) on the elementary abelian D
+        comms = G.commutator_bulk(np.repeat(gens, len(DC.basis)), np.tile(DC.basis, len(gens)))
+        coords = np.array([DC.coord_vector(c) for c in comms], dtype=np.int64)
+        duals = DC.dual_vectors()
+        invariant_nus = list(duals[~((duals @ coords.T) % p).any(axis=1)])
     for mu in invariant_nus:
         if mu is None or not np.asarray(mu).any():
             ker = D
@@ -220,12 +207,9 @@ def _heisenberg_character(G, cd, C, CC, lam, p, psi_k, flag_perm=None):
     Q, coset_rep, qreps = G.quotient(C)
     qcoords = ElementaryCoords(Q, np.arange(Q.n), p)
     k = qcoords.rank
-    B = np.zeros((k, k), dtype=np.int64)
-    lifts = [int(qreps[b]) for b in qcoords.basis]
-    for i in range(k):
-        for j in range(k):
-            comm = G.commutator(lifts[i], lifts[j])
-            B[i, j] = CC.residue(lam, comm)
+    lifts = qreps[qcoords.basis]
+    comms = G.commutator_bulk(np.repeat(lifts, k), np.tile(lifts, k))
+    B = np.array([CC.residue(lam, c) for c in comms], dtype=np.int64).reshape(k, k)
     if ((B + B.T) % p).any() or B.diagonal().any():
         raise AssertionError("commutator pairing is not alternating (bug)")
     if linalg.rank(B, p) != k:
@@ -312,19 +296,12 @@ def reduce_to_heisenberg(G, chi, p, psi_k=1, cd=None):
         Q, coset_rep, qreps = cur_G.quotient(N)
         Zq = Q.center()
         # pairing on Z(Q): nu([z, z']) with nu the scalar character on N
-        Z_lift = [int(qreps[z]) for z in Zq]
+        Z_lift = qreps[Zq]
         # degenerate part Z0 = {z in Z : chi([z, z']) = chi(1) for all z'}
-        Z0_lift = []
-        for z in Z_lift:
-            ok = True
-            for w in Z_lift:
-                c = cur_G.commutator(z, w)
-                if cur_chi.values[cur_cd.class_of[c]] != cur_chi.degree:
-                    ok = False
-                    break
-            if ok:
-                Z0_lift.append(z)
-        zreps = {int(coset_rep[z]) for z in Z0_lift}
+        at_degree = np.array([v == cur_chi.degree for v in cur_chi.values])
+        comms = cur_G.commutator_bulk(np.repeat(Z_lift, len(Z_lift)), np.tile(Z_lift, len(Z_lift)))
+        trivial = at_degree[cur_cd.class_of[comms]].reshape(len(Z_lift), len(Z_lift))
+        zreps = {int(coset_rep[z]) for z in Z_lift[trivial.all(axis=1)]}
         A = np.nonzero(np.isin(coset_rep, sorted(zreps)))[0].astype(np.int64)
         if len(A) == len(N):
             break  # rho(A) scalar: Heisenberg stage reached
@@ -354,9 +331,9 @@ def _pos(H, e):
 
 
 def _residue_table(chi, p):
-    """(P, M, scale): row j * p + r of P is chi_j * zeta_p^(-r) in integer form."""
-    P, M, s = product_table(chi.values, [Cyclotomic.zeta(p, -r) for r in range(p)])
-    return P.reshape(-1, P.shape[-1]), M, s
+    """(P, M, den): row j * p + r of P / den is chi_j * zeta_p^(-r) in integer form."""
+    P, M, den = product_table(chi.values, [Cyclotomic.zeta(p, -r) for r in range(p)])
+    return P.reshape(-1, P.shape[-1]), M, den
 
 
 def _canonical_constituent(G, cd, chi, AC, p, psi_k):
@@ -394,11 +371,11 @@ def _constituent_over(G, cd, chi, H, hcd, AC, mu, p, psi_k):
     elems = AC.elems
     coords = np.array([AC.coord_vector(int(e)) for e in elems], dtype=np.int64)
     res = (psi_k * (coords @ mu)) % p
-    P, M, s = _residue_table(chi, p)
+    P, M, den = _residue_table(chi, p)
     counts = []
     for r_idx in hcd.reps:
         g = int(H.parent_elems[int(r_idx)])
         prods = G.mult_bulk(np.full(len(elems), g, dtype=np.int64), elems)
         counts.append(np.bincount(cd.class_of[prods] * p + res, minlength=cd.num_classes * p))
-    values = from_ints(lincomb(np.array(counts), P), M, s / len(elems))
+    values = from_ints(lincomb(np.array(counts), P), M, den * len(elems))
     return ClassFunction(hcd, tuple(values))

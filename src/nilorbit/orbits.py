@@ -10,25 +10,14 @@ classes of Exp(g) are adjoint-matrix components of the same index space.
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import kernels, linalg
-from .chartable import CharacterTable, ClassFunction
+from .chartable import CharacterTable, ClassFunction, row_order
 from .cyclo import Cyclotomic, contract, from_ints, lincomb, product_table, to_ints
 from .groups import ClassData, FiniteGroup
-
-
-@dataclass
-class DualFunctional:
-    ring: object
-    vec: np.ndarray
-    psi_k: int = 1
-
-    def index(self):
-        return self.ring.element_index(self.vec)
 
 
 class CoadjointOrbit:
@@ -193,13 +182,11 @@ def orbit_method_table(ring, psi_k=1):
         raise AssertionError(
             "orbit count %d != class count %d" % (len(oset), cd.num_classes)
         )
-    rows = [
-        (orbit_character(ring, orb, cd, psi_k=psi_k), orb) for orb in oset.orbits
-    ]
-    rows.sort(key=lambda pair: (pair[0].degree.sort_key(), pair[0].sort_key()))
-    table = CharacterTable(cd, [r for r, _ in rows], sort=False)
+    rows = [orbit_character(ring, orb, cd, psi_k=psi_k) for orb in oset.orbits]
+    order = row_order(rows)
+    table = CharacterTable(cd, [rows[i] for i in order])
     table.psi_k = psi_k
-    return table, [o for _, o in rows]
+    return table, [oset.orbits[i] for i in order]
 
 
 # -- the transform Phi ---------------------------------------------------------
@@ -217,23 +204,23 @@ def phi_transform(ring, mu, psi_k=1):
 
 def phi_inverse(ring, F, psi_k=1):
     """Inverse of phi_transform (inverse finite Fourier + exp_*)."""
-    return _fourier(ring, F, -psi_k, Fraction(1, ring.order))
+    return _fourier(ring, F, -psi_k, ring.order)
 
 
-def _fourier(ring, values, k, scale):
-    """scale * sum_x values[x] * zeta_p^(k y.x) for every index y.
+def _fourier(ring, values, k, divisor):
+    """sum_x values[x] * zeta_p^(k y.x) / divisor for every index y.
 
     Values are summed per residue r = k y.x (one indicator matmul per r),
     then the p sums are contracted against zeta_p^r.
     """
     p = ring.p
     X = ring.all_elements()
-    C, M, s = to_ints(values, order=p)
+    C, M, den = to_ints(values, order=p)
     nonzero = np.nonzero(C.any(axis=1))[0]
     res = (k * (X @ X[nonzero].T)) % p  # n x n_nonzero
     sums = np.stack([lincomb((res == r).astype(np.int64), C[nonzero]) for r in range(p)], axis=1)
     Z, _, _ = to_ints([Cyclotomic.zeta(p, r) for r in range(p)], order=M)
-    return from_ints(contract(sums, Z[:, None], M), M, s * scale)
+    return from_ints(contract(sums, Z[:, None], M), M, den * divisor)
 
 
 def central_idempotent(ring, character, class_data=None):
@@ -267,11 +254,11 @@ def verify_phi_idempotents(ring, table, orbits, psi_k=1):
     zetas = [Cyclotomic.zeta(p, r) for r in range(p)]
     for row, orb in zip(table.rows, orbits):
         # |G| Phi(e)(lambda) = deg * sum_{j,r} counts[lambda, j, r] chi_j zeta^r
-        P, M, s = product_table(row.values, zetas)
+        P, M, den = product_table(row.values, zetas)
         deg = int(row.degree.rational_value())
         got = lincomb(counts * deg, P.reshape(t * p, -1))
         target = np.zeros(got.shape, dtype=object)
-        target[orb.indices, 0] = n * s.denominator  # P is scaled by s = 1/den
+        target[orb.indices, 0] = n * den  # the products are P / den
         if not (got == target).all():
             return False
     return True

@@ -473,8 +473,8 @@ class MonomialRep:
 
     def trace(self, g_vec):
         perm, diag = self.matrix(g_vec)
-        C, M, s = to_ints(diag)
-        return from_ints(lincomb(perm == np.arange(self.dim), C), M, s)[0]
+        C, M, den = to_ints(diag)
+        return from_ints(lincomb(perm == np.arange(self.dim), C), M, den)[0]
 
     def compose(self, m1, m2):
         p1, d1 = m1

@@ -29,19 +29,19 @@ def _nested(values, n):
 def _mat_mul(A, B):
     """A @ B for n x n matrices of Cyclotomic values (nested lists)."""
     n = len(A)
-    C, M, s = to_ints([v for row in A + B for v in row])
+    C, M, den = to_ints([v for row in A + B for v in row])
     X = C.reshape(2, n, n, -1)
-    return _nested(from_ints(contract(X[0], X[1], M), M, s * s), n)
+    return _nested(from_ints(contract(X[0], X[1], M), M, den * den), n)
 
 
 def _twisted_traces(T, rep, gs):
     """tr(T rho(g)) for every g in gs."""
     n = rep.dim
     mats = [T] + [_dense_matrix(rep, g) for g in gs]
-    C, M, s = to_ints([v for A in mats for row in A for v in row])
+    C, M, den = to_ints([v for A in mats for row in A for v in row])
     C = C.reshape(len(mats), n, n, -1)
     diag = contract(C[0], C[1:], M)[:, np.arange(n), np.arange(n)]
-    return from_ints(lincomb(np.ones(n, dtype=np.int64), diag), M, s * s)
+    return from_ints(lincomb(np.ones(n, dtype=np.int64), diag), M, den * den)
 
 
 def schur_intertwiner(ring, rep, phi, seed=1, max_tries=8):
@@ -61,12 +61,12 @@ def schur_intertwiner(ring, rep, phi, seed=1, max_tries=8):
         gs = [ring.element_from_index(idx) for idx in range(ring.order)]
         mats = [_dense_matrix(rep, phi(g)) for g in gs] + [M]
         mats += [_dense_matrix(rep, ring.group_inv(g)) for g in gs]
-        C, order, s = to_ints([v for A in mats for row in A for v in row])
+        C, order, den = to_ints([v for A in mats for row in A for v in row])
         C = C.reshape(len(mats), n, n, -1)
         N = len(gs)
         terms = contract(contract(C[:N], C[N], order), C[N + 1:], order)
         total = lincomb(np.ones(N, dtype=np.int64), terms.reshape(N, -1))
-        acc = _nested(from_ints(total, order, s**3), n)
+        acc = _nested(from_ints(total, order, den**3), n)
         # normalize: first nonzero entry in row-major order becomes 1
         piv = None
         for i in range(n):

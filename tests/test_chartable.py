@@ -49,13 +49,13 @@ def test_verify_is_exact_at_any_magnitude(factor):
     vals[j] = vals[j] * factor
     rows[-1] = ClassFunction(cd, tuple(vals))
     with pytest.raises(AssertionError, match="row orthogonality fails"):
-        CharacterTable(cd, rows, sort=False).verify()
+        CharacterTable(cd, rows).verify()
 
 
 def test_verify_catches_wrong_row_count():
     h3 = heisenberg_ring(3)
     table, _ = ob.orbit_method_table(h3)
-    bad = CharacterTable(table.class_data, list(table.rows[:-1]), sort=False)
+    bad = CharacterTable(table.class_data, list(table.rows[:-1]))
     with pytest.raises(AssertionError):
         bad.verify()
 

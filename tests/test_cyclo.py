@@ -1,14 +1,14 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilorbit.chartable import ClassFunction, row_order
 from nilorbit.cyclo import (
     Cyclotomic,
     contract,
-    cyclo_arith,
-    cyclo_conjugate,
     cyclotomic_polynomial,
     from_ints,
     parse,
@@ -29,28 +29,26 @@ def test_roots_of_unity_basics():
 
 def test_arith_examples():
     z4 = root_of_unity(4)
-    assert cyclo_arith("mul", z4, z4) == -1
+    assert z4 * z4 == -1
     z3 = root_of_unity(3)
-    assert cyclo_arith("add", z3, cyclo_conjugate(z3)) == -1
-    assert cyclo_arith("inv", Cyclotomic.rational(2)) == Cyclotomic.rational(
-        Fraction(1, 2)
-    )
-    assert cyclo_arith("neg", z3) + z3 == 0
+    assert z3 + z3.conj() == -1
+    assert Cyclotomic.rational(2).inv() == Cyclotomic.rational(Fraction(1, 2))
+    assert -z3 + z3 == 0
 
 
 def test_conjugation():
     z5 = root_of_unity(5)
-    assert cyclo_conjugate(z5) == root_of_unity(5, 4)
+    assert z5.conj() == root_of_unity(5, 4)
     r = Cyclotomic.rational(Fraction(3, 7))
-    assert cyclo_conjugate(r) == r
-    assert cyclo_conjugate(root_of_unity(3) + 2) == root_of_unity(3, 2) + 2
+    assert r.conj() == r
+    assert (root_of_unity(3) + 2).conj() == root_of_unity(3, 2) + 2
 
 
 def test_conj_is_ring_map_and_involutive():
     a = root_of_unity(12, 5) + Fraction(2, 3)
     b = root_of_unity(12, 7) * 3 - 1
-    assert cyclo_conjugate(a * b) == cyclo_conjugate(a) * cyclo_conjugate(b)
-    assert cyclo_conjugate(cyclo_conjugate(a)) == a
+    assert (a * b).conj() == a.conj() * b.conj()
+    assert a.conj().conj() == a
 
 
 def test_vanishing_sums_and_canonical_equality():
@@ -216,6 +214,15 @@ def _ref_pairs(draw):
     return [(value(), value()) for _ in range(draw(st.integers(1, 4)))]
 
 
+def _fields(x):
+    """(order, Fraction coefficients) of a Cyclotomic, checking its fields:
+    phi(order) integer numerators over a positive den in lowest terms."""
+    assert len(x.num) == len(_ref_reduce(x.order, [0])) and x.den > 0
+    assert all(type(c) is int for c in x.num + (x.den,))
+    assert math.gcd(x.den, *x.num) == 1
+    return x.order, tuple(Fraction(c, x.den) for c in x.num)
+
+
 def _from_ref(m, v):
     den = math.lcm(*(c.denominator for c in v))
     return Cyclotomic.from_root_counts(m, [int(c * den) for c in v], Fraction(1, den))
@@ -231,17 +238,17 @@ def test_integer_form_matches_root_count_model(pairs):
     # from_root_counts and the cached descent against elimination over Q,
     # and against a sum of zeta terms
     for (m, v), val in zip(xs + ys, vals_x + vals_y):
-        assert (val.order, val.coeffs) == _ref_canonical(m, v)
+        assert _fields(val) == _ref_canonical(m, v)
         terms = [root_of_unity(m, k) * c for k, c in enumerate(v)]
         assert sum(terms, Cyclotomic.rational(0)) == val
     # the to/from round trip
     C, M, s = to_ints(vals_x + vals_y)
     back = from_ints(C, M, s)
-    assert [(b.order, b.coeffs) for b in back] == [(v.order, v.coeffs) for v in vals_x + vals_y]
+    assert [_fields(b) for b in back] == [_fields(v) for v in vals_x + vals_y]
     # the contraction against the model and a plain loop over objects
     n = len(pairs)
     got = from_ints(contract(C[None, :n], C[n:, None], M), M, s * s)[0]
-    assert (got.order, got.coeffs) == _ref_canonical(*_ref_dot(xs, ys))
+    assert _fields(got) == _ref_canonical(*_ref_dot(xs, ys))
     plain = Cyclotomic.rational(0)
     for x, y in zip(vals_x, vals_y):
         plain = plain + x * y
@@ -260,4 +267,91 @@ def test_descent_at_every_order_and_subfield():
             for dense in ([k + 1 for k in range(d)], [(-2) ** k for k in range(d)]):
                 counts = _ref_lift(d, [Fraction(c) for c in dense], M)
                 val = Cyclotomic.from_root_counts(M, [int(c) for c in counts])
-                assert (val.order, val.coeffs) == _ref_canonical(M, counts), (M, d)
+                assert _fields(val) == _ref_canonical(M, counts), (M, d)
+
+
+# -- the integer fields against a Fraction-tuple model -------------------------
+#
+# A model value is the canonical (order, Fraction coefficients) pair that
+# the Fraction representation stored.  Sums and products go through the
+# root-count model above, inverses solve x * y = 1 over Q, and text and
+# table order are the Fraction forms' own.
+
+
+def _ref_add(a, b, sign=1):
+    M = math.lcm(a[0], b[0])
+    x, y = _ref_lift(a[0], a[1], M), _ref_lift(b[0], b[1], M)
+    return _ref_canonical(M, [u + sign * w for u, w in zip(x, y)])
+
+
+def _ref_mul(a, b):
+    return _ref_canonical(*_ref_dot([a], [b]))
+
+
+def _ref_inv(a):
+    m, x = a
+    n = len(x)
+    cols = [_ref_reduce(m, [0] * j + list(x)) for j in range(n)]  # x * zeta^j
+    y = _ref_solve_rational([[col[i] for col in cols] for i in range(n)], [1] + [0] * (n - 1), n)
+    return _ref_canonical(m, y)
+
+
+def _ref_galois(a, j):
+    m, x = a
+    out = [Fraction(0)] * m
+    for k, c in enumerate(x):
+        out[k * j % m] += c
+    return _ref_canonical(m, out)
+
+
+def _ref_render(a):
+    m, x = a
+    parts = []
+    for k, c in enumerate(x):
+        if c == 0 and not (m == 1 and k == 0 and len(x) == 1):
+            continue
+        f = str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
+        parts.append(f if k == 0 else "%s*z" % f if k == 1 else "%s*z^%d" % (f, k))
+    return "+".join(parts or ["0"]) + "@%d" % m
+
+
+@st.composite
+def _values(draw, M):
+    """Values at divisors of M; small counts and denominators make equal
+    values and equal leading coefficients common."""
+    divisors = [d for d in range(1, M + 1) if M % d == 0]
+    d = draw(st.sampled_from(divisors))
+    counts = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+    scale = Fraction(draw(st.sampled_from([1, -1, 3, 10**20])), draw(st.integers(1, 4)))
+    return _from_ref(d, [c * scale for c in counts])
+
+
+@given(st.sampled_from([1, 3, 4, 5, 8, 9, 12, 15, 16, 20, 25, 27, 30]).flatmap(
+    lambda M: st.lists(_values(M), min_size=2, max_size=6)))
+@settings(max_examples=150, deadline=None)
+def test_integer_fields_match_fraction_model(vals):
+    refs = [_fields(v) for v in vals]
+    for (x, rx), (y, ry) in zip(zip(vals, refs), zip(vals[1:], refs[1:])):
+        assert _fields(x + y) == _ref_add(rx, ry)
+        assert _fields(x - y) == _ref_add(rx, ry, -1)
+        assert _fields(x * y) == _ref_mul(rx, ry)
+        assert (x == y) == (rx == ry)
+        if x == y:
+            assert hash(x) == hash(y)
+    for x, rx in zip(vals, refs):
+        assert _fields(-x) == (rx[0], tuple(-c for c in rx[1]))
+        if not x.is_zero():
+            assert _fields(x.inv()) == _ref_inv(rx)
+            assert x * x.inv() == 1
+        for j in (j for j in range(-1, 2 * x.order) if math.gcd(j, x.order) == 1):
+            assert _fields(x.galois(j)) == _ref_galois(rx, j % x.order)
+        assert render(x) == _ref_render(rx)
+        assert parse(render(x)) == x
+        if x.is_rational():
+            assert x.rational_value() == rx[1][0]
+    # table order: rows of the values keyed as the Fraction tuples were
+    cd = SimpleNamespace(num_classes=2, identity_class=0)
+    n = len(vals)
+    rows = [ClassFunction(cd, (vals[i], vals[(i + j) % n])) for i in range(n) for j in (0, 1)]
+    keys = [tuple(_fields(v) for v in r.values) for r in rows]
+    assert row_order(rows) == sorted(range(len(rows)), key=lambda i: (keys[i][0], keys[i]))

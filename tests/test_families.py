@@ -205,7 +205,7 @@ def test_lemma_ex2_statistics():
         if d == 1:
             continue
         central = tuple(
-            (row.values[cd.class_of[int(z)]] * row.degree.inv()).sort_key()
+            row.values[cd.class_of[int(z)]] * row.degree.inv()
             for z in Z
         )
         stats.setdefault((d, central), 0)

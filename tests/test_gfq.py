@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilorbit import linalg
 from nilorbit.gfq import (
@@ -7,7 +8,7 @@ from nilorbit.gfq import (
     _FIXED_MODULI,
     _first_irreducible,
     _least_root,
-    fq_arith,
+    _poly_mulmod,
     fq_embed,
     fq_trace_frobenius,
     is_irreducible,
@@ -44,14 +45,16 @@ def test_index_tables_match_polynomial_arithmetic(p, s):
 def test_arith_examples():
     F4 = FqField(2, 2)
     t = F4.gen()
-    assert fq_arith(F4, "mul", t, t) == (1, 1)  # t^2 = t + 1
+    assert F4.mul(t, t) == (1, 1)  # t^2 = t + 1
+    assert F4.add(t, F4.one) == (1, 1)
     F5 = FqField(5)
-    assert fq_arith(F5, "pow", F5.element(2), 4) == F5.one
+    assert F5.pow(F5.element(2), 4) == F5.one
     F9i = FqField(3, 2, modulus=(1, 0, 1))  # F_3[t]/(t^2+1)
     ti = F9i.gen()
-    assert fq_arith(F9i, "mul", ti, ti) == (2, 0)
+    assert F9i.mul(ti, ti) == (2, 0)
+    assert F9i.mul(F9i.inv(ti), ti) == F9i.one
     with pytest.raises(ZeroDivisionError):
-        fq_arith(F4, "inv", F4.zero)
+        F4.inv(F4.zero)
 
 
 def test_trace_frobenius_examples():
@@ -161,3 +164,34 @@ def _least_root_brute_force(modulus, big):
 def test_least_root_searches_the_subfield(p, s, S):
     small, big = FqField(p, s), FqField(p, S)
     assert _least_root(small.modulus, big) == _least_root_brute_force(small.modulus, big)
+
+
+def _mulmod_schoolbook(a, b, mod, p):
+    """Reference: the full product, then long division by the monic mod."""
+    s = len(mod) - 1
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for i in range(len(out) - 1, s - 1, -1):
+        c = out[i]
+        for j in range(s + 1):
+            out[i - s + j] -= c * mod[j]
+    return [c % p for c in out[:s]]
+
+
+@st.composite
+def _mulmod_cases(draw):
+    """Operands and a monic modulus (any, not only irreducible) of degree
+    s >= 24, where products take the numpy path."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    s = draw(st.integers(24, 60))
+    coeffs = st.lists(st.integers(0, p - 1), min_size=s, max_size=s)
+    return draw(coeffs), draw(coeffs), tuple(draw(coeffs)) + (1,), p
+
+
+@given(_mulmod_cases())
+@settings(max_examples=100, deadline=None)
+def test_large_degree_mulmod_matches_schoolbook(case):
+    a, b, mod, p = case
+    assert _poly_mulmod(a, b, mod, p) == _mulmod_schoolbook(a, b, mod, p)
