@@ -115,15 +115,19 @@ def row_order(rows):
     Rows sort by degree, then by their values, each value keyed by its
     order and then its numerators over one denominator shared by the whole
     table; on values of equal order that is the order of the rational
-    coefficients.  The key is deterministic, not a numeric order.
+    coefficients.  The key is deterministic, not a numeric order.  Each
+    distinct value is keyed once, through its (order, num, den) fields.
     """
-    den = math.lcm(1, *(v.den for r in rows for v in r.values))
-
-    def key(v):
-        return v.order, tuple(c * (den // v.den) for c in v.num)
-
-    keys = [(key(r.degree), tuple(key(v) for v in r.values)) for r in rows]
-    return sorted(range(len(rows)), key=keys.__getitem__)
+    cells = [[(v.order, v.num, v.den) for v in r.values] for r in rows]
+    keys = dict.fromkeys(c for row in cells for c in row)
+    den = math.lcm(1, *(d for _, _, d in keys))
+    for c in keys:
+        keys[c] = c[0], tuple(a * (den // c[2]) for a in c[1])
+    sort_keys = [
+        (keys[r.degree.order, r.degree.num, r.degree.den], tuple(map(keys.__getitem__, row)))
+        for r, row in zip(rows, cells)
+    ]
+    return sorted(range(len(rows)), key=sort_keys.__getitem__)
 
 
 class CharacterTable:

@@ -6,6 +6,19 @@ l = 1 (mod exponent), rows are normalized to character values mod l, and
 eigenvalue multiplicities are recovered by the inverse discrete Fourier
 transform over the power map, giving exact values in Z[zeta_e].
 
+Each stage is a few whole-array operations over F_l:
+
+* a class matrix is one bulk pass of the group law over all its
+  (x^-1, rep_k) pairs and one bincount;
+* splitting is column-lazy, after G. J. A. Schneider, "Dixon's character
+  table algorithm revisited", J. Symbolic Comput. 9 (1990): a class acts on
+  an RREF subspace S by S @ N at the pivot columns of S, so only those
+  columns of N are computed, and a subspace on which the action is scalar
+  is kept whole without a characteristic polynomial;
+* the multiplicities of all rows come from one product of the character
+  values mod l at the powers of each class rep with the e x e matrix of
+  powers of theta (a primitive e-th root of unity mod l).
+
 The only inputs are the multiplication oracle and the class partition, so
 agreement with the orbit-method table is a genuine cross-validation.
 """
@@ -19,6 +32,7 @@ from .cyclo import Cyclotomic
 from . import linalg
 
 DEFAULT_MAX_ORDER = 20000
+BLOCK = 1 << 16  # group-law pairs, or gathered values, per bulk step
 
 
 def dixon_prime(order, exponent):
@@ -41,20 +55,28 @@ def _primitive_root(l):
     raise ArithmeticError("no primitive root found")
 
 
-def class_matrix(G, cd, j):
-    """N_j[i, k] = #{(x, y) : x in C_j, y in C_i, x y = rep_k}.
+def class_matrix(G, cd, j, cols=None):
+    """Columns `cols` (all by default) of N_j, where
+    N_j[i, k] = #{(x, y) : x in C_j, y in C_i, x y = rep_k}.
 
     This is the transpose of the multiplication-by-C_j matrix, so candidate
-    character rows v satisfy v @ N_j = omega_j * v.
+    character rows v satisfy v @ N_j = omega_j * v.  y = x^-1 rep_k, so the
+    (x^-1, rep_k) pairs of every requested column go through the group law
+    together, in blocks of at most BLOCK pairs, and one bincount over
+    (class of y, column) per block fills the matrix.
     """
     t = cd.num_classes
-    members = np.nonzero(cd.class_of == j)[0].astype(np.int64)
-    inv_members = G.inv_bulk(members)
-    M = np.zeros((t, t), dtype=np.int64)
-    for k, z in enumerate(cd.reps):
-        ys = G.mult_bulk(inv_members, np.full(len(members), int(z), dtype=np.int64))
-        M[:, k] = np.bincount(cd.class_of[ys], minlength=t)
-    return M
+    cols = np.arange(t) if cols is None else np.asarray(cols, dtype=np.int64)
+    inv_members = G.inv_bulk(np.flatnonzero(cd.class_of == j))
+    m, c = len(inv_members), len(cols)
+    reps = np.asarray(cd.reps, dtype=np.int64)[cols]
+    counts = np.zeros(t * c, dtype=np.int64)
+    for a in range(0, m * c, BLOCK):
+        pair = np.arange(a, min(a + BLOCK, m * c), dtype=np.int64)
+        k = pair // m
+        ys = G.mult_bulk(inv_members[pair % m], reps[k])
+        counts += np.bincount(cd.class_of[ys] * c + k, minlength=t * c)
+    return counts.reshape(t, c)
 
 
 def _charpoly_mod(A, l):
@@ -109,24 +131,98 @@ def _roots_mod(poly, l):
     return np.nonzero(acc == 0)[0].tolist()
 
 
-def _eigen_split(space, N, l):
-    """Split a row space (RREF rows) into eigen-row-spaces of v -> v N."""
-    S = space
+def _eigen_split(S, NP, l):
+    """Split the row space S (RREF rows) into eigen-row-spaces of v -> v N,
+    given NP, the columns of N at the pivots of S.
+
+    In the basis S the action is A = S @ N restricted to the pivot columns.
+    The class algebra is commutative and semisimple, so when A is scalar S
+    is one eigenspace and is returned as it is.
+    """
     k = S.shape[0]
-    pivots = []
-    for row in S:
-        pivots.append(int(np.nonzero(row)[0][0]))
-    A = ((S @ N) % l)[:, pivots]  # action in the subspace basis
+    A = (S @ NP) % l
+    if (A == A[0, 0] * np.eye(k, dtype=np.int64)).all():
+        return [S]
     roots = _roots_mod(_charpoly_mod(A, l), l)
     out = []
     for lam in roots:
+        # K is in RREF and S[:, pivots] = I, so K @ S is in RREF as well
         K = linalg.kernel((A.T - lam * np.eye(k, dtype=np.int64)) % l, l)
         if K.shape[0]:
-            rows, _ = linalg.rref((K @ S) % l, l)
-            out.append(rows)
+            out.append((K @ S) % l)
     if sum(s.shape[0] for s in out) != k:
         raise ArithmeticError("eigen split lost dimensions (bug)")
     return out
+
+
+def _split_all(G, cd, l):
+    """Common eigenvectors of the class algebra: one row per irreducible.
+
+    Classes act in order of size; each class matrix is computed only at
+    the union of the pivot columns of the spaces still to split.
+    """
+    t = cd.num_classes
+    spaces = [np.eye(t, dtype=np.int64)]
+    for j in sorted(range(t), key=lambda j: (int(cd.sizes[j]), int(cd.reps[j]))):
+        todo = [S for S in spaces if S.shape[0] > 1]
+        if not todo:
+            break
+        if j == cd.identity_class:
+            continue
+        pivots = [(S != 0).argmax(axis=1) for S in todo]
+        wanted = np.zeros(t, dtype=bool)
+        wanted[np.concatenate(pivots)] = True
+        N = class_matrix(G, cd, j, np.flatnonzero(wanted)) % l
+        col_of = np.cumsum(wanted) - 1  # class -> column of N
+        spaces = [S for S in spaces if S.shape[0] == 1] + [
+            T for S, piv in zip(todo, pivots) for T in _eigen_split(S, N[:, col_of[piv]], l)
+        ]
+    if any(S.shape[0] > 1 for S in spaces):
+        raise ArithmeticError("class algebra did not fully split (bug)")
+    return np.concatenate(spaces)
+
+
+def _characters_mod(V, cd, l):
+    """(chi, deg): the irreducible characters mod l, one per common
+    eigenvector row of V, and their degrees lifted from F_l.
+
+    A row scaled to y_k = chi(g_k)/chi(1) has sum_k |C_k| y_k y_k' = |G|/deg^2,
+    with k' the class of the inverses."""
+    n = cd.n
+    Y = (V * np.array([pow(int(a), -1, l) for a in V[:, cd.identity_class]])[:, None]) % l
+    w = np.asarray(cd.sizes, dtype=np.int64) % l
+    s_norm = ((((Y * w) % l) * Y[:, cd.inv_class]) % l).sum(axis=1) % l
+    sqrt_n = math.isqrt(n)
+    degs = []
+    for s in s_norm.tolist():
+        deg_sq = (n * pow(s, -1, l)) % l
+        deg = _sqrt_mod(deg_sq, l)
+        if deg is None:
+            raise ArithmeticError("degree is not a square mod l (bug)")
+        if deg > sqrt_n:
+            deg = l - deg
+        if deg > sqrt_n or (deg * deg - deg_sq) % l != 0:
+            raise ArithmeticError("no valid degree lift (bug)")
+        degs.append(deg)
+    deg = np.array(degs, dtype=np.int64)
+    return (deg[:, None] * Y) % l, deg
+
+
+def _root_counts(chi_mod, pm, e, l):
+    """counts[r, k, s] = multiplicity of zeta_e^s among the eigenvalues of
+    rep_k in the representation of row r, for every row at once:
+    chi_mod[:, pm] @ F mod l, with F[u, s] = theta^(-s u) / e over F_l.
+
+    Rows go in blocks so that the (rows, t, e) gather stays small."""
+    theta = pow(_primitive_root(l), (l - 1) // e, l)
+    su = np.outer(np.arange(e), np.arange(e)) % e
+    theta_pows = np.array([pow(theta, -s, l) for s in range(e)], dtype=np.int64)
+    F = (theta_pows[su] * pow(e, -1, l)) % l
+    rows, t = chi_mod.shape
+    step = max(1, BLOCK // (t * e))
+    return np.concatenate(
+        [(chi_mod[a:a + step][:, pm] @ F) % l for a in range(0, rows, step)]
+    )
 
 
 def dixon_table(G, class_data=None, max_order=DEFAULT_MAX_ORDER):
@@ -135,68 +231,17 @@ def dixon_table(G, class_data=None, max_order=DEFAULT_MAX_ORDER):
     n = cd.n
     if n > max_order:
         raise ValueError("group order %d exceeds the oracle budget %d" % (n, max_order))
-    t = cd.num_classes
     e = G.exponent()
     l = dixon_prime(n, e)
     pm = G.power_classes(e)
 
-    # refine the full space into 1-dim common eigen-row-spaces
-    spaces = [np.eye(t, dtype=np.int64)]
-    order_js = sorted(range(t), key=lambda j: (int(cd.sizes[j]), int(cd.reps[j])))
-    for j in order_js:
-        if all(s.shape[0] == 1 for s in spaces):
-            break
-        if j == cd.identity_class:
-            continue
-        N = class_matrix(G, cd, j) % l
-        new_spaces = []
-        for S in spaces:
-            if S.shape[0] == 1:
-                new_spaces.append(S)
-            else:
-                new_spaces.extend(_eigen_split(S, N, l))
-        spaces = new_spaces
-    if not all(s.shape[0] == 1 for s in spaces):
-        raise ArithmeticError("class algebra did not fully split (bug)")
-
-    theta = pow(_primitive_root(l), (l - 1) // e, l)
-    theta_pows = [pow(theta, s, l) for s in range(e)]
-    inv_e = pow(e, -1, l)
-    sqrt_n = math.isqrt(n)
-
-    rows = []
-    for S in spaces:
-        v = S[0] % l
-        v = (v * pow(int(v[cd.identity_class]), -1, l)) % l  # y_k = chi(g_k)/chi(1)
-        s_norm = 0
-        for k in range(t):
-            s_norm = (s_norm + int(cd.sizes[k]) * int(v[k]) * int(v[cd.inv_class[k]])) % l
-        deg_sq = (n * pow(s_norm, -1, l)) % l
-        deg = _sqrt_mod(deg_sq, l)
-        if deg is None:
-            raise ArithmeticError("degree is not a square mod l (bug)")
-        if deg > sqrt_n:
-            deg = l - deg
-        if deg > sqrt_n or (deg * deg - deg_sq) % l != 0:
-            raise ArithmeticError("no valid degree lift (bug)")
-        chi_mod = [(deg * int(v[k])) % l for k in range(t)]
-        counts = []
-        for k in range(t):
-            row = []
-            total = 0
-            for s in range(e):
-                acc = 0
-                for u in range(e):
-                    acc = (acc + chi_mod[pm[k, u]] * theta_pows[(-s * u) % e]) % l
-                m_s = (acc * inv_e) % l
-                if m_s > deg:
-                    raise ArithmeticError("multiplicity lift out of range (bug)")
-                row.append(m_s)
-                total += m_s
-            if total != deg:
-                raise ArithmeticError("multiplicities do not sum to the degree (bug)")
-            counts.append(row)
-        rows.append(ClassFunction(cd, tuple(Cyclotomic.from_root_counts(e, counts))))
+    chi_mod, deg = _characters_mod(_split_all(G, cd, l), cd, l)
+    counts = _root_counts(chi_mod, pm, e, l)
+    if (counts > deg[:, None, None]).any():
+        raise ArithmeticError("multiplicity lift out of range (bug)")
+    if (counts.sum(axis=2) != deg[:, None]).any():
+        raise ArithmeticError("multiplicities do not sum to the degree (bug)")
+    rows = [ClassFunction(cd, tuple(Cyclotomic.from_root_counts(e, c))) for c in counts]
     table = CharacterTable(cd, rows)
     table.dixon_prime = l
     return table

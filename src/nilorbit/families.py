@@ -241,7 +241,7 @@ class AssocAlgebra:
         """Inverse in 1+A via the alternating geometric series
         -x + x^2 - x^3 + ..."""
         x = np.asarray(x, dtype=np.int64) % self.p
-        acc = np.zeros(self.dim, dtype=np.int64)
+        acc = np.zeros_like(x)
         power = x.copy()
         sign = -1
         while power.any():

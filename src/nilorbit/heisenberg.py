@@ -41,12 +41,16 @@ class ElementaryCoords:
                 raise ValueError("subgroup is not of prime exponent %d" % p)
             k = len(basis)
             basis.append(a)
+            # powers[j - 1][i] = e_i a^j for every current element e_i
+            cur = np.fromiter(coords, dtype=np.int64, count=len(coords))
+            powers = []
+            for _ in range(1, p):
+                cur = G.mult_bulk(cur, np.full(len(cur), a, dtype=np.int64))
+                powers.append(cur.tolist())
             new = {}
-            for e, c in coords.items():
-                cur = e
+            for i, c in enumerate(coords.values()):
                 for j in range(1, p):
-                    cur = G.mult(cur, a)
-                    new[cur] = c + (j,)
+                    new[powers[j - 1][i]] = c + (j,)
             for e, c in new.items():
                 if e in coords:
                     raise ValueError("subgroup is not abelian of exponent p")

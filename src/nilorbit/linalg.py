@@ -52,30 +52,42 @@ def prime_factors(n):
 
 
 def rref(mat, p):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    R = asmod(mat, p).copy()
+    """Reduced row echelon form.  Returns (R, pivot_columns).
+
+    Entries are reduced lazily: an elimination step adds less than p^2 in
+    absolute value to the columns from the pivot on, each column is read
+    mod p when its turn comes, and the whole matrix is reduced every
+    2^62 // p^2 steps and at the end, so nothing overflows int64.
+    """
+    R = asmod(mat, p)  # a new array
     if R.ndim != 2:
         raise ValueError("expected a matrix")
     nrows, ncols = R.shape
+    lazy = max(1, (1 << 62) // (p * p))
     pivots = []
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
-        nz = np.nonzero(R[r:, c])[0]
-        if len(nz) == 0:
+        col = R[:, c] % p
+        nz = col[r:].nonzero()[0]
+        if not len(nz):
             continue
         i = r + nz[0]
+        inv = modinv(col[i], p)
         if i != r:
             R[[r, i]] = R[[i, r]]
-        R[r] = (R[r] * modinv(R[r, c], p)) % p
-        col = R[:, c].copy()
+            col[i] = col[r]
         col[r] = 0
-        R -= np.outer(col, R[r])
-        R %= p
+        # rows r.. are zero mod p left of column c
+        row = R[r, c:] % p * inv % p
+        R[r, c:] = row
+        R[:, c:] -= col[:, None] * row
         pivots.append(c)
         r += 1
-    return R[:r], pivots
+        if r % lazy == 0:
+            R %= p
+    return R[:r] % p, pivots
 
 
 def rank(mat, p):
@@ -87,12 +99,12 @@ def kernel(mat, p):
     A = asmod(mat, p)
     n = A.shape[1]
     R, pivots = rref(A, p)
-    free = [c for c in range(n) if c not in pivots]
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-R[r, c]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-R[:, free].T) % p
     return rref(basis, p)[0] if len(free) else basis
 
 

@@ -1,16 +1,28 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nilorbit
 
-from nilorbit import orbits as ob
-from nilorbit.battery import appendix_h2_ring
+from nilorbit import linalg, orbits as ob
+from nilorbit.battery import appendix_h2_ring, random_class_le3_rings
+from nilorbit.chartable import CharacterTable, ClassFunction
 from nilorbit.cyclo import Cyclotomic, root_of_unity
-from nilorbit.dixon import _charpoly_mod, dixon_prime, dixon_table
-from nilorbit.families import fake_heisenberg, ul_group
+from nilorbit.dixon import (
+    _charpoly_mod,
+    _eigen_split,
+    _primitive_root,
+    _roots_mod,
+    _sqrt_mod,
+    class_matrix,
+    dixon_prime,
+    dixon_table,
+)
+from nilorbit.families import fake_heisenberg, ul_group, usp4_via_sp
 from nilorbit.groups import build_group
 from nilorbit.liering import heisenberg_ring
 
@@ -29,8 +41,6 @@ def test_charpoly_against_eigen_structure():
         cp = _charpoly_mod(A, l)
         assert len(cp) == n + 1 and cp[-1] == 1
         # p(x) vanishes where det(xI - A) vanishes: probe via matrix rank
-        from nilorbit import linalg
-
         for x in range(0, l, 11):
             val = 0
             for i, c in enumerate(cp):
@@ -99,3 +109,139 @@ def test_oracle_does_not_import_the_orbit_method():
             seen.add(mod)
             todo.extend(_package_imports(mod))
     assert not seen & {"orbits", "polar", "heisenberg"}
+
+
+# -- references: one group-law call per class rep, one row at a time -----------
+
+
+def _reference_class_matrix(G, cd, j):
+    t = cd.num_classes
+    members = np.nonzero(cd.class_of == j)[0].astype(np.int64)
+    inv_members = G.inv_bulk(members)
+    M = np.zeros((t, t), dtype=np.int64)
+    for k, z in enumerate(cd.reps):
+        ys = G.mult_bulk(inv_members, np.full(len(members), int(z), dtype=np.int64))
+        M[:, k] = np.bincount(cd.class_of[ys], minlength=t)
+    return M
+
+
+def _reference_eigen_split(S, N, l):
+    """Eigen-row-spaces of v -> v N on S through the characteristic
+    polynomial, whatever the action, each re-reduced to RREF."""
+    k = S.shape[0]
+    pivots = [int(np.nonzero(row)[0][0]) for row in S]
+    A = ((S @ N) % l)[:, pivots]
+    out = []
+    for lam in _roots_mod(_charpoly_mod(A, l), l):
+        K = linalg.kernel((A.T - lam * np.eye(k, dtype=np.int64)) % l, l)
+        if K.shape[0]:
+            out.append(linalg.rref((K @ S) % l, l)[0])
+    return out
+
+
+def _reference_dixon_table(G):
+    """Every class matrix in full, every space split through its
+    characteristic polynomial, then per row a scalar normalization and an
+    O(t e^2) loop for the multiplicities."""
+    cd = G.conjugacy_classes()
+    n, t, e = cd.n, cd.num_classes, G.exponent()
+    l = dixon_prime(n, e)
+    pm = G.power_classes(e)
+    spaces = [np.eye(t, dtype=np.int64)]
+    for j in sorted(range(t), key=lambda j: (int(cd.sizes[j]), int(cd.reps[j]))):
+        if all(S.shape[0] == 1 for S in spaces):
+            break
+        if j == cd.identity_class:
+            continue
+        N = _reference_class_matrix(G, cd, j) % l
+        new_spaces = []
+        for S in spaces:
+            if S.shape[0] == 1:
+                new_spaces.append(S)
+            else:
+                new_spaces.extend(_reference_eigen_split(S, N, l))
+        spaces = new_spaces
+    theta = pow(_primitive_root(l), (l - 1) // e, l)
+    theta_pows = [pow(theta, s, l) for s in range(e)]
+    inv_e = pow(e, -1, l)
+    rows = []
+    for S in spaces:
+        v = S[0] % l
+        v = (v * pow(int(v[cd.identity_class]), -1, l)) % l
+        s_norm = 0
+        for k in range(t):
+            s_norm = (s_norm + int(cd.sizes[k]) * int(v[k]) * int(v[cd.inv_class[k]])) % l
+        deg_sq = (n * pow(s_norm, -1, l)) % l
+        deg = _sqrt_mod(deg_sq, l)
+        if deg > math.isqrt(n):
+            deg = l - deg
+        chi_mod = [(deg * int(v[k])) % l for k in range(t)]
+        counts = []
+        for k in range(t):
+            row = []
+            for s in range(e):
+                acc = 0
+                for u in range(e):
+                    acc = (acc + chi_mod[pm[k, u]] * theta_pows[(-s * u) % e]) % l
+                row.append((acc * inv_e) % l)
+            assert sum(row) == deg
+            counts.append(row)
+        rows.append(ClassFunction(cd, tuple(Cyclotomic.from_root_counts(e, counts))))
+    return CharacterTable(cd, rows)
+
+
+def _differential_groups():
+    yield ul_group(3, 3)
+    yield ob.lazard_group(heisenberg_ring(5))
+    yield usp4_via_sp(3)
+    for ring in random_class_le3_rings(5, 3, seed=1, max_dim=4):  # classes 1, 2, 3
+        yield ob.lazard_group(ring)
+
+
+def test_class_matrix_matches_per_rep_reference():
+    rng = np.random.default_rng(3)
+    for G in _differential_groups():
+        cd = G.conjugacy_classes()
+        t = cd.num_classes
+        for j in range(t):
+            want = _reference_class_matrix(G, cd, j)
+            assert (class_matrix(G, cd, j) == want).all()
+            cols = rng.choice(t, int(rng.integers(1, t + 1)), replace=False)
+            assert (class_matrix(G, cd, j, cols) == want[:, cols]).all()
+
+
+def test_dixon_table_matches_reference():
+    for G in _differential_groups():
+        assert dixon_table(G).to_csv() == _reference_dixon_table(G).to_csv()
+
+
+def test_eigen_split_keeps_scalar_action_spaces():
+    l = 31
+    S = np.array([[1, 0, 4, 0], [0, 1, 7, 0]], dtype=np.int64)
+    assert _eigen_split(S, (5 * np.eye(4, dtype=np.int64))[:, [0, 1]], l)[0] is S
+    # on each eigenspace of N the action of N itself is scalar
+    G = ul_group(3, 3)
+    cd = G.conjugacy_classes()
+    l = dixon_prime(cd.n, G.exponent())
+    full = np.eye(cd.num_classes, dtype=np.int64)
+    for j in range(cd.num_classes):
+        N = class_matrix(G, cd, j) % l
+        parts = _eigen_split(full, N, l)
+        assert sum(T.shape[0] for T in parts) == cd.num_classes
+        for T in parts:
+            (same,) = _eigen_split(T, N[:, (T != 0).argmax(axis=1)], l)
+            assert same is T
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**16))
+def test_orbit_method_equals_oracle_on_generated_rings(seed):
+    # class <= 3 < p, so the Lazard correspondence applies; order <= 5^4
+    (ring,) = random_class_le3_rings(5, 1, seed=seed, max_dim=4)
+    table, orbits = ob.orbit_method_table(ring)
+    oracle = dixon_table(ob.lazard_group(ring))
+    assert table.equals_as_set(oracle)
+    assert sum(d * d for d in oracle.degrees) == ring.order
+    for row, orbit in zip(table.rows, orbits):
+        assert row.degree == Cyclotomic.rational(math.isqrt(orbit.size))
+        assert math.isqrt(orbit.size) ** 2 == orbit.size

@@ -1,18 +1,71 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from nilorbit import linalg, orbits as ob, polar
 from nilorbit.dixon import dixon_table
 from nilorbit.families import fake_heisenberg, ul_lie_scheme
-from nilorbit.groups import twisted_classes
+from nilorbit.groups import build_group, twisted_classes
 from nilorbit.heisenberg import (
+    ElementaryCoords,
     heisenberg_classify,
     is_heisenberg_character,
     reduce_to_heisenberg,
 )
 from nilorbit.liering import abelian_ring, heisenberg_ring
 from nilorbit.twisted import twisted_trace_basis
+
+
+def _reference_coords(G, elems, p):
+    """ElementaryCoords' (basis, coords) by one scalar product per
+    (element, power), or the ValueError message it raises."""
+    coords = {G.identity: ()}
+    basis = []
+    for a in sorted(int(x) for x in elems):
+        if a in coords:
+            continue
+        if G.element_orders([a])[0] != p:
+            return "subgroup is not of prime exponent %d" % p
+        k = len(basis)
+        basis.append(a)
+        new = {}
+        for e, c in coords.items():
+            cur = e
+            for j in range(1, p):
+                cur = G.mult(cur, a)
+                new[cur] = c + (j,)
+        for e, c in new.items():
+            if e in coords:
+                return "subgroup is not abelian of exponent p"
+            coords[e] = c
+        for e in list(coords):
+            coords[e] = coords[e] + (0,) * (k + 1 - len(coords[e]))
+    coords = {e: c + (0,) * (len(basis) - len(c)) for e, c in coords.items()}
+    if len(coords) != len(elems):
+        return "element set is not a subgroup"
+    return basis, coords
+
+
+def test_elementary_coords_match_scalar_reference():
+    H3 = ob.lazard_group(heisenberg_ring(3))
+    H5 = ob.lazard_group(heisenberg_ring(5))
+    c9 = build_group(lambda i, j: (i + j) % 9, 9, gens=[1], inv=lambda i: (-i) % 9)
+    cases = [
+        (ob.lazard_group(abelian_ring(3, 2)), np.arange(9), 3),
+        (H5, H5.center(), 5),
+        (H3, np.arange(H3.n), 3),  # not abelian
+        (H3, [0, 1], 3),  # not closed
+        (c9, np.arange(9), 3),  # exponent 9
+    ]
+    for G, elems, p in cases:
+        want = _reference_coords(G, elems, p)
+        try:
+            ec = ElementaryCoords(G, elems, p)
+            got = ec.basis, ec.coords
+        except ValueError as e:
+            got = str(e)
+        assert got == want
 
 
 def test_classify_abelian():
