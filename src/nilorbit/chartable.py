@@ -89,24 +89,17 @@ class ClassFunction:
 def convolve(f, g, group):
     """Group-algebra convolution (f * g)(z) = sum_x f(x) g(x^-1 z).
 
-    Exact: one table of the products f(a) g(b) over class pairs, then per
-    class z the counts of the pairs (class of x, class of x^-1 z) times that
-    table.  Cost O(t * |G|) index work plus O(t^2) integer work per class,
-    so keep it to the sizes where it is used as a test oracle.
+    Exact: (f * g)(rep_k) = sum_{a, b} K[k, a t + b] f(a) g(b), where K is
+    group.class_pair_counts(), a t^3 int32 table built once per group.  So
+    a call is one table of the products f(a) g(b) over class pairs and one
+    integer contraction against K.  f and g must be on the group's classes.
     """
-    cd = f.class_data
-    n = group.n
-    t = cd.num_classes
+    cd = group.conjugacy_classes()
+    if not (f.class_data.same_as(cd) and g.class_data.same_as(cd)):
+        raise ValueError("convolve needs class functions on the group's own classes")
     P, M, den = product_table(f.values, g.values)
-    P = P.reshape(t * t, -1)
-    all_idx = np.arange(n, dtype=np.int64)
-    inv_all = group.inv_bulk(all_idx)
-    sums = []
-    for z in cd.reps:
-        w = group.mult_bulk(inv_all, np.full(n, int(z), dtype=np.int64))
-        counts = np.bincount(cd.class_of[all_idx] * t + cd.class_of[w], minlength=t * t)
-        sums.append(lincomb(counts, P))
-    return ClassFunction(cd, tuple(from_ints(np.array(sums), M, den)))
+    sums = lincomb(group.class_pair_counts(), P.reshape(cd.num_classes**2, -1))
+    return ClassFunction(f.class_data, tuple(from_ints(sums, M, den)))
 
 
 def row_order(rows):

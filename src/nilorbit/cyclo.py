@@ -15,9 +15,10 @@ int or Fraction and leave through `rational_value`; no float is used.
 terms), `lincomb` takes integer combinations of rows, and `contract` is the
 one sum-of-products contraction against the fold tensor
 fold[a, b] = zeta_M^(a+b) (rows of the cached reduction matrix); `inv` is a
-product of Galois conjugates over the rational norm.  Arrays are int64
-when a magnitude bound computed from the inputs fits and Python ints
-(dtype object) when it does not; both run the same code.
+product of Galois conjugates, taken by a tree of batched products, over the
+rational norm.  Arrays are int64 when a magnitude bound computed from the
+inputs fits and Python ints (dtype object) when it does not; both run the
+same code.
 """
 
 import math
@@ -351,11 +352,14 @@ class Cyclotomic:
             n = self.num[0]
             return _lowest_terms(1, [self.den if n > 0 else -self.den], abs(n))
         C = np.array([self.num], dtype=object)
-        y = None
-        for j in range(2, m):
-            if math.gcd(j, m) == 1:
-                conj = _gather(C, np.arange(_phi(m)) * j, m)
-                y = conj if y is None else contract(y[None], conj[None], m)[0]
+        js = [j for j in range(2, m) if math.gcd(j, m) == 1]
+        # every conjugate in one gather, then their product by a tree of
+        # batched pairwise products (an odd row waits for the next round)
+        y = lincomb(C[0], _reduction_matrix(m)[np.outer(js, np.arange(_phi(m))) % m])
+        while len(y) > 1:
+            half = len(y) // 2
+            pairs = contract(y[:half, None, None], y[half:2 * half, None, None], m)
+            y = np.concatenate([pairs[:, 0, 0], y[2 * half:]])
         # norm = x * y * den^phi, positive: complex conjugation pairs the
         # conjugates, so x * y is a product of squared absolute values
         norm = int(contract(C[None], y[None], m)[0, 0, 0])

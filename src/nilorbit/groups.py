@@ -20,6 +20,10 @@ import numpy as np
 from . import kernels
 from .cyclo import Cyclotomic, from_ints, lincomb, times, to_ints
 
+# group-law pairs per call in class_pair_counts; larger blocks raise peak
+# memory through the temporaries of the Lazard law
+PAIR_BLOCK = 1 << 12
+
 
 @dataclass
 class ClassData:
@@ -53,7 +57,9 @@ class FiniteGroup:
     mult_bulk(I, J) returns the products I[k] J[k] of two index arrays;
     inv_bulk(I), when given, the inverses (otherwise one bulk powering pass
     computes them all, once).  Every algorithm below works on whole index
-    arrays; the scalar mult/inv are conveniences on top.
+    arrays; the scalar mult/inv are conveniences on top.  The inverses, the
+    conjugacy classes and the class pair counts (the t^3 int32 table that
+    convolution contracts against) are computed once and cached.
     """
 
     def __init__(
@@ -75,6 +81,7 @@ class FiniteGroup:
         self.name = name
         self._inverses = None
         self._classes = None
+        self._pair_counts = None
 
     def __repr__(self):
         return "FiniteGroup(n=%d%s)" % (self.n, ", %s" % self.name if self.name else "")
@@ -206,6 +213,25 @@ class FiniteGroup:
         )
         return self._classes
 
+    def class_pair_counts(self):
+        """K[k, a * t + b] = #{(x, y) : x in C_a, y in C_b, x y = rep_k} on
+        conjugacy_classes(), as int32 (every count is at most n), computed
+        once.  y = x^-1 rep_k, so the (x^-1, rep_k) pairs of a few whole
+        reps go through the law per call, PAIR_BLOCK pairs or one rep, and
+        one bincount over (rep, class of x, class of y) fills their rows."""
+        if self._pair_counts is None:
+            cd = self.conjugacy_classes()
+            n, t = self.n, cd.num_classes
+            per_call = max(1, PAIR_BLOCK // n)
+            K = np.empty((t, t * t), dtype=np.int32)
+            for k in range(0, t, per_call):
+                c = min(per_call, t - k)
+                ys = self.mult_bulk(np.tile(self.inverses(), c), np.repeat(cd.reps[k:k + c], n))
+                key = (np.repeat(np.arange(c) * t, n) + np.tile(cd.class_of, c)) * t
+                K[k:k + c] = np.bincount(key + cd.class_of[ys], minlength=c * t * t).reshape(c, -1)
+            self._pair_counts = K
+        return self._pair_counts
+
     def element_orders(self, I):
         return self._powering_pass(I)[0]
 
@@ -263,28 +289,36 @@ class FiniteGroup:
         return bool((self.mult_bulk(a, b) == self.mult_bulk(b, a)).all())
 
     def quotient(self, normal_elems):
-        """Quotient by a normal subgroup; returns (group, coset_rep array)."""
-        normal = np.asarray(normal_elems, dtype=np.int64)
-        coset_rep = np.full(self.n, -1, dtype=np.int64)
-        reps = []
-        for x in range(self.n):
-            if coset_rep[x] >= 0:
-                continue
-            coset = self.mult_bulk(np.full(len(normal), x, dtype=np.int64), normal)
-            r = int(coset.min())
-            coset_rep[coset] = r
-            reps.append(r)
-        reps = np.array(sorted(reps), dtype=np.int64)
-        rep_index = np.searchsorted(reps, coset_rep)  # coset of each element
+        """Quotient by a normal subgroup N; returns (group, coset_rep, reps).
+
+        The cosets x N are the orbits of right multiplication by generators
+        of N, found by the orbit kernel's label propagation.  Generators are
+        adjoined greedily, each the least member of N outside the subgroup
+        generated so far, one image table apiece.  coset_rep[x] is the least
+        element of x N and reps are the coset minima, sorted.
+        """
+        everything = np.arange(self.n, dtype=np.int64)
+        outside = np.zeros(self.n, dtype=bool)
+        outside[np.asarray(normal_elems, dtype=np.int64)] = True
+        tables, labels = [], everything
+        while True:
+            outside &= labels != labels[self.identity]
+            if not outside.any():
+                break
+            g = np.full(self.n, np.argmax(outside), dtype=np.int64)
+            tables.append(self.mult_bulk(everything, g).astype(np.int32))
+            labels = kernels.orbit_labels(tables, self.n)
+        reps = np.unique(labels, return_index=True)[1].astype(np.int64)
+        coset_rep = reps[labels]  # labels[x] is the index of x's coset in reps
 
         def qmult(I, J):
-            return rep_index[self.mult_bulk(reps[I], reps[J])]
+            return labels[self.mult_bulk(reps[I], reps[J])]
 
         q = FiniteGroup(
             len(reps),
             qmult,
-            identity=int(rep_index[self.identity]),
-            gens=sorted({int(rep_index[g]) for g in self.generators()}),
+            identity=int(labels[self.identity]),
+            gens=sorted({int(labels[g]) for g in self.generators()}),
             name=self.name + "/N",
         )
         return q, coset_rep, reps

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels, linalg
 from .chartable import CharacterTable, ClassFunction, row_order
-from .cyclo import Cyclotomic, contract, from_ints, lincomb, product_table, to_ints
+from .cyclo import Cyclotomic, contract, from_ints, lincomb, product_table, times, to_ints
 from .groups import ClassData, FiniteGroup
 
 
@@ -238,30 +238,36 @@ def central_idempotent(ring, character, class_data=None):
 def verify_phi_idempotents(ring, table, orbits, psi_k=1):
     """Phi(e_Omega) = 1_Omega for every row, via an all-integer path.
 
-    e_Omega(exp x) = (deg/|G|) chi(exp(-x)) has values in (1/|G|) Z[zeta_p];
-    the transform is evaluated by residue counting and compared against
-    |G| * indicator exactly.
+    e_Omega(exp x) = (deg/|G|) chi(exp(-x)) has values in (1/|G|) Z[zeta_p],
+    so |G| Phi(e)(lambda) = deg * sum_{j,r} counts[lambda, j, r] chi_j zeta^r
+    with counts the residue counts per class.  One product table of every
+    row value against zeta_p^r, one contraction with the counts for all
+    rows and one product with the degrees give every transform, compared
+    against |G| * indicator exactly.
     """
     p = ring.p
     n = ring.order
     cd = table.class_data
     t = cd.num_classes
+    rows = len(table.rows)
+    if len(orbits) != rows:
+        raise ValueError("need one orbit per row")
     X = ring.all_elements()
     R = (psi_k * (X @ X.T)) % p  # n_dual x n
     neg_class = cd.class_of[linalg.encode_vectors((-X) % p, p)]  # class of exp(-x)
     flat = neg_class[None, :] * p + R + np.arange(n)[:, None] * t * p
     counts = np.bincount(flat.ravel(), minlength=n * t * p).reshape(n, t * p)
     zetas = [Cyclotomic.zeta(p, r) for r in range(p)]
-    for row, orb in zip(table.rows, orbits):
-        # |G| Phi(e)(lambda) = deg * sum_{j,r} counts[lambda, j, r] chi_j zeta^r
-        P, M, den = product_table(row.values, zetas)
-        deg = int(row.degree.rational_value())
-        got = lincomb(counts * deg, P.reshape(t * p, -1))
-        target = np.zeros(got.shape, dtype=object)
-        target[orb.indices, 0] = n * den  # the products are P / den
-        if not (got == target).all():
-            return False
-    return True
+    P, M, den = product_table([v for row in table.rows for v in row.values], zetas)
+    phi = P.shape[-1]
+    # P[row, (j, r)] -> [(j, r), (row, coefficient)], matching the counts
+    P = P.reshape(rows, t * p, phi).transpose(1, 0, 2).reshape(t * p, rows * phi)
+    degrees = [[int(row.degree.rational_value())] for row in table.rows]
+    got = times(lincomb(counts, P).reshape(n, rows, phi), degrees)
+    target = np.zeros(got.shape, dtype=object)
+    for i, orb in enumerate(orbits):
+        target[orb.indices, i, 0] = n * den  # the products are P / den
+    return bool((got == target).all())
 
 
 # -- Appendix-style diagnostics --------------------------------------------------

@@ -2,18 +2,22 @@ import math
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nilorbit.chartable import ClassFunction, row_order
 from nilorbit.cyclo import (
     Cyclotomic,
+    _gather,
+    _phi,
     contract,
     cyclotomic_polynomial,
     from_ints,
     parse,
     render,
     root_of_unity,
+    times,
     to_ints,
 )
 from nilorbit.linalg import prime_factors
@@ -355,3 +359,26 @@ def test_integer_fields_match_fraction_model(vals):
     rows = [ClassFunction(cd, (vals[i], vals[(i + j) % n])) for i in range(n) for j in (0, 1)]
     keys = [tuple(_fields(v) for v in r.values) for r in rows]
     assert row_order(rows) == sorted(range(len(rows)), key=lambda i: (keys[i][0], keys[i]))
+
+
+def _inv_sequential(x):
+    """The inverse as the product of the Galois conjugates taken one at a
+    time, one single-row contraction per conjugate, over the norm."""
+    m = x.order
+    C = np.array([x.num], dtype=object)
+    y = None
+    for j in range(2, m):
+        if math.gcd(j, m) == 1:
+            conj = _gather(C, np.arange(_phi(m)) * j, m)
+            y = conj if y is None else contract(y[None], conj[None], m)[0]
+    norm = int(contract(C[None], y[None], m)[0, 0, 0])
+    return from_ints(times(y, x.den), m, norm)[0]
+
+
+@given(st.sampled_from([3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 25, 27]).flatmap(_values))
+@settings(max_examples=120, deadline=None)
+def test_inverse_product_tree_matches_sequential_product(x):
+    assume(x.order > 1)
+    y, ref = x.inv(), _inv_sequential(x)
+    assert (y.order, y.num, y.den) == (ref.order, ref.num, ref.den)
+    assert x * y == 1

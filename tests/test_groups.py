@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from nilorbit import families as fam
 from nilorbit import linalg
 from nilorbit import orbits as ob
+from nilorbit.battery import appendix_h2_ring, witness_ring
 from nilorbit.chartable import ClassFunction, convolve, regular_character, trivial_character
-from nilorbit.cyclo import Cyclotomic
+from nilorbit.cyclo import Cyclotomic, from_ints, lincomb, product_table
 from nilorbit.dixon import dixon_table
 from nilorbit.families import USp4, ul_group, usp4, usp4_via_sp
 from nilorbit.groups import (
@@ -521,3 +522,126 @@ def test_twisted_classes_match_scalar_bfs():
     assert report["labels"].tolist() == labels.tolist()
     assert report["reps"].tolist() == reps and report["num_classes"] == len(reps)
 
+
+
+# -- class pair counts, convolution and quotients ----------------------------
+#
+# The references are the loops these ran before: one law call per class rep
+# for the pair counts, recounted on every convolution, and one per coset for
+# a quotient.
+
+
+def _z4xz2(i, j):
+    return (i % 4 + j % 4) % 4 + 4 * ((i // 4 + j // 4) % 2)
+
+
+_SMALL_GROUPS = {
+    "heisenberg F3": lambda: ob.lazard_group(heisenberg_ring(3)),
+    "heisenberg F5": lambda: ob.lazard_group(heisenberg_ring(5)),
+    "appendix H.2": lambda: ob.lazard_group(appendix_h2_ring(5)),
+    "class-3 witness": lambda: ob.lazard_group(witness_ring(5, 3)),
+    "usp4(2)": lambda: usp4(2),
+    "usp4_via_sp(3)": lambda: usp4_via_sp(3),
+    "Z12": lambda: build_group(lambda i, j: (i + j) % 12, 12),
+    "D5": lambda: build_group(_dihedral(5), 10),
+    "D8": lambda: build_group(_dihedral(8), 16),
+    "S4": lambda: build_group(*_symmetric(4)),
+    "Z4xZ2": lambda: build_group(_z4xz2, 8),
+}
+
+
+def _pair_counts_per_rep(G):
+    cd = G.conjugacy_classes()
+    n, t = G.n, cd.num_classes
+    inv_all = G.inv_bulk(np.arange(n, dtype=np.int64))
+    rows = []
+    for z in cd.reps:
+        w = G.mult_bulk(inv_all, np.full(n, int(z), dtype=np.int64))
+        rows.append(np.bincount(cd.class_of * t + cd.class_of[w], minlength=t * t))
+    return np.array(rows)
+
+
+def _convolve_per_rep(f, g, G):
+    t = f.class_data.num_classes
+    P, M, den = product_table(f.values, g.values)
+    sums = [lincomb(counts, P.reshape(t * t, -1)) for counts in _pair_counts_per_rep(G)]
+    return ClassFunction(f.class_data, tuple(from_ints(np.array(sums), M, den)))
+
+
+def _random_class_function(cd, rng):
+    return ClassFunction(cd, tuple(
+        int(a) + Cyclotomic.zeta(int(m), int(k)) * int(b)
+        for a, b, m, k in zip(*rng.integers([-3, -3, 1, 0], [4, 4, 6, 6], (cd.num_classes, 4)).T)
+    ))
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_GROUPS))
+def test_class_pair_counts_and_convolve_match_per_rep_loop(name):
+    G = _SMALL_GROUPS[name]()
+    cd = G.conjugacy_classes()
+    K = G.class_pair_counts()
+    ref = _pair_counts_per_rep(G)
+    assert K.dtype == np.int32 and K.shape == ref.shape == (cd.num_classes, cd.num_classes**2)
+    assert (K == ref).all()
+    assert (K.sum(axis=1) == G.n).all()  # every x pairs with one y per rep
+    assert G.class_pair_counts() is K
+    rng = np.random.default_rng(len(name))
+    pairs = [(_random_class_function(cd, rng), _random_class_function(cd, rng)) for _ in range(3)]
+    if hasattr(G, "ring"):
+        rows = ob.orbit_method_table(G.ring)[0].rows
+        pairs += [(rows[-1], rows[-1]), (rows[1], rows[-1]), (rows[0], rows[len(rows) // 2])]
+    for f, g in pairs:
+        assert convolve(f, g, G) == _convolve_per_rep(f, g, G)
+
+
+def test_convolve_rejects_another_groups_class_data():
+    D4 = build_group(_dihedral(4), 8)
+    # D4 with two elements of different classes (r and s) swapped: the same
+    # order and class count, but another class_of
+    swap = np.arange(8)
+    swap[[1, 4]] = [4, 1]
+    D4_relabeled = build_group(lambda i, j: int(swap[_dihedral(4)(swap[i], swap[j])]), 8)
+    cd, other = D4.conjugacy_classes(), D4_relabeled.conjugacy_classes()
+    assert cd.num_classes == other.num_classes and not cd.same_as(other)
+    f = _random_class_function(cd, np.random.default_rng(1))
+    with pytest.raises(ValueError):
+        convolve(f, f, D4_relabeled)
+    with pytest.raises(ValueError):
+        convolve(_random_class_function(other, np.random.default_rng(2)), f, D4)
+    with pytest.raises(ValueError):
+        convolve(f, f, build_group(_z4xz2, 8))
+    row = ob.orbit_method_table(heisenberg_ring(3))[0].rows[-1]
+    with pytest.raises(ValueError):
+        convolve(row, row, ob.lazard_group(heisenberg_ring(5)))
+
+
+def _quotient_per_coset(G, normal):
+    coset_rep = np.full(G.n, -1, dtype=np.int64)
+    reps = []
+    for x in range(G.n):
+        if coset_rep[x] >= 0:
+            continue
+        coset = G.mult_bulk(np.full(len(normal), x, dtype=np.int64), normal)
+        r = int(coset.min())
+        coset_rep[coset] = r
+        reps.append(r)
+    return coset_rep, np.array(sorted(reps), dtype=np.int64)
+
+
+@pytest.mark.parametrize("name", ["S4", "D5", "D8", "Z4xZ2", "heisenberg F3", "heisenberg F5",
+                                  "class-3 witness"])
+def test_quotient_matches_per_coset_loop(name):
+    G = _SMALL_GROUPS[name]()
+    rng = np.random.default_rng(3)
+    normals = [[G.identity], np.arange(G.n), G.center(), G.derived_subgroup()]
+    normals += [G.normal_closure([x]) for x in rng.integers(0, G.n, 4)]
+    for N in normals:
+        N = np.asarray(N, dtype=np.int64)
+        Q, coset_rep, reps = G.quotient(N)
+        ref_rep, ref_reps = _quotient_per_coset(G, N)
+        assert coset_rep.tolist() == ref_rep.tolist()
+        assert reps.tolist() == ref_reps.tolist()
+        assert Q.n == G.n // len(N) and Q.identity == ref_reps.tolist().index(ref_rep[G.identity])
+        I, J = rng.integers(0, Q.n, (2, 300))
+        expected = np.searchsorted(ref_reps, ref_rep[G.mult_bulk(ref_reps[I], ref_reps[J])])
+        assert Q.mult_bulk(I, J).tolist() == expected.tolist()

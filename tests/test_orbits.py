@@ -1,12 +1,14 @@
 from collections import Counter
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nilorbit import kernels, orbits as ob
+from nilorbit import families as fam, kernels, linalg, orbits as ob
 from nilorbit.battery import appendix_h2_ring, witness_ring
-from nilorbit.cyclo import Cyclotomic
+from nilorbit.chartable import ClassFunction
+from nilorbit.cyclo import Cyclotomic, lincomb, product_table
 from nilorbit.liering import abelian_ring, heisenberg_ring
 
 
@@ -179,3 +181,57 @@ def test_class_ge_p_rejected():
     w4 = witness_ring(3, 4)  # class 4 >= p = 3
     with pytest.raises(ValueError):
         ob.coadjoint_orbits(w4)
+
+
+def _verify_phi_per_row(ring, table, orbits, psi_k=1):
+    """Phi(e_Omega) = 1_Omega checked one row at a time: a product table of
+    the row against zeta_p^r and one contraction with the residue counts."""
+    p, n = ring.p, ring.order
+    cd = table.class_data
+    t = cd.num_classes
+    X = ring.all_elements()
+    R = (psi_k * (X @ X.T)) % p
+    neg_class = cd.class_of[linalg.encode_vectors((-X) % p, p)]
+    flat = neg_class[None, :] * p + R + np.arange(n)[:, None] * t * p
+    counts = np.bincount(flat.ravel(), minlength=n * t * p).reshape(n, t * p)
+    zetas = [Cyclotomic.zeta(p, r) for r in range(p)]
+    for row, orb in zip(table.rows, orbits):
+        P, M, den = product_table(row.values, zetas)
+        got = lincomb(counts * int(row.degree.rational_value()), P.reshape(t * p, -1))
+        target = np.zeros(got.shape, dtype=object)
+        target[orb.indices, 0] = n * den
+        if not (got == target).all():
+            return False
+    return True
+
+
+def _rows(table, rows):
+    return SimpleNamespace(class_data=table.class_data, rows=rows)
+
+
+@pytest.mark.parametrize("ring", [
+    heisenberg_ring(3), heisenberg_ring(5), fam.fake_heisenberg(3, 2),
+    fam.ul_lie_scheme(3, 5).at_level(1), appendix_h2_ring(5), witness_ring(5, 3),
+], ids=["heisenberg F3", "heisenberg F5", "fake heisenberg q=9", "UL3(F5)",
+        "appendix H.2", "class-3 witness"])
+def test_phi_idempotents_match_per_row_check(ring):
+    psi_ks = (1, 2) if ring.order == 125 else (1,)
+    for psi_k in psi_ks:
+        table, orbits = ob.orbit_method_table(ring, psi_k=psi_k)
+        rows = table.rows
+        sample = slice(1, None, max(1, len(rows) // 6))
+        swapped = orbits[:1] + orbits[-1:] + orbits[2:-1] + orbits[1:2]
+        k = len(rows) // 2
+        perturbed = list(rows)
+        bumped = list(rows[k].values)
+        bumped[-1] = bumped[-1] + 1
+        perturbed[k] = ClassFunction(table.class_data, tuple(bumped))
+        cases = [
+            (table, orbits, True),
+            (_rows(table, rows[sample]), orbits[sample], True),
+            (_rows(table, rows), swapped, False),
+            (_rows(table, perturbed), orbits, False),
+        ]
+        for tab, orbs, holds in cases:
+            assert _verify_phi_per_row(ring, tab, orbs, psi_k) is holds
+            assert ob.verify_phi_idempotents(ring, tab, orbs, psi_k) is holds
