@@ -76,8 +76,9 @@ class FqLieScheme:
                     blk = C[i * sn : (i + 1) * sn, j * sn : (j + 1) * sn, k * sn : (k + 1) * sn]
                     blk += vals.reshape(sn, sn, sn)
         C %= p
-        frob = _block_diag([K.frobenius_matrix()] * self.dim_q)
-        scal = _block_diag([K.mul_matrix(K.gen())] * self.dim_q)
+        eye_q = np.eye(self.dim_q, dtype=np.int64)
+        frob = np.kron(eye_q, K.frobenius_matrix())
+        scal = np.kron(eye_q, K.mul_matrix(K.gen()))
         ring = LieRing(
             p,
             C,
@@ -100,30 +101,14 @@ class FqLieScheme:
             raise ValueError("levels must divide")
         Km = self.level_field(m)
         Kn = self.level_field(n)
-        emb = fq_embed(Km, Kn)
-        E = emb.matrix  # (s*n) x (s*m)
-        d_m = self.dim_q * Km.s
-        out = np.zeros((self.dim_q * Kn.s, d_m), dtype=np.int64)
-        for i in range(self.dim_q):
-            out[i * Kn.s : (i + 1) * Kn.s, i * Km.s : (i + 1) * Km.s] = E
-        return out
+        E = fq_embed(Km, Kn).matrix  # (s*n) x (s*m)
+        return np.kron(np.eye(self.dim_q, dtype=np.int64), E)
 
     def pin_tower(self, levels):
         """Register composite embeddings along a chain of levels."""
         fields = [self.level_field(n) for n in levels]
         for a, b, c in zip(fields, fields[1:], fields[2:]):
             register_composite(a, b, c)
-
-
-def _block_diag(mats):
-    d = sum(m.shape[0] for m in mats)
-    out = np.zeros((d, d), dtype=np.int64)
-    at = 0
-    for m in mats:
-        k = m.shape[0]
-        out[at : at + k, at : at + k] = m
-        at += k
-    return out
 
 
 def fake_heisenberg_scheme(p, s, coeffs=None):

@@ -6,9 +6,29 @@ fixed table for small (p, s) so embeddings reproduce across runs; otherwise
 the lexicographically first irreducible monic polynomial is used.  Embeddings
 pick the lexicographically least root of the small modulus in the big field
 and compose consistently within a run via a registry.
+
+Everything polynomial derives from one table per modulus f of degree s
+(`_Monomials`, cached per field, and built for a whole batch of candidate
+moduli at once by the modulus search): the rows t^k mod (p, f).
+- Rows t^s, ..., t^(2s-2) reduce every product: `bulk_mul` multiplies (n, s)
+  coefficient rows and folds the high coefficients back through them, and
+  `bulk_pow` (with `pow`, `inv` as one-row calls) is the one
+  square-and-multiply.
+- Q, the Frobenius matrix, has row i = (t^i)^p = t^(ip), so a^p = a @ Q.  At
+  small p it is the rows t^0, t^p, ..., t^((s-1)p) of the table; at large p
+  the table stops at t^(2s-1) and Q is the identity rows raised to the p-th
+  power (`_table_top` picks the cheaper).  Frobenius, its inverse and the
+  traces are products with powers and sums of Q, cached per field.
+- `is_irreducible` is Rabin's test on the iterates x^(p^i) = x^(p^(i-1)) @ Q,
+  and `is_primitive` powers t through the square-and-multiply; both test a
+  batch of moduli at once.
+Coefficients are int64 while a sum of s products below p^2 fits, Python ints
+beyond, so the arithmetic is exact for any p.  The scalar `FqField.mul` is
+the one pure-int product (schoolbook and long division), for callers that
+multiply one pair at a time.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,44 +64,88 @@ _FIXED_MODULI = {
 }
 
 
-def _poly_mulmod(a, b, mod, p):
-    s = len(mod) - 1
-    if s >= 24:
-        return _poly_mulmod_np(a, b, mod, p)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    for i in range(len(out) - 1, s - 1, -1):
-        c = out[i]
-        if c:
-            for j in range(s + 1):
-                out[i - s + j] = (out[i - s + j] - c * mod[j]) % p
-    out = out[:s]
-    out += [0] * (s - len(out))
-    return out
+# The modulus search tests candidates in batches: the first of up to
+# _FIRST_BATCH of them (a batch that small costs about what one candidate
+# costs, numpy's per-call cost dominating), then doubling up to about
+# _BATCH_ENTRIES entries of working arrays.
+_FIRST_BATCH = 32
+_BATCH_ENTRIES = 1 << 18
 
 
-def _poly_mulmod_np(a, b, mod, p):
-    """numpy product-and-reduce for large degrees and operands of s
-    coefficients: those of t^s, ..., t^(2s-2) fold back through the
-    reduction matrix."""
-    s = len(mod) - 1
-    conv = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)) % p
-    return ((conv[:s] + conv[s:] @ _reduction_matrix(p, mod)) % p).tolist()
+def _table_top(p, s):
+    """The last table row: (s - 1)p when reading Q off the table takes
+    fewer multiply-adds than powering, else 2s - 1.  The (s - 1)p rows cost
+    about s^2 each; powering costs about 2 log2(p) products of s rows at
+    2s^2 each.  Either way a modulus takes O(s^2 log p) entries."""
+    return max(2 * s - 1, (s - 1) * p if (s - 1) * p <= 4 * s * p.bit_length() else 0)
 
 
-def _poly_powmod(a, e, mod, p):
-    s = len(mod) - 1
-    out = [1] + [0] * (s - 1)
-    base = list(a)
-    while e:
-        if e & 1:
-            out = _poly_mulmod(out, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return out
+class _Monomials:
+    """The rows t^k mod (p, f) for a batch of monic moduli f of one degree
+    s, with the products, powers and Frobenius matrices they give.
+
+    table[b, k] is t^k mod f_b for k = 0, ..., _table_top(p, s).  The first s
+    rows are the unit vectors and t^s is minus the low part of the modulus;
+    then rows [0, k) give rows [k, 2k - s) in one product,
+    t^i t^(k-s) = T[i] @ T[k-s:k] for s <= i < k, so the table doubles in
+    length per step.  Elements are (b, n, s) arrays: n coefficient rows per
+    modulus.  Entries are int64 while a sum of s products below p^2 fits,
+    exact Python ints beyond.
+    """
+
+    def __init__(self, p, moduli):
+        moduli = np.asarray(moduli)
+        b, s = moduli.shape[0], moduli.shape[1] - 1
+        self.p, self.s = p, s
+        self.dtype = np.int64 if s * p * p < 2**63 else object
+        top = _table_top(p, s)
+        T = np.zeros((b, top + 1, s), dtype=self.dtype)
+        T[:, :s] = np.eye(s, dtype=self.dtype)
+        T[:, s] = -moduli[:, :s].astype(self.dtype) % p
+        k = s + 1
+        while k <= top:
+            m = min(2 * k - s, top + 1)
+            T[:, k:m] = T[:, s : m - k + s] @ T[:, k - s : k] % p
+            k = m
+        T.flags.writeable = False
+        self.table = T
+        self.reduction = T[:, s : 2 * s - 1]  # folds t^s, ..., t^(2s-2) back
+
+    @cached_property
+    def frobenius(self):
+        """Q per modulus: row i is t^(ip) = (t^i)^p, so a @ Q = a^p."""
+        s, p = self.s, self.p
+        if (s - 1) * p < self.table.shape[1]:
+            return self.table[:, : (s - 1) * p + 1 : p]
+        Q = self.pow(self.table[:, :s], p)
+        Q.flags.writeable = False
+        return Q
+
+    def mul(self, A, B):
+        """Products of two (b, n, s) arrays of reduced coefficients."""
+        s = self.s
+        conv = np.zeros(A.shape[:-1] + (2 * s - 1,), dtype=self.dtype)
+        for i in range(s):
+            conv[..., i : i + s] += A[..., i : i + 1] * B
+        conv %= self.p
+        return (conv[..., :s] + conv[..., s:] @ self.reduction) % self.p
+
+    def pow(self, A, e):
+        """A^e for e >= 0 by square-and-multiply."""
+        out = np.zeros_like(A)
+        out[..., 0] = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, A)
+            e >>= 1
+            if e:
+                A = self.mul(A, A)
+        return out
+
+
+@lru_cache(maxsize=None)
+def _field_monomials(p, modulus):
+    return _Monomials(p, [modulus])
 
 
 def _poly_gcd_mod(a, b, p):
@@ -110,67 +174,85 @@ def _poly_rem(a, b, p):
 
 
 def is_irreducible(modulus, p):
-    """Rabin test for a monic polynomial over F_p."""
-    s = len(modulus) - 1
-    if s < 1 or modulus[-1] != 1:
+    """Rabin's test for a monic polynomial over F_p (see _irreducible)."""
+    if len(modulus) < 2 or modulus[-1] != 1:
         return False
-    if s == 1:
-        return True
-    t = [0, 1] + [0] * (s - 2)
-    if _poly_powmod(t, p**s, modulus, p) != t:
-        return False
-    for r in linalg.prime_factors(s):
-        cur = _poly_powmod(t, p ** (s // r), modulus, p)
-        diff = list(cur)
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd_mod(diff, modulus, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
-def _order_of_t(modulus, p):
-    """Multiplicative order of t modulo (p, modulus)."""
-    s = len(modulus) - 1
-    n = p**s - 1
-    one = [1] + [0] * (s - 1)
-    order = n
-    for q in linalg.prime_factors(n):
-        while order % q == 0 and _poly_powmod(_tpoly(s), order // q, modulus, p) == one:
-            order //= q
-    return order
-
-
-def _tpoly(s):
-    return ([0, 1] + [0] * (s - 2)) if s >= 2 else None
+    return bool(_irreducible(p, [modulus])[0])
 
 
 def is_primitive(modulus, p):
-    s = len(modulus) - 1
-    if not is_irreducible(modulus, p):
+    """Irreducible, and t generates the multiplicative group."""
+    if len(modulus) < 2 or modulus[-1] != 1:
         return False
+    return bool(_primitive(p, [modulus])[0])
+
+
+def _irreducible(p, moduli):
+    """Rabin's test on a batch of monic moduli of one degree s: f is
+    irreducible iff x^(p^s) = x mod f and gcd(x^(p^(s/r)) - x, f) = 1 for
+    each prime r dividing s.  The iterates x^(p^i) are t @ Q^i."""
+    moduli = np.asarray(moduli)
+    s = moduli.shape[1] - 1
+    ok = np.ones(len(moduli), dtype=bool)
     if s == 1:
-        g = (-modulus[0]) % p
-        if g == 0:
-            return False
-        n = p - 1
-        return all(pow(g, n // q, p) != 1 for q in linalg.prime_factors(n))
-    return _order_of_t(modulus, p) == p**s - 1
+        return ok
+    mono = _Monomials(p, moduli)
+    Q, t = mono.frobenius, mono.table[:, 1:2]
+    wanted = {s // r: None for r in linalg.prime_factors(s)}
+    y = Q[:, 1:2]  # x^p
+    for i in range(1, s):
+        if i in wanted:
+            wanted[i] = y
+        y = y @ Q % p
+    ok &= (y == t).all(axis=(1, 2))
+    for b in np.flatnonzero(ok):
+        for x in wanted.values():
+            diff = (x[b, 0] - t[b, 0]) % p
+            if len(_poly_gcd_mod(diff.tolist(), moduli[b].tolist(), p)) != 1:
+                ok[b] = False
+                break
+    return ok
+
+
+def _primitive(p, moduli):
+    """Irreducible, and t generates the multiplicative group: t is a unit
+    (t does not divide f) and t^(n/r) != 1 for each prime r dividing
+    n = p^s - 1.  The powers are taken for the irreducible moduli only."""
+    moduli = np.asarray(moduli)
+    ok = _irreducible(p, moduli) & (moduli[:, 0] % p != 0)
+    if ok.any():
+        mono = _Monomials(p, moduli[ok])
+        t, one = mono.table[:, 1:2], mono.table[:, :1]
+        n = p**mono.s - 1
+        unit = np.ones(len(t), dtype=bool)
+        for r in linalg.prime_factors(n):
+            unit &= (mono.pow(t, n // r) != one).any(axis=(1, 2))
+        ok[ok] = unit
+    return ok
 
 
 def _first_irreducible(p, s, primitive=False):
     """Lexicographically least monic polynomial of degree s (by ascending
-    coefficient tuple) that is irreducible (and primitive if asked)."""
-    test = is_primitive if primitive else is_irreducible
-    for idx in range(p**s):
-        coeffs = []
-        k = idx
-        for _ in range(s):
-            coeffs.append(k % p)
-            k //= p
-        modulus = tuple(coeffs) + (1,)
-        if test(modulus, p):
-            return modulus
+    coefficient tuple) that is irreducible (and primitive if asked).
+
+    Candidates are tested in batches in search order (see _FIRST_BATCH),
+    so a long search pays numpy's per-call cost once per batch, not once
+    per candidate.
+    """
+    test = _primitive if primitive else _irreducible
+    cap = max(1, _BATCH_ENTRIES // ((_table_top(p, s) + 2 * s) * s))
+    start, size = 0, min(_FIRST_BATCH, cap)
+    while start < p**s:
+        idx = np.arange(start, min(start + size, p**s), dtype=np.int64)
+        moduli = np.ones((len(idx), s + 1), dtype=np.int64)
+        for i in range(s):
+            moduli[:, i] = idx % p
+            idx //= p
+        hit = np.flatnonzero(test(p, moduli))
+        if len(hit):
+            return tuple(int(c) for c in moduli[hit[0]])
+        start += size
+        size = min(2 * size, cap)
     raise ArithmeticError("no irreducible polynomial found")
 
 
@@ -206,6 +288,7 @@ class FqField:
         self.modulus = modulus
         self.zero = (0,) * s
         self.one = (1,) + (0,) * (s - 1)
+        self._mono = _field_monomials(p, modulus)
 
     @property
     def order(self):
@@ -268,9 +351,24 @@ class FqField:
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
-        if self.s == 1:
-            return ((a[0] * b[0]) % self.p,)
-        return tuple(_poly_mulmod(list(a), list(b), self.modulus, self.p))
+        """The scalar product, on ints: schoolbook, then long division by
+        the monic modulus."""
+        p, s = self.p, self.s
+        if s == 1:
+            return ((a[0] * b[0]) % p,)
+        out = [0] * (2 * s - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] = (out[i + j] + x * y) % p
+        mod = self.modulus
+        for i in range(2 * s - 2, s - 1, -1):
+            c = out[i]
+            if c:
+                for j in range(s):
+                    out[i - s + j] = (out[i - s + j] - c * mod[j]) % p
+        del out[s:]
+        return tuple(out)
 
     def scalar_mul(self, c, a):
         c = int(c) % self.p
@@ -279,38 +377,29 @@ class FqField:
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        out = self.one
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return tuple(self.bulk_pow([a], e)[0].tolist())
 
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of 0 in %r" % self)
         return self.pow(a, self.order - 2)
 
+    def _apply(self, a, M):
+        """a @ M mod p for a row-acting matrix M, as an element."""
+        return tuple((np.array(a, dtype=M.dtype) @ M % self.p).tolist())
+
     def frobenius(self, a):
         """One absolute Frobenius step x -> x^p."""
-        return self.pow(a, self.p)
+        return self._apply(a, _frobenius_power(self, 1))
 
     def frobenius_inv(self, a):
-        return self.pow(a, self.p ** (self.s - 1))
+        return self._apply(a, _frobenius_power(self, self.s - 1))
 
     def trace(self, a, subdeg=1):
         """Trace to the subfield of degree subdeg: sum of x^(p^(i*subdeg))."""
         if self.s % subdeg != 0:
             raise ValueError("subdeg must divide the field degree")
-        out = self.zero
-        cur = a
-        step = self.p**subdeg
-        for _ in range(self.s // subdeg):
-            out = self.add(out, cur)
-            cur = self.pow(cur, step)
-        return out
+        return self._apply(a, _trace_rows(self, subdeg))
 
     def trace_to_prime(self, a):
         """Absolute trace as an integer in Z/p."""
@@ -319,52 +408,28 @@ class FqField:
     # -- linear-algebra views ---------------------------------------------------
 
     def mul_matrix(self, a):
-        """Matrix over Z/p of multiplication by a in the power basis."""
-        basis = [
-            self.element([1 if i == j else 0 for i in range(self.s)])
-            for j in range(self.s)
-        ]
-        return np.array([list(self.mul(a, b)) for b in basis], dtype=np.int64).T
+        """Matrix over Z/p of multiplication by a in the power basis: column
+        j is a t^j, from one bulk product."""
+        return self.bulk_mul(np.eye(self.s, dtype=np.int64), np.tile(a, (self.s, 1))).T
 
     def frobenius_matrix(self):
-        """Matrix over Z/p of x -> x^p in the power basis.
-
-        Columns are (t^p)^k for k < s: one powmod, then repeated products.
-        """
-        y = self.pow(self.gen(), self.p) if self.s > 1 else self.gen()
-        if self.s == 1:
-            return np.array([[1]], dtype=np.int64)
-        cols = [self.one]
-        for _ in range(self.s - 1):
-            cols.append(self.mul(cols[-1], y))
-        return np.array(cols, dtype=np.int64).T
+        """Matrix over Z/p of x -> x^p in the power basis: Q transposed,
+        cached per field and read-only."""
+        return _frobenius_power(self, 1).T
 
     def trace_matrix(self):
-        """Matrix of x -> tr_{F_q/F_p}(x) embedded: sum of Frobenius powers."""
-        F = self.frobenius_matrix()
-        out = np.zeros((self.s, self.s), dtype=np.int64)
-        cur = np.eye(self.s, dtype=np.int64)
-        for _ in range(self.s):
-            out = (out + cur) % self.p
-            cur = (cur @ F) % self.p
-        return out
+        """Matrix of x -> tr_{F_q/F_p}(x) embedded: sum of Frobenius powers,
+        cached per field and read-only."""
+        return _trace_rows(self, 1).T
 
     # -- bulk (numpy) arithmetic ------------------------------------------------
 
     def bulk_mul(self, A, B):
         """Rowwise products of two (n, s) coefficient arrays."""
-        A = np.asarray(A, dtype=np.int64) % self.p
-        B = np.asarray(B, dtype=np.int64) % self.p
-        s = self.s
-        if s == 1:
-            return (A * B) % self.p
-        conv = np.zeros((len(A), 2 * s - 1), dtype=np.int64)
-        for i in range(s):
-            conv[:, i : i + s] += A[:, i : i + 1] * B
-        conv %= self.p
-        red = _reduction_matrix(self.p, self.modulus)
-        out = conv[:, :s] + conv[:, s:] @ red
-        return out % self.p
+        mono = self._mono
+        A = np.asarray(A, dtype=mono.dtype) % self.p
+        B = np.asarray(B, dtype=mono.dtype) % self.p
+        return mono.mul(A[None], B[None])[0]
 
     def index_tables(self):
         """(add, sub, mul): q x q arrays of element indices, mul[i, j] the
@@ -373,15 +438,33 @@ class FqField:
         return _index_tables(self)
 
     def bulk_pow(self, A, e):
-        A = np.asarray(A, dtype=np.int64) % self.p
-        out = np.tile(np.array(self.one, dtype=np.int64), (len(A), 1))
-        base = A
-        while e:
-            if e & 1:
-                out = self.bulk_mul(out, base)
-            base = self.bulk_mul(base, base)
-            e >>= 1
-        return out
+        """Rowwise A^e of an (n, s) coefficient array, e >= 0."""
+        mono = self._mono
+        return mono.pow(np.asarray(A, dtype=mono.dtype)[None] % self.p, e)[0]
+
+
+@lru_cache(maxsize=None)
+def _frobenius_power(field, k):
+    """Q^k for 0 <= k <= s, read-only: a @ Q^k = a^(p^k).  Each power is
+    the previous one times Q, cached per field, in Q's dtype (Python ints
+    at large p, where linalg.matpow's int64 would overflow)."""
+    if k == 1:
+        return field._mono.frobenius[0]
+    if k == 0:
+        M = np.eye(field.s, dtype=field._mono.dtype)
+    else:
+        M = _frobenius_power(field, k - 1) @ _frobenius_power(field, 1) % field.p
+    M.flags.writeable = False
+    return M
+
+
+@lru_cache(maxsize=None)
+def _trace_rows(field, subdeg):
+    """Sum of Q^(i subdeg) over i < s / subdeg, read-only: a @ it is the
+    trace of a to the degree-subdeg subfield."""
+    out = sum(_frobenius_power(field, i * subdeg) for i in range(field.s // subdeg)) % field.p
+    out.flags.writeable = False
+    return out
 
 
 _TABLE_MAX_ORDER = 1 << 8
@@ -401,30 +484,6 @@ def _index_tables(field):
         T.flags.writeable = False  # shared by every caller
         tables.append(T)
     return tuple(tables)
-
-
-@lru_cache(maxsize=None)
-def _reduction_matrix_cached(p, modulus):
-    """int64 (s - 1, s): row k holds t^(s+k) reduced modulo (p, modulus).
-
-    The modulus is monic, so t^s = -(modulus - t^s) and each further row is
-    t times the previous one: shift up, then subtract the overflowing
-    coefficient times the low part of the modulus.
-    """
-    s = len(modulus) - 1
-    low = np.array(modulus[:s], dtype=np.int64) % p
-    R = np.zeros((max(s - 1, 0), s), dtype=np.int64)
-    if s > 1:
-        R[0] = -low % p
-    for k in range(1, s - 1):
-        R[k, 1:] = R[k - 1, :-1]
-        R[k] = (R[k] - R[k - 1, -1] * low) % p
-    R.flags.writeable = False
-    return R
-
-
-def _reduction_matrix(p, modulus):
-    return _reduction_matrix_cached(p, tuple(modulus))
 
 
 def fq_trace_frobenius(field, subdeg, x):
@@ -501,7 +560,7 @@ def _least_root(modulus, big):
     kernel of Frob^s - I, so only that subfield's p^s points are tried.
     """
     p = big.p
-    frob_s = linalg.matpow(big.frobenius_matrix(), len(modulus) - 1, p)
+    frob_s = _frobenius_power(big, len(modulus) - 1).T
     sub = linalg.kernel((frob_s - np.eye(big.s, dtype=np.int64)) % p, p)
     pts = linalg.enumerate_row_space(sub, p)
     pts = pts[np.argsort(linalg.encode_vectors(pts, p))]

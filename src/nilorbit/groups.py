@@ -507,7 +507,7 @@ def little_groups(H, A, act, verify_action=True):
         r_chi = A.char_exponents(chi, np.arange(nA)) * (E // A.exponent)
         for psi in _subgroup_characters(H, stab):
             r = ((psi * (E // H.exponent))[:, None] + r_chi).ravel() % E
-            rows.append(_induce_from_roots(cd, S_elems, r, E))
+            rows.append(induce_from_roots(cd, S_elems, r, E))
     table = CharacterTable(cd, rows)
     table.group = G
     return table
@@ -540,7 +540,7 @@ def _subgroup_characters(H, stab):
     return keys
 
 
-def _induce_from_roots(cd, elems, r, e):
+def induce_from_roots(cd, elems, r, e):
     """Ind from the subgroup on elems of the class function zeta_e^r[k] at
     elems[k]: |C_G(g)|/|H| times the root counts on class(g) meet H."""
     from .chartable import ClassFunction
@@ -577,15 +577,12 @@ def _check_action(H, A, table):
 # -- twisted conjugacy ------------------------------------------------------------
 
 
-def twisted_classes(G, phi, table=None, reps_for_basis=None, seed=1):
-    """phi-conjugacy classes and the twisted-trace basis.
+def twisted_classes(G, phi, table=None):
+    """phi-conjugacy classes.
 
     phi: permutation array on [0, n) (verified to be an automorphism).
     Returns a report dict; when `table` (a CharacterTable) is given, the
-    count of phi-fixed rows is checked against the class count, and when
-    monomial representations are supplied via reps_for_basis (a list of
-    (row_index, MonomialRep)), the twisted traces are built and their rank
-    verified.
+    count of phi-fixed rows is checked against the class count.
     """
     phi = np.asarray(phi, dtype=np.int64)
     n = G.n

@@ -19,6 +19,9 @@ from .chartable import CharacterTable, ClassFunction, row_order
 from .cyclo import Cyclotomic, contract, from_ints, lincomb, product_table, times, to_ints
 from .groups import ClassData, FiniteGroup
 
+# (dual point, point) pairs per counting block in verify_phi_idempotents
+PHI_BLOCK = 1 << 16
+
 
 class CoadjointOrbit:
     """A coadjoint orbit: sorted dual indices, base point, stabilizer g^f."""
@@ -253,10 +256,18 @@ def verify_phi_idempotents(ring, table, orbits, psi_k=1):
     if len(orbits) != rows:
         raise ValueError("need one orbit per row")
     X = ring.all_elements()
-    R = (psi_k * (X @ X.T)) % p  # n_dual x n
     neg_class = cd.class_of[linalg.encode_vectors((-X) % p, p)]  # class of exp(-x)
-    flat = neg_class[None, :] * p + R + np.arange(n)[:, None] * t * p
-    counts = np.bincount(flat.ravel(), minlength=n * t * p).reshape(n, t * p)
+    # counts[lambda, j * p + r]: x in class j of exp(-x) with psi_k(lambda . x) = r,
+    # in blocks of dual points so that the temporaries stay block x n
+    counts = np.empty((n, t * p), dtype=np.int64)
+    block = max(1, PHI_BLOCK // n)
+    for start in range(0, n, block):
+        lam = X[start : start + block]
+        keys = neg_class * p + (psi_k * (lam @ X.T)) % p
+        keys += np.arange(len(lam))[:, None] * (t * p)
+        counts[start : start + len(lam)] = np.bincount(
+            keys.ravel(), minlength=len(lam) * t * p
+        ).reshape(len(lam), t * p)
     zetas = [Cyclotomic.zeta(p, r) for r in range(p)]
     P, M, den = product_table([v for row in table.rows for v in row.values], zetas)
     phi = P.shape[-1]
@@ -275,36 +286,15 @@ def verify_phi_idempotents(ring, table, orbits, psi_k=1):
 
 def perm_vs_tensor(ring, orbit):
     """Compare fibers of the subtraction map pi: Omega x Omega -> g* with
-    fibers of the tangent map pi~: TOmega -> g*.
+    fibers of the tangent map pi~: TOmega -> g*, whose image at f is the
+    row space of B_f.
 
     Returns (report, equal) where report carries both fiber-count vectors
     (indexed by dual point index).
     """
-    p, d = ring.p, ring.dim
-    n = ring.order
     pts = orbit.points()
-    # pi fibers: counts of f - g over all ordered pairs
-    sub_counts = np.zeros(n, dtype=np.int64)
-    for f in pts:
-        diffs = (f[None, :] - pts) % p
-        idx = linalg.encode_vectors(diffs, p)
-        sub_counts += np.bincount(idx, minlength=n)
-    # pi~ fibers: for each f, the image subspace of B_f (each point once)
-    tan_counts = np.zeros(n, dtype=np.int64)
-    for f in pts:
-        B = ring.bf_matrix(f)
-        image_rows, _ = linalg.rref(B, p)
-        space = linalg.enumerate_row_space(image_rows, p)
-        idx = linalg.encode_vectors(space, p)
-        tan_counts += np.bincount(idx, minlength=n)
-    equal = bool((sub_counts == tan_counts).all())
-    report = {
-        "subtraction_fibers": sub_counts,
-        "tangent_fibers": tan_counts,
-        "equal": equal,
-        "images_equal": bool(((sub_counts > 0) == (tan_counts > 0)).all()),
-    }
-    return report, equal
+    report = pointset_fiber_comparison(pts, [ring.bf_matrix(f) for f in pts], ring.p)
+    return report, report["equal"]
 
 
 def pointset_fiber_comparison(points, tangent_spaces, p):

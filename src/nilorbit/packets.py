@@ -41,8 +41,7 @@ class TowerInstance:
         T = self.field.trace_matrix()
         G = ((prods @ T.T) % p)[:, 0].reshape(s, s)
         self.gram = G
-        blocks = [G] * scheme.dim_q
-        self.gram_full = _block_diag(blocks) % p
+        self.gram_full = np.kron(np.eye(scheme.dim_q, dtype=np.int64), G)
         self.gram_full_inv = linalg.inverse(self.gram_full, p)
         self.frobenius = self.ring.fq.frobenius_matrix
         # dual (pullback) Frobenius: <F x, lam> = <x, D lam>, D = F^T;
@@ -58,17 +57,6 @@ class TowerInstance:
 
     def orbits(self, psi_k=1):
         return coadjoint_orbits(self.ring, psi_k=psi_k)
-
-
-def _block_diag(mats):
-    d = sum(m.shape[0] for m in mats)
-    out = np.zeros((d, d), dtype=np.int64)
-    at = 0
-    for m in mats:
-        k = m.shape[0]
-        out[at : at + k, at : at + k] = m
-        at += k
-    return out
 
 
 def dual_embedding_matrix(scheme, m, n):
@@ -324,30 +312,14 @@ class PacketReport:
         since all orbit sizes are powers of p."""
         if len(self.dense_rounds) < 2:
             return [None] * len(self.orbit_set.orbits)
-        (n1, map1, om, on1), (n2, map2, _, on2) = (
-            self.dense_rounds[-2],
-            self.dense_rounds[-1],
-        )
+        # each dense round holds T_m^n from the ladder's level m (it starts
+        # at 2m, so no round is at level m itself)
+        (n1, map1, _, on1), (n2, map2, _, on2) = self.dense_rounds[-2:]
         s = self.scheme.field.s
-        # compose down to level m when the dense rounds are not at level m
-        base1, _, _ = (
-            base_change_map(
-                self.scheme, self.m, n1, psi_k=self.psi_k, check_equivariance=False
-            )
-            if n1 != self.m
-            else (np.arange(len(om.orbits)), None, None)
-        )
-        base2, _, _ = (
-            base_change_map(
-                self.scheme, self.m, n2, psi_k=self.psi_k, check_equivariance=False
-            )
-            if n2 != self.m
-            else (np.arange(len(om.orbits)), None, None)
-        )
         out = []
         for i in range(len(self.orbit_set.orbits)):
-            e1 = on1.orbits[int(base1[i])].half_log
-            e2 = on2.orbits[int(base2[i])].half_log
+            e1 = on1.orbits[int(map1[i])].half_log
+            e2 = on2.orbits[int(map2[i])].half_log
             out.append(Fraction(e2 - e1, s * (n2 - n1)))
         return out
 

@@ -11,12 +11,10 @@ battery.
 import numpy as np
 
 from . import linalg
-from .chartable import ClassFunction
 from .cyclo import Cyclotomic, from_ints, lincomb, to_ints
+from .groups import induce_from_roots
 from .liering import Subspace
 from .orbits import conjugacy_class_data
-
-from fractions import Fraction
 
 
 class FlagOfIdeals:
@@ -511,14 +509,9 @@ def induced_character(ring, pol, class_data=None, psi_k=1):
         if D.shape[0]
         else np.ones(ring.order, dtype=bool)
     )
-    t = cd.num_classes
     members = np.nonzero(in_H)[0]
     res = (psi_k * (all_pts[members] @ pol.f_vec)) % p
-    counts = np.bincount(cd.class_of[members] * p + res, minlength=t * p).reshape(t, p)
-    centralizers = np.array([[cd.centralizer_order(j)] for j in range(t)], dtype=np.int64)
-    scale = Fraction(1, p**pol.space.dim)
-    values = Cyclotomic.from_root_counts(p, counts * centralizers, scale)
-    return ClassFunction(cd, tuple(values))
+    return induce_from_roots(cd, members, res, p)
 
 
 def induced_character_and_rep(ring, f_vec, pol, class_data=None, psi_k=1):

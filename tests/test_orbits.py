@@ -209,6 +209,24 @@ def _rows(table, rows):
     return SimpleNamespace(class_data=table.class_data, rows=rows)
 
 
+def test_phi_idempotents_count_in_bounded_blocks():
+    # the residue counts are made in blocks of dual points, so on the
+    # class-4 witness (n = 5^5) the check of the sampled rows peaks far
+    # below the two n x n int64 arrays (74.5 MiB each) of a whole-space count
+    import tracemalloc
+
+    ring = witness_ring(5, 4)
+    table, orbits = ob.orbit_method_table(ring)
+    step = max(1, len(table.rows) // 6)
+    tracemalloc.start()
+    try:
+        assert ob.verify_phi_idempotents(ring, _rows(table, table.rows[::step]), orbits[::step])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 @pytest.mark.parametrize("ring", [
     heisenberg_ring(3), heisenberg_ring(5), fam.fake_heisenberg(3, 2),
     fam.ul_lie_scheme(3, 5).at_level(1), appendix_h2_ring(5), witness_ring(5, 3),

@@ -114,6 +114,32 @@ def test_fdim_estimates_fake_heisenberg():
         assert fdims[i] == (Fraction(1, 2) if v else Fraction(0))
 
 
+def test_fdim_estimates_reuse_the_ladder_maps(monkeypatch):
+    # every dense round holds T_m^n from level m, so the estimates build no
+    # base-change map; fresh maps from level m give the same estimates
+    from fractions import Fraction
+
+    _, rep = pk.base_change_and_packets(fake_heisenberg_scheme(3, 1), 1)
+    original = pk.base_change_map
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pk, "base_change_map", counted)
+    fdims = rep.fdim_estimates()
+    assert calls == []
+    (n1, _, _, on1), (n2, _, _, on2) = rep.dense_rounds[-2:]
+    base1 = original(rep.scheme, 1, n1, check_equivariance=False)[0]
+    base2 = original(rep.scheme, 1, n2, check_equivariance=False)[0]
+    s = rep.scheme.field.s
+    assert fdims == [
+        Fraction(on2.orbits[int(b2)].half_log - on1.orbits[int(b1)].half_log, s * (n2 - n1))
+        for b1, b2 in zip(base1, base2)
+    ]
+
+
 def test_packet_csv_shape():
     _, rep = pk.base_change_and_packets(abelian_scheme(3, 1, 1), 1)
     lines = rep.to_csv().strip().split("\n")
