@@ -1,5 +1,15 @@
 """Class functions with exact cyclotomic values, and character tables.
 
+A `CharacterTable` is its class data, `values`, the tuple of its distinct
+Cyclotomics, and `index`, an int64 array (rows, t): row r is
+values[index[r, j]] on class j.  Every constructor ends in one
+canonicalizer.  It sorts `values` by the table key (a value's order, then
+its numerators over the least common denominator of the table;
+deterministic, not numeric) and the rows by degree, then by their values,
+both read as positions in `values`.  So `index` is its own sort key, and two
+tables on the same classes have the same rows exactly when their forms are
+equal.  `rows`, the ClassFunctions, is a view built on first use.
+
 Tables verify their own invariants exactly: row orthonormality under
 <f1, f2> = |G|^-1 sum f1(g) f2(g^-1), column orthogonality, and
 sum deg^2 = |G|.  Inner products, convolutions and both orthogonality
@@ -8,7 +18,7 @@ each sums products without rounding or canonicalizing partial sums.
 """
 
 import math
-from collections import Counter
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +27,9 @@ from .cyclo import (
     ZERO,
     Cyclotomic,
     contract,
+    distinct,
     from_ints,
+    gather,
     lincomb,
     parse,
     product_table,
@@ -103,45 +115,84 @@ def convolve(f, g, group):
 
 
 def row_order(rows):
-    """The permutation that puts class functions in table order.
+    """The permutation that puts class functions in table order."""
+    if not rows:
+        return []
+    keys, index = _intern((r.values for r in rows), len(rows[0].values))
+    return CharacterTable.from_index(rows[0].class_data, keys, index)[1].tolist()
 
-    Rows sort by degree, then by their values, each value keyed by its
-    order and then its numerators over one denominator shared by the whole
-    table; on values of equal order that is the order of the rational
-    coefficients.  The key is deterministic, not a numeric order.  Each
-    distinct value is keyed once, through its (order, num, den) fields.
-    """
-    cells = [[(v.order, v.num, v.den) for v in r.values] for r in rows]
-    keys = dict.fromkeys(c for row in cells for c in row)
-    den = math.lcm(1, *(d for _, _, d in keys))
-    for c in keys:
-        keys[c] = c[0], tuple(a * (den // c[2]) for a in c[1])
-    sort_keys = [
-        (keys[r.degree.order, r.degree.num, r.degree.den], tuple(map(keys.__getitem__, row)))
-        for r, row in zip(rows, cells)
-    ]
-    return sorted(range(len(rows)), key=sort_keys.__getitem__)
+
+def _intern(cells, t):
+    """(keys, index): the distinct cells of rows of t hashable cells, in
+    first-seen order, and the (rows, t) positions of every cell among them."""
+    ids = {}
+    index = [[ids.setdefault(c, len(ids)) for c in row] for row in cells]
+    if any(len(row) != t for row in index):
+        raise ValueError("need one value per class")
+    return list(ids), np.array(index, dtype=np.int64).reshape(len(index), t)
 
 
 class CharacterTable:
-    """A complete set of irreducible characters over shared class data."""
+    """A complete set of irreducible characters over shared class data, in
+    the table form of the module docstring."""
 
     def __init__(self, class_data, rows):
-        rows = [
-            r if isinstance(r, ClassFunction) else ClassFunction(class_data, r)
-            for r in rows
-        ]
+        keys, index = _intern(
+            (r.values if isinstance(r, ClassFunction) else r for r in rows),
+            class_data.num_classes,
+        )
+        values = [v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v) for v in keys]
+        self._canonicalize(class_data, values, index)
+
+    @classmethod
+    def from_index(cls, class_data, values, index):
+        """(table, perm) for rows of positions in the Cyclotomics values,
+        (rows, t) or flattened row-major; row i of the table is input row
+        perm[i]."""
+        table = cls.__new__(cls)
+        index = np.asarray(index, dtype=np.int64).reshape(-1, class_data.num_classes)
+        return table, table._canonicalize(class_data, values, index)
+
+    @classmethod
+    def from_root_counts(cls, class_data, m, counts, den=1):
+        """(table, perm) for the rows sum_s counts[row, class, s] zeta_m^s / den
+        of integer counts; each distinct value is canonicalized once."""
+        C = gather(np.reshape(counts, (-1, m)), np.arange(m), m)
+        return cls.from_index(class_data, *distinct(C, m, den))
+
+    def _canonicalize(self, class_data, values, index):
+        """Set the table form of the rows index into values (equal values
+        merge) and return the row permutation."""
+        ids = {}
+        merged = np.array([ids.setdefault(v, len(ids)) for v in values], dtype=np.int64)
+        values = list(ids)
+        den = math.lcm(1, *(v.den for v in values))
+        keys = [(v.order, tuple(a * (den // v.den) for a in v.num)) for v in values]
+        order = sorted(range(len(values)), key=keys.__getitem__)
+        rank = np.empty(len(values), dtype=np.int64)
+        rank[order] = np.arange(len(values))
+        index = rank[merged][index]
+        # np.lexsort sorts by its last key first
+        perm = np.lexsort(np.vstack([index[:, ::-1].T, index[:, class_data.identity_class]]))
         self.class_data = class_data
-        self.rows = [rows[i] for i in row_order(rows)]
+        self.values = tuple(values[i] for i in order)
+        self.index = index[perm]
+        return perm
+
+    @cached_property
+    def rows(self):
+        """The rows as ClassFunctions, built on first use."""
+        return [
+            ClassFunction(self.class_data, tuple(map(self.values.__getitem__, row)))
+            for row in self.index.tolist()
+        ]
 
     @property
     def degrees(self):
-        out = []
-        for r in self.rows:
-            d = r.degree
-            if not d.is_rational() or d.rational_value().denominator != 1:
-                raise ValueError("non-integer degree in table")
-            out.append(int(d.rational_value()))
+        ints = [v.num[0] if v.order == 1 and v.den == 1 else None for v in self.values]
+        out = [ints[i] for i in self.index[:, self.class_data.identity_class].tolist()]
+        if None in out:
+            raise ValueError("non-integer degree in table")
         return out
 
     def degree_multiset(self):
@@ -150,13 +201,10 @@ class CharacterTable:
             out[d] = out.get(d, 0) + 1
         return out
 
-    def row_multiset(self):
-        return Counter(r.values for r in self.rows)
-
     def equals_as_set(self, other):
-        if not self.class_data.same_as(other.class_data):
-            return False
-        return self.row_multiset() == other.row_multiset()
+        """Equal rows with multiplicity: both forms are canonical, so equal forms."""
+        same = self.class_data.same_as(other.class_data) and self.values == other.values
+        return same and np.array_equal(self.index, other.index)
 
     # -- invariants ------------------------------------------------------------
 
@@ -167,14 +215,14 @@ class CharacterTable:
         """
         cd = self.class_data
         t = cd.num_classes
-        if len(self.rows) != t:
+        if len(self.index) != t:
             raise AssertionError(
-                "table has %d rows for %d classes" % (len(self.rows), t)
+                "table has %d rows for %d classes" % (len(self.index), t)
             )
         if sum(d * d for d in self.degrees) != cd.n:
             raise AssertionError("sum of squared degrees != group order")
-        C, M, den = to_ints([v for r in self.rows for v in r.values])
-        C = C.reshape(t, t, -1)
+        C, M, den = to_ints(self.values)
+        C = C[self.index]
         Cbar = C[:, cd.inv_class]  # chi(g^-1)
         den2 = den**2  # the values are C / den
         # rows: sum_j |class j| chi_a(j) chi_b(j^-1) = |G| delta_ab
@@ -190,30 +238,23 @@ class CharacterTable:
     # -- serialization ------------------------------------------------------------
 
     def to_csv(self):
-        cd = self.class_data
-        lines = [
-            "rep," + ",".join(str(int(r)) for r in cd.reps),
-            "size," + ",".join(str(int(s)) for s in cd.sizes),
-        ]
-        for r in self.rows:
-            lines.append(r.serialize())
-        return "\n".join(lines) + "\n"
+        texts = [render(v) for v in self.values]
+        rows = [",".join(map(texts.__getitem__, row)) for row in self.index.tolist()]
+        return "\n".join(_csv_header(self.class_data) + rows) + "\n"
 
     @staticmethod
     def from_csv(text, class_data):
-        lines = [ln for ln in text.strip().split("\n")]
-        reps = [int(x) for x in lines[0].split(",")[1:]]
-        sizes = [int(x) for x in lines[1].split(",")[1:]]
-        if reps != [int(r) for r in class_data.reps] or sizes != [
-            int(s) for s in class_data.sizes
-        ]:
+        lines = text.strip().split("\n")
+        if lines[:2] != _csv_header(class_data):
             raise ValueError("class data mismatch in CSV")
-        rows = []
-        for ln in lines[2:]:
-            rows.append(
-                ClassFunction(class_data, tuple(parse(tok) for tok in ln.split(",")))
-            )
-        return CharacterTable(class_data, rows)
+        keys, index = _intern((ln.split(",") for ln in lines[2:]), class_data.num_classes)
+        return CharacterTable.from_index(class_data, [parse(k) for k in keys], index)[0]
+
+
+def _csv_header(cd):
+    """The two CSV lines of the class reps and sizes."""
+    return ["rep," + ",".join(map(str, cd.reps.tolist())),
+            "size," + ",".join(map(str, cd.sizes.tolist()))]
 
 
 def _orthogonal(X, Y, M, diag, what):
@@ -232,18 +273,12 @@ def table_fingerprint(table, group):
     with equal tables fingerprint equally regardless of element indexing.
     """
     cd = table.class_data
-    orders = group.element_orders(cd.reps).tolist()
-    rows = []
-    for r in table.rows:
-        rows.append(
-            tuple(
-                sorted(
-                    (int(cd.sizes[j]), orders[j], (v.order, v.den, v.num))
-                    for j, v in enumerate(r.values)
-                )
-            )
-        )
-    return sorted(rows)
+    classes = list(zip(cd.sizes.tolist(), group.element_orders(cd.reps).tolist()))
+    keys = [(v.order, v.den, v.num) for v in table.values]
+    return sorted(
+        tuple(sorted((size, order, keys[i]) for (size, order), i in zip(classes, row)))
+        for row in table.index.tolist()
+    )
 
 
 def regular_character(class_data):

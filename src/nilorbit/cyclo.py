@@ -12,8 +12,9 @@ int or Fraction and leave through `rational_value`; no float is used.
 
 `to_ints` rescales values to a common order and denominator and
 `from_ints` canonicalizes rows (descent to the least order, then lowest
-terms), `lincomb` takes integer combinations of rows, and `contract` is the
-one sum-of-products contraction against the fold tensor
+terms), `distinct` does so once per distinct row, `gather` sums roots of
+unity into the form, `lincomb` takes integer combinations of rows, and
+`contract` is the one sum-of-products contraction against the fold tensor
 fold[a, b] = zeta_M^(a+b) (rows of the cached reduction matrix); `inv` is a
 product of Galois conjugates, taken by a tree of batched products, over the
 rational norm.  Arrays are int64 when a magnitude bound computed from the
@@ -142,7 +143,7 @@ def times(A, B):
     return A * B
 
 
-def _gather(C, exps, M):
+def gather(C, exps, M):
     """sum_k C[..., k] * zeta_M^exps[k] in integer form at order M."""
     return lincomb(C, _reduction_matrix(M)[np.asarray(exps) % M])
 
@@ -185,7 +186,7 @@ def to_ints(values, order=1):
             [[c * (den // values[i].den) for c in values[i].num] for i in rows],
             dtype=object,
         )
-        blocks.append(_gather(ints, np.arange(_phi(m)) * (M // m), M))
+        blocks.append(gather(ints, np.arange(_phi(m)) * (M // m), M))
         idx += rows
     C = np.zeros((len(values), _phi(M)), dtype=np.int64)
     if blocks:
@@ -223,6 +224,21 @@ def from_ints(C, M, den=1):
         for i, row in zip(idx.tolist(), X.tolist()):
             out[i] = _lowest_terms(m, row, den)
     return out
+
+
+def distinct(C, M, den=1):
+    """(values, inverse): the canonical Cyclotomics of the distinct rows of
+    C / den at order M, with row i of C equal to values[inverse[i]].  The
+    rows dedupe before the descent by one lexsort, which unlike np.unique by
+    rows also sorts Python-int (object) rows, and is faster on int64 ones."""
+    C = np.asarray(C).reshape(-1, _phi(M))
+    order = np.lexsort(C.T[::-1])
+    S = C[order]
+    new = np.ones(len(S), dtype=bool)
+    new[1:] = (S[1:] != S[:-1]).any(axis=1)
+    inverse = np.empty(len(C), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return from_ints(S[new], M, den), inverse
 
 
 def _lowest_terms(order, num, den):
@@ -275,9 +291,10 @@ class Cyclotomic:
     def from_root_counts(m, counts, scale=1):
         """scale * sum_k counts[k] * zeta_m^k for an integer sequence counts;
         for a 2-D array, the list of these values, one per row."""
-        counts = np.asarray(counts)
+        # a list goes through Python ints: numpy reads ints in [2^63, 2^64) as floats
+        counts = counts if isinstance(counts, np.ndarray) else np.array(counts, dtype=object)
         scale = Fraction(scale)
-        C = _gather(times(counts, scale.numerator), np.arange(counts.shape[-1]), m)
+        C = gather(times(counts, scale.numerator), np.arange(counts.shape[-1]), m)
         values = from_ints(C, m, scale.denominator)
         return values if counts.ndim == 2 else values[0]
 
@@ -387,7 +404,7 @@ class Cyclotomic:
         if math.gcd(j % m, m) != 1:
             raise ValueError("galois exponent not coprime to order")
         C = np.array([self.num], dtype=object)
-        return from_ints(_gather(C, np.arange(_phi(m)) * j, m), m, self.den)[0]
+        return from_ints(gather(C, np.arange(_phi(m)) * j, m), m, self.den)[0]
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -469,4 +486,4 @@ def parse(text):
         coeffs[k] += Fraction(c)
     den = math.lcm(1, *(c.denominator for c in coeffs))
     ints = np.array([[c.numerator * (den // c.denominator) for c in coeffs]], dtype=object)
-    return from_ints(_gather(ints, np.arange(len(coeffs)), m), m, den)[0]
+    return from_ints(gather(ints, np.arange(len(coeffs)), m), m, den)[0]

@@ -27,8 +27,7 @@ import math
 
 import numpy as np
 
-from .chartable import CharacterTable, ClassFunction
-from .cyclo import Cyclotomic
+from .chartable import CharacterTable
 from . import linalg
 
 DEFAULT_MAX_ORDER = 20000
@@ -241,10 +240,7 @@ def dixon_table(G, class_data=None, max_order=DEFAULT_MAX_ORDER):
         raise ArithmeticError("multiplicity lift out of range (bug)")
     if (counts.sum(axis=2) != deg[:, None]).any():
         raise ArithmeticError("multiplicities do not sum to the degree (bug)")
-    rows = [ClassFunction(cd, tuple(Cyclotomic.from_root_counts(e, c))) for c in counts]
-    table = CharacterTable(cd, rows)
-    table.dixon_prime = l
-    return table
+    return CharacterTable.from_root_counts(cd, e, counts)[0]
 
 
 def _sqrt_mod(a, l):

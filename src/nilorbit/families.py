@@ -16,8 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .chartable import CharacterTable, ClassFunction
-from .cyclo import Cyclotomic
+from .chartable import CharacterTable
 from .gfq import FqField, fq_embed, register_composite
 from .groups import AbelianGroup, FiniteGroup, little_groups
 from .liering import FqStructure, LieRing
@@ -583,17 +582,11 @@ def usp4_little_groups_table(q):
     if (to_u[Gsemi.mult_bulk(g1, g2)] != G.mult_bulk(to_u[g1], to_u[g2])).any():
         raise AssertionError("semidirect correspondence is not a homomorphism")
     cd_u = G.conjugacy_classes()
-    cd_s = table.class_data
-    rows = []
-    for r in table.rows:
-        values = [None] * cd_u.num_classes
-        for j in range(cd_s.num_classes):
-            ju = cd_u.class_of[to_u[int(cd_s.reps[j])]]
-            values[ju] = r.values[j]
-        if any(v is None for v in values):
-            raise AssertionError("class correspondence incomplete")
-        rows.append(ClassFunction(cd_u, tuple(values)))
-    return CharacterTable(cd_u, rows)
+    # class j of the semidirect product is class ju[j] of the quadruple group
+    ju = cd_u.class_of[to_u[table.class_data.reps]]
+    if (np.bincount(ju, minlength=cd_u.num_classes) != 1).any():
+        raise AssertionError("class correspondence incomplete")
+    return CharacterTable.from_index(cd_u, table.values, table.index[:, np.argsort(ju)])[0]
 
 
 def usp4_lusztig_table(q, psi_k=1):
@@ -645,8 +638,9 @@ def usp4_lusztig_table(q, psi_k=1):
         # class constancy: every displayed formula is constant on classes
         if (values != values[rep_of]).any():
             raise AssertionError("a Lusztig formula is not a class function")
-        rows.append(ClassFunction(cd, tuple(Cyclotomic.rational(int(v)) for v in values[cd.reps])))
-    table = CharacterTable(cd, rows)
+        rows.append(values[cd.reps])
+    # an integer value v is v times the one root of unity of order 1
+    table, _ = CharacterTable.from_root_counts(cd, 1, rows)
     table.group = G
     return table
 

@@ -13,12 +13,11 @@ loops over the pairs of each bulk call.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import kernels
-from .cyclo import Cyclotomic, from_ints, lincomb, times, to_ints
+from .cyclo import from_ints, lincomb, times, to_ints
 
 # group-law pairs per call in class_pair_counts; larger blocks raise peak
 # memory through the temporaries of the Lazard law
@@ -500,15 +499,18 @@ def little_groups(H, A, act, verify_action=True):
     orbit_of = kernels.orbit_labels([dual[h] for h in H.unit_indices()], nA)
     # psi~ (x) chi~ at (h, a) is zeta_E^r, r the sum of both exponents at E
     E = math.lcm(H.exponent, A.exponent)
-    rows = []
+    counts, sizes = [], []  # row k has root counts counts[k] / sizes[k]
     for chi in np.unique(orbit_of, return_index=True)[1]:
         stab = np.flatnonzero(dual[:, chi] == chi)  # H^chi, the same on the orbit
         S_elems = (stab[:, None] * nA + np.arange(nA)).ravel()
         r_chi = A.char_exponents(chi, np.arange(nA)) * (E // A.exponent)
         for psi in _subgroup_characters(H, stab):
             r = ((psi * (E // H.exponent))[:, None] + r_chi).ravel() % E
-            rows.append(induce_from_roots(cd, S_elems, r, E))
-    table = CharacterTable(cd, rows)
+            counts.append(induce_from_roots(cd, S_elems, r, E))
+            sizes.append(len(S_elems))
+    den = math.lcm(*sizes)
+    counts = [c * (den // s) for c, s in zip(counts, sizes)]
+    table, _ = CharacterTable.from_root_counts(cd, E, counts, den)
     table.group = G
     return table
 
@@ -541,15 +543,12 @@ def _subgroup_characters(H, stab):
 
 
 def induce_from_roots(cd, elems, r, e):
-    """Ind from the subgroup on elems of the class function zeta_e^r[k] at
-    elems[k]: |C_G(g)|/|H| times the root counts on class(g) meet H."""
-    from .chartable import ClassFunction
-
+    """Ind from the subgroup H on elems of the class function zeta_e^r[k] at
+    elems[k], as root counts: Ind(g) = sum_s counts[class(g), s] zeta_e^s / |H|,
+    with counts |C_G(g)| times the root counts on class(g) meet H."""
     t = cd.num_classes
     counts = np.bincount(cd.class_of[elems] * e + r, minlength=t * e).reshape(t, e)
-    centralizers = (cd.n // cd.sizes).astype(np.int64)
-    values = Cyclotomic.from_root_counts(e, counts * centralizers[:, None], Fraction(1, len(elems)))
-    return ClassFunction(cd, tuple(values))
+    return counts * (cd.n // cd.sizes).astype(np.int64)[:, None]
 
 
 def _check_action(H, A, table):
@@ -606,16 +605,12 @@ def twisted_classes(G, phi, table=None):
         "num_classes": len(reps),
     }
     if table is not None:
-        fixed = [i for i, row in enumerate(table.rows) if _phi_fixed(row, phi, table)]
+        # a row is phi-fixed when its value on class(phi(rep_j)) is its value on j
+        index = table.index
+        moved = table.class_data.class_of[phi[table.class_data.reps]]
+        fixed = np.flatnonzero((index[:, moved] == index).all(axis=1)).tolist()
         report["num_fixed_characters"] = len(fixed)
         report["fixed_rows"] = fixed
         report["counts_match"] = len(fixed) == len(reps)
     return report
 
-
-def _phi_fixed(row, phi, table):
-    cd = table.class_data
-    for j, r in enumerate(cd.reps):
-        if row.values[cd.class_of[int(phi[int(r)])]] != row.values[j]:
-            return False
-    return True

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels, linalg
-from .chartable import CharacterTable, ClassFunction, row_order
+from .chartable import CharacterTable, ClassFunction
 from .cyclo import Cyclotomic, contract, from_ints, lincomb, product_table, times, to_ints
 from .groups import ClassData, FiniteGroup
 
@@ -161,23 +161,29 @@ def lazard_group(ring, spot_check=False):
     return G
 
 
-def orbit_character(ring, orbit, class_data=None, psi_k=1):
-    """chi_Omega(g) = |Omega|^(-1/2) sum_{f in Omega} psi(f . log g)."""
-    cd = class_data or conjugacy_class_data(ring)
+def _orbit_counts(ring, orbit, cd, psi_k):
+    """counts[j, r]: the points f of the orbit with psi_k f . log rep_j = r (mod p)."""
     pts = orbit.points()
     p = ring.p
     reps = linalg.decode_indices(cd.reps, ring.dim, p)
     t = cd.num_classes
     res = (psi_k * (pts @ reps.T)) % p  # |Omega| x t
-    counts = np.bincount((res + p * np.arange(t)).ravel(), minlength=t * p).reshape(t, p)
-    values = Cyclotomic.from_root_counts(p, counts, Fraction(1, p**orbit.half_log))
+    return np.bincount((res + p * np.arange(t)).ravel(), minlength=t * p).reshape(t, p)
+
+
+def orbit_character(ring, orbit, class_data=None, psi_k=1):
+    """chi_Omega(g) = |Omega|^(-1/2) sum_{f in Omega} psi(f . log g)."""
+    cd = class_data or conjugacy_class_data(ring)
+    counts = _orbit_counts(ring, orbit, cd, psi_k)
+    values = Cyclotomic.from_root_counts(ring.p, counts, Fraction(1, ring.p**orbit.half_log))
     return ClassFunction(cd, tuple(values))
 
 
 def orbit_method_table(ring, psi_k=1):
     """The full character table of Exp(g) via the orbit method.
 
-    Returns (table, orbits) with orbits aligned to table row order.
+    Returns (table, orbits) with orbits aligned to table row order.  The
+    orbits' root counts are lifted to one denominator p^(largest half_log).
     """
     cd = conjugacy_class_data(ring)
     oset = coadjoint_orbits(ring, psi_k=psi_k)
@@ -185,11 +191,10 @@ def orbit_method_table(ring, psi_k=1):
         raise AssertionError(
             "orbit count %d != class count %d" % (len(oset), cd.num_classes)
         )
-    rows = [orbit_character(ring, orb, cd, psi_k=psi_k) for orb in oset.orbits]
-    order = row_order(rows)
-    table = CharacterTable(cd, [rows[i] for i in order])
-    table.psi_k = psi_k
-    return table, [oset.orbits[i] for i in order]
+    p, top = ring.p, max(orb.half_log for orb in oset.orbits)
+    counts = [_orbit_counts(ring, o, cd, psi_k) * p ** (top - o.half_log) for o in oset.orbits]
+    table, perm = CharacterTable.from_root_counts(cd, p, counts, p**top)
+    return table, [oset.orbits[i] for i in perm]
 
 
 # -- the transform Phi ---------------------------------------------------------

@@ -8,9 +8,12 @@ induction, and an exhaustive containment search used by the counterexample
 battery.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from . import linalg
+from .chartable import ClassFunction
 from .cyclo import Cyclotomic, from_ints, lincomb, to_ints
 from .groups import induce_from_roots
 from .liering import Subspace
@@ -511,7 +514,8 @@ def induced_character(ring, pol, class_data=None, psi_k=1):
     )
     members = np.nonzero(in_H)[0]
     res = (psi_k * (all_pts[members] @ pol.f_vec)) % p
-    return induce_from_roots(cd, members, res, p)
+    counts = induce_from_roots(cd, members, res, p)
+    return ClassFunction(cd, Cyclotomic.from_root_counts(p, counts, Fraction(1, len(members))))
 
 
 def induced_character_and_rep(ring, f_vec, pol, class_data=None, psi_k=1):

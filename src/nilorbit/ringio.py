@@ -23,7 +23,12 @@ Emit and parse round-trip bit-exactly; parse errors carry line numbers.
 import numpy as np
 
 from .families import AssocAlgebra
+from .linalg import is_prime
 from .liering import LieRing
+
+# Entries of the dense dim^3 int64 structure-constant tensor a header may
+# ask for: 2^24 (dim <= 256, 128 MiB), checked before it is allocated.
+TENSOR_BUDGET = 1 << 24
 
 
 class ParseError(ValueError):
@@ -44,6 +49,15 @@ def _parse_header(line, lineno, kind):
         fields[k] = int(v)
     if "p" not in fields or "dim" not in fields:
         raise ParseError(lineno, "header needs p= and dim=")
+    p, dim = fields["p"], fields["dim"]
+    if dim < 1 or dim**3 > TENSOR_BUDGET:
+        raise ParseError(lineno, "dim=%d is not in 1 <= dim^3 <= %d" % (dim, TENSOR_BUDGET))
+    # linalg.bilinear is exact while dim * (p-1)^2 < 2^63; checked first, it
+    # also bounds the trial division in is_prime
+    if dim * (p - 1) ** 2 >= 2**63:
+        raise ParseError(lineno, "p=%d is too large for int64 arithmetic at dim=%d" % (p, dim))
+    if not is_prime(p):
+        raise ParseError(lineno, "p=%d is not a prime" % p)
     return fields
 
 

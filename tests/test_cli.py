@@ -165,3 +165,17 @@ def test_out_of_budget_inputs_exit_2(capsys):
     args = ["chartable", "--family", "ul", "--n", "4", "--q", "5", "--oracle", "--max-order", "100"]
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_malformed_ring_headers_exit_2(tmp_path, capsys):
+    f = tmp_path / "bad.ring"
+    for header in ("liering p=4 dim=3", "liering p=0 dim=2", "liering p=1 dim=2",
+                   "algebra p=4 dim=3", "liering p=5 dim=100000", "liering p=5 dim=0"):
+        f.write_text(header + "\n")
+        assert main(["validate", "--file", str(f)]) == 2, header
+        assert capsys.readouterr().err.startswith("input error: line 1:"), header
+    # a fresh interpreter too: the message, and no traceback
+    f.write_text("liering p=4 dim=3\nbracket 1 2 = 3:1\n")
+    r = run_cli(["validate", "--file", str(f)])
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "input error: line 1: p=4 is not a prime\n"

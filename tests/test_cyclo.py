@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from nilorbit.chartable import ClassFunction, row_order
 from nilorbit.cyclo import (
     Cyclotomic,
-    _gather,
+    gather,
     _phi,
     contract,
     cyclotomic_polynomial,
@@ -105,6 +105,8 @@ def test_from_root_counts():
     assert v == w
     # equal counts at every root sum to zero
     assert Cyclotomic.from_root_counts(5, [4, 4, 4, 4, 4]) == 0
+    # counts between 2^63 and 2^64 stay exact integers
+    assert Cyclotomic.from_root_counts(3, [2**63 + 5, 0, 1]) == 2**63 + 5 + root_of_unity(3, 2)
 
 
 # -- the integer coefficient form against a root-count model ------------------
@@ -369,7 +371,7 @@ def _inv_sequential(x):
     y = None
     for j in range(2, m):
         if math.gcd(j, m) == 1:
-            conj = _gather(C, np.arange(_phi(m)) * j, m)
+            conj = gather(C, np.arange(_phi(m)) * j, m)
             y = conj if y is None else contract(y[None], conj[None], m)[0]
     norm = int(contract(C[None], y[None], m)[0, 0, 0])
     return from_ints(times(y, x.den), m, norm)[0]

@@ -81,3 +81,33 @@ def test_parse_spec_dispatch():
     assert ringio.parse_spec(ringio.emit_algebra(A)).dim == 1
     with pytest.raises(ringio.ParseError):
         ringio.parse_spec("widget p=3\n")
+
+
+@pytest.mark.parametrize(
+    "kind, line", [("liering", "bracket 1 2 = 3:1"), ("algebra", "prod 1 2 = 3:1")]
+)
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_header_rejects_non_prime_p(kind, line, p):
+    with pytest.raises(ringio.ParseError, match="not a prime"):
+        ringio.parse_spec("%s p=%d dim=3\n%s\n" % (kind, p, line))
+
+
+@pytest.mark.parametrize("kind", ["liering", "algebra"])
+def test_header_rejects_p_beyond_int64_arithmetic(kind):
+    # dim (p-1)^2 must stay below 2^63; 2^61 - 1 is prime and would take
+    # minutes of trial division, so the size check comes first
+    for p, dim in ((2**31 - 1, 3), (2**61 - 1, 2)):
+        with pytest.raises(ringio.ParseError, match="too large"):
+            ringio.parse_spec("%s p=%d dim=%d\n" % (kind, p, dim))
+    assert ringio._parse_header("%s p=3037000493 dim=1" % kind, 1, kind)["p"] == 3037000493
+
+
+@pytest.mark.parametrize("kind", ["liering", "algebra"])
+def test_header_bounds_dim_before_allocating(kind):
+    # dim = 256 is the largest inside the budget: 256^3 = 2^24 entries (the
+    # header alone: checking the invariants of a ring that size takes long)
+    assert 256**3 == ringio.TENSOR_BUDGET
+    assert ringio._parse_header("%s p=2 dim=256" % kind, 1, kind)["dim"] == 256
+    for dim in (257, 100000, 0, -3):
+        with pytest.raises(ringio.ParseError, match="dim=%d is not in 1 <= dim" % dim):
+            ringio.parse_spec("%s p=5 dim=%d\n" % (kind, dim))
