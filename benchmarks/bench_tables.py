@@ -59,10 +59,10 @@ def run_cli(root, args):
     return json.loads(out.strip().splitlines()[-1])
 
 
-def measure(root, seed):
+def measure(root, seed, cli_runs, workloads):
     """One round of every measurement on the checkout at root."""
-    rec = {name: run_cli(root, args) for name, args in CLI_RUNS.items()}
-    for w in WORKLOADS:
+    rec = {name: run_cli(root, args) for name, args in cli_runs.items()}
+    for w in workloads:
         metrics = perfbench(root, w, seed)
         rec[w] = {k: metrics[k] for k in END_TO_END}
     return rec
@@ -76,25 +76,28 @@ def _stats(values):
     return out
 
 
-def summarize(rounds):
+def summarize(rounds, cli_runs, workloads):
     out = {
         name: {k: _stats(r[name][k] for r in rounds) for k in ("wall_s", "peak_rss_mib")}
-        for name in CLI_RUNS
+        for name in cli_runs
     }
-    for w in WORKLOADS:
+    for w in workloads:
         out[w] = {k: _stats(r[w][k] for r in rounds) for k in END_TO_END}
-    out["cli_sha256"] = {name: sorted({r[name]["sha256"] for r in rounds}) for name in CLI_RUNS}
+    out["cli_sha256"] = {name: sorted({r[name]["sha256"] for r in rounds}) for name in cli_runs}
     out["rounds"] = rounds
     return out
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+def parse_args(default_out, argv=None, description=__doc__):
+    ap = argparse.ArgumentParser(description=description.split("\n")[0])
     ap.add_argument("--baseline", help="another checkout of this repository to compare with")
     ap.add_argument("--pairs", type=int, default=3, help="alternating rounds per checkout")
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_tables.json"))
-    args = ap.parse_args(argv)
+    ap.add_argument("--out", default=os.path.join(ROOT, default_out))
+    return ap.parse_args(argv)
 
+
+def compare(args, benchmark, cli_runs, workloads):
+    """Runs the alternating pairs; returns the report and the checkouts."""
     checkouts = {"change": ROOT}
     if args.baseline:
         checkouts = {"baseline": os.path.abspath(args.baseline), "change": ROOT}
@@ -103,26 +106,24 @@ def main(argv=None):
     for seed in range(1, args.pairs + 1):
         # alternate which checkout runs first
         for label, root in list(checkouts.items())[:: 1 if seed % 2 else -1]:
-            rounds[label].append(measure(root, seed))
+            rounds[label].append(measure(root, seed, cli_runs, workloads))
             print("pair %d %s: %s" % (seed, label, json.dumps(rounds[label][-1])), file=sys.stderr)
     report = {
-        "benchmark": "character tables: wall time and peak RSS of golden --q 16, golden --q 8 "
-                     "--oracle and chartable UL4(F5) --oracle, perfbench oracle_tables, "
-                     "convolution and golden end-to-end metrics, medians over alternating pairs",
+        "benchmark": benchmark,
         "machine": machine_info(),
         "pairs": args.pairs,
         "perfbench_seconds": PERFBENCH_SECONDS,
         "wall_s": time.perf_counter() - t0,
     }
     for label, root in checkouts.items():
-        report[label] = dict(revision=revision(root), **summarize(rounds[label]))
+        report[label] = dict(revision=revision(root), **summarize(rounds[label], cli_runs, workloads))
     if args.baseline:
         base, new = report["baseline"], report["change"]
         ratios = {}
-        for name in CLI_RUNS:
+        for name in cli_runs:
             for k in ("wall_s", "peak_rss_mib"):
                 ratios["%s.%s" % (name, k)] = new[name][k]["median"] / base[name][k]["median"]
-        for w in WORKLOADS:
+        for w in workloads:
             for k in END_TO_END:
                 ratios["%s.%s" % (w, k)] = new[w][k]["median"] / base[w][k]["median"]
         report["change_over_baseline"] = ratios
@@ -131,15 +132,31 @@ def main(argv=None):
             "%s.%s" % (w, k): sum(
                 n[w][k] < b[w][k] for b, n in zip(rounds["baseline"], rounds["change"])
             )
-            for w in WORKLOADS for k in END_TO_END
+            for w in workloads for k in END_TO_END
         }
         report["cli_outputs_identical"] = base["cli_sha256"] == new["cli_sha256"]
-    with open(args.out, "w") as fh:
+    return report, checkouts
+
+
+def write(report, path, cli_runs):
+    with open(path, "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(json.dumps(report.get("change_over_baseline", {
-        name: report["change"][name]["wall_s"]["median"] for name in CLI_RUNS
+        name: report["change"][name]["wall_s"]["median"] for name in cli_runs
     })))
+
+
+def main(argv=None):
+    args = parse_args("BENCH_tables.json", argv)
+    report, _ = compare(
+        args,
+        "character tables: wall time and peak RSS of golden --q 16, golden --q 8 "
+        "--oracle and chartable UL4(F5) --oracle, perfbench oracle_tables, "
+        "convolution and golden end-to-end metrics, medians over alternating pairs",
+        CLI_RUNS, WORKLOADS,
+    )
+    write(report, args.out, CLI_RUNS)
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ def build_parser():
             sp.add_argument("--sigma", help="anti-involution matrix file (spas)")
         sp.add_argument("--psi", type=int, default=1, help="psi(1) = zeta_p^k")
         sp.add_argument("--out")
-        sp.add_argument("--format", choices=["csv", "report"], default="csv")
         sp.add_argument("--max-order", type=int, default=20000)
 
     sp = sub.add_parser("validate", help="validate a Lie ring or algebra")
@@ -215,24 +214,22 @@ def cmd_orbits(args):
     if isinstance(ring, families.AssocAlgebra):
         raise InputError("orbit census needs a Lie ring")
     oset = coadjoint_orbits(ring, psi_k=args.psi)
-    fdims = [None] * len(oset.orbits)
+    fdims = [None] * len(oset)
     if getattr(ring, "scheme", None) is not None:
         try:
             _, rep = packets.base_change_and_packets(ring.scheme, 1, psi_k=args.psi)
             fdims = rep.fdim_estimates()
         except (ValueError, AssertionError):
             pass  # growth estimate unavailable; column stays blank
+    # orbit-stabilizer under Lazard: |orbit| = p^(dim g - dim g^f)
+    stabilizer_dims = ring.dim - 2 * oset.half_logs
     lines = ["orbit_id,base_point,size,stabilizer_dim,fdim_estimate"]
-    for i, orb in enumerate(oset.orbits):
+    for i, (point, size, stab) in enumerate(
+        zip(oset.base_points.tolist(), oset.sizes.tolist(), stabilizer_dims.tolist())
+    ):
         lines.append(
             "%d,%s,%d,%d,%s"
-            % (
-                i,
-                " ".join(str(int(v)) for v in orb.base_point),
-                orb.size,
-                orb.stabilizer.dim,
-                fdims[i] if fdims[i] is not None else "",
-            )
+            % (i, " ".join(map(str, point)), size, stab, fdims[i] if fdims[i] is not None else "")
         )
     _emit(args, "\n".join(lines) + "\n")
 

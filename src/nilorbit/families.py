@@ -103,6 +103,18 @@ class FqLieScheme:
         E = fq_embed(Km, Kn).matrix  # (s*n) x (s*m)
         return np.kron(np.eye(self.dim_q, dtype=np.int64), E)
 
+    @property
+    def brackets_land_in_unread_coordinates(self):
+        """True when no bracket term reads a coordinate that a bracket term
+        writes; then [g, g] is bracketed by nothing and every level has
+        nilpotence class <= 2."""
+        read, written = set(), set()
+        for table in self.bracket_terms.values():
+            for ij, row in table.items():
+                read.update(ij)
+                written.update(row)
+        return not read & written
+
     def pin_tower(self, levels):
         """Register composite embeddings along a chain of levels."""
         fields = [self.level_field(n) for n in levels]

@@ -480,7 +480,7 @@ def _semidirect(H, A, table):
     return FiniteGroup(H.order * nA, mult, inv_bulk=inv, identity=0, gens=gens, name="semidirect")
 
 
-def little_groups(H, A, act, verify_action=True):
+def little_groups(H, A, act):
     """Character table of H lt-semidirect A for finite abelian H, A.
 
     Enumerates H-orbits Omega on the character group A^*, stabilizers
@@ -490,8 +490,7 @@ def little_groups(H, A, act, verify_action=True):
     from .chartable import CharacterTable
 
     action = _action_table(H, A, act)
-    if verify_action:
-        _check_action(H, A, action)
+    _check_action(H, A, action)
     G = _semidirect(H, A, action)
     cd = G.conjugacy_classes()
     nA = A.order

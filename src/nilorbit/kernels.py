@@ -21,6 +21,14 @@ generators generate a group, so singular generators are rejected.  The
 propagation, `orbit_labels`, takes any permutation tables: black-box
 groups partition themselves into conjugacy classes with it.
 Memory is one int32 table per generator plus a few int32 arrays per point.
+
+The orbits of a group are the components under any generating set, so the
+cost is per generator, not per group element.  Exp(g) needs only the
+exponentials of a basis of a complement of [g,g]: under the Lazard
+correspondence [G,G] = exp([g,g]), which lies in the Frattini subgroup of
+the p-group G, and elements that generate G/[G,G] generate G (Burnside's
+basis theorem).  `LieRing.adjoint_generators` and `coadjoint_generators`
+therefore pass d - dim [g,g] matrices, not d.
 """
 
 import numpy as np

@@ -296,17 +296,29 @@ class LieRing:
         neg = (-self.ad_matrix(x)) % self.p
         return linalg.nilpotent_exp(neg, self.p).T.copy()
 
+    def _generating_basis(self):
+        """Indices of the basis vectors at the non-pivot columns of [g,g].
+
+        They span a complement of [g,g], so their exponentials generate
+        Exp(g): under Lazard [G,G] = exp([g,g]) lies in the Frattini
+        subgroup, and elements generating G/[G,G] generate G.
+        """
+        pivots = set(_pivots(self.lower_central_series()[1].rows))
+        return [i for i in range(self.dim) if i not in pivots]
+
     def adjoint_generators(self):
+        """Ad(exp e_i) for the generating basis: d - dim [g,g] matrices."""
         if "adjoint_gens" not in self._cache:
             self._cache["adjoint_gens"] = np.array(
-                [self.adjoint_matrix(self.basis_vector(i)) for i in range(self.dim)]
+                [self.adjoint_matrix(self.basis_vector(i)) for i in self._generating_basis()]
             )
         return self._cache["adjoint_gens"]
 
     def coadjoint_generators(self):
+        """Ad*(exp e_i) for the generating basis: d - dim [g,g] matrices."""
         if "coadjoint_gens" not in self._cache:
             self._cache["coadjoint_gens"] = np.array(
-                [self.coadjoint_matrix(self.basis_vector(i)) for i in range(self.dim)]
+                [self.coadjoint_matrix(self.basis_vector(i)) for i in self._generating_basis()]
             )
         return self._cache["coadjoint_gens"]
 

@@ -4,8 +4,9 @@ transform Phi on the group algebra, and the orbit-counting diagnostics.
 The dual g* of a ring of order p^d is identified with F_p^d via the fixed
 additive character psi(1) = zeta_p^k: lambda represents x -> zeta_p^(k l.x).
 Orbits are connected components of the dual index space under the coadjoint
-matrices of the basis exponentials, found by the dense kernel; conjugacy
-classes of Exp(g) are adjoint-matrix components of the same index space.
+matrices of the exponentials of a basis of a complement of [g,g] (they
+generate Exp(g)), found by the dense kernel; conjugacy classes of Exp(g) are
+adjoint-matrix components of the same index space.
 """
 
 import functools
@@ -24,21 +25,16 @@ PHI_BLOCK = 1 << 16
 
 
 class CoadjointOrbit:
-    """A coadjoint orbit: sorted dual indices, base point, stabilizer g^f."""
+    """One orbit of an OrbitSet: sorted dual indices, base point, stabilizer g^f."""
 
-    def __init__(self, ring, indices, psi_k=1):
+    def __init__(self, ring, indices, base_point, half_log, psi_k=1):
         self.ring = ring
-        self.indices = np.sort(np.asarray(indices, dtype=np.int64))
-        self.base_index = int(self.indices[0])
-        self.size = len(self.indices)
+        self.indices = indices
+        self.base_index = int(indices[0])
+        self.size = len(indices)
+        self.half_log = half_log
+        self.base_point = base_point
         self.psi_k = psi_k
-        m2 = round(math.log(self.size, ring.p))
-        if ring.p**m2 != self.size or m2 % 2 != 0:
-            raise ValueError(
-                "orbit size %d is not an even power of %d" % (self.size, ring.p)
-            )
-        self.half_log = m2 // 2
-        self.base_point = ring.element_from_index(self.base_index)
 
     @functools.cached_property
     def stabilizer(self):
@@ -56,16 +52,48 @@ class CoadjointOrbit:
 
 
 class OrbitSet:
-    def __init__(self, ring, labels, orbits):
+    """The coadjoint orbits of a ring as arrays over orbit ids.
+
+    labels[i] is the orbit of dual index i; sizes, half_logs (orbit size
+    p^(2 half_log)), base_indices (the minimal index of each orbit) and
+    base_points (one row each) are indexed by orbit id.  The CoadjointOrbit
+    objects, and the sort of the labels that gives their index sets, are
+    built on first access to `orbits`.
+    """
+
+    def __init__(self, ring, labels, psi_k=1):
+        p = ring.p
         self.ring = ring
         self.labels = labels
-        self.orbits = orbits
+        self.psi_k = psi_k
+        self.sizes = np.bincount(labels)
+        m2 = np.rint(np.log(self.sizes) / math.log(p)).astype(np.int64)
+        bad = (p**m2 != self.sizes) | (m2 % 2 != 0)
+        if bad.any():
+            raise ValueError(
+                "orbit size %d is not an even power of %d" % (self.sizes[bad.argmax()], p)
+            )
+        self.half_logs = m2 // 2
+        self.base_indices = _first_indices(labels)
+        self.base_points = linalg.decode_indices(self.base_indices, ring.dim, p)
+
+    @functools.cached_property
+    def orbits(self):
+        # stable, so each orbit's slice is sorted and starts at its base index
+        order = np.argsort(self.labels, kind="stable")
+        starts = np.cumsum(self.sizes) - self.sizes
+        return [
+            CoadjointOrbit(self.ring, order[lo : lo + size], pt, int(h), self.psi_k)
+            for lo, size, pt, h in zip(
+                starts.tolist(), self.sizes.tolist(), self.base_points, self.half_logs
+            )
+        ]
 
     def orbit_of_index(self, idx):
         return self.orbits[int(self.labels[idx])]
 
     def __len__(self):
-        return len(self.orbits)
+        return len(self.sizes)
 
 
 def coadjoint_orbits(ring, psi_k=1):
@@ -81,17 +109,18 @@ def coadjoint_orbits(ring, psi_k=1):
         ring._cache["coadjoint_labels"] = kernels.orbit_partition(
             ring.coadjoint_generators(), ring.p
         )
-    labels = ring._cache["coadjoint_labels"]
-    orbits = []
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(labels.max() + 1))
-    for t in range(labels.max() + 1):
-        lo = bounds[t]
-        hi = bounds[t + 1] if t + 1 < len(bounds) else len(order)
-        orbits.append(CoadjointOrbit(ring, order[lo:hi], psi_k=psi_k))
-    out = OrbitSet(ring, labels, orbits)
+    out = OrbitSet(ring, ring._cache["coadjoint_labels"], psi_k)
     ring._cache[key] = out
     return out
+
+
+def _first_indices(labels):
+    """The first (= minimal) index of each id of a kernel partition.
+
+    Ids are numbered by increasing seed, so the running maximum of the
+    labels steps up by one exactly at each id's first index.
+    """
+    return np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
 
 
 def coadjoint_orbit_of(ring, lam, limit=1 << 22):
@@ -115,14 +144,8 @@ def conjugacy_class_data(ring):
     if "class_data" in ring._cache:
         return ring._cache["class_data"]
     labels = kernels.orbit_partition(ring.adjoint_generators(), ring.p)
-    t = int(labels.max()) + 1
-    sizes = np.bincount(labels, minlength=t)
-    reps = np.full(t, -1, dtype=np.int64)
-    for idx in range(len(labels)):
-        lab = labels[idx]
-        if reps[lab] < 0:
-            reps[lab] = idx
-    # seeds scanned in increasing order, so reps are min indices already
+    sizes = np.bincount(labels)
+    reps = _first_indices(labels)
     neg = linalg.encode_vectors(
         (-linalg.decode_indices(reps, ring.dim, ring.p)) % ring.p, ring.p
     )
@@ -191,7 +214,7 @@ def orbit_method_table(ring, psi_k=1):
         raise AssertionError(
             "orbit count %d != class count %d" % (len(oset), cd.num_classes)
         )
-    p, top = ring.p, max(orb.half_log for orb in oset.orbits)
+    p, top = ring.p, int(oset.half_logs.max())
     counts = [_orbit_counts(ring, o, cd, psi_k) * p ** (top - o.half_log) for o in oset.orbits]
     table, perm = CharacterTable.from_root_counts(cd, p, counts, p**top)
     return table, [oset.orbits[i] for i in perm]

@@ -59,6 +59,20 @@ class TowerInstance:
         return coadjoint_orbits(self.ring, psi_k=psi_k)
 
 
+def tower_instance(scheme, n):
+    """The TowerInstance of level n, built once per scheme and level (it is
+    cached with the level's ring, which `at_level` caches)."""
+    cache = scheme.at_level(n)._cache
+    if "tower" not in cache:
+        cache["tower"] = TowerInstance(scheme, n)
+    return cache["tower"]
+
+
+def _gather(labels, points, M, p):
+    """labels of the points M x, for the rows x of points."""
+    return labels[linalg.encode_vectors((points @ M.T) % p, p)]
+
+
 def dual_embedding_matrix(scheme, m, n):
     """F_p-linear map of dual vectors from level m into level n.
 
@@ -66,8 +80,8 @@ def dual_embedding_matrix(scheme, m, n):
     g*(F_{q^m}) into g*(F_{q^n})), so the matrix is
     gram_n . blockdiag(field embedding) . gram_m^-1.
     """
-    tm = TowerInstance(scheme, m)
-    tn = TowerInstance(scheme, n)
+    tm = tower_instance(scheme, m)
+    tn = tower_instance(scheme, n)
     E = scheme.embedding_matrix(m, n)
     return (tn.gram_full @ E @ tm.gram_full_inv) % tm.ring.p
 
@@ -78,16 +92,12 @@ def base_change_map(scheme, m, n, psi_k=1, check_equivariance=True):
     """
     if n % m != 0:
         raise ValueError("levels must satisfy m | n")
-    tm = TowerInstance(scheme, m)
-    tn = TowerInstance(scheme, n)
-    p = tm.ring.p
+    tm = tower_instance(scheme, m)
+    tn = tower_instance(scheme, n)
     DE = dual_embedding_matrix(scheme, m, n)
     om = tm.orbits(psi_k)
     on = tn.orbits(psi_k)
-    mapping = np.empty(len(om), dtype=np.int64)
-    for i, orb in enumerate(om.orbits):
-        lam_n = (DE @ orb.base_point) % p
-        mapping[i] = on.labels[int(linalg.encode_vectors(lam_n, p))]
+    mapping = _gather(on.labels, om.base_points, DE, tm.ring.p)
     if check_equivariance:
         _check_fr_equivariance(scheme, m, n, DE, om, on, mapping)
     return mapping, om, on
@@ -95,26 +105,21 @@ def base_change_map(scheme, m, n, psi_k=1, check_equivariance=True):
 
 def _check_fr_equivariance(scheme, m, n, DE, om, on, mapping):
     """T is Fr-equivariant and lands in the Gal(F_{q^n}/F_{q^m})-fixed part."""
-    tm = TowerInstance(scheme, m)
-    tn = TowerInstance(scheme, n)
+    tm = tower_instance(scheme, m)
+    tn = tower_instance(scheme, n)
     p = tm.ring.p
     s = scheme.field.s
     Dq_m = linalg.matpow(tm.dual_frobenius, s, p)  # q-Frobenius pullback, level m
     Dq_n = linalg.matpow(tn.dual_frobenius, s, p)
     Dqm_n = linalg.matpow(tn.dual_frobenius, s * m, p)  # generates Gal(n/m)
-    for i, orb in enumerate(om.orbits):
-        lam = orb.base_point
-        # image orbit fixed by Gal(F_{q^n}/F_{q^m})
-        img = (DE @ lam) % p
-        moved = (Dqm_n @ img) % p
-        if on.labels[int(linalg.encode_vectors(moved, p))] != mapping[i]:
-            raise AssertionError("image orbit is not Galois-fixed")
-        # equivariance under Fr_q on both levels
-        lam_fr = (Dq_m @ lam) % p
-        src = om.labels[int(linalg.encode_vectors(lam_fr, p))]
-        img_fr = (Dq_n @ img) % p
-        if mapping[src] != on.labels[int(linalg.encode_vectors(img_fr, p))]:
-            raise AssertionError("base change is not Fr-equivariant")
+    img = (om.base_points @ DE.T) % p  # embedded base points, one row per orbit
+    # image orbits fixed by Gal(F_{q^n}/F_{q^m})
+    if (_gather(on.labels, img, Dqm_n, p) != mapping).any():
+        raise AssertionError("image orbit is not Galois-fixed")
+    # equivariance under Fr_q on both levels
+    src = _gather(om.labels, om.base_points, Dq_m, p)
+    if (mapping[src] != _gather(on.labels, img, Dq_n, p)).any():
+        raise AssertionError("base change is not Fr-equivariant")
 
 
 def _fiber_partition(mapping):
@@ -134,21 +139,13 @@ def _affine_fusion_partition(scheme, m, n, psi_k=1):
     makes levels far beyond the dense 2^24 budget reachable (the dimension
     grows linearly in n while the point count grows exponentially).
     """
+    _require_class_2(scheme, n)
     ring_n = scheme.at_level(n)
-    if ring_n.nilpotence_class() > 2:
-        raise ValueError("affine fusion engine needs nilpotence class <= 2")
     p = ring_n.p
-    DE = dual_embedding_matrix(scheme, m, n)
-    tm = TowerInstance(scheme, m)
-    om = tm.orbits(psi_k)
-    bases = []
-    points = []
-    for orb in om.orbits:
-        lam_n = (DE @ orb.base_point) % p
-        # row i of B_f is lam o ad(e_i), so B_f spans W(lam)
-        R, _ = linalg.rref(ring_n.bf_matrix(lam_n), p)
-        bases.append(R)
-        points.append(lam_n)
+    om = tower_instance(scheme, m).orbits(psi_k)
+    points = (om.base_points @ dual_embedding_matrix(scheme, m, n).T) % p
+    # row i of B_f is lam o ad(e_i), so B_f spans W(lam)
+    bases = [linalg.rref(ring_n.bf_matrix(lam_n), p)[0] for lam_n in points]
     # union-find by pairwise membership of differences
     parent = list(range(len(points)))
 
@@ -158,7 +155,6 @@ def _affine_fusion_partition(scheme, m, n, psi_k=1):
             i = parent[i]
         return i
 
-    points = np.array(points)
     for i in range(len(points)):
         fused = ~linalg.reduce_by(bases[i], points[i + 1 :] - points[i], p).any(axis=1)
         for j in i + 1 + np.flatnonzero(fused):
@@ -168,6 +164,15 @@ def _affine_fusion_partition(scheme, m, n, psi_k=1):
     for i in range(len(points)):
         groups.setdefault(find(i), []).append(i)
     return sorted(tuple(v) for v in groups.values()), om
+
+
+def _require_class_2(scheme, n):
+    """Raise unless level n has nilpotence class <= 2.  The structural test
+    on the scheme answers without building the level's lower central series."""
+    if scheme.brackets_land_in_unread_coordinates:
+        return
+    if scheme.at_level(n).nilpotence_class() > 2:
+        raise ValueError("affine fusion engine needs nilpotence class <= 2")
 
 
 def _partition_at(scheme, m, n, psi_k, dense_budget=1 << 24):
@@ -261,24 +266,22 @@ def _fixed_orbit_coverage(scheme, m, n, mapping, on):
     with no rational point is the H^1 phenomenon itself).  For commutative
     schemes the map is a bijection onto the stable orbits.
     """
-    tn = TowerInstance(scheme, n)
+    tn = tower_instance(scheme, n)
     p = tn.ring.p
     s = scheme.field.s
     Dqm = linalg.matpow(tn.dual_frobenius, s * m, p)
-    fixed = set()
-    for j, orb in enumerate(on.orbits):
-        img = (Dqm @ orb.base_point) % p
-        if on.labels[int(linalg.encode_vectors(img, p))] == j:
-            fixed.add(j)
-    hit = set(int(t) for t in mapping)
-    if not hit <= fixed:
+    fixed = _gather(on.labels, on.base_points, Dqm, p) == np.arange(len(on))
+    hit = np.zeros(len(on), dtype=bool)
+    hit[mapping] = True
+    if (hit & ~fixed).any():
         raise AssertionError("base change hits a non-stable orbit (bug)")
+    missed = int(fixed.sum() - hit.sum())
     return {
         "level": n,
-        "stable_orbits": len(fixed),
-        "hit": len(hit),
-        "missed_stable": len(fixed - hit),
-        "onto_stable": fixed == hit,
+        "stable_orbits": int(fixed.sum()),
+        "hit": int(hit.sum()),
+        "missed_stable": missed,
+        "onto_stable": missed == 0,
     }
 
 
@@ -311,17 +314,13 @@ class PacketReport:
         between the last two densely materialized levels, an exact Fraction
         since all orbit sizes are powers of p."""
         if len(self.dense_rounds) < 2:
-            return [None] * len(self.orbit_set.orbits)
+            return [None] * len(self.orbit_set)
         # each dense round holds T_m^n from the ladder's level m (it starts
         # at 2m, so no round is at level m itself)
         (n1, map1, _, on1), (n2, map2, _, on2) = self.dense_rounds[-2:]
         s = self.scheme.field.s
-        out = []
-        for i in range(len(self.orbit_set.orbits)):
-            e1 = on1.orbits[int(map1[i])].half_log
-            e2 = on2.orbits[int(map2[i])].half_log
-            out.append(Fraction(e2 - e1, s * (n2 - n1)))
-        return out
+        growth = on2.half_logs[map2] - on1.half_logs[map1]
+        return [Fraction(e, s * (n2 - n1)) for e in growth.tolist()]
 
     def to_csv(self):
         om = self.orbit_set
@@ -329,14 +328,14 @@ class PacketReport:
         lines = [
             "orbit_id,base_point,orbit_size,fdim_estimate,packet_id,packet_size,certified_level"
         ]
-        for i, orb in enumerate(om.orbits):
+        for i, (point, size) in enumerate(zip(om.base_points.tolist(), om.sizes.tolist())):
             pid = self._packet_of[i]
             lines.append(
                 "%d,%s,%d,%s,%d,%d,%d"
                 % (
                     i,
-                    " ".join(str(int(v)) for v in orb.base_point),
-                    orb.size,
+                    " ".join(map(str, point)),
+                    size,
                     fdims[i] if fdims[i] is not None else "",
                     pid,
                     len(self.packets[pid]),
@@ -357,7 +356,7 @@ def abelian_trace_check(scheme, m, n, psi_k=1):
         raise ValueError("trace check needs a commutative (abelian) scheme")
     if n % m != 0:
         raise ValueError("levels must satisfy m | n")
-    tn = TowerInstance(scheme, n)
+    tn = tower_instance(scheme, n)
     p = tn.ring.p
     s = scheme.field.s
     d_n = tn.ring.dim

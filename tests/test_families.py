@@ -44,6 +44,19 @@ def test_fake_heisenberg_geometric_stabilizer_equation():
                 assert fixes == eq
 
 
+def test_unread_bracket_coordinates_imply_class_2_at_every_level():
+    for scheme, expected in [
+        (fam.fake_heisenberg_scheme(3, 2), True),
+        (fam.fake_heisenberg_scheme(5, 1, {(2, 0): 1, (0, 2): -1}), True),
+        (fam.abelian_scheme(3, 1, 2), True),
+        (fam.ul_lie_scheme(3, 3), True),
+        (fam.ul_lie_scheme(4, 3), False),
+    ]:
+        assert scheme.brackets_land_in_unread_coordinates is expected
+        classes = [scheme.at_level(n).nilpotence_class() for n in (1, 2)]
+        assert all(c <= 2 for c in classes) is expected
+
+
 def test_ul_groups():
     assert fam.ul_group(4, 2).n == 64
     u33 = fam.ul_group(3, 3)

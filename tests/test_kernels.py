@@ -138,3 +138,52 @@ def test_single_orbit_hashset_matches_dense():
         imgs = (orbit @ M.T) % 5
         keys = {row.tobytes() for row in orbit}
         assert all(row.tobytes() in keys for row in imgs)
+
+
+# -- the generating set of Exp(g) ---------------------------------------------
+
+
+def _all_basis_generators(ring):
+    """The adjoint and coadjoint matrices of every basis vector: the
+    generators before the kernel acted with a complement of [g,g] only."""
+    basis = [ring.basis_vector(i) for i in range(ring.dim)]
+    return (
+        np.array([ring.adjoint_matrix(x) for x in basis]),
+        np.array([ring.coadjoint_matrix(x) for x in basis]),
+    )
+
+
+def _assert_generating_set_matches_all_basis(ring):
+    k = ring.lower_central_series()[1].dim
+    adj, coadj = ring.adjoint_generators(), ring.coadjoint_generators()
+    assert len(adj) == len(coadj) == ring.dim - k
+    ref_adj, ref_coadj = _all_basis_generators(ring)
+    p = ring.p
+    assert (kernels.orbit_partition(adj, p) == kernels.orbit_partition(ref_adj, p)).all()
+    assert (kernels.orbit_partition(coadj, p) == kernels.orbit_partition(ref_coadj, p)).all()
+
+
+@settings(max_examples=25)
+@given(p=st.sampled_from([5, 7]), seed=st.integers(0, 2**16))
+def test_generating_set_partitions_like_all_basis_on_generated_rings(p, seed):
+    from nilorbit.battery import random_class_le3_rings
+
+    (ring,) = random_class_le3_rings(p, 1, seed=seed, max_dim=5)
+    _assert_generating_set_matches_all_basis(ring)
+
+
+def test_generating_set_partitions_like_all_basis_on_families():
+    from nilorbit.families import abelian_scheme, fake_heisenberg_scheme, ul_lie_scheme
+
+    rings = [heisenberg_ring(3), witness_ring(5, 3), witness_ring(7, 4)]
+    rings += [ul_lie_scheme(3, p).at_level(n) for p, n in [(3, 1), (3, 2), (3, 3), (5, 1), (7, 1)]]
+    rings += [ul_lie_scheme(4, p).at_level(1) for p in (5, 7)]
+    rings += [fake_heisenberg_scheme(p, 1).at_level(n) for p in (3, 5) for n in (1, 2, 3, 4)]
+    rings += [fake_heisenberg_scheme(3, 2).at_level(n) for n in (1, 2)]
+    rings += [abelian_scheme(3, 1, 2).at_level(n) for n in (1, 2, 3, 4)]
+    rings += [abelian_scheme(5, 2, 1).at_level(1)]
+    for ring in rings:
+        _assert_generating_set_matches_all_basis(ring)
+    # fake Heisenberg level 6 (the packets tower): half the basis lies in [g,g]
+    big = fake_heisenberg_scheme(3, 1).at_level(6)
+    assert big.dim == 12 and len(big.coadjoint_generators()) == 6

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilorbit import families as fam, kernels, linalg, orbits as ob
 from nilorbit.battery import appendix_h2_ring, witness_ring
@@ -253,3 +254,64 @@ def test_phi_idempotents_match_per_row_check(ring):
         for tab, orbs, holds in cases:
             assert _verify_phi_per_row(ring, tab, orbs, psi_k) is holds
             assert ob.verify_phi_idempotents(ring, tab, orbs, psi_k) is holds
+
+
+def _orbit_reference(ring, indices):
+    """An orbit's attributes as the per-orbit constructor computed them."""
+    idx = np.sort(np.asarray(indices, dtype=np.int64))
+    m2 = round(math.log(len(idx), ring.p))
+    assert ring.p**m2 == len(idx) and m2 % 2 == 0
+    return idx, int(idx[0]), len(idx), m2 // 2, ring.element_from_index(int(idx[0]))
+
+
+def test_orbit_set_arrays_match_per_orbit_reference():
+    rings = [heisenberg_ring(3), appendix_h2_ring(5), witness_ring(5, 4), abelian_ring(3, 2)]
+    rings += [fam.fake_heisenberg_scheme(3, 1).at_level(3), fam.ul_lie_scheme(4, 5).at_level(1)]
+    for ring in rings:
+        oset = ob.coadjoint_orbits(ring)
+        labels = oset.labels
+        assert len(oset) == len(oset.orbits) == labels.max() + 1
+        for t, orb in enumerate(oset.orbits):
+            idx, base, size, half, point = _orbit_reference(ring, np.flatnonzero(labels == t))
+            assert (orb.indices == idx).all() and orb.base_index == base == oset.base_indices[t]
+            assert orb.size == size == oset.sizes[t]
+            assert orb.half_log == half == oset.half_logs[t]
+            assert (orb.base_point == point).all() and (oset.base_points[t] == point).all()
+            assert (orb.points() == linalg.decode_indices(idx, ring.dim, ring.p)).all()
+
+
+def test_orbit_size_not_an_even_power_rejected():
+    # sizes 1, 3, 9, 3 ... in id order: the first bad size is reported
+    labels = np.array([0, 1, 1, 1] + [2] * 9 + [3] * 14)
+    with pytest.raises(ValueError, match="orbit size 3 is not an even power of 3"):
+        ob.OrbitSet(heisenberg_ring(3), labels)
+
+
+def _class_reps_reference(labels):
+    """The first index of each label, by a scan in index order."""
+    reps = np.full(int(labels.max()) + 1, -1, dtype=np.int64)
+    for idx, lab in enumerate(labels.tolist()):
+        if reps[lab] < 0:
+            reps[lab] = idx
+    return reps
+
+
+def test_class_reps_match_the_index_scan():
+    rings = [heisenberg_ring(3), heisenberg_ring(5), appendix_h2_ring(5), witness_ring(5, 4)]
+    rings += [fam.ul_lie_scheme(3, 5).at_level(1), fam.ul_lie_scheme(4, 5).at_level(1)]
+    rings += [fam.fake_heisenberg_scheme(3, 2).at_level(1), fam.fake_heisenberg_scheme(5, 1).at_level(3)]
+    for ring in rings:
+        cd = ob.conjugacy_class_data(ring)
+        assert cd.reps.tolist() == _class_reps_reference(cd.class_of).tolist()
+
+
+@settings(max_examples=25)
+@given(p=st.sampled_from([5, 7]), seed=st.integers(0, 2**16))
+def test_stabilizer_dim_from_orbit_size(p, seed):
+    # orbit-stabilizer under Lazard: dim g^f = dim g - 2 half_log, which the
+    # orbits CLI prints in place of a kernel per orbit
+    from nilorbit.battery import random_class_le3_rings
+
+    (ring,) = random_class_le3_rings(p, 1, seed=seed, max_dim=5)
+    oset = ob.coadjoint_orbits(ring)
+    assert [o.stabilizer.dim for o in oset.orbits] == (ring.dim - 2 * oset.half_logs).tolist()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nilorbit import packets as pk
+from nilorbit import linalg, packets as pk
 from nilorbit.families import abelian_scheme, fake_heisenberg_scheme, ul_lie_scheme
 from nilorbit.packets import TowerInstance
 
@@ -179,3 +179,96 @@ def test_packets_reuse_orbits_across_psi(monkeypatch):
     assert calls2 == calls1
     assert rep2.orbit_set is rep2.rounds[0][2][2]
     assert all(orb.psi_k == 2 for orb in rep2.orbit_set.orbits)
+
+
+def _per_orbit_reference(scheme, m, n, mapping):
+    """The base-change map, the Galois and Frobenius checks and the fixed
+    orbits by one loop over orbits, as the per-orbit code computed them."""
+    tm, tn = TowerInstance(scheme, m), TowerInstance(scheme, n)
+    p, s = tm.ring.p, scheme.field.s
+    om, on = tm.orbits(), tn.orbits()
+    DE = pk.dual_embedding_matrix(scheme, m, n)
+    Dq_m = linalg.matpow(tm.dual_frobenius, s, p)
+    Dq_n = linalg.matpow(tn.dual_frobenius, s, p)
+    Dqm_n = linalg.matpow(tn.dual_frobenius, s * m, p)
+
+    def label(oset, v):
+        return int(oset.labels[int(linalg.encode_vectors(v % p, p))])
+
+    ref_map = [label(on, DE @ orb.base_point) for orb in om.orbits]
+    verdict = None
+    for i, orb in enumerate(om.orbits):
+        img = (DE @ orb.base_point) % p
+        if label(on, Dqm_n @ img) != mapping[i]:
+            verdict = "image orbit is not Galois-fixed"
+            break
+        if mapping[label(om, Dq_m @ orb.base_point)] != label(on, Dq_n @ img):
+            verdict = "base change is not Fr-equivariant"
+            break
+    fixed = {j for j, orb in enumerate(on.orbits) if label(on, Dqm_n @ orb.base_point) == j}
+    return ref_map, verdict, fixed
+
+
+def _check_outcome(scheme, m, n, mapping):
+    om, on = pk.tower_instance(scheme, m).orbits(), pk.tower_instance(scheme, n).orbits()
+    try:
+        pk._check_fr_equivariance(scheme, m, n, pk.dual_embedding_matrix(scheme, m, n), om, on, mapping)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("scheme,m,n", [
+    (fake_heisenberg_scheme(3, 1), 1, 2),
+    (fake_heisenberg_scheme(3, 1), 2, 4),
+    (fake_heisenberg_scheme(3, 1), 1, 4),
+    (fake_heisenberg_scheme(3, 2), 1, 2),
+    (ul_lie_scheme(3, 3), 1, 2),
+    (abelian_scheme(3, 1, 2), 1, 3),
+])
+def test_base_change_arrays_match_per_orbit_loops(scheme, m, n):
+    mapping, om, on = pk.base_change_map(scheme, m, n)
+    ref_map, verdict, fixed = _per_orbit_reference(scheme, m, n, mapping)
+    assert mapping.tolist() == ref_map and verdict is None
+    cov = pk._fixed_orbit_coverage(scheme, m, n, mapping, on)
+    hit = set(ref_map)
+    assert cov == {
+        "level": n,
+        "stable_orbits": len(fixed),
+        "hit": len(hit),
+        "missed_stable": len(fixed - hit),
+        "onto_stable": fixed == hit,
+    }
+    # a wrong map fails the whole-array checks exactly when it fails the
+    # loop (the message may differ: the loop tests both laws orbit by orbit)
+    rng = np.random.default_rng(n)
+    for _ in range(8):
+        bad = mapping.copy()
+        i = int(rng.integers(len(bad)))
+        bad[i] = int(rng.integers(len(on)))
+        got = _check_outcome(scheme, m, n, bad)
+        assert (got is None) == (_per_orbit_reference(scheme, m, n, bad)[1] is None)
+
+
+def test_affine_engine_rejects_class_3_scheme():
+    # UL4(F5) has class 3; level 2 (5^12 points) is beyond the dense budget
+    with pytest.raises(ValueError, match="class <= 2"):
+        pk.base_change_and_packets(ul_lie_scheme(4, 5), 1)
+    with pytest.raises(ValueError, match="class <= 2"):
+        pk._affine_fusion_partition(ul_lie_scheme(4, 5), 1, 2)
+
+
+def test_one_tower_instance_per_level(monkeypatch):
+    built = []
+    init = TowerInstance.__init__
+
+    def counted(self, scheme, n):
+        built.append(n)
+        init(self, scheme, n)
+
+    monkeypatch.setattr(TowerInstance, "__init__", counted)
+    scheme = fake_heisenberg_scheme(3, 1)
+    _, rep = pk.base_change_and_packets(scheme, 1)
+    assert sorted(built) == sorted(set(built))
+    assert set(built) == {1} | {n for n, _, _ in rep.rounds}
+    assert pk.tower_instance(scheme, 2) is pk.tower_instance(scheme, 2)
