@@ -19,19 +19,16 @@ repository root.
     python benchmarks/bench_convolution.py --baseline ../nilorbit-parent --pairs 5
 """
 
-import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_dixon import _env, machine_info, revision  # noqa: E402
+from common import (  # noqa: E402
+    END_TO_END, parse_args, perfbench, python, revision, run_pairs, write,
+)
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PERFBENCH_SECONDS = 5
-END_TO_END = ("solve_s", "cold_job_s", "setup_s", "peak_rss_mib")
 TRACED = (
     "liering.LieRing.group_mul_bulk.calls",
     "liering.LieRing.group_mul_bulk.pairs",
@@ -77,29 +74,13 @@ print(json.dumps({"wall_s": time.perf_counter() - t0,
 """
 
 
-def perfbench(root, seed, trace=0):
-    out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "convolution",
-         "--seed", str(seed), "--seconds", str(PERFBENCH_SECONDS), "--trace", str(trace)],
-        cwd=root, env=_env(root), capture_output=True, text=True, check=True,
-    ).stdout
-    result = json.loads(out.strip().splitlines()[-1])
-    if result["failed"]:
-        raise RuntimeError("perfbench reported failed jobs in %s" % root)
-    return {k: v["value"] for k, v in result["metrics"].items()}
-
-
 def stage_times(root, case, seed):
-    out = subprocess.run(
-        [sys.executable, "-c", STAGE_WORKER, root, case, str(seed)],
-        cwd=root, env=_env(root), capture_output=True, text=True, check=True,
-    ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    return json.loads(python(root, STAGE_WORKER, case, str(seed)))
 
 
 def measure(root, seed):
     """One round of every measurement on the checkout at root."""
-    metrics = perfbench(root, seed)
+    metrics = perfbench(root, "convolution", seed)
     rec = {"perfbench": {k: metrics[k] for k in END_TO_END}}
     rec["stages"] = {case: stage_times(root, case, seed) for case in CASES}
     rec["criterion9_s"] = rec["stages"]["criterion9"]["wall_s"]
@@ -126,31 +107,16 @@ def summarize(rounds):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--baseline", help="another checkout of this repository to compare with")
-    ap.add_argument("--pairs", type=int, default=3, help="alternating rounds per checkout")
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_convolution.json"))
-    args = ap.parse_args(argv)
-
-    checkouts = {"change": ROOT}
-    if args.baseline:
-        checkouts = {"baseline": os.path.abspath(args.baseline), "change": ROOT}
-    rounds = {label: [] for label in checkouts}
-    for seed in range(1, args.pairs + 1):
-        # alternate which checkout runs first
-        for label, root in list(checkouts.items())[:: 1 if seed % 2 else -1]:
-            rounds[label].append(measure(root, seed))
-            print("pair %d %s: %s" % (seed, label, json.dumps(rounds[label][-1])), file=sys.stderr)
-    report = {
-        "benchmark": "criterion-9 function theory: perfbench convolution end-to-end metrics, "
-                     "criterion-9 wall time and convolve/verify_phi_idempotents stage times, "
-                     "medians over alternating pairs",
-        "machine": machine_info(),
-        "pairs": args.pairs,
-        "perfbench_seconds": PERFBENCH_SECONDS,
-    }
+    args = parse_args("BENCH_convolution.json", __doc__, argv)
+    report, checkouts, rounds = run_pairs(
+        args,
+        "criterion-9 function theory: perfbench convolution end-to-end metrics, "
+        "criterion-9 wall time and convolve/verify_phi_idempotents stage times, "
+        "medians over alternating pairs",
+        measure,
+    )
     for label, root in checkouts.items():
-        traced = perfbench(root, 1, trace=1)
+        traced = perfbench(root, "convolution", 1, trace=1)
         report[label] = dict(
             revision=revision(root),
             traced_seed1={k: traced[k] for k in TRACED},
@@ -171,10 +137,7 @@ def main(argv=None):
             c["perfbench"]["solve_s"] < b["perfbench"]["solve_s"]
             for b, c in zip(rounds["baseline"], rounds["change"])
         )
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps(report.get("change_over_baseline", report["change"]["perfbench"])))
+    write(report, args.out, report.get("change_over_baseline", report["change"]["perfbench"]))
 
 
 if __name__ == "__main__":

@@ -17,24 +17,18 @@ the machine to BENCH_dixon.json at the repository root.
     python benchmarks/bench_dixon.py --baseline ../nilorbit-parent --pairs 3
 """
 
-import argparse
-import hashlib
 import json
 import os
-import platform
 import statistics
-import subprocess
 import sys
-import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from common import parse_args, perfbench, python, revision, run_pairs, time_cli, write  # noqa: E402
 
 CLI_RUNS = {
     "chartable_ul4_q5_oracle": ["chartable", "--family", "ul", "--n", "4", "--q", "5", "--oracle"],
     "golden_q8_oracle": ["golden", "--q", "8", "--oracle"],
 }
-PERFBENCH_SECONDS = 5
-PINNED_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
 
 # Runs in a fresh interpreter inside a checkout: wraps the oracle's stages
 # with timers under every name that binds them, runs one case, prints JSON.
@@ -74,75 +68,9 @@ print(json.dumps({"dixon_s": total, "class_matrix_s": cm, "eigen_split_s": split
 """
 
 
-def machine_info():
-    cpu = platform.machine()
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next(
-                (ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), cpu
-            )
-    except OSError:
-        pass
-    import numpy
-
-    return {
-        "nproc": os.cpu_count(),
-        "cpu": cpu,
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "env": PINNED_ENV,
-    }
-
-
-def revision(root):
-    try:
-        out = subprocess.run(
-            ["git", "-C", root, "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, check=True,
-        )
-        dirty = subprocess.run(
-            ["git", "-C", root, "status", "--porcelain", "--untracked-files=no"],
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-        return out.stdout.strip() + ("+changes" if dirty else "")
-    except (OSError, subprocess.CalledProcessError):
-        return None
-
-
-def _env(root):
-    env = dict(os.environ, **PINNED_ENV)
-    env["PYTHONPATH"] = os.path.join(root, "src")
-    return env
-
-
-def time_cli(root, args):
-    t0 = time.perf_counter()
-    out = subprocess.run(
-        [sys.executable, "-m", "nilorbit"] + args,
-        cwd=root, env=_env(root), capture_output=True, check=True,
-    ).stdout
-    return time.perf_counter() - t0, hashlib.sha256(out).hexdigest()
-
-
-def perfbench_solve_s(root, seed):
-    out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "oracle_tables",
-         "--seed", str(seed), "--seconds", str(PERFBENCH_SECONDS), "--trace", "0"],
-        cwd=root, env=_env(root), capture_output=True, text=True, check=True,
-    ).stdout
-    result = json.loads(out.strip().splitlines()[-1])
-    if result["failed"]:
-        raise RuntimeError("perfbench reported failed jobs in %s" % root)
-    return result["metrics"]["solve_s"]["value"]
-
-
 def stage_times(root, case, seed):
-    out = subprocess.run(
-        [sys.executable, "-c", STAGE_WORKER, root, case, str(seed),
-         json.dumps(CLI_RUNS.get(case, []))],
-        cwd=root, env=_env(root), capture_output=True, text=True, check=True,
-    ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    cli = json.dumps(CLI_RUNS.get(case, []))
+    return json.loads(python(root, STAGE_WORKER, case, str(seed), cli))
 
 
 def measure(root, seed):
@@ -150,7 +78,7 @@ def measure(root, seed):
     rec = {"cli_s": {}, "cli_sha256": {}, "stages": {}}
     for name, args in CLI_RUNS.items():
         rec["cli_s"][name], rec["cli_sha256"][name] = time_cli(root, args)
-    rec["oracle_tables_solve_s"] = perfbench_solve_s(root, seed)
+    rec["oracle_tables_solve_s"] = perfbench(root, "oracle_tables", seed)["solve_s"]
     for case in ["oracle_tables"] + list(CLI_RUNS):
         rec["stages"][case] = stage_times(root, case, seed)
     return rec
@@ -174,29 +102,13 @@ def summarize(rounds):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--baseline", help="another checkout of this repository to compare with")
-    ap.add_argument("--pairs", type=int, default=3, help="alternating rounds per checkout")
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_dixon.json"))
-    args = ap.parse_args(argv)
-
-    checkouts = {"change": ROOT}
-    if args.baseline:
-        checkouts = {"baseline": os.path.abspath(args.baseline), "change": ROOT}
-    rounds = {label: [] for label in checkouts}
-    for seed in range(1, args.pairs + 1):
-        for label, root in checkouts.items():
-            rounds[label].append(measure(root, seed))
-            print("pair %d %s: %s" % (seed, label, json.dumps(
-                {k: v for k, v in rounds[label][-1].items() if k != "cli_sha256"})),
-                file=sys.stderr)
-    report = {
-        "benchmark": "Dixon-Burnside oracle: CLI wall times, perfbench oracle_tables "
-                     "solve_s and oracle stage times, medians over alternating pairs",
-        "machine": machine_info(),
-        "pairs": args.pairs,
-        "perfbench_seconds": PERFBENCH_SECONDS,
-    }
+    args = parse_args("BENCH_dixon.json", __doc__, argv)
+    report, checkouts, rounds = run_pairs(
+        args,
+        "Dixon-Burnside oracle: CLI wall times, perfbench oracle_tables "
+        "solve_s and oracle stage times, medians over alternating pairs",
+        measure,
+    )
     for label, root in checkouts.items():
         report[label] = dict(revision=revision(root), **summarize(rounds[label]))
     if args.baseline:
@@ -206,10 +118,7 @@ def main(argv=None):
             **{k: new["cli_s"][k] / base["cli_s"][k] for k in CLI_RUNS},
         }
         report["cli_outputs_identical"] = base["cli_sha256"] == new["cli_sha256"]
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps(report.get("change_over_baseline", report["change"]["cli_s"])))
+    write(report, args.out, report.get("change_over_baseline", report["change"]["cli_s"]))
 
 
 if __name__ == "__main__":

@@ -24,21 +24,17 @@ ratios and the machine to BENCH_gfq.json at the repository root.
     python benchmarks/bench_gfq.py --baseline ../nilorbit-parent --pairs 5
 """
 
-import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_dixon import _env, machine_info, revision, time_cli  # noqa: E402
+from common import (  # noqa: E402
+    END_TO_END, parse_args, perfbench, python, revision, run_pairs, time_cli, write,
+)
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PERFBENCH_SECONDS = 5
 WORKLOADS = ("packets", "golden")
-END_TO_END = ("solve_s", "cold_job_s", "setup_s", "peak_rss_mib")
 TRACED = (
     "gfq.FqField.mul.calls",
     "gfq.FqField.trace.calls",
@@ -81,31 +77,12 @@ print(time.perf_counter() - t0)
 """
 
 
-def _python(root, code, *args):
-    return subprocess.run(
-        [sys.executable, "-c", code, root, *args],
-        cwd=root, env=_env(root), capture_output=True, text=True, check=True,
-    ).stdout.strip().splitlines()[-1]
-
-
-def perfbench(root, workload, seed, trace=0):
-    out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(PERFBENCH_SECONDS), "--trace", str(trace)],
-        cwd=root, env=_env(root), capture_output=True, text=True, check=True,
-    ).stdout
-    result = json.loads(out.strip().splitlines()[-1])
-    if result["failed"]:
-        raise RuntimeError("perfbench reported failed jobs in %s" % root)
-    return {k: v["value"] for k, v in result["metrics"].items()}
-
-
 def measure(root, seed):
     """One round of every measurement on the checkout at root."""
-    field = json.loads(_python(root, FIELD_WORKER, json.dumps(SEARCHES)))
+    field = json.loads(python(root, FIELD_WORKER, json.dumps(SEARCHES)))
     rec = dict(field["times"])
     rec["moduli"] = field["moduli"]
-    rec["criterion8_s"] = float(_python(root, CRITERION8_WORKER))
+    rec["criterion8_s"] = float(python(root, CRITERION8_WORKER))
     rec["fakeheis_p5_s"], rec["fakeheis_p5_sha256"] = time_cli(root, FAKEHEIS)
     for w in WORKLOADS:
         metrics = perfbench(root, w, seed)
@@ -134,31 +111,14 @@ def summarize(rounds):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--baseline", help="another checkout of this repository to compare with")
-    ap.add_argument("--pairs", type=int, default=3, help="alternating rounds per checkout")
-    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_gfq.json"))
-    args = ap.parse_args(argv)
-
-    checkouts = {"change": ROOT}
-    if args.baseline:
-        checkouts = {"baseline": os.path.abspath(args.baseline), "change": ROOT}
-    rounds = {label: [] for label in checkouts}
-    t0 = time.perf_counter()
-    for seed in range(1, args.pairs + 1):
-        # alternate which checkout runs first
-        for label, root in list(checkouts.items())[:: 1 if seed % 2 else -1]:
-            rounds[label].append(measure(root, seed))
-            print("pair %d %s: %s" % (seed, label, json.dumps(rounds[label][-1])), file=sys.stderr)
-    report = {
-        "benchmark": "F_q layer: modulus searches, scalar FqField.mul at q = 4, criterion-8 "
-                     "and fake Heisenberg p = 5 packets wall times, perfbench packets and "
-                     "golden end-to-end metrics, medians over alternating pairs",
-        "machine": machine_info(),
-        "pairs": args.pairs,
-        "perfbench_seconds": PERFBENCH_SECONDS,
-        "wall_s": time.perf_counter() - t0,
-    }
+    args = parse_args("BENCH_gfq.json", __doc__, argv)
+    report, checkouts, rounds = run_pairs(
+        args,
+        "F_q layer: modulus searches, scalar FqField.mul at q = 4, criterion-8 "
+        "and fake Heisenberg p = 5 packets wall times, perfbench packets and "
+        "golden end-to-end metrics, medians over alternating pairs",
+        measure,
+    )
     for label, root in checkouts.items():
         traced = {w: perfbench(root, w, 1, trace=1) for w in WORKLOADS}
         report[label] = dict(
@@ -174,10 +134,7 @@ def main(argv=None):
         }
         report["same_moduli"] = base["moduli"] == new["moduli"]
         report["same_fakeheis_stdout"] = base["fakeheis_p5_sha256"] == new["fakeheis_p5_sha256"]
-    with open(args.out, "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps(report.get("change_over_baseline", report["change"]["packets"])))
+    write(report, args.out, report.get("change_over_baseline", report["change"]["packets"]))
 
 
 if __name__ == "__main__":

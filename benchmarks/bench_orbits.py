@@ -23,8 +23,7 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_gfq import perfbench  # noqa: E402
-from bench_tables import compare, parse_args, write  # noqa: E402
+from common import compare, compare_summary, parse_args, perfbench, write  # noqa: E402
 
 CLI_RUNS = {
     "orbits_ul5_q5": ["orbits", "--family", "ul", "--n", "5", "--q", "5"],
@@ -41,7 +40,7 @@ TRACED = (
 
 
 def main(argv=None):
-    args = parse_args("BENCH_orbits.json", argv, __doc__)
+    args = parse_args("BENCH_orbits.json", __doc__, argv)
     report, checkouts = compare(
         args,
         "orbit census and base change: wall time and peak RSS of orbits UL5(F5) and "
@@ -52,7 +51,7 @@ def main(argv=None):
     for label, root in checkouts.items():
         traced = perfbench(root, "packets", 1, trace=1)
         report[label]["traced_packets_seed1"] = {k: traced[k] for k in TRACED}
-    write(report, args.out, CLI_RUNS)
+    write(report, args.out, compare_summary(report, CLI_RUNS))
 
 
 if __name__ == "__main__":

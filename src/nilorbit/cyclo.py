@@ -8,7 +8,8 @@ numerators are its coefficients against 1, zeta_m, ..., zeta_m^{phi(m)-1}
 (reduced modulo the m-th cyclotomic polynomial) and den > 0 is coprime to
 them.  So the representation is unique per value, equality is field
 equality and hashes agree however a value was built.  Rationals enter as
-int or Fraction and leave through `rational_value`; no float is used.
+int or Fraction and leave through `rational_value`; a float carries only
+an integer, inside a product (see the dtype ladder below).
 
 `to_ints` rescales values to a common order and denominator and
 `from_ints` canonicalizes rows (descent to the least order, then lowest
@@ -17,9 +18,21 @@ unity into the form, `lincomb` takes integer combinations of rows, and
 `contract` is the one sum-of-products contraction against the fold tensor
 fold[a, b] = zeta_M^(a+b) (rows of the cached reduction matrix); `inv` is a
 product of Galois conjugates, taken by a tree of batched products, over the
-rational norm.  Arrays are int64 when a magnitude bound computed from the
-inputs fits and Python ints (dtype object) when it does not; both run the
-same code.
+rational norm.
+
+Sums of products run on one dtype ladder, chosen from a bound, computed
+from the inputs, on the magnitude of every partial sum: `lincomb` and
+`contract` multiply in float64 (BLAS) when the bound is at most 2^53, in
+int64 up to 2^63 - 1 and in Python ints (dtype object) beyond, through the
+same code and with no option.  The float product is exact: every product
+and partial sum is an integer of magnitude at most 2^53, and float64 holds
+each one.  Results come back as int64 when the bound fits it and as Python
+ints otherwise, whatever dtype they were multiplied in.  Both take the rows
+of their left factor in blocks of at most `_BLOCK` entries, so the ladder's
+copies of that factor and of the product stay a block in size; the right
+factor is converted once, whole.  `times` and the rescaling in `to_ints` are
+elementwise, so they gain nothing from BLAS and use only the int64 and
+Python-int steps.
 """
 
 import math
@@ -32,6 +45,11 @@ from . import linalg
 from .linalg import prime_factors
 
 _INT64_MAX = np.iinfo(np.int64).max
+# float64 holds every integer of magnitude at most 2^53, so a product whose
+# partial sums all stay within it is exact on BLAS
+_FLOAT_EXACT = 2**53
+# entries per row block of a product (512 KiB of float64)
+_BLOCK = 1 << 16
 # Prime for computing the (unimodular) descent inverses; the result is
 # checked exactly over the integers.
 _LIFT_PRIME = 2**31 - 1
@@ -122,18 +140,45 @@ def _maxabs(A):
     return max(1, int(np.abs(A).max())) if A.size else 1
 
 
+def _int_dtype(bound):
+    return np.int64 if bound <= _INT64_MAX else object
+
+
 def _exact(bound, *arrays):
     """The integer arrays as int64 when they and every magnitude the caller
     computes from them are at most `bound` <= 2^63 - 1, else as Python ints."""
-    dtype = np.int64 if bound <= _INT64_MAX else object
-    return [np.asarray(a).astype(dtype, copy=False) for a in arrays]
+    return [np.asarray(a).astype(_int_dtype(bound), copy=False) for a in arrays]
+
+
+def _product(bound, *arrays):
+    """The integer factors of a sum of products whose partial sums are all
+    at most `bound` in magnitude, in the ladder's dtype: float64 up to
+    2^53, then as `_exact` gives them."""
+    if bound <= _FLOAT_EXACT:
+        return [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
+    return _exact(bound, *arrays)
 
 
 def lincomb(W, C):
-    """W @ C exactly, for integer weights W (..., k) and integer rows C (k, ...)."""
+    """Integer combinations of rows, exactly: the sum over k of
+    W[..., k] * C[k, ...], for integer weights W (..., k) and integer rows
+    C (k, ...), of shape W.shape[:-1] + C.shape[1:].
+
+    The weights go in row blocks, so the ladder's copies of W and of the
+    product stay a block in size; C is converted once, whole.
+    """
     W, C = np.asarray(W), np.asarray(C)
-    W, C = _exact(W.shape[-1] * _maxabs(W) * _maxabs(C), W, C)
-    return W @ C
+    k = W.shape[-1]
+    bound = k * _maxabs(W) * _maxabs(C)
+    shape = W.shape[:-1] + C.shape[1:]
+    W = W.reshape(math.prod(W.shape[:-1]), k)
+    (C,) = _product(bound, C.reshape(k, math.prod(C.shape[1:])))
+    out = np.empty((len(W), C.shape[1]), dtype=_int_dtype(bound))
+    step = max(1, _BLOCK // max(k, C.shape[1], 1))
+    for i in range(0, len(W), step):
+        (Wb,) = _product(bound, W[i:i + step])
+        out[i:i + step] = Wb @ C
+    return out.reshape(shape)
 
 
 def times(A, B):
@@ -154,18 +199,31 @@ def contract(X, Y, M):
     X and Y hold integer forms at order M (last axis phi(M)); leading axes
     broadcast as in matmul.  The product of coefficient a of one factor and
     b of the other lands on zeta_M^(a+b), so the result is the coefficient
-    sum per exponent times the reduction rows of those exponents.
+    sum per exponent times the reduction rows of those exponents.  The rows
+    i go in blocks, so the ladder's copies of X and the accumulator stay a
+    block in size; Y is converted once, whole.
     """
+    X, Y = np.asarray(X), np.asarray(Y)
     phi = X.shape[-1]
     fold = _reduction_matrix(M)[np.arange(2 * phi - 1) % M]
     bound = X.shape[-2] * phi * _maxabs(X) * _maxabs(Y) * (2 * phi - 1) * _maxabs(fold)
-    X, Y, fold = _exact(bound, X, Y, fold)
+    Y, fold = _product(bound, Y, fold)
+    Yf = Y.reshape(Y.shape[:-2] + (Y.shape[-2] * phi,))
     shape = np.broadcast_shapes(X.shape[:-3], Y.shape[:-3]) + (X.shape[-3], Y.shape[-2])
-    Yf = Y.reshape(Y.shape[:-2] + (-1,))
-    acc = np.zeros(shape + (2 * phi - 1,), dtype=X.dtype)
-    for a in range(phi):
-        acc[..., a:a + phi] += (X[..., a] @ Yf).reshape(shape + (phi,))
-    return acc @ fold
+    out = np.empty(shape + (phi,), dtype=_int_dtype(bound))
+    # entries per row i, of the accumulator and of the block of X
+    acc_row = math.prod(shape[:-2]) * shape[-1] * (2 * phi - 1)
+    x_row = math.prod(X.shape[:-3]) * X.shape[-2] * phi
+    step = max(1, _BLOCK // max(1, acc_row, x_row))
+    for i in range(0, shape[-2], step):
+        # the coefficient axis first, so that each X[..., a] is one operand
+        (Xb,) = _product(bound, np.moveaxis(X[..., i:i + step, :, :], -1, 0))
+        acc = np.zeros(shape[:-2] + (Xb.shape[-2], shape[-1], 2 * phi - 1), dtype=Xb.dtype)
+        for a in range(phi):
+            acc[..., a:a + phi] += (Xb[a] @ Yf).reshape(acc.shape[:-1] + (phi,))
+        Z = acc.reshape(-1, 2 * phi - 1) @ fold
+        out[..., i:i + step, :, :] = Z.reshape(acc.shape[:-1] + (phi,))
+    return out
 
 
 def to_ints(values, order=1):
@@ -372,7 +430,7 @@ class Cyclotomic:
         js = [j for j in range(2, m) if math.gcd(j, m) == 1]
         # every conjugate in one gather, then their product by a tree of
         # batched pairwise products (an odd row waits for the next round)
-        y = lincomb(C[0], _reduction_matrix(m)[np.outer(js, np.arange(_phi(m))) % m])
+        y = lincomb(C[0], _reduction_matrix(m)[np.outer(np.arange(_phi(m)), js) % m])
         while len(y) > 1:
             half = len(y) // 2
             pairs = contract(y[:half, None, None], y[half:2 * half, None, None], m)

@@ -202,8 +202,10 @@ class FiniteGroup:
             self._classes = self._classes_hook()
             return self._classes
         everything = np.arange(self.n, dtype=np.int64)
-        tables = [self._conj_bulk(g, everything).astype(np.int32) for g in self.generators()]
-        class_of = kernels.orbit_labels(tables, self.n)
+        # made in the call, so orbit_labels frees the tables before the ids
+        class_of = kernels.orbit_labels(
+            [self._conj_bulk(g, everything).astype(np.int32) for g in self.generators()], self.n
+        )
         reps = np.unique(class_of, return_index=True)[1].astype(np.int64)
         sizes = np.bincount(class_of, minlength=len(reps))
         inv_class = class_of[self.inv_bulk(reps)]

@@ -20,7 +20,8 @@ Propagation along images alone reaches the whole orbit only when the
 generators generate a group, so singular generators are rejected.  The
 propagation, `orbit_labels`, takes any permutation tables: black-box
 groups partition themselves into conjugacy classes with it.
-Memory is one int32 table per generator plus a few int32 arrays per point.
+Memory is one int32 table per generator plus a few int32 arrays per point;
+the tables are freed before the int64 ids are built.
 
 The orbits of a group are the components under any generating set, so the
 cost is per generator, not per group element.  Exp(g) needs only the
@@ -68,17 +69,22 @@ def orbit_labels(images, n):
     Min-label propagation with pointer jumping: every label ends at its
     orbit's minimal index, and the roots renumbered in index order give
     the ids.  Propagation along images covers a whole orbit only because
-    each image table is a permutation (a group action).
+    each image table is a permutation (a group action).  The tables are
+    dropped once propagation ends, so a caller that passes them in the
+    call, holding no other reference, frees them before the int64 ids are
+    built.
     """
     lab = np.arange(n, dtype=np.int32)
     while True:
         prev = lab
         lab = lab.copy()
-        for img in images:
-            np.minimum(lab, lab[img], out=lab)
+        # by index: a loop variable would keep the last table alive below
+        for a in range(len(images)):
+            np.minimum(lab, lab[images[a]], out=lab)
         lab = lab[lab]
         if np.array_equal(lab, prev):
             break
+    del images, prev
     roots = lab == np.arange(n, dtype=np.int32)
     ids = np.cumsum(roots, dtype=np.int64) - 1
     return ids[lab]

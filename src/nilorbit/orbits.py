@@ -120,7 +120,10 @@ def _first_indices(labels):
     Ids are numbered by increasing seed, so the running maximum of the
     labels steps up by one exactly at each id's first index.
     """
-    return np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
+    run = np.maximum.accumulate(labels)
+    first = np.ones(len(run), dtype=bool)
+    np.not_equal(run[1:], run[:-1], out=first[1:])
+    return np.flatnonzero(first)
 
 
 def coadjoint_orbit_of(ring, lam, limit=1 << 22):
@@ -272,9 +275,10 @@ def verify_phi_idempotents(ring, table, orbits, psi_k=1):
     e_Omega(exp x) = (deg/|G|) chi(exp(-x)) has values in (1/|G|) Z[zeta_p],
     so |G| Phi(e)(lambda) = deg * sum_{j,r} counts[lambda, j, r] chi_j zeta^r
     with counts the residue counts per class.  One product table of every
-    row value against zeta_p^r, one contraction with the counts for all
-    rows and one product with the degrees give every transform, compared
-    against |G| * indicator exactly.
+    row value against zeta_p^r; then, per block of dual points, one count,
+    one contraction with the counts for all rows and one product with the
+    degrees give every transform there, compared against |G| * indicator
+    exactly, so nothing larger than a block is held.
     """
     p = ring.p
     n = ring.order
@@ -285,28 +289,35 @@ def verify_phi_idempotents(ring, table, orbits, psi_k=1):
         raise ValueError("need one orbit per row")
     X = ring.all_elements()
     neg_class = cd.class_of[linalg.encode_vectors((-X) % p, p)]  # class of exp(-x)
-    # counts[lambda, j * p + r]: x in class j of exp(-x) with psi_k(lambda . x) = r,
-    # in blocks of dual points so that the temporaries stay block x n
-    counts = np.empty((n, t * p), dtype=np.int64)
-    block = max(1, PHI_BLOCK // n)
-    for start in range(0, n, block):
-        lam = X[start : start + block]
-        keys = neg_class * p + (psi_k * (lam @ X.T)) % p
-        keys += np.arange(len(lam))[:, None] * (t * p)
-        counts[start : start + len(lam)] = np.bincount(
-            keys.ravel(), minlength=len(lam) * t * p
-        ).reshape(len(lam), t * p)
     zetas = [Cyclotomic.zeta(p, r) for r in range(p)]
     P, M, den = product_table([v for row in table.rows for v in row.values], zetas)
     phi = P.shape[-1]
     # P[row, (j, r)] -> [(j, r), (row, coefficient)], matching the counts
     P = P.reshape(rows, t * p, phi).transpose(1, 0, 2).reshape(t * p, rows * phi)
     degrees = [[int(row.degree.rational_value())] for row in table.rows]
-    got = times(lincomb(counts, P).reshape(n, rows, phi), degrees)
-    target = np.zeros(got.shape, dtype=object)
-    for i, orb in enumerate(orbits):
-        target[orb.indices, i, 0] = n * den  # the products are P / den
-    return bool((got == target).all())
+    # (dual point, row) for every point of every row's orbit, by point
+    points = np.concatenate([np.asarray(orb.indices, dtype=np.int64) for orb in orbits])
+    owner = np.repeat(np.arange(rows), [len(orb.indices) for orb in orbits])
+    by_point = np.argsort(points, kind="stable")
+    points, owner = points[by_point], owner[by_point]
+    block = max(1, PHI_BLOCK // n)
+    for start in range(0, n, block):
+        lam = X[start : start + block]
+        b = len(lam)
+        # counts[lambda, j * p + r]: x in class j of exp(-x) with psi_k(lambda . x) = r
+        keys = neg_class * p + (psi_k * (lam @ X.T)) % p
+        keys += np.arange(b)[:, None] * (t * p)
+        counts = np.bincount(keys.ravel(), minlength=b * t * p).reshape(b, t * p)
+        got = times(lincomb(counts, P).reshape(b, rows, phi), degrees)
+        inside = np.zeros((b, rows), dtype=bool)
+        lo, hi = np.searchsorted(points, [start, start + b])
+        inside[points[lo:hi] - start, owner[lo:hi]] = True
+        # the products are P / den, so the indicator is n * den
+        if got[..., 1:].any() or got[..., 0][~inside].any():
+            return False
+        if not (got[..., 0][inside] == n * den).all():
+            return False
+    return True
 
 
 # -- Appendix-style diagnostics --------------------------------------------------

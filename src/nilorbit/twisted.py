@@ -40,8 +40,8 @@ def _twisted_traces(T, rep, gs):
     mats = [T] + [_dense_matrix(rep, g) for g in gs]
     C, M, den = to_ints([v for A in mats for row in A for v in row])
     C = C.reshape(len(mats), n, n, -1)
-    diag = contract(C[0], C[1:], M)[:, np.arange(n), np.arange(n)]
-    return from_ints(lincomb(np.ones(n, dtype=np.int64), diag), M, den * den)
+    diag = contract(C[0], C[1:], M)[:, np.arange(n), np.arange(n)]  # [g, i]
+    return from_ints(lincomb(np.ones(n, dtype=np.int64), diag.swapaxes(0, 1)), M, den * den)
 
 
 def schur_intertwiner(ring, rep, phi, seed=1, max_tries=8):

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nilorbit import cyclo
 from nilorbit.chartable import ClassFunction, row_order
 from nilorbit.cyclo import (
     Cyclotomic,
     gather,
+    _maxabs,
     _phi,
+    _reduction_matrix,
     contract,
     cyclotomic_polynomial,
     from_ints,
+    lincomb,
     parse,
     render,
     root_of_unity,
@@ -384,3 +388,146 @@ def test_inverse_product_tree_matches_sequential_product(x):
     y, ref = x.inv(), _inv_sequential(x)
     assert (y.order, y.num, y.den) == (ref.order, ref.num, ref.den)
     assert x * y == 1
+
+
+# -- the dtype ladder of lincomb and contract ---------------------------------
+#
+# Both multiply in float64 while their magnitude bound is at most 2^53, in
+# int64 up to 2^63 - 1 and in Python ints beyond; the result is int64 while
+# the bound fits it and Python ints otherwise.  The inputs sit just under
+# and just over each step, with most entries at the largest magnitude, so
+# the true sums come close to the bound.
+
+_STEPS = (2**53, 2**63 - 1)
+
+
+@st.composite
+def _near_step(draw, terms):
+    """(ma, mb): largest magnitudes whose bound terms * ma * mb lies just
+    under or just over one step of the ladder.  ma is odd, so that a bound
+    just over 2^53 is often odd, which float64 cannot hold."""
+    step = draw(st.sampled_from(_STEPS)) + draw(st.integers(-3, 3))
+    ma = 2 * draw(st.integers(0, 500)) + 1
+    mb = max(1, step // (max(1, terms) * ma) + draw(st.sampled_from([1, 0])))
+    return ma, mb
+
+
+@st.composite
+def _ints_near(draw, shape, m, as_object, aligned):
+    """An integer array of the given shape, magnitudes at most m, with m
+    itself present when non-empty: every entry m when aligned, so that the
+    sums reach the bound, else entries of mixed signs, most near m."""
+    size = math.prod(shape)
+    vals = [m] * size
+    if not aligned:
+        near = st.integers(0, 2).map(lambda k: max(m - k, 0)) | st.integers(0, m)
+        vals = draw(st.lists(near, min_size=size, max_size=size))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=size, max_size=size))
+        vals = [v * s for v, s in zip(vals, signs)]
+        if size:
+            i = draw(st.integers(0, size - 1))
+            vals[i] = m * signs[i]
+    A = np.array(vals, dtype=object).reshape(shape)
+    return A if as_object or m > _STEPS[1] else A.astype(np.int64)
+
+
+def _expected_dtype(bound):
+    return np.dtype(np.int64) if bound <= _STEPS[1] else np.dtype(object)
+
+
+def _dtype(x):
+    """The dtype of a result; a vector product of Python ints is one."""
+    return x.dtype if isinstance(x, (np.ndarray, np.generic)) else np.dtype(object)
+
+
+@st.composite
+def _lincomb_case(draw):
+    k = draw(st.integers(0, 4))
+    lead = draw(st.sampled_from([(), (0,), (1,), (3,), (2, 3)]))
+    tail = draw(st.sampled_from([(), (2,), (0,)]))
+    ma, mb = draw(_near_step(k))
+    aligned = draw(st.sampled_from([True, False]))
+    W = draw(_ints_near(lead + (k,), ma, draw(st.booleans()), aligned))
+    C = draw(_ints_near((k,) + tail, mb, draw(st.booleans()), aligned))
+    return W, C
+
+
+@given(_lincomb_case())
+@settings(max_examples=300, deadline=None)
+def test_lincomb_ladder_matches_object_reference(case):
+    W, C = case
+    got = lincomb(W, C)
+    ref = W.astype(object) @ C.astype(object)
+    bound = W.shape[-1] * _maxabs(W) * _maxabs(C)
+    assert _dtype(got) == _expected_dtype(bound)
+    assert np.shape(got) == np.shape(ref)
+    assert np.array_equal(got, ref)
+
+
+def _contract_reference(X, Y, M):
+    """The contraction over Python ints: every coefficient pair (a, b) lands
+    on the reduction row of zeta_M^(a+b)."""
+    X, Y = X.astype(object), Y.astype(object)
+    phi = X.shape[-1]
+    R = _reduction_matrix(M).astype(object)
+    Z = 0
+    for a in range(phi):
+        for b in range(phi):
+            Z = Z + (X[..., a] @ Y[..., b])[..., None] * R[(a + b) % M]
+    shape = np.broadcast_shapes(X.shape[:-3], Y.shape[:-3]) + (X.shape[-3], Y.shape[-2], phi)
+    return np.broadcast_to(np.asarray(Z, dtype=object), shape)
+
+
+@st.composite
+def _contract_case(draw):
+    # only at order 1 do the sums come close to the bound: the fold rows of
+    # higher orders mix signs
+    M = draw(st.sampled_from([1, 1, 1, 3, 4, 5, 8, 9]))
+    phi = _phi(M)
+    i, j, l = (draw(st.sampled_from([1, 2, 3, 0])) for _ in range(3))
+    xlead, ylead = draw(st.sampled_from([((), ()), ((2,), ()), ((), (2,)), ((2, 1), (3,))]))
+    fold = _maxabs(_reduction_matrix(M)[np.arange(2 * phi - 1) % M])
+    ma, mb = draw(_near_step(j * phi * (2 * phi - 1) * fold))
+    aligned = draw(st.sampled_from([True, False]))
+    X = draw(_ints_near(xlead + (i, j, phi), ma, draw(st.booleans()), aligned))
+    Y = draw(_ints_near(ylead + (j, l, phi), mb, draw(st.booleans()), aligned))
+    return X, Y, M, j * phi * _maxabs(X) * _maxabs(Y) * (2 * phi - 1) * fold
+
+
+@given(_contract_case())
+@settings(max_examples=300, deadline=None)
+def test_contract_ladder_matches_object_reference(case):
+    X, Y, M, bound = case
+    got = contract(X, Y, M)
+    ref = _contract_reference(X, Y, M)
+    assert got.dtype == _expected_dtype(bound)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)
+
+
+def test_ladder_step_at_two_to_the_53():
+    # 2^53 + 1 is the least integer float64 does not hold: the bound
+    # 2 * 2^53 * 1 is over the float step, so the sum is exact in int64
+    W, C = np.array([1, 1]), np.array([2**53, 1])
+    got = lincomb(W, C)
+    assert got.dtype == np.int64 and int(got) == 2**53 + 1
+    X = np.array([[[2**52]], [[1]]]).reshape(1, 2, 1)
+    Y = np.array([[[2]], [[1]]]).reshape(2, 1, 1)
+    got = contract(X, Y, 1)
+    assert got.dtype == np.int64 and int(got[0, 0, 0]) == 2**53 + 1
+    # at the float step itself the bound still holds every partial sum
+    assert int(lincomb(np.array([1, 1]), np.array([2**52, 2**52]))) == 2**53
+
+
+def test_row_blocks_match_one_block(monkeypatch):
+    # blocks of one row give the same products as one whole block
+    rng = np.random.default_rng(5)
+    X = rng.integers(-9, 10, size=(2, 7, 3, 4))
+    Y = rng.integers(-9, 10, size=(3, 5, 4))
+    W, C = rng.integers(-9, 10, size=(6, 3)), rng.integers(-9, 10, size=(3, 2))
+    whole = contract(X, Y, 5), lincomb(W, C)
+    monkeypatch.setattr(cyclo, "_BLOCK", 1)
+    assert np.array_equal(contract(X, Y, 5), whole[0])
+    assert np.array_equal(lincomb(W, C), whole[1])
+    assert np.array_equal(whole[0], _contract_reference(X, Y, 5))
+    assert np.array_equal(whole[1], W.astype(object) @ C.astype(object))

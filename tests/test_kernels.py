@@ -115,6 +115,26 @@ def test_budget_guard():
         kernels.orbit_partition(mats, 3)
 
 
+def test_image_tables_are_freed_before_the_ids():
+    # two generators on 5^8 points: propagation holds 2 int32 tables and
+    # 3 int32 label arrays (20 bytes a point), the renumbering int32
+    # labels, bool roots and two int64 id arrays (21 bytes a point); a
+    # table still alive there would add 4 bytes a point
+    import tracemalloc
+
+    p, d = 5, 8
+    rng = np.random.default_rng(1)
+    mats = np.eye(d, dtype=np.int64) + np.triu(rng.integers(0, p, (2, d, d)), 1)
+    tracemalloc.start()
+    try:
+        labels = kernels.orbit_partition(mats, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 23 * p**d
+    assert labels[0] == 0 and labels.max() > 0
+
+
 def test_single_orbit_hashset_matches_dense():
     from nilorbit import orbits as ob
     from nilorbit.battery import appendix_h2_ring

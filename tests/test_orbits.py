@@ -228,6 +228,29 @@ def test_phi_idempotents_count_in_bounded_blocks():
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize("per_block", [None, 7])
+def test_phi_idempotents_fail_on_one_late_block(monkeypatch, per_block):
+    # the check compares one block of dual points at a time, so a fault
+    # confined to the last block must fail it: the row whose orbit holds
+    # the last dual point, an orbit in late blocks only, gets its orbit
+    # without that point, for the whole table and for a sample of rows
+    ring = appendix_h2_ring(5)
+    n = ring.order
+    if per_block:
+        monkeypatch.setattr(ob, "PHI_BLOCK", per_block * n)
+    block = max(1, ob.PHI_BLOCK // n)
+    table, orbits = ob.orbit_method_table(ring)
+    r = next(i for i, orb in enumerate(orbits) if n - 1 in orb.indices)
+    pts = np.sort(orbits[r].indices)
+    assert pts[0] >= 4 * block
+    bad = list(orbits)
+    bad[r] = SimpleNamespace(indices=pts[:-1])
+    for rows in (range(len(orbits)), sorted({0, len(orbits) // 2, r})):
+        tab = _rows(table, [table.rows[i] for i in rows])
+        assert ob.verify_phi_idempotents(ring, tab, [orbits[i] for i in rows])
+        assert not ob.verify_phi_idempotents(ring, tab, [bad[i] for i in rows])
+
+
 @pytest.mark.parametrize("ring", [
     heisenberg_ring(3), heisenberg_ring(5), fam.fake_heisenberg(3, 2),
     fam.ul_lie_scheme(3, 5).at_level(1), appendix_h2_ring(5), witness_ring(5, 3),
