@@ -3,32 +3,38 @@
 Measures, for this checkout and optionally a baseline checkout of the same
 repository, in alternating pairs on one machine:
 
-* the wall time and stdout digest of `chartable --family ul --n 4 --q 5
-  --oracle` and `golden --q 8 --oracle`, each in a fresh interpreter;
-* perfbench's oracle_tables `solve_s` (seeds 1, 2, ...; one run each);
-* the oracle's stage times in those three runs: class matrices
-  (`dixon.class_matrix`), eigenspace splitting (`dixon._eigen_split`) and
-  the rest of `dixon_table` (normalization, degrees, multiplicities and
-  the exact values), from timers wrapped around the three functions.
+* the wall time, peak RSS and stdout digest of `chartable --family ul
+  --n 4 --q 5 --oracle` and `golden --q 8 --oracle`, each in a fresh
+  interpreter;
+* perfbench's `solve_s`, `cold_job_s`, `setup_s` and `peak_rss_mib` on
+  all four workloads (seeds 1, 2, ...; one run each): oracle_tables and
+  golden run the oracle, convolution and packets never do;
+* the oracle's stage times in oracle_tables and the two CLI runs: class matrices
+  (`dixon.class_matrix`), splitting (`dixon._split_all` without its class
+  matrices: the scalar tests and the eigenspace splits), the eigenspace
+  splits alone (`dixon._eigen_split`) and the rest of `dixon_table`
+  (normalization, degrees, multiplicities and the exact values), from
+  timers wrapped around the four functions.
 
-Writes the medians, the per-pair figures, the change/baseline ratios and
-the machine to BENCH_dixon.json at the repository root.
+Writes the medians, the quartiles, the per-pair figures, the
+change/baseline ratios, the pairs the change won and the machine to
+BENCH_dixon.json at the repository root.
 
     python benchmarks/bench_dixon.py --baseline ../nilorbit-parent --pairs 3
 """
 
 import json
 import os
-import statistics
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from common import parse_args, perfbench, python, revision, run_pairs, time_cli, write  # noqa: E402
+from common import compare, compare_summary, parse_args, python, write  # noqa: E402
 
 CLI_RUNS = {
     "chartable_ul4_q5_oracle": ["chartable", "--family", "ul", "--n", "4", "--q", "5", "--oracle"],
     "golden_q8_oracle": ["golden", "--q", "8", "--oracle"],
 }
+WORKLOADS = ("oracle_tables", "convolution", "packets", "golden")
 
 # Runs in a fresh interpreter inside a checkout: wraps the oracle's stages
 # with timers under every name that binds them, runs one case, prints JSON.
@@ -50,7 +56,7 @@ def wrap(name):
         for key, val in list(vars(mod).items()):
             if val is fn:
                 setattr(mod, key, timed)
-for name in ("dixon_table", "class_matrix", "_eigen_split"):
+for name in ("dixon_table", "_split_all", "class_matrix", "_eigen_split"):
     wrap(name)
 if case == "oracle_tables":
     import workloads
@@ -61,64 +67,33 @@ if case == "oracle_tables":
 else:
     with contextlib.redirect_stdout(io.StringIO()):
         nilorbit.cli.main(json.loads(sys.argv[4]))
-total = spent.get("dixon_table", 0.0)
-cm, split = spent.get("class_matrix", 0.0), spent.get("_eigen_split", 0.0)
-print(json.dumps({"dixon_s": total, "class_matrix_s": cm, "eigen_split_s": split,
-                  "rest_s": total - cm - split}))
+total, split_all = spent.get("dixon_table", 0.0), spent.get("_split_all", 0.0)
+cm = spent.get("class_matrix", 0.0)
+print(json.dumps({"dixon_s": total, "class_matrix_s": cm, "split_s": split_all - cm,
+                  "eigen_split_s": spent.get("_eigen_split", 0.0), "rest_s": total - split_all}))
 """
 
 
-def stage_times(root, case, seed):
-    cli = json.dumps(CLI_RUNS.get(case, []))
-    return json.loads(python(root, STAGE_WORKER, case, str(seed), cli))
-
-
-def measure(root, seed):
-    """One round of every measurement on the checkout at root."""
-    rec = {"cli_s": {}, "cli_sha256": {}, "stages": {}}
-    for name, args in CLI_RUNS.items():
-        rec["cli_s"][name], rec["cli_sha256"][name] = time_cli(root, args)
-    rec["oracle_tables_solve_s"] = perfbench(root, "oracle_tables", seed)["solve_s"]
-    for case in ["oracle_tables"] + list(CLI_RUNS):
-        rec["stages"][case] = stage_times(root, case, seed)
-    return rec
-
-
-def summarize(rounds):
-    med = statistics.median
+def stage_times(root, seed):
+    """The oracle's stage times in oracle_tables and each CLI run."""
     return {
-        "cli_s": {k: med(r["cli_s"][k] for r in rounds) for k in CLI_RUNS},
-        "oracle_tables_solve_s": med(r["oracle_tables_solve_s"] for r in rounds),
-        "stages": {
-            case: {
-                k: med(r["stages"][case][k] for r in rounds)
-                for k in rounds[0]["stages"][case]
-            }
-            for case in rounds[0]["stages"]
-        },
-        "cli_sha256": rounds[0]["cli_sha256"],
-        "rounds": rounds,
+        case: json.loads(
+            python(root, STAGE_WORKER, case, str(seed), json.dumps(CLI_RUNS.get(case, [])))
+        )
+        for case in ("oracle_tables",) + tuple(CLI_RUNS)
     }
 
 
 def main(argv=None):
     args = parse_args("BENCH_dixon.json", __doc__, argv)
-    report, checkouts, rounds = run_pairs(
+    report, _ = compare(
         args,
-        "Dixon-Burnside oracle: CLI wall times, perfbench oracle_tables "
-        "solve_s and oracle stage times, medians over alternating pairs",
-        measure,
+        "Dixon-Burnside oracle: wall time and peak RSS of the oracle CLI runs, "
+        "perfbench end-to-end metrics on all four workloads and the oracle's "
+        "stage times, medians over alternating pairs",
+        CLI_RUNS, WORKLOADS, stage_times,
     )
-    for label, root in checkouts.items():
-        report[label] = dict(revision=revision(root), **summarize(rounds[label]))
-    if args.baseline:
-        base, new = report["baseline"], report["change"]
-        report["change_over_baseline"] = {
-            "oracle_tables_solve_s": new["oracle_tables_solve_s"] / base["oracle_tables_solve_s"],
-            **{k: new["cli_s"][k] / base["cli_s"][k] for k in CLI_RUNS},
-        }
-        report["cli_outputs_identical"] = base["cli_sha256"] == new["cli_sha256"]
-    write(report, args.out, report.get("change_over_baseline", report["change"]["cli_s"]))
+    write(report, args.out, compare_summary(report, CLI_RUNS))
 
 
 if __name__ == "__main__":

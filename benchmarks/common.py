@@ -170,9 +170,10 @@ def write(report, path, summary):
 # -- CLI runs plus perfbench workloads, the frame of bench_tables and bench_orbits
 
 
-def compare(args, benchmark, cli_runs, workloads):
+def compare(args, benchmark, cli_runs, workloads, stages=None):
     """Alternating pairs of the CLI runs (wall time, peak RSS, stdout digest)
-    and of perfbench's end-to-end metrics on the workloads; returns the
+    and of perfbench's end-to-end metrics on the workloads, and when given
+    of stages(root, seed), a dict of cases of named times; returns the
     report, with change/baseline ratios when there is a baseline, and the
     checkouts."""
 
@@ -181,6 +182,8 @@ def compare(args, benchmark, cli_runs, workloads):
         for w in workloads:
             metrics = perfbench(root, w, seed)
             rec[w] = {k: metrics[k] for k in END_TO_END}
+        if stages:
+            rec["stages"] = stages(root, seed)
         return rec
 
     report, checkouts, rounds = run_pairs(args, benchmark, measure)
@@ -195,6 +198,11 @@ def compare(args, benchmark, cli_runs, workloads):
         summary["cli_sha256"] = {
             name: sorted({r[name]["sha256"] for r in runs}) for name in cli_runs
         }
+        if stages:
+            summary["stages"] = {
+                case: {k: stats(r["stages"][case][k] for r in runs) for k in times}
+                for case, times in runs[0]["stages"].items()
+            }
         report[label] = dict(revision=revision(root), rounds=runs, **summary)
     if args.baseline:
         base, new = report["baseline"], report["change"]

@@ -13,8 +13,14 @@ Each stage is a few whole-array operations over F_l:
 * splitting is column-lazy, after G. J. A. Schneider, "Dixon's character
   table algorithm revisited", J. Symbolic Comput. 9 (1990): a class acts on
   an RREF subspace S by S @ N at the pivot columns of S, so only those
-  columns of N are computed, and a subspace on which the action is scalar
-  is kept whole without a characteristic polynomial;
+  columns of N are computed.  The subspaces of one dimension are tested
+  together, by one stacked product and one comparison, and those on which
+  the action is scalar are kept whole.  The others split with no kernel per
+  eigenvalue: the action A is diagonalizable, so the lambda-eigenrows are
+  the row space of the product of A - mu I over the other roots mu, taken
+  from prefix and suffix products; a simple root needs no elimination.
+  Products mod l run in float64 on BLAS while their partial sums stay
+  within 2^53;
 * the multiplicities of all rows come from one product of the character
   values mod l at the powers of each class rep with the e x e matrix of
   powers of theta (a primitive e-th root of unity mod l).
@@ -32,6 +38,10 @@ from . import linalg
 
 DEFAULT_MAX_ORDER = 20000
 BLOCK = 1 << 16  # group-law pairs, or gathered values, per bulk step
+# float64 holds every integer of magnitude at most 2^53
+_FLOAT_EXACT = 2**53
+# multiply-adds per matrix from which a float64 product beats int64
+_BLAS_MIN = 1 << 12
 
 
 def dixon_prime(order, exponent):
@@ -78,80 +88,201 @@ def class_matrix(G, cd, j, cols=None):
     return counts.reshape(t, c)
 
 
+def _mulmod(A, B, l):
+    """A @ B mod l for int64 operands reduced mod l: matrices, or stacks of
+    matrices of equal length.
+
+    Every partial sum is an integer of magnitude below inner * l^2.  While
+    that is at most 2^53 float64 holds each one exactly, so products of at
+    least `_BLAS_MIN` multiply-adds per matrix run in float64 on BLAS, over
+    blocks of whole matrices or of rows of A, so that the float copies of A
+    and of the product, and BLAS's packing buffers, stay a block in size.
+    Smaller products, where int64 is faster, and larger bounds run in int64,
+    exact while inner * l^2 < 2^63: inner is at most the class count, below
+    l, so for every group order up to 2^20, the whole-group budget.
+    """
+    inner = A.shape[-1]
+    if inner * l * l > _FLOAT_EXACT or A.shape[-2] * inner * B.shape[-1] < _BLAS_MIN:
+        out = A @ B
+        out %= l
+        return out
+    out = np.empty(A.shape[:-1] + B.shape[-1:], dtype=np.int64)
+    A3, B3, out3 = (A[None], B[None], out[None]) if A.ndim == 2 else (A, B, out)
+    g, k, _ = A3.shape
+    rows = max(1, BLOCK // inner)  # rows of A per block
+    mats = min(g, max(1, rows // k))  # whole matrices per block, or one in row blocks
+    # one float buffer per operand, reused by every block: fresh float
+    # temporaries per block fragment the heap (with them, and with the
+    # eigenspaces as views of one product, the 1,186-class USp4(F_16)
+    # oracle run peaked 11 MiB higher)
+    Af = np.empty((mats, min(rows, k), inner))
+    Bf = np.empty((mats,) + B3.shape[1:])
+    Cf = np.empty(Af.shape[:2] + B3.shape[2:])
+    for a in range(0, g, mats):
+        bf = Bf[:len(B3[a:a + mats])]
+        bf[...] = B3[a:a + mats]
+        for r in range(0, k, rows):
+            dst = out3[a:a + mats, r:r + rows]
+            af, cf = Af[:len(dst), :dst.shape[1]], Cf[:len(dst), :dst.shape[1]]
+            af[...] = A3[a:a + mats, r:r + rows]
+            np.matmul(af, bf, out=cf)
+            dst[...] = cf
+            dst %= l
+    return out
+
+
 def _charpoly_mod(A, l):
     """Characteristic polynomial coefficients (ascending) of A over F_l."""
     H = A.copy() % l
     n = H.shape[0]
-    # Hessenberg form by similarity transformations
+    # Hessenberg form by similarity transformations: per column, one step
+    # L H L^-1 clears every entry below the subdiagonal
     for c in range(n - 2):
-        piv = None
-        for r in range(c + 1, n):
-            if H[r, c] % l:
-                piv = r
-                break
-        if piv is None:
+        nz = c + 1 + np.flatnonzero(H[c + 1:, c])
+        if not len(nz):
             continue
-        if piv != c + 1:
-            H[[c + 1, piv]] = H[[piv, c + 1]]
-            H[:, [c + 1, piv]] = H[:, [piv, c + 1]]
-        inv = pow(int(H[c + 1, c]), -1, l)
-        for r in range(c + 2, n):
-            f = (int(H[r, c]) * inv) % l
-            if f:
-                H[r] = (H[r] - f * H[c + 1]) % l
-                H[:, c + 1] = (H[:, c + 1] + f * H[:, r]) % l
-    # p_k via the Hessenberg determinant recurrence
-    polys = [np.array([1], dtype=np.int64)]
+        if nz[0] != c + 1:
+            H[[c + 1, nz[0]]] = H[[nz[0], c + 1]]
+            H[:, [c + 1, nz[0]]] = H[:, [nz[0], c + 1]]
+        # the other rows with a nonzero entry in column c (row c + 1 held
+        # none before the swap), all zero left of it
+        rows = nz[1:]
+        if not len(rows):
+            continue
+        f = H[rows, c] * pow(int(H[c + 1, c]), -1, l) % l
+        H[rows, c:] = (H[rows, c:] - f[:, None] * H[c + 1, c:]) % l
+        H[:, c + 1] = (H[:, c + 1] + H[:, rows] @ f) % l
+    # p_k, the characteristic polynomial of the leading k x k block, as row
+    # k of P by the Hessenberg determinant recurrence
+    # p_k = (x - H[k-1,k-1]) p_{k-1} - sum_i H[k-1-i,k-1] beta_i p_{k-1-i},
+    # with beta_i the product of the i subdiagonal entries above row k
+    sub = np.diagonal(H, -1).tolist()
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[0, 0] = 1
     for k in range(1, n + 1):
-        # (x - H[k-1,k-1]) * p_{k-1}
-        prev = polys[k - 1]
-        term = np.zeros(len(prev) + 1, dtype=np.int64)
-        term[1:] += prev
-        term[:-1] -= (int(H[k - 1, k - 1]) * prev) % l
-        term %= l
-        beta = 1
+        col = H[:k, k - 1].tolist()
+        coef, beta = [], 1
         for i in range(1, k):
-            beta = (beta * int(H[k - i, k - i - 1])) % l
-            if beta == 0:
+            beta = beta * sub[k - i - 1] % l
+            if not beta:
                 break
-            coef = (int(H[k - 1 - i, k - 1]) * beta) % l
-            if coef:
-                q = polys[k - 1 - i]
-                term[: len(q)] = (term[: len(q)] - coef * q) % l
-        polys.append(term % l)
-    return polys[n]
+            coef.append(col[k - 1 - i] * beta % l)
+        P[k, 1:] = P[k - 1, :-1]
+        P[k] -= col[k - 1] * P[k - 1] % l
+        if coef:
+            P[k] -= np.array(coef) @ P[k - 2::-1][:len(coef)] % l
+        P[k] %= l
+    return P[n].copy()  # not a view that keeps P
+
+
+def _poly_at(poly, xs, l):
+    """The polynomial (ascending coefficients) at every point of xs, mod l."""
+    acc = np.zeros(len(xs), dtype=np.int64)
+    for c in poly[::-1]:
+        acc = (acc * xs + int(c)) % l
+    return acc
 
 
 def _roots_mod(poly, l):
-    xs = np.arange(l, dtype=np.int64)
-    acc = np.zeros(l, dtype=np.int64)
-    for c in poly[::-1]:
-        acc = (acc * xs + int(c)) % l
-    return np.nonzero(acc == 0)[0].tolist()
+    return np.flatnonzero(_poly_at(poly, np.arange(l, dtype=np.int64), l) == 0).tolist()
 
 
-def _eigen_split(S, NP, l):
-    """Split the row space S (RREF rows) into eigen-row-spaces of v -> v N,
-    given NP, the columns of N at the pivots of S.
+def _excluded_products(A, roots, l):
+    """Yields g_i = prod_{j != i} (A - roots[j] I) mod l for each i in turn,
+    as a prefix product times a suffix product of the factors: about 3m
+    products of k x k matrices for m roots, with the m suffixes held."""
+    m = len(roots)
 
-    In the basis S the action is A = S @ N restricted to the pivot columns.
-    The class algebra is commutative and semisimple, so when A is scalar S
-    is one eigenspace and is returned as it is.
+    def factor(mu):  # A - mu I mod l
+        F = A.copy()
+        F.flat[::len(A) + 1] -= mu
+        F %= l
+        return F
+
+    def times(X, Y):  # None is the empty product I
+        return Y if X is None else X if Y is None else _mulmod(X, Y, l)
+
+    # suffix[i] = F_{i+1} ... F_{m-1}, with F_j = A - roots[j] I
+    suffix = [None] * m
+    for i in range(m - 2, -1, -1):
+        suffix[i] = times(factor(roots[i + 1]), suffix[i + 1])
+    prefix = None  # F_0 ... F_{i-1}
+    for i in range(m):
+        g = times(prefix, suffix[i])
+        yield np.eye(len(A), dtype=np.int64) if g is None else g
+        if i < m - 1:
+            prefix = times(prefix, factor(roots[i]))
+
+
+def _eigen_split(S, A, l):
+    """Split the row space S (RREF rows) into the eigen-row-spaces of the
+    action A, a k x k matrix that is not scalar: row i of A is S_i N in the
+    basis S.
+
+    The class algebra is commutative and semisimple over F_l, so A is
+    diagonalizable (J. D. Dixon, "High speed computation of group
+    characters", Numer. Math. 10 (1967)): for each root lambda of its
+    characteristic polynomial chi, the lambda-eigenrows are the row space of
+    g(A) = prod over the other roots mu of (A - mu I), and no kernel is
+    needed.  A simple root (chi'(lambda) != 0) gives a line: one nonzero row
+    of g(A), scaled to a leading 1.  A repeated root takes one rref.  Each
+    R is RREF and S[:, pivots] = I, so R @ S is RREF as well.  A
+    non-diagonalizable A (a bug) fails the check R @ A = lambda R and
+    raises ArithmeticError.
     """
-    k = S.shape[0]
-    A = (S @ NP) % l
-    if (A == A[0, 0] * np.eye(k, dtype=np.int64)).all():
-        return [S]
-    roots = _roots_mod(_charpoly_mod(A, l), l)
-    out = []
-    for lam in roots:
-        # K is in RREF and S[:, pivots] = I, so K @ S is in RREF as well
-        K = linalg.kernel((A.T - lam * np.eye(k, dtype=np.int64)) % l, l)
-        if K.shape[0]:
-            out.append((K @ S) % l)
-    if sum(s.shape[0] for s in out) != k:
+    k = A.shape[0]
+    chi = _charpoly_mod(A, l)
+    roots = _roots_mod(chi, l)
+    slope = _poly_at(chi[1:] * np.arange(1, len(chi)) % l, np.array(roots, dtype=np.int64), l)
+    parts = []
+    for d, g in zip(slope, _excluded_products(A, roots, l)):
+        if d:  # a simple root: g(A) is nonzero, of rank one if A is diagonalizable
+            row = g[g.any(axis=1).argmax()]
+            parts.append((row * pow(int(row[(row != 0).argmax()]), -1, l) % l)[None])
+        else:
+            parts.append(linalg.rref(g, l)[0])
+    dims = [len(R) for R in parts]
+    if sum(dims) != k:
         raise ArithmeticError("eigen split lost dimensions (bug)")
-    return out
+    R = np.concatenate(parts)
+    del parts  # each k x k temporary is dropped before the next product
+    off = _mulmod(R, A, l)
+    off -= np.repeat(roots, dims)[:, None] * R
+    off %= l
+    if off.any():
+        raise ArithmeticError("eigen split of a non-diagonalizable action (bug)")
+    del off
+    # one product per eigenspace: views of one product would keep all of it
+    # alive until every part is freed
+    return [_mulmod(P, S, l) for P in np.split(R, np.cumsum(dims)[:-1])]
+
+
+def _split_by(spaces, N, cols, l):
+    """Each RREF space S split by the class matrix N, given the columns
+    of N at the pivots of S, in order.
+
+    Spaces of one dimension k are tested together: one gather and one
+    stacked product give every action A = S @ N[:, cols] and one comparison
+    finds the scalar ones, which are one eigenspace each and come back as
+    they are, the same objects.  Only the others go to _eigen_split.
+    """
+    out = [None] * len(spaces)
+    by_dim = {}
+    for i, S in enumerate(spaces):
+        by_dim.setdefault(S.shape[0], []).append(i)
+    for k, idx in by_dim.items():
+        A = _mulmod(
+            np.stack([spaces[i] for i in idx]),
+            N[:, np.stack([cols[i] for i in idx])].transpose(1, 0, 2),
+            l,
+        )
+        off = A.copy()
+        off[:, range(k), range(k)] -= A[:, :1, 0]
+        scalar = ~off.any(axis=(1, 2))
+        del off
+        for i, a, whole in zip(idx, A, scalar):
+            out[i] = [spaces[i]] if whole else _eigen_split(spaces[i], a, l)
+    return [T for parts in out for T in parts]
 
 
 def _split_all(G, cd, l):
@@ -173,9 +304,9 @@ def _split_all(G, cd, l):
         wanted[np.concatenate(pivots)] = True
         N = class_matrix(G, cd, j, np.flatnonzero(wanted)) % l
         col_of = np.cumsum(wanted) - 1  # class -> column of N
-        spaces = [S for S in spaces if S.shape[0] == 1] + [
-            T for S, piv in zip(todo, pivots) for T in _eigen_split(S, N[:, col_of[piv]], l)
-        ]
+        spaces = [S for S in spaces if S.shape[0] == 1] + _split_by(
+            todo, N, [col_of[piv] for piv in pivots], l
+        )
     if any(S.shape[0] > 1 for S in spaces):
         raise ArithmeticError("class algebra did not fully split (bug)")
     return np.concatenate(spaces)

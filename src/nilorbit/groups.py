@@ -22,6 +22,9 @@ from .cyclo import from_ints, lincomb, times, to_ints
 # group-law pairs per call in class_pair_counts; larger blocks raise peak
 # memory through the temporaries of the Lazard law
 PAIR_BLOCK = 1 << 12
+# largest order a pass over every element takes: such a pass holds int64
+# arrays over the whole group and the law's temporaries for all of it
+WHOLE_GROUP_BUDGET = 1 << 20
 
 
 @dataclass
@@ -58,7 +61,9 @@ class FiniteGroup:
     computes them all, once).  Every algorithm below works on whole index
     arrays; the scalar mult/inv are conveniences on top.  The inverses, the
     conjugacy classes and the class pair counts (the t^3 int32 table that
-    convolution contracts against) are computed once and cached.
+    convolution contracts against) are computed once and cached.  A pass
+    over every element refuses a group of more than WHOLE_GROUP_BUDGET
+    elements with a ValueError, before allocating.
     """
 
     def __init__(
@@ -103,6 +108,7 @@ class FiniteGroup:
     def inverses(self):
         """inverses()[i] = i^-1 for every element, computed once."""
         if self._inverses is None:
+            self._check_budget()
             everything = np.arange(self.n, dtype=np.int64)
             if self._inv_bulk is not None:
                 self._inverses = self.inv_bulk(everything)
@@ -128,6 +134,14 @@ class FiniteGroup:
             cur[active] = nxt
             active = active[~done]
         raise ValueError("element %d has no inverse (oracle broken)" % I[active[0]])
+
+    def _check_budget(self):
+        """Refuses a pass over every element of a group above the budget,
+        before anything is allocated."""
+        if self.n > WHOLE_GROUP_BUDGET:
+            raise ValueError(
+                "group order %d exceeds the whole-group budget %d" % (self.n, WHOLE_GROUP_BUDGET)
+            )
 
     def mult(self, i, j):
         return int(self.mult_bulk([i], [j])[0])
@@ -171,6 +185,7 @@ class FiniteGroup:
 
     def spot_check_axioms(self, seed=0, triples=200):
         """Identity/inverses exhaustively; associativity on random triples."""
+        self._check_budget()
         everything = np.arange(self.n, dtype=np.int64)
         ident = np.full(self.n, self.identity, dtype=np.int64)
         bad = (self.mult_bulk(ident, everything) != everything) | (
@@ -201,6 +216,7 @@ class FiniteGroup:
         if self._classes_hook is not None:
             self._classes = self._classes_hook()
             return self._classes
+        self._check_budget()
         everything = np.arange(self.n, dtype=np.int64)
         # made in the call, so orbit_labels frees the tables before the ids
         class_of = kernels.orbit_labels(
@@ -271,6 +287,7 @@ class FiniteGroup:
         return np.flatnonzero(members).astype(np.int64)
 
     def center(self):
+        self._check_budget()
         everything = np.arange(self.n, dtype=np.int64)
         central = np.ones(self.n, dtype=bool)
         for g in self.generators():
@@ -298,6 +315,7 @@ class FiniteGroup:
         generated so far, one image table apiece.  coset_rep[x] is the least
         element of x N and reps are the coset minima, sorted.
         """
+        self._check_budget()
         everything = np.arange(self.n, dtype=np.int64)
         outside = np.zeros(self.n, dtype=bool)
         outside[np.asarray(normal_elems, dtype=np.int64)] = True

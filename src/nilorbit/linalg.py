@@ -82,7 +82,13 @@ def rref(mat, p):
         # rows r.. are zero mod p left of column c
         row = R[r, c:] % p * inv % p
         R[r, c:] = row
-        R[:, c:] -= col[:, None] * row
+        # only rows with a nonzero entry in column c change; when they are
+        # few, as in sparse class-algebra actions, only they are updated
+        rows = col.nonzero()[0]
+        if 2 * len(rows) < nrows:
+            R[rows, c:] -= col[rows, None] * row
+        else:
+            R[:, c:] -= col[:, None] * row
         pivots.append(c)
         r += 1
         if r % lazy == 0:

@@ -1,6 +1,7 @@
 import ast
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,21 +9,23 @@ from hypothesis import given, settings, strategies as st
 
 import nilorbit
 
-from nilorbit import linalg, orbits as ob
+from nilorbit import dixon, linalg, orbits as ob
 from nilorbit.battery import appendix_h2_ring, random_class_le3_rings
 from nilorbit.chartable import CharacterTable, ClassFunction
 from nilorbit.cyclo import Cyclotomic, root_of_unity
 from nilorbit.dixon import (
     _charpoly_mod,
     _eigen_split,
+    _mulmod,
     _primitive_root,
     _roots_mod,
+    _split_by,
     _sqrt_mod,
     class_matrix,
     dixon_prime,
     dixon_table,
 )
-from nilorbit.families import fake_heisenberg, ul_group, usp4_via_sp
+from nilorbit.families import fake_heisenberg, ul_group, usp4, usp4_via_sp
 from nilorbit.groups import build_group
 from nilorbit.liering import heisenberg_ring
 
@@ -215,10 +218,27 @@ def test_dixon_table_matches_reference():
         assert dixon_table(G).to_csv() == _reference_dixon_table(G).to_csv()
 
 
+def test_dixon_table_matches_reference_on_usp4_f8():
+    # a non-Lazard black-box group, at p = 2
+    G = usp4(8, spot_check=False)
+    assert dixon_table(G).to_csv() == _reference_dixon_table(G).to_csv()
+
+
+def _pivots(S):
+    return (S != 0).argmax(axis=1)
+
+
 def test_eigen_split_keeps_scalar_action_spaces():
+    # the batched test hands back every space with a scalar action as the
+    # same object and splits only the others, in order
     l = 31
     S = np.array([[1, 0, 4, 0], [0, 1, 7, 0]], dtype=np.int64)
-    assert _eigen_split(S, (5 * np.eye(4, dtype=np.int64))[:, [0, 1]], l)[0] is S
+    T = np.array([[1, 0, 0, 2], [0, 0, 1, 5]], dtype=np.int64)
+    U = np.array([[0, 1, 0, 0]], dtype=np.int64)
+    N = np.diag([5, 5, 9, 5]).astype(np.int64)  # scalar on S only
+    out = _split_by([S, T, U], N, [_pivots(X) for X in (S, T, U)], l)
+    assert out[0] is S and out[-1] is U
+    assert [x.tolist() for x in out[1:-1]] == [[[1, 0, 0, 2]], [[0, 0, 1, 5]]]
     # on each eigenspace of N the action of N itself is scalar
     G = ul_group(3, 3)
     cd = G.conjugacy_classes()
@@ -226,11 +246,142 @@ def test_eigen_split_keeps_scalar_action_spaces():
     full = np.eye(cd.num_classes, dtype=np.int64)
     for j in range(cd.num_classes):
         N = class_matrix(G, cd, j) % l
-        parts = _eigen_split(full, N, l)
+        parts = _split_by([full], N, [np.arange(cd.num_classes)], l)
         assert sum(T.shape[0] for T in parts) == cd.num_classes
-        for T in parts:
-            (same,) = _eigen_split(T, N[:, (T != 0).argmax(axis=1)], l)
-            assert same is T
+        again = _split_by(parts, N, [_pivots(T) for T in parts], l)
+        assert len(again) == len(parts)
+        assert all(a is T for a, T in zip(again, parts))
+
+
+def _reference_charpoly_mod(A, l):
+    """The characteristic polynomial through a Hessenberg form reached one
+    row operation at a time, and the determinant recurrence."""
+    H = A.copy() % l
+    n = H.shape[0]
+    for c in range(n - 2):
+        piv = None
+        for r in range(c + 1, n):
+            if H[r, c] % l:
+                piv = r
+                break
+        if piv is None:
+            continue
+        if piv != c + 1:
+            H[[c + 1, piv]] = H[[piv, c + 1]]
+            H[:, [c + 1, piv]] = H[:, [piv, c + 1]]
+        inv = pow(int(H[c + 1, c]), -1, l)
+        for r in range(c + 2, n):
+            f = (int(H[r, c]) * inv) % l
+            if f:
+                H[r] = (H[r] - f * H[c + 1]) % l
+                H[:, c + 1] = (H[:, c + 1] + f * H[:, r]) % l
+    polys = [[1]]
+    for k in range(1, n + 1):
+        term = [0] + polys[k - 1]
+        for i, c in enumerate(polys[k - 1]):
+            term[i] -= int(H[k - 1, k - 1]) * c
+        beta = 1
+        for i in range(1, k):
+            beta = beta * int(H[k - i, k - i - 1]) % l
+            coef = int(H[k - 1 - i, k - 1]) * beta
+            for a, c in enumerate(polys[k - 1 - i]):
+                term[a] -= coef * c
+        polys.append([c % l for c in term])
+    return polys[n]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_charpoly_matches_row_at_a_time_hessenberg(data):
+    l = data.draw(st.sampled_from([2, 3, 31, 65537, 1000000007]))
+    k = data.draw(st.integers(1, 9))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # sparse entries reach the pivot swaps and the skipped columns
+    A = rng.integers(0, l, (k, k)) * (rng.random((k, k)) < data.draw(st.floats(0.1, 1.0)))
+    assert _charpoly_mod(A, l).tolist() == _reference_charpoly_mod(A, l)
+
+
+def _conjugated(rng, blocks, l):
+    """(P, A): A = P J P^-1 mod l for the block diagonal J of the blocks and
+    a random invertible P."""
+    k = sum(len(b) for b in blocks)
+    J = np.zeros((k, k), dtype=np.int64)
+    at = 0
+    for b in blocks:
+        J[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    while True:
+        P = rng.integers(0, l, (k, k))
+        if linalg.rank(P, l) == k:
+            break
+    return P, linalg.matmul(linalg.matmul(P, J, l), linalg.inverse(P, l), l)
+
+
+def _rref_space(rng, k, t, l):
+    """A random k-dimensional RREF row space of F_l^t."""
+    while True:
+        S = linalg.rref(rng.integers(0, l, (k, t)), l)[0]
+        if len(S) == k:
+            return S
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_eigen_split_matches_reference_on_diagonalizable_actions(data):
+    # A = P D P^-1 with repeated eigenvalues on a random RREF space S; the
+    # lambda-eigenrows of A are the rows of P^-1 at lambda.  Moduli on both
+    # sides of the float64 bound k l^2 <= 2^53, with BLAS forced whenever the
+    # bound allows it and with int64 forced throughout.
+    l = data.draw(st.sampled_from([5, 101, 1000003, 1000000007]))
+    blas_min = data.draw(st.sampled_from([0, 1 << 62]))
+    k = data.draw(st.integers(2, 7))
+    values = data.draw(st.lists(st.integers(0, l - 1), min_size=2, max_size=min(k, l), unique=True))
+    repeats = k - len(values)
+    diag = values + data.draw(st.lists(st.sampled_from(values), min_size=repeats, max_size=repeats))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    P, A = _conjugated(rng, [[[v]] for v in diag], l)
+    S = _rref_space(rng, k, k + data.draw(st.integers(0, 4)), l)
+    roots = sorted(values)
+    want = [linalg.rref(linalg.inverse(P, l)[np.array(diag) == lam] @ S, l)[0] for lam in roots]
+    with mock.patch.object(dixon, "_BLAS_MIN", blas_min):
+        if l > 10**4:  # scanning F_l for the roots is out of reach
+            with mock.patch.object(dixon, "_roots_mod", lambda poly, l: roots):
+                got = _eigen_split(S, A, l)
+        else:
+            got = _eigen_split(S, A, l)
+            E = np.zeros((S.shape[1], k), dtype=np.int64)
+            E[_pivots(S), np.arange(k)] = 1  # S @ E = I, so S @ (E A S) = A S
+            ref = _reference_eigen_split(S, linalg.matmul(E @ A, S, l), l)
+            assert [x.tolist() for x in ref] == [x.tolist() for x in want]
+    assert [x.tolist() for x in got] == [x.tolist() for x in want]
+
+
+def test_eigen_split_refuses_a_jordan_block():
+    rng = np.random.default_rng(5)
+    l = 101
+    S = np.eye(3, dtype=np.int64)
+    for blocks in ([[[4, 1], [0, 4]], [[9]]], [[[4, 1, 0], [0, 4, 1], [0, 0, 4]]]):
+        _, A = _conjugated(rng, blocks, l)
+        with pytest.raises(ArithmeticError, match="non-diagonalizable"):
+            _eigen_split(S, A, l)
+
+
+@pytest.mark.parametrize("shape", [(), (7,)])
+@pytest.mark.parametrize("inner", [1, 2, 3, 4])
+def test_mulmod_is_exact_on_both_sides_of_the_float_bound(inner, shape):
+    # at l = 67108859 < 2^26, inner * l^2 is under 2^53 for inner <= 2 only;
+    # BLAS is forced wherever the bound allows it, over one block, over
+    # blocks of a few whole matrices and over blocks of a few rows, with
+    # short last blocks
+    l = 67108859
+    rng = np.random.default_rng(inner)
+    A = rng.integers(l // 2, l, shape + (30, inner))
+    B = rng.integers(l // 2, l, shape + (inner, 3))
+    want = (A.astype(object) @ B.astype(object)) % l
+    for block in (dixon.BLOCK, 100, 8):
+        with mock.patch.object(dixon, "_BLAS_MIN", 0), mock.patch.object(dixon, "BLOCK", block):
+            got = _mulmod(A, B, l)
+        assert got.dtype == np.int64 and (got == want).all()
 
 
 @settings(max_examples=25)

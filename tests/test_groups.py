@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +16,10 @@ from nilorbit.cyclo import Cyclotomic, from_ints, lincomb, product_table
 from nilorbit.dixon import dixon_table
 from nilorbit.families import USp4, ul_group, usp4, usp4_via_sp
 from nilorbit.groups import (
+    WHOLE_GROUP_BUDGET,
     AbelianGroup,
     ClassData,
+    FiniteGroup,
     build_group,
     induce_character,
     little_groups,
@@ -645,3 +648,29 @@ def test_quotient_matches_per_coset_loop(name):
         I, J = rng.integers(0, Q.n, (2, 300))
         expected = np.searchsorted(ref_reps, ref_rep[G.mult_bulk(ref_reps[I], ref_reps[J])])
         assert Q.mult_bulk(I, J).tolist() == expected.tolist()
+
+
+def _traced_peak(fn):
+    """(exception raised by fn, tracemalloc's peak in bytes during it)"""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            fn()
+        return err.value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_whole_group_passes_refuse_an_oversized_group():
+    # UL_6(F_3) has 3^15 elements: its axiom check would ask for ~24 GiB
+    err, peak = _traced_peak(lambda: ul_group(6, 3))
+    budget = WHOLE_GROUP_BUDGET
+    assert str(err) == "group order %d exceeds the whole-group budget %d" % (3**15, budget)
+    assert peak < 1 << 20
+    n = WHOLE_GROUP_BUDGET + 1
+    G = FiniteGroup(n, lambda I, J: (I + J) % n, gens=[1])
+    for pass_ in (
+        G.spot_check_axioms, G.inverses, G.center, G.conjugacy_classes, lambda: G.quotient([0])
+    ):
+        err, peak = _traced_peak(pass_)
+        assert "order %d" % n in str(err) and peak < 1 << 16
