@@ -14,7 +14,9 @@ repository, in alternating pairs on one machine:
   matrices: the scalar tests and the eigenspace splits), the eigenspace
   splits alone (`dixon._eigen_split`) and the rest of `dixon_table`
   (normalization, degrees, multiplicities and the exact values), from
-  timers wrapped around the four functions.
+  timers wrapped around the four functions; in `golden --q 8 --oracle`
+  also the little-groups table (`families.usp4_little_groups_table`), the
+  third table the golden suite compares.
 
 Writes the medians, the quartiles, the per-pair figures, the
 change/baseline ratios, the pairs the change won and the machine to
@@ -42,10 +44,10 @@ STAGE_WORKER = r"""
 import contextlib, io, json, os, sys, time
 root, case, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
 sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
-import nilorbit.cli, nilorbit.dixon as dixon
+import nilorbit.cli, nilorbit.dixon as dixon, nilorbit.families as families
 spent = {}
-def wrap(name):
-    fn = getattr(dixon, name)
+def wrap(owner, name):
+    fn = getattr(owner, name)
     def timed(*a, **k):
         t0 = time.perf_counter()
         try:
@@ -57,7 +59,8 @@ def wrap(name):
             if val is fn:
                 setattr(mod, key, timed)
 for name in ("dixon_table", "_split_all", "class_matrix", "_eigen_split"):
-    wrap(name)
+    wrap(dixon, name)
+wrap(families, "usp4_little_groups_table")
 if case == "oracle_tables":
     import workloads
     with open(os.path.join(root, "perfbench", "pins.json")) as fh:
@@ -69,13 +72,17 @@ else:
         nilorbit.cli.main(json.loads(sys.argv[4]))
 total, split_all = spent.get("dixon_table", 0.0), spent.get("_split_all", 0.0)
 cm = spent.get("class_matrix", 0.0)
-print(json.dumps({"dixon_s": total, "class_matrix_s": cm, "split_s": split_all - cm,
-                  "eigen_split_s": spent.get("_eigen_split", 0.0), "rest_s": total - split_all}))
+times = {"dixon_s": total, "class_matrix_s": cm, "split_s": split_all - cm,
+         "eigen_split_s": spent.get("_eigen_split", 0.0), "rest_s": total - split_all}
+if "usp4_little_groups_table" in spent:
+    times["little_groups_s"] = spent["usp4_little_groups_table"]
+print(json.dumps(times))
 """
 
 
 def stage_times(root, seed):
-    """The oracle's stage times in oracle_tables and each CLI run."""
+    """The oracle's stage times in oracle_tables and each CLI run, and the
+    little-groups table's where a run builds one."""
     return {
         case: json.loads(
             python(root, STAGE_WORKER, case, str(seed), json.dumps(CLI_RUNS.get(case, [])))

@@ -114,14 +114,6 @@ def convolve(f, g, group):
     return ClassFunction(f.class_data, tuple(from_ints(sums, M, den)))
 
 
-def row_order(rows):
-    """The permutation that puts class functions in table order."""
-    if not rows:
-        return []
-    keys, index = _intern((r.values for r in rows), len(rows[0].values))
-    return CharacterTable.from_index(rows[0].class_data, keys, index)[1].tolist()
-
-
 def _intern(cells, t):
     """(keys, index): the distinct cells of rows of t hashable cells, in
     first-seen order, and the (rows, t) positions of every cell among them."""

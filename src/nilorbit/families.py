@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .chartable import CharacterTable
 from .gfq import FqField, fq_embed, register_composite
-from .groups import AbelianGroup, FiniteGroup, little_groups
+from .groups import AbelianGroup, FiniteGroup, is_homomorphism, little_groups
 from .liering import FqStructure, LieRing
 
 
@@ -335,6 +335,8 @@ def sp_a_sigma(A, sigma, check_bijection=True):
     """
     p, d = A.p, A.dim
     S = np.asarray(sigma, dtype=np.int64) % p
+    if S.shape != (d, d):
+        raise ValueError("sigma must be a %d x %d matrix" % (d, d))
     # sigma axioms
     if (linalg.matmul(S, S, p) != np.eye(d, dtype=np.int64)).any():
         raise ValueError("sigma^2 != 1")
@@ -534,34 +536,22 @@ class USp4:
             G.spot_check_axioms()
         return G
 
-    # semidirect decomposition U = H lt-semidirect A with H = {(a,0,0,0)}
-    # and A = {(0,b,c,d)}
     def semidirect_data(self):
-        F = self.field
-        s = F.s
-        H = AbelianGroup([F.p] * s)
-        A = AbelianGroup([F.p] * (3 * s))
-
-        def to_field(tup):
-            return tuple(int(t) % F.p for t in tup)
-
-        def act(htup, atup):
-            # conjugation of (0,b,c,d) by (h,0,0,0) inside USp4
-            h = to_field(htup)
-            b, c, d = (
-                to_field(atup[:s]),
-                to_field(atup[s : 2 * s]),
-                to_field(atup[2 * s :]),
-            )
-            g = (h, F.zero, F.zero, F.zero)
-            x = (F.zero, b, c, d)
-            ginv = (F.neg(h), F.zero, F.zero, F.zero)
-            y = self.mult_quads(self.mult_quads(g, x), ginv)
-            if y[0] != F.zero:
-                raise AssertionError("A is not normal (bug)")
-            return tuple(y[1]) + tuple(y[2]) + tuple(y[3])
-
-        return H, A, act
+        """(H, A, table) for U = H lt-semidirect A with H = {(h,0,0,0)} and
+        A = {(0,b,c,d)}: table[h, a] is the index of (h,0,0,0) (0,b,c,d)
+        (h,0,0,0)^-1 in A, from one pass of the law over every pair.  The
+        index of (h,0,0,0) is the field index of h, and that of (0,b,c,d)
+        is q times the base-q index a of (b, c, d)."""
+        F, q = self.field, self.q
+        H = AbelianGroup([F.p] * F.s)
+        A = AbelianGroup([F.p] * (3 * F.s))
+        h = np.repeat(np.arange(q, dtype=np.int64), A.order)
+        x = q * np.tile(np.arange(A.order, dtype=np.int64), q)
+        neg = F.index_tables()[1][0]  # neg[h] = 0 - h
+        y = self.mult_indices(self.mult_indices(h, x), neg[h])
+        if (y % q).any():
+            raise AssertionError("A is not normal (bug)")
+        return H, A, (y // q).reshape(q, A.order)
 
 
 def _base_q_digits(I, q):
@@ -580,8 +570,8 @@ def usp4_little_groups_table(q):
     quadruple group so it is directly comparable with other tables."""
     U = USp4(q)
     G = U.group(spot_check=False)
-    H, A, act = U.semidirect_data()
-    table = little_groups(H, A, act)
+    H, A, action = U.semidirect_data()
+    table = little_groups(H, A, action)
     Gsemi = table.group
     # (h, a) -> (h,0,0,0) * (0,b,c,d): the H and A indices are the field
     # index of h and the base-q index of (b, c, d), so (0,b,c,d) is q * a
@@ -589,9 +579,8 @@ def usp4_little_groups_table(q):
     to_u = G.mult_bulk(h, q * a)
     if (np.bincount(to_u, minlength=G.n) != 1).any():
         raise AssertionError("semidirect correspondence is not a bijection")
-    gens = np.array(Gsemi.generators(), dtype=np.int64)
-    g1, g2 = np.repeat(gens, len(gens)), np.tile(gens, len(gens))
-    if (to_u[Gsemi.mult_bulk(g1, g2)] != G.mult_bulk(to_u[g1], to_u[g2])).any():
+    gens = Gsemi.generators()
+    if not is_homomorphism(to_u.__getitem__, Gsemi.mult_bulk, G.mult_bulk, G.n, gens):
         raise AssertionError("semidirect correspondence is not a homomorphism")
     cd_u = G.conjugacy_classes()
     # class j of the semidirect product is class ju[j] of the quadruple group

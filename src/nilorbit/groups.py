@@ -3,12 +3,14 @@ vectorized law on index arrays.
 
 Conjugacy classes, center, derived subgroup, subgroup closure, quotients,
 induced characters, the abelian little-groups method, and twisted (phi-)
-conjugacy all live here.  Group sizes stay small (<= ~20000).  Every
-algorithm calls the law on whole index arrays: classes and twisted classes
-are one image table per generator partitioned by the orbit kernel's label
-propagation, inverses and element orders one powering pass, closures one
-bulk call per frontier.  A scalar oracle enters through build_group, which
-loops over the pairs of each bulk call.
+conjugacy all live here.  Passes over every element refuse orders above
+WHOLE_GROUP_BUDGET (2^20).  Every algorithm calls the law on whole index
+arrays: classes and twisted classes are one image table per generator
+partitioned by the orbit kernel's label propagation, inverses and element
+orders one powering pass, closures one bulk call per frontier.  A scalar
+oracle enters through build_group, which loops over the pairs of each bulk
+call.  Homomorphism checks (actions, twisted automorphisms, the USp4
+correspondence) are one complete check on generators, is_homomorphism.
 """
 
 import math
@@ -464,27 +466,14 @@ class AbelianGroup:
         return ((self.digits(chi) * w) @ self.digits(I).T) % self.exponent
 
 
-def _action_table(H, A, act):
-    """table[h, a] = index of act(h, a) in A: act evaluated once per pair."""
-    a_elems = [A.from_index(i) for i in range(A.order)]
-    return np.array(
-        [[A.index(act(H.from_index(h), a)) for a in a_elems] for h in range(H.order)],
-        dtype=np.int64,
-    ).reshape(H.order, A.order)
-
-
-def semidirect_product(H, A, act):
-    """H lt-semidirect A with act(h, a) the automorphism action of H on A.
+def semidirect_product(H, A, table):
+    """H lt-semidirect A, with table[h, a] the index of h . a in A for an
+    action of H on A by automorphisms.
 
     Elements are pairs (h, a) indexed as h_index * |A| + a_index, with
     (h1, a1) * (h2, a2) = (h1 h2, act(h2^-1, a1) + a2)  [so A is normal].
+    Law and inverse are index arithmetic, (h, a)^-1 = (h^-1, -act(h, a)).
     """
-    return _semidirect(H, A, _action_table(H, A, act))
-
-
-def _semidirect(H, A, table):
-    """The semidirect product on the action table: law and inverse are
-    index arithmetic, (h, a)^-1 = (h^-1, -act(h, a))."""
     nA = A.order
 
     def mult(I, J):
@@ -500,8 +489,10 @@ def _semidirect(H, A, table):
     return FiniteGroup(H.order * nA, mult, inv_bulk=inv, identity=0, gens=gens, name="semidirect")
 
 
-def little_groups(H, A, act):
-    """Character table of H lt-semidirect A for finite abelian H, A.
+def little_groups(H, A, table):
+    """Character table of H lt-semidirect A for finite abelian H, A, with
+    table[h, a] the index of h . a in A (checked to be an action by
+    automorphisms).
 
     Enumerates H-orbits Omega on the character group A^*, stabilizers
     H^chi, and characters psi of H^chi; the irreducible for (Omega, psi) is
@@ -509,9 +500,9 @@ def little_groups(H, A, act):
     """
     from .chartable import CharacterTable
 
-    action = _action_table(H, A, act)
+    action = np.asarray(table, dtype=np.int64)
     _check_action(H, A, action)
-    G = _semidirect(H, A, action)
+    G = semidirect_product(H, A, action)
     cd = G.conjugacy_classes()
     nA = A.order
     dual = _dual_action(H, A, action)
@@ -570,26 +561,40 @@ def induce_from_roots(cd, elems, r, e):
     return counts * (cd.n // cd.sizes).astype(np.int64)[:, None]
 
 
+def is_homomorphism(f, src_law, dst_law, n, gens):
+    """f(x g) == f(x) f(g) for every x in [0, n) and each g in gens, with f
+    and the laws on index arrays (f(x) may be a row per element).  For gens
+    generating the source this makes f a homomorphism, by induction on word
+    length: x = 1 gives f(1) = 1, and f(x w g) = f(x w) f(g) = f(x) f(w g)."""
+    x = np.arange(n, dtype=np.int64)
+    fx = f(x)
+    for g in gens:
+        g = np.full(n, g, dtype=np.int64)
+        if not np.array_equal(f(src_law(x, g)), dst_law(fx, f(g))):
+            return False
+    return True
+
+
 def _check_action(H, A, table):
-    """The action is by automorphisms: the identity acts trivially, each
-    generator of H additively on all pairs (a, b), and composition of
-    generators matches the product in H; as identities on the table."""
+    """table[h, a] = h . a is an action of H on A by automorphisms: the
+    identity acts trivially, each generator of H additively and the rows
+    compose as H adds (each row is then invertible: a power of it is the
+    identity row), all checked by is_homomorphism."""
     nA = A.order
-    everything = np.arange(nA)
-    if (table[0] != everything).any():
+    if table.shape != (H.order, nA) or ((table < 0) | (table >= nA)).any():
+        raise ValueError("action table must be |H| x |A| indices into A")
+    if (table[0] != np.arange(nA)).any():
         raise ValueError("identity of H must act trivially")
-    h_gens = [int(h) for h in H.unit_indices()]
-    block = max(1, (1 << 16) // nA)  # rows of (a, b) pairs per comparison
-    for h in h_gens:
-        T = table[h]
-        for start in range(0, nA, block):
-            a = everything[start : start + block, None]
-            if (T[A.add_indices(a, everything)] != A.add_indices(T[a], T)).any():
-                raise ValueError("action of %r is not additive" % (H.from_index(h),))
-    for h1 in h_gens:
-        for h2 in h_gens:
-            if (table[int(H.add_indices(h1, h2))] != table[h1][table[h2]]).any():
-                raise ValueError("action is not a homomorphism in H")
+    a_gens = A.unit_indices()
+    for h in H.unit_indices():
+        if not is_homomorphism(table[h].__getitem__, A.add_indices, A.add_indices, nA, a_gens):
+            raise ValueError("action of %r is not additive" % (H.from_index(int(h)),))
+
+    def compose(X, Y):
+        return np.take_along_axis(X, Y, axis=1)
+
+    if not is_homomorphism(table.__getitem__, H.add_indices, compose, H.order, H.unit_indices()):
+        raise ValueError("action is not a homomorphism in H")
 
 
 # -- twisted conjugacy ------------------------------------------------------------
@@ -604,11 +609,10 @@ def twisted_classes(G, phi, table=None):
     """
     phi = np.asarray(phi, dtype=np.int64)
     n = G.n
-    a, b = G._generator_pairs()
-    if (phi[G.mult_bulk(a, b)] != G.mult_bulk(phi[a], phi[b])).any():
+    if phi.shape != (n,) or (np.sort(phi) != np.arange(n)).any():
+        raise ValueError("phi is not a permutation of the group")
+    if not is_homomorphism(phi.__getitem__, G.mult_bulk, G.mult_bulk, n, G.generators()):
         raise ValueError("phi is not an automorphism")
-    if phi[G.identity] != G.identity:
-        raise ValueError("phi is not an automorphism (identity moves)")
 
     # x -> phi(g) x g^-1 for each generator g, partitioned by the kernel
     everything = np.arange(n, dtype=np.int64)

@@ -17,7 +17,8 @@ Matrix format:
     matrix dim=<d>
     <d rows of d integers>
 
-Emit and parse round-trip bit-exactly; parse errors carry line numbers.
+Emit and parse round-trip bit-exactly; parse errors carry line numbers,
+except failures of the whole object (a ring invariant, associativity).
 """
 
 import numpy as np
@@ -32,12 +33,21 @@ TENSOR_BUDGET = 1 << 24
 
 
 class ParseError(ValueError):
+    """A malformed input; lineno is None when the whole object is at fault."""
+
     def __init__(self, lineno, message):
-        super().__init__("line %d: %s" % (lineno, message))
+        super().__init__(message if lineno is None else "line %d: %s" % (lineno, message))
         self.lineno = lineno
 
 
-def _parse_header(line, lineno, kind):
+def _int(tok, lineno):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(lineno, "%r is not an integer" % tok) from None
+
+
+def _parse_header(line, lineno, kind, keys=("p", "dim")):
     parts = line.split()
     if not parts or parts[0] != kind:
         raise ParseError(lineno, "expected '%s' header" % kind)
@@ -46,12 +56,15 @@ def _parse_header(line, lineno, kind):
         if "=" not in tok:
             raise ParseError(lineno, "bad header token %r" % tok)
         k, v = tok.split("=", 1)
-        fields[k] = int(v)
-    if "p" not in fields or "dim" not in fields:
-        raise ParseError(lineno, "header needs p= and dim=")
-    p, dim = fields["p"], fields["dim"]
+        fields[k] = _int(v, lineno)
+    if any(k not in fields for k in keys):
+        raise ParseError(lineno, "header needs %s" % " and ".join(k + "=" for k in keys))
+    dim = fields["dim"]
     if dim < 1 or dim**3 > TENSOR_BUDGET:
         raise ParseError(lineno, "dim=%d is not in 1 <= dim^3 <= %d" % (dim, TENSOR_BUDGET))
+    if "p" not in keys:
+        return fields
+    p = fields["p"]
     # linalg.bilinear is exact while dim * (p-1)^2 < 2^63; checked first, it
     # also bounds the trial division in is_prime
     if dim * (p - 1) ** 2 >= 2**63:
@@ -61,16 +74,29 @@ def _parse_header(line, lineno, kind):
     return fields
 
 
+def _matrix_rows(lines, start, dim):
+    """The dim x dim integer matrix on lines[start:start + dim]."""
+    if len(lines) < start + dim:
+        got = len(lines) - start
+        raise ParseError(len(lines) + 1, "matrix truncated: %d of %d rows" % (got, dim))
+    rows = []
+    for i, line in enumerate(lines[start : start + dim], start=start + 1):
+        rows.append([_int(t, i) for t in line.split()])
+        if len(rows[-1]) != dim:
+            raise ParseError(i, "matrix row needs %d entries" % dim)
+    return np.array(rows, dtype=np.int64)
+
+
 def _parse_terms(rhs, dim, lineno):
     out = {}
     for tok in rhs.split():
         if ":" not in tok:
             raise ParseError(lineno, "bad term %r (want k:c)" % tok)
         k, c = tok.split(":", 1)
-        k = int(k)
+        k = _int(k, lineno)
         if not (1 <= k <= dim):
             raise ParseError(lineno, "index %d out of range" % k)
-        out[k - 1] = int(c)
+        out[k - 1] = _int(c, lineno)
     return out
 
 
@@ -89,17 +115,8 @@ def parse_liering(text):
             i += 1
             continue
         if line == "frobenius":
-            rows = []
-            for r in range(dim):
-                i += 1
-                if i >= len(lines):
-                    raise ParseError(i + 1, "frobenius matrix truncated")
-                row = [int(t) for t in lines[i].split()]
-                if len(row) != dim:
-                    raise ParseError(i + 1, "frobenius row needs %d entries" % dim)
-                rows.append(row)
-            frob = np.array(rows, dtype=np.int64) % p
-            i += 1
+            frob = _matrix_rows(lines, i + 1, dim) % p
+            i += dim + 1
             continue
         if not line.startswith("bracket"):
             raise ParseError(i + 1, "unexpected line %r" % line)
@@ -107,7 +124,7 @@ def parse_liering(text):
         parts = head.split()
         if len(parts) != 3:
             raise ParseError(i + 1, "bracket needs two indices")
-        a, b = int(parts[1]), int(parts[2])
+        a, b = _int(parts[1], i + 1), _int(parts[2], i + 1)
         if not (1 <= a <= dim and 1 <= b <= dim):
             raise ParseError(i + 1, "bracket indices out of range")
         for k, c in _parse_terms(rhs, dim, i + 1).items():
@@ -119,7 +136,7 @@ def parse_liering(text):
         ring.parsed_frobenius = frob
     report = ring.validate(for_lazard=False)
     if not report.ok:
-        raise ParseError(0, "ring invariants fail: %s" % (report.failures[:1],))
+        raise ParseError(None, "ring invariants fail: %s" % (report.failures[:1],))
     return ring
 
 
@@ -158,7 +175,7 @@ def parse_algebra(text):
         parts = head.split()
         if len(parts) != 3:
             raise ParseError(i, "prod needs two indices")
-        a, b = int(parts[1]), int(parts[2])
+        a, b = _int(parts[1], i), _int(parts[2], i)
         if not (1 <= a <= dim and 1 <= b <= dim):
             raise ParseError(i, "prod indices out of range")
         for k, c in _parse_terms(rhs, dim, i).items():
@@ -166,7 +183,7 @@ def parse_algebra(text):
     try:
         return AssocAlgebra(p, C)
     except ValueError as e:
-        raise ParseError(0, str(e))
+        raise ParseError(None, str(e))
 
 
 def emit_algebra(alg):
@@ -184,18 +201,15 @@ def emit_algebra(alg):
 
 
 def parse_matrix(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "matrix":
-        raise ParseError(1, "expected 'matrix' header")
-    dim = int(head[1].split("=")[1])
-    rows = []
-    for i, ln in enumerate(lines[1 : dim + 1], start=2):
-        row = [int(t) for t in ln.split()]
-        if len(row) != dim:
-            raise ParseError(i, "matrix row needs %d entries" % dim)
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError(1, "empty input")
+    dim = _parse_header(lines[0], 1, "matrix", keys=("dim",))["dim"]
+    M = _matrix_rows(lines, 1, dim)
+    for i, line in enumerate(lines[dim + 1 :], start=dim + 2):
+        if line.strip():
+            raise ParseError(i, "unexpected line %r after the matrix" % line)
+    return M
 
 
 def emit_matrix(M):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilorbit import families as fam, linalg, orbits as ob
 from nilorbit.battery import appendix_h2_ring
-from nilorbit.chartable import CharacterTable, ClassFunction, _orthogonal, row_order
+from nilorbit.chartable import CharacterTable, ClassFunction, _intern, _orthogonal
 from nilorbit.cyclo import Cyclotomic, distinct, render, times, to_ints
 from nilorbit.dixon import dixon_table
 from nilorbit.groups import ClassData, twisted_classes
@@ -90,7 +90,7 @@ def test_equality_as_sets_detects_difference():
 # -- the table form against the object-row reference ------------------------------
 #
 # _RefTable is the object-row table the integer-index form replaced: rows of
-# Cyclotomic tuples in row_order, equality by a Counter of rows, verify over
+# Cyclotomic tuples in table order, equality by a Counter of rows, verify over
 # one to_ints of every cell, to_csv rendering every cell.
 
 
@@ -102,6 +102,12 @@ def _ref_row_order(rows, identity):
         keys[c] = c[0], tuple(a * (den // c[2]) for a in c[1])
     sort_keys = [(keys[row[identity]], tuple(map(keys.__getitem__, row))) for row in cells]
     return sorted(range(len(rows)), key=sort_keys.__getitem__)
+
+
+def _row_order(rows):
+    """The permutation that puts class functions in table order."""
+    keys, index = _intern((r.values for r in rows), len(rows[0].values))
+    return CharacterTable.from_index(rows[0].class_data, keys, index)[1].tolist()
 
 
 class _RefTable:
@@ -207,7 +213,7 @@ def test_table_form_matches_object_row_reference(drawn, data):
     from_ints, perm = CharacterTable.from_index(cd, *distinct(C, M, den))
     assert table.to_csv() == from_ints.to_csv() == ref.to_csv()
     assert [rows[i] for i in perm] == [r.values for r in from_ints.rows] == ref.rows
-    assert row_order([ClassFunction(cd, r) for r in rows]) == perm.tolist()
+    assert _row_order([ClassFunction(cd, r) for r in rows]) == perm.tolist()
     assert CharacterTable.from_csv(table.to_csv(), cd).to_csv() == ref.to_csv()
     assert len(table.values) == len(set(v for r in rows for v in r))
     assert _outcome(table.verify) == _outcome(ref.verify)

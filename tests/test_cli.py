@@ -2,6 +2,9 @@ import subprocess
 import sys
 import time
 
+import pytest
+
+from nilorbit import families, ringio
 from nilorbit.cli import main
 
 RUN = [sys.executable, "-m", "nilorbit"]
@@ -85,8 +88,6 @@ def test_polarize_cli(capsys):
 
 
 def test_spas_family(tmp_path, capsys):
-    from nilorbit import families, ringio
-
     A, S = families.usp4_flag_algebra(2)
     alg_file = tmp_path / "flag.alg"
     sig_file = tmp_path / "sigma.mat"
@@ -179,3 +180,51 @@ def test_malformed_ring_headers_exit_2(tmp_path, capsys):
     r = run_cli(["validate", "--file", str(f)])
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr == "input error: line 1: p=4 is not a prime\n"
+
+
+_SIGMA = ringio.emit_matrix(families.usp4_flag_algebra(2)[1]).splitlines()
+
+
+@pytest.mark.parametrize(
+    "sigma, message",
+    [
+        ("", "input error: line 1: empty input"),
+        ("\n".join(["matrix"] + _SIGMA[1:]), "input error: line 1: header needs dim="),
+        ("matrix dim=x\n", "input error: line 1: 'x' is not an integer"),
+        ("\n".join(_SIGMA[:-1]), "input error: line 7: matrix truncated: 5 of 6 rows"),
+        ("\n".join(_SIGMA[:3] + ["1 0 x 0 0 0"] + _SIGMA[4:]), "input error: line 4: 'x' is"),
+        ("\n".join(_SIGMA + ["1 0 0 0 0 0"]), "input error: line 8: unexpected line"),
+        ("matrix dim=2\n1 0\n0 1\n", "input error: sigma must be a 6 x 6 matrix"),
+    ],
+    ids=["empty", "no-dim", "bad-dim", "truncated", "bad-entry", "extra-row", "wrong-size"],
+)
+def test_malformed_sigma_exits_2_with_its_line(tmp_path, capsys, sigma, message):
+    alg_file, sig_file = tmp_path / "flag.alg", tmp_path / "sigma.mat"
+    alg_file.write_text(ringio.emit_algebra(families.usp4_flag_algebra(2)[0]))
+    sig_file.write_text(sigma)
+    args = ["validate", "--family", "spas", "--file", str(alg_file), "--sigma", str(sig_file)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("liering p=3 dim=3\nbracket 1 2 = 3:x\n", "input error: line 2: 'x' is not an integer"),
+        ("liering p=3 dim=3\nbracket 1 y = 3:1\n", "input error: line 2: 'y' is not an integer"),
+        ("liering p=3 dim=x\n", "input error: line 1: 'x' is not an integer"),
+        ("algebra p=3 dim=2\n\nprod 1 1 = 2:1.5\n", "input error: line 3: '1.5' is not"),
+        ("liering p=3 dim=2\nfrobenius\n1 0\n0 z\n", "input error: line 4: 'z' is not"),
+        # whole-object failures carry no line number
+        ("liering p=5 dim=3\nbracket 1 2 = 3:1\nbracket 1 3 = 1:1\n",
+         "input error: ring invariants fail: [('jacobi'"),
+        ("algebra p=2 dim=2\nprod 1 1 = 2:1\nprod 1 2 = 1:1\n",
+         "input error: product is not associative"),
+    ],
+    ids=["coefficient", "index", "dim", "fraction", "frobenius", "jacobi", "non-associative"],
+)
+def test_malformed_ring_exits_2_with_its_line(tmp_path, capsys, text, message):
+    f = tmp_path / "bad.ring"
+    f.write_text(text)
+    assert main(["validate", "--file", str(f)]) == 2
+    assert capsys.readouterr().err.startswith(message)

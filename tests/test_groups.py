@@ -20,6 +20,7 @@ from nilorbit.groups import (
     AbelianGroup,
     ClassData,
     FiniteGroup,
+    _check_action,
     build_group,
     induce_character,
     little_groups,
@@ -122,10 +123,20 @@ def test_frobenius_reciprocity():
             assert lhs == rhs
 
 
+def _action_table(H, A, act):
+    """table[h, a] = index of act(h, a) in A: the scalar act evaluated once
+    per pair, the reference for tables built from a bulk law."""
+    a_elems = [A.from_index(i) for i in range(A.order)]
+    return np.array(
+        [[A.index(act(H.from_index(h), a)) for a in a_elems] for h in range(H.order)],
+        dtype=np.int64,
+    ).reshape(H.order, A.order)
+
+
 def test_little_groups_trivial_action():
     H = AbelianGroup([2, 2])
     A = AbelianGroup([3])
-    table = little_groups(H, A, lambda h, a: a)
+    table = little_groups(H, A, _action_table(H, A, lambda h, a: a))
     assert sorted(table.degree_multiset().items()) == [(1, 12)]
     assert table.verify()
 
@@ -138,7 +149,7 @@ def test_little_groups_degrees_are_orbit_sizes():
     def act(h, a):
         return a if h[0] == 0 else A.neg(a)
 
-    table = little_groups(H, A, act)
+    table = little_groups(H, A, _action_table(H, A, act))
     assert sorted(table.degrees) == [1, 1, 2]
     assert table.verify()
 
@@ -466,7 +477,7 @@ def abelian_actions(draw):
 @given(abelian_actions(), st.integers(0, 2**32 - 1))
 def test_semidirect_bulk_law_matches_scalar_law(data, seed):
     H, A, act = data
-    G = semidirect_product(H, A, act)
+    G = semidirect_product(H, A, _action_table(H, A, act))
     mult = _semidirect_scalar(H, A, act)
     I, J = _pairs(G.n, seed)
     assert G.mult_bulk(I, J).tolist() == [mult(int(i), int(j)) for i, j in zip(I, J)]
@@ -481,22 +492,96 @@ def test_semidirect_bulk_law_matches_scalar_law(data, seed):
 @given(abelian_actions())
 def test_semidirect_classes_and_little_groups_match_scalar_algorithms(data):
     H, A, act = data
-    G = semidirect_product(H, A, act)
+    G = semidirect_product(H, A, _action_table(H, A, act))
     _assert_matches_scalar_algorithms(G, _semidirect_scalar(H, A, act))
-    table = little_groups(H, A, act)
+    table = little_groups(H, A, _action_table(H, A, act))
     assert table.verify()
     assert table.equals_as_set(dixon_table(table.group))
 
 
 def test_little_groups_rejects_bad_actions():
     H, A = AbelianGroup([2]), AbelianGroup([3])
-    with pytest.raises(ValueError, match="not additive"):
-        little_groups(H, A, lambda h, a: a if h[0] == 0 else ((a[0] * a[0]) % 3,))
+
+    def rejects(act, message):
+        with pytest.raises(ValueError, match=message):
+            little_groups(H, A, _action_table(H, A, act))
+
+    rejects(lambda h, a: a if h[0] == 0 else ((a[0] * a[0]) % 3,), "not additive")
     H = AbelianGroup([3])
+    rejects(lambda h, a: ((1, 2, 2)[h[0]] * a[0] % 3,), "not a homomorphism")
+    rejects(lambda h, a: (2 * a[0] % 3,), "identity of H")
+    for bad in (np.zeros((3, 2), dtype=np.int64), np.array([[0, 1, 2], [0, 2, 1], [0, 1, 3]])):
+        with pytest.raises(ValueError, match="indices into A"):
+            little_groups(H, A, bad)
+
+
+def test_little_groups_rejects_a_bad_row_at_a_non_generator():
+    # Z_2^3 acts on Z_3 by the sign (-1)^(h1+h2+h3); the row of h1+h2+h3, a
+    # sum of three generators, is replaced by the identity, an automorphism
+    H, A = AbelianGroup([2, 2, 2]), AbelianGroup([3])
+    table = _action_table(H, A, lambda h, a: ((-1) ** sum(h) * a[0] % 3,))
+    assert little_groups(H, A, table).verify()
+    table[H.index((1, 1, 1))] = np.arange(3)
     with pytest.raises(ValueError, match="not a homomorphism"):
-        little_groups(H, A, lambda h, a: ((1, 2, 2)[h[0]] * a[0] % 3,))
-    with pytest.raises(ValueError, match="identity of H"):
-        little_groups(H, A, lambda h, a: (2 * a[0] % 3,))
+        little_groups(H, A, table)
+
+
+def _usp4_conjugation(U):
+    """act(h, a): (0,b,c,d) conjugated by (h,0,0,0) in USp4, one quadruple
+    at a time through mult_quads, with H and A coordinates as F_q tuples."""
+    F, s = U.field, U.field.s
+
+    def act(h, a):
+        g, g_inv = (h, F.zero, F.zero, F.zero), (F.neg(h), F.zero, F.zero, F.zero)
+        y = U.mult_quads(U.mult_quads(g, (F.zero, a[:s], a[s : 2 * s], a[2 * s :])), g_inv)
+        assert y[0] == F.zero
+        return tuple(y[1]) + tuple(y[2]) + tuple(y[3])
+
+    return act
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_usp4_semidirect_table_matches_scalar_conjugation(q):
+    U = USp4(q)
+    H, A, table = U.semidirect_data()
+    assert table.tolist() == _action_table(H, A, _usp4_conjugation(U)).tolist()
+
+
+def _reference_action_check(H, A, table):
+    """The definition on all pairs: the identity row is trivial, every row is
+    additive on all (a, b), and table[h1 + h2] = table[h1] o table[h2] on
+    all (h1, h2); sums from the scalar laws."""
+    add_a = _action_table(A, A, A.add)  # add_a[a, b] = a + b
+    add_h = _action_table(H, H, H.add)
+    return (
+        (table[0] == np.arange(A.order)).all()
+        and all((T[add_a] == add_a[T[:, None], T[None, :]]).all() for T in table)
+        and (table[add_h] == table[np.arange(H.order)[:, None, None], table[None]]).all()
+    )
+
+
+@settings(max_examples=300)
+@given(abelian_actions(), st.data())
+def test_action_check_on_generators_matches_the_all_pairs_definition(data, draw):
+    H, A, act = data
+    table = _action_table(H, A, act)
+    assert _reference_action_check(H, A, table)
+    _check_action(H, A, table)
+    kind = draw.draw(st.sampled_from(["none", "swap", "row", "permutation"]))
+    h = draw.draw(st.integers(0, H.order - 1))
+    if kind == "swap":
+        i, j = draw.draw(st.lists(st.integers(0, A.order - 1), min_size=2, max_size=2))
+        table[h, [i, j]] = table[h, [j, i]]
+    elif kind == "row":
+        table[h] = table[draw.draw(st.integers(0, H.order - 1))]
+    elif kind == "permutation":
+        table[h] = draw.draw(st.permutations(range(A.order)))
+    try:
+        _check_action(H, A, table)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _reference_action_check(H, A, table)
 
 
 def test_twisted_classes_match_scalar_bfs():

@@ -166,6 +166,21 @@ def test_reduce_ul4_f5_degree25():
     assert int(term[2].degree.rational_value()) * total_index == 25
 
 
+def test_twisted_classes_reject_maps_that_are_automorphisms_only_on_generators():
+    G = ob.lazard_group(heisenberg_ring(3))
+    gens = G.generators()
+    near = {G.identity, *gens} | {G.mult(g, h) for g in gens for h in gens}
+    x, y = [i for i in range(G.n) if i not in near][:2]
+    swap = np.arange(G.n)
+    swap[[x, y]] = y, x
+    # swap respects every product of two generators, yet is no automorphism
+    with pytest.raises(ValueError, match="not an automorphism"):
+        twisted_classes(G, swap)
+    with pytest.raises(ValueError, match="not a permutation"):
+        twisted_classes(G, np.full(G.n, G.identity))
+    assert twisted_classes(G, np.arange(G.n))["num_classes"] == 11
+
+
 def test_twisted_trace_basis_fake_heisenberg():
     ring = fake_heisenberg(3, 2)
     G = ob.lazard_group(ring)
