@@ -326,7 +326,7 @@ def _split_prime_power(q):
 _SCAN_BLOCK = 1 << 10
 
 
-def sp_a_sigma(A, sigma, check_bijection=True):
+def sp_a_sigma(A, sigma):
     """Sp(A, sigma) = {x in 1+A : x + sigma(x) + x sigma(x) = 0}.
 
     sigma: d x d matrix over Z/p of an anti-involution of A (verified).
@@ -352,7 +352,7 @@ def sp_a_sigma(A, sigma, check_bijection=True):
         hits = ~((X + SX + A.product(X, SX)) % p).any(axis=1)
         members.extend((start + np.flatnonzero(hits)).tolist())
     members = np.array(members, dtype=np.int64)
-    if p > 2 and check_bijection:
+    if p > 2:
         minus_dim = linalg.kernel((S + np.eye(d, dtype=np.int64)) % p, p).shape[0]
         if len(members) != p**minus_dim:
             raise AssertionError("|Sp(A,sigma)| != |A_-|")

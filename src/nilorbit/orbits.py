@@ -158,7 +158,7 @@ def conjugacy_class_data(ring):
     return cd
 
 
-def lazard_group(ring, spot_check=False):
+def lazard_group(ring):
     """Exp(g) as a black-box FiniteGroup over element indices."""
     _require_lazard(ring)
     p, d = ring.p, ring.dim
@@ -182,8 +182,6 @@ def lazard_group(ring, spot_check=False):
         name="Exp(%r)" % (ring,),
     )
     G.ring = ring
-    if spot_check:
-        G.spot_check_axioms()
     return G
 
 

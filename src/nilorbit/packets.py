@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from . import kernels, linalg
 from .orbits import coadjoint_orbits
 
 
@@ -175,11 +175,12 @@ def _require_class_2(scheme, n):
         raise ValueError("affine fusion engine needs nilpotence class <= 2")
 
 
-def _partition_at(scheme, m, n, psi_k, dense_budget=1 << 24):
-    """Fiber partition of level-m orbits at level n, dense when affordable."""
+def _partition_at(scheme, m, n, psi_k):
+    """Fiber partition of level-m orbits at level n, dense when the orbit
+    kernel can enumerate the level."""
     ring_probe = scheme.at_level(1)
     d_n = scheme.dim_q * scheme.field.s * n
-    if ring_probe.p**d_n <= dense_budget:
+    if ring_probe.p**d_n <= 1 << kernels._MAX_DENSE_BITS:
         mapping, om, on = base_change_map(scheme, m, n, psi_k=psi_k)
         return _fiber_partition(mapping), ("dense", mapping, om, on)
     part, om = _affine_fusion_partition(scheme, m, n, psi_k)

@@ -14,10 +14,10 @@ import numpy as np
 
 from . import linalg
 from .chartable import ClassFunction
-from .cyclo import Cyclotomic, from_ints, lincomb, to_ints
-from .groups import induce_from_roots
+from .cyclo import Cyclotomic
+from .groups import induce_from_roots, is_homomorphism
 from .liering import Subspace
-from .orbits import conjugacy_class_data
+from .orbits import conjugacy_class_data, lazard_group
 
 
 class FlagOfIdeals:
@@ -450,17 +450,13 @@ class MonomialRep:
         self.rep_pos = {int(r): i for i, r in enumerate(reps)}
         self.dim = len(reps)
 
-    def chi_f(self, h_vec):
-        r = int(self.pol.f_vec @ h_vec % self.ring.p)
-        return Cyclotomic.zeta(self.ring.p, (self.psi_k * r) % self.ring.p)
-
     def matrix(self, g_vec):
-        """(perm, diag): column i carries chi_f(h) at row perm[i], where
-        g * rep_i = rep_{perm[i]} * h."""
+        """(perm, exps): column i carries chi_f(h) = zeta_p^exps[i] at row
+        perm[i], where g * rep_i = rep_{perm[i]} * h."""
         ring = self.ring
         p = ring.p
         perm = np.zeros(self.dim, dtype=np.int64)
-        diag = []
+        exps = np.zeros(self.dim, dtype=np.int64)
         for i, r in enumerate(self.reps):
             rv = ring.element_from_index(int(r))
             w = ring.group_mul(g_vec, rv)
@@ -469,34 +465,33 @@ class MonomialRep:
             perm[i] = self.rep_pos[rep2]
             r2v = ring.element_from_index(rep2)
             h = ring.group_mul(ring.group_inv(r2v), w)
-            diag.append(self.chi_f(h))
-        return perm, diag
+            exps[i] = self.psi_k * int(self.pol.f_vec @ h % p) % p
+        return perm, exps
 
     def trace(self, g_vec):
-        perm, diag = self.matrix(g_vec)
-        C, M, den = to_ints(diag)
-        return from_ints(lincomb(perm == np.arange(self.dim), C), M, den)[0]
-
-    def compose(self, m1, m2):
-        p1, d1 = m1
-        p2, d2 = m2
-        perm = p1[p2]
-        diag = [d1[p2[i]] * d2[i] for i in range(self.dim)]
-        return perm, diag
+        perm, exps = self.matrix(g_vec)
+        fixed = exps[perm == np.arange(self.dim)]
+        return Cyclotomic.from_root_counts(self.ring.p, np.bincount(fixed, minlength=self.ring.p))
 
     def check_homomorphism(self):
-        ring = self.ring
-        for i in range(ring.dim):
-            for j in range(ring.dim):
-                a = ring.basis_vector(i)
-                b = ring.basis_vector(j)
-                lhs = self.matrix(ring.group_mul(a, b))
-                rhs = self.compose(self.matrix(a), self.matrix(b))
-                if (lhs[0] != rhs[0]).any() or any(
-                    x != y for x, y in zip(lhs[1], rhs[1])
-                ):
-                    return False
-        return True
+        """matrix is a homomorphism on Exp(g), by groups.is_homomorphism over
+        its bulk law and generators: a matrix is one row (perm, exps) and the
+        destination law the monomial product (perm1[perm2], exps1[perm2] +
+        exps2 mod p)."""
+        ring, n = self.ring, self.dim
+        G = lazard_group(ring)
+
+        def rows(I):
+            mats = [self.matrix(ring.element_from_index(int(x))) for x in I]
+            return np.array([np.concatenate(m) for m in mats])
+
+        def product(A, B):
+            P2 = B[:, :n]
+            P = np.take_along_axis(A[:, :n], P2, axis=1)
+            E = (np.take_along_axis(A[:, n:], P2, axis=1) + B[:, n:]) % ring.p
+            return np.hstack([P, E])
+
+        return is_homomorphism(rows, G.mult_bulk, product, G.n, G.gens)
 
 
 def induced_character(ring, pol, class_data=None, psi_k=1):

@@ -2,7 +2,7 @@
 
 Lie ring format (1-based indices, omitted pairs are zero):
 
-    liering p=<p> dim=<d> [q=<p^s>]
+    liering p=<p> dim=<d>
     bracket i j = k1:c1 k2:c2 ...
     frobenius
     <d rows of d integers>
@@ -56,6 +56,8 @@ def _parse_header(line, lineno, kind, keys=("p", "dim")):
         if "=" not in tok:
             raise ParseError(lineno, "bad header token %r" % tok)
         k, v = tok.split("=", 1)
+        if k not in keys or k in fields:
+            raise ParseError(lineno, "unexpected header field %r" % tok)
         fields[k] = _int(v, lineno)
     if any(k not in fields for k in keys):
         raise ParseError(lineno, "header needs %s" % " and ".join(k + "=" for k in keys))

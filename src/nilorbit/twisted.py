@@ -12,13 +12,16 @@ import numpy as np
 from .cyclo import ZERO, Cyclotomic, contract, from_ints, lincomb, to_ints
 from .groups import twisted_classes
 
+# Seeds seed, seed + 1, ... tried before a vanishing Schur average is an error.
+_SCHUR_SEEDS = 8
+
 
 def _dense_matrix(rep, g_vec):
-    perm, diag = rep.matrix(g_vec)
+    perm, exps = rep.matrix(g_vec)
     n = rep.dim
     M = [[ZERO] * n for _ in range(n)]
     for i in range(n):
-        M[int(perm[i])][i] = diag[i]
+        M[int(perm[i])][i] = Cyclotomic.zeta(rep.ring.p, int(exps[i]))
     return M
 
 
@@ -44,7 +47,7 @@ def _twisted_traces(T, rep, gs):
     return from_ints(lincomb(np.ones(n, dtype=np.int64), diag.swapaxes(0, 1)), M, den * den)
 
 
-def schur_intertwiner(ring, rep, phi, seed=1, max_tries=8):
+def schur_intertwiner(ring, rep, phi, seed=1):
     """phi_rho = sum_g rho(phi(g)) M rho(g)^-1, normalized.
 
     phi: map on ring vectors (callable).  Retries with fresh seeds if the
@@ -52,7 +55,7 @@ def schur_intertwiner(ring, rep, phi, seed=1, max_tries=8):
     """
     n = rep.dim
     p = ring.p
-    for attempt in range(max_tries):
+    for attempt in range(_SCHUR_SEEDS):
         rng = np.random.default_rng(seed + attempt)
         M = [
             [Cyclotomic.rational(int(v)) for v in row]

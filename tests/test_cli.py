@@ -171,10 +171,15 @@ def test_out_of_budget_inputs_exit_2(capsys):
 def test_malformed_ring_headers_exit_2(tmp_path, capsys):
     f = tmp_path / "bad.ring"
     for header in ("liering p=4 dim=3", "liering p=0 dim=2", "liering p=1 dim=2",
-                   "algebra p=4 dim=3", "liering p=5 dim=100000", "liering p=5 dim=0"):
+                   "algebra p=4 dim=3", "liering p=5 dim=100000", "liering p=5 dim=0",
+                   "liering p=3 dim=2 q=9", "liering p=3 p=5 dim=2", "algebra p=3 dim=2 s=1"):
         f.write_text(header + "\n")
         assert main(["validate", "--file", str(f)]) == 2, header
         assert capsys.readouterr().err.startswith("input error: line 1:"), header
+    # a key the format does not read is refused, not ignored
+    f.write_text("liering p=3 dim=2 q=1000 foo=7\n")
+    assert main(["validate", "--file", str(f)]) == 2
+    assert capsys.readouterr().err == "input error: line 1: unexpected header field 'q=1000'\n"
     # a fresh interpreter too: the message, and no traceback
     f.write_text("liering p=4 dim=3\nbracket 1 2 = 3:1\n")
     r = run_cli(["validate", "--file", str(f)])
@@ -191,12 +196,13 @@ _SIGMA = ringio.emit_matrix(families.usp4_flag_algebra(2)[1]).splitlines()
         ("", "input error: line 1: empty input"),
         ("\n".join(["matrix"] + _SIGMA[1:]), "input error: line 1: header needs dim="),
         ("matrix dim=x\n", "input error: line 1: 'x' is not an integer"),
+        ("\n".join(["matrix dim=6 p=2"] + _SIGMA[1:]), "input error: line 1: unexpected header field 'p=2'"),
         ("\n".join(_SIGMA[:-1]), "input error: line 7: matrix truncated: 5 of 6 rows"),
         ("\n".join(_SIGMA[:3] + ["1 0 x 0 0 0"] + _SIGMA[4:]), "input error: line 4: 'x' is"),
         ("\n".join(_SIGMA + ["1 0 0 0 0 0"]), "input error: line 8: unexpected line"),
         ("matrix dim=2\n1 0\n0 1\n", "input error: sigma must be a 6 x 6 matrix"),
     ],
-    ids=["empty", "no-dim", "bad-dim", "truncated", "bad-entry", "extra-row", "wrong-size"],
+    ids=["empty", "no-dim", "bad-dim", "extra-key", "truncated", "bad-entry", "extra-row", "wrong-size"],
 )
 def test_malformed_sigma_exits_2_with_its_line(tmp_path, capsys, sigma, message):
     alg_file, sig_file = tmp_path / "flag.alg", tmp_path / "sigma.mat"

@@ -223,6 +223,17 @@ def test_monomial_rep_checks():
     assert rep.check_homomorphism()
     for j, r in enumerate(cd.reps):
         assert rep.trace(h3.element_from_index(int(r))) == chi.values[j]
+    # the identity monomial at (2, 2, 1), neither a generator nor a product
+    # of two generators, breaks the homomorphism
+    matrix = rep.matrix
+
+    def mutant(g_vec):
+        if tuple(int(v) for v in g_vec) == (2, 2, 1):
+            return np.arange(rep.dim), np.zeros(rep.dim, dtype=np.int64)
+        return matrix(g_vec)
+
+    rep.matrix = mutant
+    assert not rep.check_homomorphism()
 
 
 def test_containment_search_examples():
