@@ -84,6 +84,7 @@ DIXON_STAGES = (
     "dixon.dixon_table", "dixon._split_all", "dixon.class_matrix", "dixon._eigen_split",
     "families.usp4_little_groups_table",
 )
+KERNEL_STAGES = ("kernels._image_tables", "kernels.orbit_labels")
 CONVOLUTION_STAGES = ("chartable.convolve", "orbits.verify_phi_idempotents")
 GFQ_TRACED = (
     "gfq.FqField.mul.calls", "gfq.FqField.trace.calls", "gfq.FqField.bulk_mul.elements",
@@ -96,6 +97,7 @@ REGISTRY = {
     ],
     "orbits": [
         cli("orbits_ul5_q5"), cli("packets_fakeheis_p5"), *map(perfbench, WORKLOADS),
+        *(timed(case, KERNEL_STAGES) for case in ("orbits_ul5_q5", "packets")),
         traced("packets", (
             "kernels.orbit_partition.calls", "kernels.orbit_partition.points",
             "kernels.orbit_partition.self_s", "orbits.coadjoint_orbits.self_s",

@@ -3,25 +3,32 @@
 The dense orbit enumeration over p^d indices dominates orbit censuses,
 conjugacy classes of Lazard groups and base-change towers.  Points are
 little-endian base-p indices; generators act as d x d matrices mod p on
-coordinate columns.  The kernel works on the whole index space at once:
+coordinate columns.  The kernel covers the whole index space, BLOCK
+points at a time: every gather of table building and propagation is an
+`np.take` into a cache-sized buffer, and neither allocates a full-size
+temporary.
 
 * each generator's action is materialized as one int32 image table in
   O(p^d), meet-in-the-middle: the input digits split into a low and a high
   half, so M x = M x_lo + M x_hi, and each chunk of output digits of the
   image is read from one shared F_p-addition table indexed by the two
-  half-images' chunk indices;
+  half-images' chunk indices, one block of high halves at a time;
 * orbits are the connected components of the image graph, found by
   min-label propagation (lab = min(lab, lab[img]) over the generators)
-  with pointer jumping (lab = lab[lab]) until nothing changes.  Each label
-  then points at its orbit's minimal index, so renumbering the roots in
-  index order numbers the orbits by increasing seed.
+  with pointer jumping (lab = lab[lab]), in place.  Labels never rise and
+  lab[j] <= j, so propagation stops at the first pass that leaves the
+  label sum unchanged.  Each label then points at its orbit's minimal
+  index, so renumbering the roots in index order numbers the orbits by
+  increasing seed.
 
 Propagation along images alone reaches the whole orbit only when the
 generators generate a group, so singular generators are rejected.  The
 propagation, `orbit_labels`, takes any permutation tables: black-box
-groups partition themselves into conjugacy classes with it.
-Memory is one int32 table per generator plus a few int32 arrays per point;
-the tables are freed before the int64 ids are built.
+groups partition themselves into conjugacy classes with it.  It checks
+once that every table maps [0, n) into itself, so the gathers need no
+bounds check.  Memory is one int32 table per generator and one int32
+label array, 4k + 4 bytes a point for k generators, plus the block
+buffers; the tables are freed before the int64 ids are built.
 
 The orbits of a group are the components under any generating set, so the
 cost is per generator, not per group element.  Exp(g) needs only the
@@ -39,6 +46,7 @@ from . import linalg
 BACKEND = "numpy"  # the kernel implementation, reported with benchmark results
 
 _MAX_DENSE_BITS = 24
+BLOCK = 1 << 16  # points per gather: each step's buffers stay cache-sized
 
 
 def orbit_partition(mats, p):
@@ -69,25 +77,52 @@ def orbit_labels(images, n):
     Min-label propagation with pointer jumping: every label ends at its
     orbit's minimal index, and the roots renumbered in index order give
     the ids.  Propagation along images covers a whole orbit only because
-    each image table is a permutation (a group action).  The tables are
-    dropped once propagation ends, so a caller that passes them in the
-    call, holding no other reference, frees them before the int64 ids are
-    built.
+    each image table is a permutation (a group action).  A table that is
+    not a 1-D integer array of n entries in [0, n) raises ValueError.
+    The tables are dropped once propagation ends, so a caller that passes
+    them in the call, holding no other reference, frees them before the
+    int64 ids are built.
     """
+    # by index: a loop variable would keep the last table alive below
+    for a in range(len(images)):
+        if not _is_table(images[a], n):
+            raise ValueError("image table %d does not map [0, %d) into itself" % (a, n))
     lab = np.arange(n, dtype=np.int32)
+    buf = np.empty(min(n, BLOCK), dtype=np.int32)
+    # lab[j] <= j and labels never rise, so an unchanged sum means a pass
+    # changed nothing: the fixpoint
+    total = n * (n - 1) // 2
     while True:
-        prev = lab
-        lab = lab.copy()
-        # by index: a loop variable would keep the last table alive below
         for a in range(len(images)):
-            np.minimum(lab, lab[images[a]], out=lab)
-        lab = lab[lab]
-        if np.array_equal(lab, prev):
+            _gather_min(lab, images[a], buf)
+        _gather_min(lab, lab, buf)  # pointer jumping: lab[lab[j]] <= lab[j]
+        total, last = int(lab.sum(dtype=np.int64)), total
+        if total == last:
             break
-    del images, prev
-    roots = lab == np.arange(n, dtype=np.int32)
-    ids = np.cumsum(roots, dtype=np.int64) - 1
+    del images
+    ids = np.cumsum(lab == np.arange(n, dtype=np.int32), dtype=np.int64)
+    ids -= 1
     return ids[lab]
+
+
+def _is_table(t, n):
+    """Whether t is a 1-D integer array of n entries in [0, n)."""
+    if t.ndim != 1 or len(t) != n or t.dtype.kind not in "iu":
+        return False
+    return t.min() >= 0 and t.max() < n
+
+
+def _gather_min(lab, table, buf):
+    """lab[j] = min(lab[j], lab[table[j]]) in place, BLOCK points at a time.
+
+    Blocks read labels that earlier blocks already lowered; that only
+    speeds propagation, and the fixpoint is the same.
+    """
+    for r0 in range(0, len(lab), BLOCK):
+        out = lab[r0 : r0 + BLOCK]
+        got = buf[: len(out)]
+        lab.take(table[r0 : r0 + BLOCK], out=got, mode="clip")
+        np.minimum(out, got, out=out)
 
 
 def _image_tables(mats, p):
@@ -102,16 +137,29 @@ def _image_tables(mats, p):
     add = _addition_table(p, h).ravel()
     lo_pts = linalg.all_vectors(h, p)  # p^h x h
     hi_pts = linalg.all_vectors(d - h, p)
+    rows = min(len(hi_pts), max(1, BLOCK // P))  # high halves per block
+    idx = np.empty((rows, P), dtype=np.intp)
+    part = np.empty((rows, P), dtype=np.int32)
     images = []
     for M in mats:
         lo = (lo_pts @ M[:, :h].T) % p  # M x_lo, one row per low half
         hi = (hi_pts @ M[:, h:].T) % p
-        img = np.zeros((len(hi), len(lo)), dtype=np.int32)  # [x_hi, x_lo]
+        chunks = []  # (low, high indices into add, scale) per output chunk
         for a in range(0, d, h):
-            radix = p ** np.arange(min(h, d - a), dtype=np.int64)
-            A = (lo[:, a : a + h] @ radix).astype(np.int32)
-            B = (hi[:, a : a + h] @ radix).astype(np.int32) * np.int32(P)
-            img += add[B[:, None] + A[None, :]] * np.int32(p**a)
+            radix = p ** np.arange(min(h, d - a), dtype=np.intp)
+            chunks.append((lo[:, a : a + h] @ radix, hi[:, a : a + h] @ radix * P, p**a))
+        img = np.empty((len(hi), P), dtype=np.int32)  # [x_hi, x_lo]
+        for r0 in range(0, len(hi), rows):
+            out = img[r0 : r0 + rows]
+            m = len(out)
+            for A, B, scale in chunks:
+                np.add.outer(B[r0 : r0 + m], A, out=idx[:m])
+                if scale == 1:  # the first chunk
+                    add.take(idx[:m], out=out, mode="clip")
+                else:
+                    add.take(idx[:m], out=part[:m], mode="clip")
+                    part[:m] *= scale
+                    out += part[:m]
         images.append(img.ravel())
     return images
 

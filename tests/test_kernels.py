@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilorbit import kernels
+from nilorbit import kernels, linalg
 from nilorbit.battery import witness_ring
 from nilorbit.liering import heisenberg_ring
 
@@ -117,7 +117,7 @@ def test_budget_guard():
 
 def test_image_tables_are_freed_before_the_ids():
     # two generators on 5^8 points: propagation holds 2 int32 tables and
-    # 3 int32 label arrays (20 bytes a point), the renumbering int32
+    # one int32 label array (12 bytes a point), the renumbering int32
     # labels, bool roots and two int64 id arrays (21 bytes a point); a
     # table still alive there would add 4 bytes a point
     import tracemalloc
@@ -133,6 +133,108 @@ def test_image_tables_are_freed_before_the_ids():
         tracemalloc.stop()
     assert peak < 23 * p**d
     assert labels[0] == 0 and labels.max() > 0
+
+
+def test_orbit_partition_peak_is_the_tables_and_one_label_array():
+    # the k = 6 coadjoint generators of the 3^12 packets level: propagation
+    # holds k int32 tables and the int32 labels (4k + 4 bytes a point) plus
+    # cache-sized block buffers; a full-size temporary would add 4 or more
+    import tracemalloc
+
+    from nilorbit.families import fake_heisenberg_scheme
+
+    mats = fake_heisenberg_scheme(3, 1).at_level(6).coadjoint_generators()
+    k, n = len(mats), 3**12
+    assert k == 6
+    tracemalloc.start()
+    try:
+        labels = kernels.orbit_partition(mats, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 * k + 8) * n
+    assert labels.shape == (n,) and labels[0] == 0
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_table_entry_out_of_range_is_refused(bad):
+    with pytest.raises(ValueError, match="table 0"):
+        kernels.orbit_labels([np.array([1, 0, bad, 2])], 4)
+
+
+def test_malformed_tables_are_refused():
+    ok = np.array([1, 0, 3, 2])
+    for bad in (ok[:3], ok.reshape(2, 2), ok.astype(np.float64)):
+        with pytest.raises(ValueError, match="table 1"):
+            kernels.orbit_labels([ok, bad], 4)
+
+
+# -- block edges ----------------------------------------------------------------
+
+
+def _reference_labels(images, n):
+    """Unblocked min-label propagation: each step gathers the whole label
+    array, and a pass is repeated until it changes nothing."""
+    lab = np.arange(n, dtype=np.int32)
+    while True:
+        prev = lab
+        lab = lab.copy()
+        for img in images:
+            np.minimum(lab, lab[img], out=lab)
+        lab = lab[lab]
+        if np.array_equal(lab, prev):
+            break
+    roots = lab == np.arange(n, dtype=np.int32)
+    ids = np.cumsum(roots, dtype=np.int64) - 1
+    return ids[lab]
+
+
+_B = kernels.BLOCK
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    n=st.sampled_from([_B - 1, _B, _B + 1, 3 * _B + 17]),
+    tables=st.lists(
+        st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 7, 1000])),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_labels_match_unblocked_propagation_at_block_edges(n, tables):
+    # each table is a permutation of n points whose cycles have one drawn
+    # length (the last one shorter), on a drawn shuffle of the points
+    images = []
+    for seed, cycle in tables:
+        order = np.random.default_rng(seed).permutation(n)
+        nxt = np.arange(1, n + 1)
+        nxt[cycle - 1 :: cycle] -= cycle
+        nxt[-1] = n - 1 - (n - 1) % cycle
+        img = np.empty(n, dtype=np.int32)
+        img[order] = order[nxt]
+        images.append(img)
+    assert (kernels.orbit_labels(images, n) == _reference_labels(images, n)).all()
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_partition_over_several_blocks_matches_unblocked_propagation(data):
+    p, d = 3, 11  # 177,147 points, three table blocks and propagation blocks
+    entries = st.integers(0, p - 1)
+    mats = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        T = np.eye(d, dtype=np.int64)
+        for i, j in zip(*np.triu_indices(d, 1)):
+            T[i, j] = data.draw(entries)
+        mats.append(T)
+    mats = np.array(mats)
+    tables = kernels._image_tables(mats, p)
+    points = linalg.all_vectors(d, p)  # row i is point(i)
+    radix = p ** np.arange(d, dtype=np.int64)
+    for M, img in zip(mats, tables):
+        assert (img == (points @ M.T) % p @ radix).all()
+    labels = kernels.orbit_partition(mats, p)
+    assert (labels == _reference_labels(tables, p**d)).all()
 
 
 def test_single_orbit_hashset_matches_dense():
