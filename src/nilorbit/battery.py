@@ -33,9 +33,7 @@ from .cyclo import Cyclotomic
 
 def appendix_h2_ring(p=5):
     """[x,y] = z, [x,z] = t; basis (x, y, z, t)."""
-    return from_bracket_table(
-        p, 4, {(0, 1): {2: 1}, (0, 2): {3: 1}}, labels=("x", "y", "z", "t")
-    )
+    return from_bracket_table(p, 4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
 
 
 def witness_ring(p, adim):
@@ -43,8 +41,7 @@ def witness_ring(p, adim):
     table = {}
     for i in range(adim - 1):
         table[(0, 1 + i)] = {2 + i: 1}
-    labels = ("v",) + tuple("a%d" % (i + 1) for i in range(adim))
-    return from_bracket_table(p, 1 + adim, table, labels=labels)
+    return from_bracket_table(p, 1 + adim, table)
 
 
 def statement1_report(p=5):

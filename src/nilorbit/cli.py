@@ -2,9 +2,11 @@
 
 Subcommands: validate, chartable, orbits, packets, polarize, golden,
 counterexamples.  Input is a family (--family with its parameters) or a
-ring/algebra file (--file).  Outputs are CSV tables or line-oriented
-reports, deterministic for a fixed invocation.  Exit codes: 0 success,
-1 verification failure, 2 input error.
+ring/algebra file (--file), not both; only spas takes both, plus --sigma.
+Each input has a kind (scheme, ring, algebra or group), and each
+subcommand takes the kinds in KINDS and offers only the options it reads.
+Outputs are CSV tables or line-oriented reports, deterministic for a fixed
+invocation.  Exit codes: 0 success, 1 verification failure, 2 input error.
 """
 
 import argparse
@@ -12,8 +14,9 @@ import sys
 
 import numpy as np
 
-from . import battery, families, packets, polar, ringio
+from . import battery, families, linalg, packets, polar, ringio
 from .dixon import dixon_table
+from .liering import heisenberg_ring
 from .orbits import coadjoint_orbits, lazard_group, orbit_method_table
 
 
@@ -25,18 +28,101 @@ class VerificationError(Exception):
     pass
 
 
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def _parse_aij(args):
+    """Optional fake-Heisenberg coefficients: 'i:j:c,...' with c mod p;
+    the antisymmetric partner is filled in automatically."""
+    if not args.aij:
+        return None
+    out = {}
+    for tok in args.aij.split(","):
+        i, j, c = (int(t) for t in tok.split(":"))
+        out[(i, j)] = c % args.p
+        out.setdefault((j, i), (-c) % args.p)
+    return out
+
+
+def _spas(args):
+    if not args.file or not args.sigma:
+        raise InputError("spas needs --file <algebra> and --sigma <matrix>")
+    alg = ringio.parse_algebra(_read(args.file))
+    return families.sp_a_sigma(alg, ringio.parse_matrix(_read(args.sigma)))
+
+
+# family -> (kind, builder from the parsed options)
+FAMILIES = {
+    "fakeheis": ("scheme", lambda a: families.fake_heisenberg_scheme(a.p, a.s, coeffs=_parse_aij(a))),
+    "ul": ("scheme", lambda a: families.ul_lie_scheme(a.n, *linalg.prime_power(a.q or a.p))),
+    "abelian": ("scheme", lambda a: families.abelian_scheme(a.p, a.s, a.dim)),
+    "heisenberg": ("ring", lambda a: heisenberg_ring(a.p)),
+    "h2": ("ring", lambda a: battery.appendix_h2_ring(a.p)),
+    "spas": ("group", _spas),
+}
+
+# subcommand -> the kinds of input it takes; --file gives a ring or an algebra
+KINDS = {
+    "validate": ("ring", "algebra", "group"),
+    "chartable": ("ring", "algebra", "group"),
+    "orbits": ("ring",),
+    "polarize": ("ring",),
+    "packets": ("scheme",),
+}
+
+
+def _served_as(kind, kinds):
+    """A scheme is its level-1 ring wherever a ring is wanted."""
+    return "ring" if kind == "scheme" and "scheme" not in kinds else kind
+
+
+def load(args):
+    """The subcommand's one input as (kind, object), of a kind it takes."""
+    kinds = KINDS[args.command]
+    fam, path = args.family, getattr(args, "file", None)
+    if getattr(args, "sigma", None) and fam != "spas":
+        raise InputError("--sigma is read only with --family spas")
+    if fam is None:
+        if path is None:
+            raise InputError("need --family or --file")
+        obj = ringio.parse_spec(_read(path))
+        kind = "algebra" if isinstance(obj, families.AssocAlgebra) else "ring"
+    elif path is not None and fam != "spas":
+        raise InputError("--family and --file are exclusive (only spas takes both)")
+    else:
+        kind, build = FAMILIES[fam]
+        obj = build(args)
+        if _served_as(kind, kinds) != kind:
+            kind, obj = "ring", obj.at_level(1)
+    if kind not in kinds:
+        raise InputError("%s takes %s input, not %s" % (args.command, " or ".join(kinds), kind))
+    return kind, obj
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose refusals end like every other bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, "input error: %s: %s\n" % (self.prog, message))
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="nilorbit",
         description="characters of finite nilpotent groups via the orbit method",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, family=True):
-        if family:
+    def add(name, about, psi=False, max_order=False):
+        sp = sub.add_parser(name, help=about)
+        kinds = KINDS.get(name)
+        if kinds:
             sp.add_argument(
                 "--family",
-                choices=["fakeheis", "ul", "usp4", "spas", "algebra", "heisenberg", "abelian", "h2"],
+                choices=[f for f, (k, _) in FAMILIES.items() if _served_as(k, kinds) in kinds],
             )
             sp.add_argument("--p", type=int, default=5)
             sp.add_argument("--s", type=int, default=1)
@@ -48,104 +134,31 @@ def build_parser():
                 help="fakeheis coefficients 'i:j:c,...' (prime-field c; "
                 "antisymmetric partner filled in)",
             )
-            sp.add_argument("--file")
-            sp.add_argument("--sigma", help="anti-involution matrix file (spas)")
-        sp.add_argument("--psi", type=int, default=1, help="psi(1) = zeta_p^k")
+            if "ring" in kinds:
+                sp.add_argument("--file", help="ring or algebra file")
+            if "group" in kinds:
+                sp.add_argument("--sigma", help="anti-involution matrix file (spas)")
+        if psi:
+            sp.add_argument("--psi", type=int, default=1, help="psi(1) = zeta_p^k")
         sp.add_argument("--out")
-        sp.add_argument("--max-order", type=int, default=20000)
+        if max_order:
+            sp.add_argument("--max-order", type=int, default=20000)
+        return sp
 
-    sp = sub.add_parser("validate", help="validate a Lie ring or algebra")
-    add_common(sp)
-
-    sp = sub.add_parser("chartable", help="orbit-method character table")
-    add_common(sp)
+    add("validate", "validate a Lie ring or algebra")
+    sp = add("chartable", "orbit-method character table", psi=True, max_order=True)
     sp.add_argument("--oracle", action="store_true", help="compare with Dixon")
-
-    sp = sub.add_parser("orbits", help="coadjoint orbit census")
-    add_common(sp)
-
-    sp = sub.add_parser("packets", help="base-change / L-packet report")
-    add_common(sp)
+    add("orbits", "coadjoint orbit census", psi=True)
+    sp = add("packets", "base-change / L-packet report", psi=True)
     sp.add_argument("--level", type=int, default=1)
-
-    sp = sub.add_parser("polarize", help="Vergne and quasi-polarizations at f")
-    add_common(sp)
+    sp = add("polarize", "Vergne and quasi-polarizations at f")
     sp.add_argument("--f", required=True, help="comma-separated dual vector")
-
-    sp = sub.add_parser("golden", help="USp4 golden-table suite")
-    add_common(sp, family=False)
-    sp.add_argument("--family", choices=["usp4"], default="usp4")
+    sp = add("golden", "USp4 golden-table suite", psi=True, max_order=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--oracle", action="store_true")
-
-    sp = sub.add_parser("counterexamples", help="the class>=3 counterexample battery")
-    add_common(sp, family=False)
+    sp = add("counterexamples", "the class>=3 counterexample battery")
     sp.add_argument("--p", type=int, default=5)
     return ap
-
-
-def load_ring(args):
-    fam = getattr(args, "family", None)
-    if fam == "spas":
-        if not args.file or not args.sigma:
-            raise InputError("spas needs --file <algebra> and --sigma <matrix>")
-        with open(args.file) as fh:
-            alg = ringio.parse_algebra(fh.read())
-        with open(args.sigma) as fh:
-            sigma = ringio.parse_matrix(fh.read())
-        return families.sp_a_sigma(alg, sigma)
-    if args.file:
-        with open(args.file) as fh:
-            obj = ringio.parse_spec(fh.read())
-        return obj
-    if fam is None:
-        raise InputError("need --family or --file")
-    if fam == "fakeheis":
-        return families.fake_heisenberg_scheme(
-            args.p, args.s, coeffs=_parse_aij(args)
-        ).at_level(1)
-    if fam == "ul":
-        q = args.q or args.p
-        p, s = families._split_prime_power(q)
-        return families.ul_lie_scheme(args.n, p, s).at_level(1)
-    if fam == "heisenberg":
-        from .liering import heisenberg_ring
-
-        return heisenberg_ring(args.p)
-    if fam == "abelian":
-        return families.abelian_scheme(args.p, args.s, args.dim).at_level(1)
-    if fam == "h2":
-        return battery.appendix_h2_ring(args.p)
-    if fam == "usp4":
-        raise InputError("usp4 is served by the 'golden' subcommand")
-    raise InputError("unknown family %r" % fam)
-
-
-def _parse_aij(args):
-    """Optional fake-Heisenberg coefficients: 'i:j:c,...' with c mod p;
-    the antisymmetric partner is filled in automatically."""
-    spec = getattr(args, "aij", None)
-    if not spec:
-        return None
-    out = {}
-    for tok in spec.split(","):
-        i, j, c = (int(t) for t in tok.split(":"))
-        out[(i, j)] = c % args.p
-        out.setdefault((j, i), (-c) % args.p)
-    return out
-
-
-def load_scheme(args):
-    fam = getattr(args, "family", None)
-    if fam == "fakeheis":
-        return families.fake_heisenberg_scheme(args.p, args.s, coeffs=_parse_aij(args))
-    if fam == "ul":
-        q = args.q or args.p
-        p, s = families._split_prime_power(q)
-        return families.ul_lie_scheme(args.n, p, s)
-    if fam == "abelian":
-        return families.abelian_scheme(args.p, args.s, args.dim)
-    raise InputError("packets need a family defined over F_q (fakeheis/ul/abelian)")
 
 
 def _emit(args, text):
@@ -157,13 +170,11 @@ def _emit(args, text):
 
 
 def cmd_validate(args):
-    obj = load_ring(args)
-    if isinstance(obj, families.AssocAlgebra):
+    kind, obj = load(args)
+    if kind == "algebra":
         _emit(args, "algebra ok dim=%d nil_index=%d\n" % (obj.dim, obj.nil_index))
         return
-    from .groups import FiniteGroup
-
-    if isinstance(obj, FiniteGroup):
+    if kind == "group":
         obj.spot_check_axioms()
         _emit(args, "group ok order=%d\n" % obj.n)
         return
@@ -184,43 +195,35 @@ def cmd_validate(args):
 
 
 def cmd_chartable(args):
-    from .groups import FiniteGroup
-
-    ring = load_ring(args)
-    if isinstance(ring, (families.AssocAlgebra, FiniteGroup)):
-        G = (
-            ring
-            if isinstance(ring, FiniteGroup)
-            else families.algebra_group(ring, spot_check=False)
-        )
-        if G.n > args.max_order:
-            raise InputError("group order exceeds --max-order")
-        table = dixon_table(G, max_order=args.max_order)
-    else:
-        table, _ = orbit_method_table(ring, psi_k=args.psi)
+    kind, obj = load(args)
+    if kind == "ring":
+        table, _ = orbit_method_table(obj, psi_k=args.psi)
         if args.oracle:
-            G = lazard_group(ring)
+            G = lazard_group(obj)
             if G.n > args.max_order:
                 raise InputError("group order exceeds --max-order for the oracle")
             oracle = dixon_table(G, max_order=args.max_order)
             if not table.equals_as_set(oracle):
                 raise VerificationError("orbit-method table differs from the oracle")
+    else:
+        G = obj if kind == "group" else families.algebra_group(obj, spot_check=False)
+        if G.n > args.max_order:
+            raise InputError("group order exceeds --max-order")
+        table = dixon_table(G, max_order=args.max_order)
     table.verify()
     _emit(args, table.to_csv())
 
 
 def cmd_orbits(args):
-    ring = load_ring(args)
-    if isinstance(ring, families.AssocAlgebra):
-        raise InputError("orbit census needs a Lie ring")
+    _, ring = load(args)
     oset = coadjoint_orbits(ring, psi_k=args.psi)
     fdims = [None] * len(oset)
     if getattr(ring, "scheme", None) is not None:
         try:
             _, rep = packets.base_change_and_packets(ring.scheme, 1, psi_k=args.psi)
             fdims = rep.fdim_estimates()
-        except (ValueError, AssertionError):
-            pass  # growth estimate unavailable; column stays blank
+        except ValueError:
+            pass  # over a level or ladder budget: the column stays blank
     # orbit-stabilizer under Lazard: |orbit| = p^(dim g - dim g^f)
     stabilizer_dims = ring.dim - 2 * oset.half_logs
     lines = ["orbit_id,base_point,size,stabilizer_dim,fdim_estimate"]
@@ -235,13 +238,13 @@ def cmd_orbits(args):
 
 
 def cmd_packets(args):
-    scheme = load_scheme(args)
+    _, scheme = load(args)
     _, rep = packets.base_change_and_packets(scheme, args.level, psi_k=args.psi)
     _emit(args, rep.to_csv())
 
 
 def cmd_polarize(args):
-    ring = load_ring(args)
+    _, ring = load(args)
     f = np.array([int(t) for t in args.f.split(",")], dtype=np.int64)
     if len(f) != ring.dim:
         raise InputError("--f needs %d components" % ring.dim)
@@ -264,7 +267,7 @@ def cmd_polarize(args):
 def cmd_golden(args):
     q = args.q
     lines = []
-    even = q & (q - 1) == 0 and q > 1  # power of 2
+    even = linalg.prime_power(q)[0] == 2
     # the oracle runs on USp4(F_q), q^4 elements: refuse before any table
     if even and args.oracle and q**4 > args.max_order:
         raise InputError("oracle over budget at q=%d" % q)

@@ -355,9 +355,9 @@ def _root_counts(chi_mod, pm, e, l):
     )
 
 
-def dixon_table(G, class_data=None, max_order=DEFAULT_MAX_ORDER):
+def dixon_table(G, max_order=DEFAULT_MAX_ORDER):
     """The character table of G by the Dixon-Burnside algorithm."""
-    cd = class_data or G.conjugacy_classes()
+    cd = G.conjugacy_classes()
     n = cd.n
     if n > max_order:
         raise ValueError("group order %d exceeds the oracle budget %d" % (n, max_order))

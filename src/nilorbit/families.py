@@ -84,7 +84,6 @@ class FqLieScheme:
             fq=FqStructure(
                 field=K,
                 dim_q=self.dim_q,
-                fq_constants=None,
                 frobenius_matrix=frob,
                 scalar_matrices=(scal,),
             ),
@@ -186,12 +185,11 @@ def abelian_scheme(p, s, dim_q):
 class AssocAlgebra:
     """Nilpotent associative algebra over F_p by structure constants."""
 
-    def __init__(self, p, constants, labels=None):
+    def __init__(self, p, constants):
         constants = np.asarray(constants, dtype=np.int64) % p
         self.p = p
         self.dim = constants.shape[0]
         self.constants = constants
-        self.labels = labels
         self._validate()
 
     def _validate(self):
@@ -303,22 +301,8 @@ def _algebra_mul(A, I, J):
 
 def ul_group(n, q):
     """UL_n(F_q) as an algebra group (q = p^s)."""
-    p, s = _split_prime_power(q)
+    p, s = linalg.prime_power(q)
     return algebra_group(strict_upper_algebra(n, p, s))
-
-
-def _split_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            s = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                s += 1
-            if m != 1:
-                raise ValueError("%d is not a prime power" % q)
-            return p, s
-    raise ValueError("bad q")
 
 
 # -- generalized unipotent symplectic groups -------------------------------------
@@ -391,38 +375,35 @@ def _binomial_half(j):
 
 
 def _check_sqrt_bijection(A, S, members):
-    """1 + x  <->  x_-, recovering x_+ = -1 + (1 + x_-^2)^(1/2)."""
+    """1 + x  <->  x_-, recovering x_+ = -1 + (1 + x_-^2)^(1/2), for every
+    member at once."""
     p, d = A.p, A.dim
-    minus_proj_kernel = (S + np.eye(d, dtype=np.int64)) % p
-    seen = set()
     inv2 = pow(2, -1, p)
-    for idx in members:
-        x = linalg.decode_indices(np.int64(idx), d, p)
-        x_minus = ((x - (S @ x)) * inv2) % p
-        key = int(linalg.encode_vectors(x_minus, p))
-        if key in seen:
-            raise AssertionError("x -> x_- is not injective on Sp(A, sigma)")
-        seen.add(key)
-        # x_+ via the truncated Newton series on x_-^2
-        sq = A.product(x_minus, x_minus)
-        acc = np.zeros(d, dtype=np.int64)
-        term = sq.copy()
-        j = 1
-        while term.any():
-            coeff = _binomial_half(j)
-            c = (coeff.numerator * pow(coeff.denominator, -1, p)) % p
-            acc = (acc + c * term) % p
-            term = A.product(term, sq)
-            j += 1
-        x_plus = ((x + (S @ x)) * inv2) % p
-        if (acc != x_plus).any():
-            raise AssertionError("square-root recovery of x_+ failed")
+    X = linalg.decode_indices(members, d, p)
+    SX = (X @ S.T) % p
+    x_minus = ((X - SX) * inv2) % p
+    keys = np.sort(linalg.encode_vectors(x_minus, p))  # np.unique would import numpy.ma
+    if (keys[1:] == keys[:-1]).any():
+        raise AssertionError("x -> x_- is not injective on Sp(A, sigma)")
+    # x_+ via the truncated Newton series on x_-^2
+    sq = A.product(x_minus, x_minus)
+    acc = np.zeros_like(X)
+    term = sq
+    j = 1
+    while term.any():
+        coeff = _binomial_half(j)
+        c = (coeff.numerator * pow(coeff.denominator, -1, p)) % p
+        acc = (acc + c * term) % p
+        term = A.product(term, sq)
+        j += 1
+    if (acc != ((X + SX) * inv2) % p).any():
+        raise AssertionError("square-root recovery of x_+ failed")
 
 
 def usp4_flag_algebra(q):
     """The strictly-upper flag algebra of Sp_4 with the antidiagonal form,
     and the anti-involution sigma(M) = W^-1 M^t W for W = JS."""
-    p, s = _split_prime_power(q)
+    p, s = linalg.prime_power(q)
     A = strict_upper_algebra(4, p, s)
     W = np.zeros((4, 4), dtype=np.int64)
     signs = [-1, 1, -1, 1]
@@ -467,7 +448,7 @@ class USp4:
     is literally the displayed [a,b,c,d] form."""
 
     def __init__(self, q):
-        p, s = _split_prime_power(q)
+        p, s = linalg.prime_power(q)
         self.q = q
         self.field = FqField(p, s)
         self.n = q**4

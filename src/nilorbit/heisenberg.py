@@ -223,7 +223,7 @@ def _heisenberg_character(G, cd, C, CC, lam, p, psi_k, flag_perm=None):
         flag_rows = np.eye(k, dtype=np.int64)[list(flag_perm)]
     _, sigma, L_rows = polar.good_basis_and_involution(B, p, flag_rows=flag_rows)
     # lift the Lagrangian rows to subgroup elements of G
-    Ltilde = _lift_subgroup(G, Q, qreps, coset_rep, qcoords, L_rows, C, p)
+    Ltilde = _lift_subgroup(G, Q, qreps, coset_rep, qcoords, L_rows, p)
     # extend nu~ to a character f of Ltilde (through its abelianization)
     LC = AbCharacters(G, Ltilde, p)
     target = {int(e): CC.residue(lam, int(e)) for e in C}
@@ -243,7 +243,7 @@ def _heisenberg_character(G, cd, C, CC, lam, p, psi_k, flag_perm=None):
     return chi
 
 
-def _lift_subgroup(G, Q, qreps, coset_rep, qcoords, L_rows, C, p):
+def _lift_subgroup(G, Q, qreps, coset_rep, qcoords, L_rows, p):
     """Preimage in G of the subgroup of Q spanned by L_rows (coordinates)."""
     # enumerate quotient elements whose coordinates lie in the row space
     if len(L_rows) == 0:
@@ -310,7 +310,7 @@ def reduce_to_heisenberg(G, chi, p, psi_k=1, cd=None):
         if len(A) == len(N):
             break  # rho(A) scalar: Heisenberg stage reached
         AC = ElementaryCoords(cur_G, A, p)
-        chi1 = _canonical_constituent(cur_G, cur_cd, cur_chi, AC, p, psi_k)
+        chi1 = _canonical_constituent(cur_cd, cur_chi, AC, p, psi_k)
         stab = _character_stabilizer(cur_G, AC, chi1, p)
         H = _subgroup_group(cur_G, stab)
         hcd = H.conjugacy_classes()
@@ -340,7 +340,7 @@ def _residue_table(chi, p):
     return P.reshape(-1, P.shape[-1]), M, den
 
 
-def _canonical_constituent(G, cd, chi, AC, p, psi_k):
+def _canonical_constituent(cd, chi, AC, p, psi_k):
     """The lex-least character of A with nonzero multiplicity in Res_A chi."""
     elems = AC.elems
     coords = np.array([AC.coord_vector(int(e)) for e in elems], dtype=np.int64)

@@ -84,14 +84,12 @@ class FqStructure:
 
     The F_p-basis is ordered as (b_1 e_1, ..., b_s e_1, b_1 e_2, ...) where
     e_i is the F_q-basis and b_t = t^(t-1) the field power basis; flat index
-    (i, t) -> i*s + t.  fq_constants[i][j] is a dict k -> F_q coefficient of
-    [e_i, e_j].  The Frobenius matrix is one absolute (p-power) Frobenius
-    step applied coordinate-wise.
+    (i, t) -> i*s + t.  The Frobenius matrix is one absolute (p-power)
+    Frobenius step applied coordinate-wise.
     """
 
     field: object
     dim_q: int
-    fq_constants: tuple
     frobenius_matrix: np.ndarray
     scalar_matrices: tuple
 
@@ -108,16 +106,13 @@ class ValidationReport:
 class LieRing:
     """Finite Lie ring over F_p with dense structure constants."""
 
-    def __init__(self, p, constants, labels=None, fq=None):
+    def __init__(self, p, constants, fq=None):
         constants = np.asarray(constants, dtype=np.int64) % p
         if constants.ndim != 3 or constants.shape[0] != constants.shape[1] or constants.shape[0] != constants.shape[2]:
             raise ValueError("structure constants must be d x d x d")
         self.p = p
         self.dim = constants.shape[0]
         self.constants = constants
-        self.labels = tuple(labels) if labels else tuple(
-            "e%d" % (i + 1) for i in range(self.dim)
-        )
         self.fq = fq
         self._cache = {}
 
@@ -388,14 +383,14 @@ def heisenberg_ring(p):
     C = np.zeros((3, 3, 3), dtype=np.int64)
     C[0, 1, 2] = 1
     C[1, 0, 2] = p - 1
-    return LieRing(p, C, labels=("x", "y", "z"))
+    return LieRing(p, C)
 
 
-def from_bracket_table(p, dim, table, labels=None, fq=None):
+def from_bracket_table(p, dim, table):
     """table: {(i, j): {k: coeff}} for i < j; antisymmetry is filled in."""
     C = np.zeros((dim, dim, dim), dtype=np.int64)
     for (i, j), row in table.items():
         for k, v in row.items():
             C[i, j, k] = v % p
             C[j, i, k] = (-v) % p
-    return LieRing(p, C, labels=labels, fq=fq)
+    return LieRing(p, C)

@@ -4,8 +4,9 @@ Matrices are numpy int64 arrays with entries reduced mod p.  Sizes here are
 small (dimensions <= ~20 for ring computations, a few hundred for the Dixon
 oracle), so clarity wins over asymptotics; row operations are vectorized.
 `bilinear` is the one structure-constant contraction behind every Lie
-bracket and algebra product.  The primality and prime-factor helpers are
-shared by the field, cyclotomic and oracle modules.
+bracket and algebra product.  The primality, prime-factor and prime-power
+helpers are shared by the field, cyclotomic, family and oracle modules and
+the CLI.
 """
 
 from functools import lru_cache
@@ -49,6 +50,18 @@ def prime_factors(n):
     if n > 1:
         out.append(n)
     return tuple(out)
+
+
+def prime_power(q):
+    """(p, s) with q = p^s, p prime and s >= 1."""
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError("%d is not a prime power" % q)
+    p, s = factors[0], 0
+    while q > 1:
+        q //= p
+        s += 1
+    return p, s
 
 
 def rref(mat, p):

@@ -22,6 +22,9 @@ import numpy as np
 from . import kernels, linalg
 from .orbits import coadjoint_orbits
 
+# the highest tower level the packet ladder climbs to before giving up
+MAX_LEVEL = 512
+
 
 class TowerInstance:
     """One materialized level g(F_{q^n}) with its dual bookkeeping."""
@@ -187,7 +190,7 @@ def _partition_at(scheme, m, n, psi_k):
     return part, ("affine", None, om, None)
 
 
-def base_change_and_packets(scheme, m=1, max_level=512, psi_k=1):
+def base_change_and_packets(scheme, m=1, psi_k=1):
     """Packets at level m: stable fibers of T_m^n as n grows.
 
     Ladder: n doubles starting at 2m; when two consecutive doubling rounds
@@ -207,7 +210,7 @@ def base_change_and_packets(scheme, m=1, max_level=512, psi_k=1):
     prev = None  # (level, partition) of the previous round in the chain
     certified = None
     confirmed = None
-    while n <= max_level:
+    while n <= MAX_LEVEL:
         part, detail = _partition_at(scheme, m, n, psi_k)
         rounds.append((n, part, detail))
         if prev is not None and prev[1] == part:
@@ -228,9 +231,7 @@ def base_change_and_packets(scheme, m=1, max_level=512, psi_k=1):
         prev = (n, part)
         n *= 2
     if certified is None:
-        raise AssertionError(
-            "fiber partition did not stabilize within level %d" % max_level
-        )
+        raise ValueError("fiber partition did not stabilize within level %d" % MAX_LEVEL)
     # exhaustive checks at the densely materialized levels
     dense_rounds = [
         (nn, det[1], det[2], det[3]) for nn, _, det in rounds if det[0] == "dense"
@@ -349,7 +350,7 @@ class PacketReport:
 # -- abelian trace/Lang checks ------------------------------------------------------
 
 
-def abelian_trace_check(scheme, m, n, psi_k=1):
+def abelian_trace_check(scheme, m, n):
     """Exactness Gamma_n --L_m--> Gamma_n --tr--> Gamma_m --> 0 on points,
     plus the duality: characters of Gamma_m pulled back along tr are exactly
     the Fr^m-fixed characters of Gamma_n."""

@@ -97,7 +97,7 @@ def verify_intertwiner(ring, rep, phi, T):
     return True
 
 
-def twisted_trace_basis(ring, G, phi_matrix, table, orbit_reps, psi_k=1, seed=1):
+def twisted_trace_basis(ring, G, phi_matrix, table, orbit_reps, seed=1):
     """The full twisted-conjugacy analysis for a Lazard group.
 
     phi_matrix: automorphism of the ring as a matrix (e.g. Frobenius).
@@ -106,7 +106,6 @@ def twisted_trace_basis(ring, G, phi_matrix, table, orbit_reps, psi_k=1, seed=1)
     values and rank/constancy verdicts.
     """
     from . import linalg as la
-    from .polar import MonomialRep  # noqa: F401 (documented dependency)
 
     p = ring.p
     perm = la.encode_vectors(

@@ -1,11 +1,13 @@
+import argparse
 import subprocess
 import sys
 import time
 
 import pytest
 
-from nilorbit import families, ringio
-from nilorbit.cli import main
+from nilorbit import families, packets, ringio
+from nilorbit.cli import KINDS, build_parser, main
+from nilorbit.liering import heisenberg_ring
 
 RUN = [sys.executable, "-m", "nilorbit"]
 
@@ -234,3 +236,138 @@ def test_malformed_ring_exits_2_with_its_line(tmp_path, capsys, text, message):
     f.write_text(text)
     assert main(["validate", "--file", str(f)]) == 2
     assert capsys.readouterr().err.startswith(message)
+
+
+# -- one input dispatch: kinds per subcommand, options only where read ---------
+
+
+def _spas_files(tmp_path):
+    A, S = families.usp4_flag_algebra(3)
+    alg, sig = tmp_path / "flag.alg", tmp_path / "sigma.mat"
+    alg.write_text(ringio.emit_algebra(A))
+    sig.write_text(ringio.emit_matrix(S))
+    return str(alg), str(sig)
+
+
+def _assert_input_error(r):
+    assert r.returncode == 2 and r.stdout == "", r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines()[-1].startswith("input error:"), r.stderr
+
+
+def test_inputs_of_a_kind_a_subcommand_does_not_take_exit_2(tmp_path):
+    alg, sig = _spas_files(tmp_path)
+    # a group for the orbit census or the polarizations: not a choice there
+    for args in (["orbits"], ["polarize", "--f", "0,0,0,0,0,0"]):
+        r = run_cli(args + ["--family", "spas", "--file", alg, "--sigma", sig])
+        _assert_input_error(r)
+        assert "invalid choice: 'spas'" in r.stderr
+    # an algebra file: refused by the loader
+    r = run_cli(["polarize", "--file", alg, "--f", "0,0,0,0,0,0"])
+    _assert_input_error(r)
+    assert r.stderr == "input error: polarize takes ring input, not algebra\n"
+
+
+def test_family_and_file_are_exclusive(tmp_path, capsys):
+    ring = tmp_path / "h.ring"
+    ring.write_text(ringio.emit_liering(heisenberg_ring(3)))
+    assert main(["validate", "--family", "ul", "--n", "4", "--q", "5", "--file", str(ring)]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: --family and --file are exclusive (only spas takes both)\n"
+    # --sigma is read by spas alone
+    alg, sig = _spas_files(tmp_path)
+    assert main(["chartable", "--file", str(ring), "--sigma", sig]) == 2
+    assert capsys.readouterr().err == "input error: --sigma is read only with --family spas\n"
+    # packets takes a scheme, so it has no --file to ignore
+    r = run_cli(["packets", "--family", "abelian", "--p", "3", "--file", str(ring)])
+    _assert_input_error(r)
+    assert "unrecognized arguments: --file" in r.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["validate", "--family", "heisenberg", "--psi", "3"], "unrecognized arguments: --psi"),
+        (["polarize", "--family", "h2", "--f", "0,0,0,1", "--psi", "2"], "unrecognized arguments: --psi"),
+        (["counterexamples", "--psi", "2"], "unrecognized arguments: --psi"),
+        (["validate", "--family", "heisenberg", "--max-order", "9"], "unrecognized arguments: --max-order"),
+        (["orbits", "--family", "heisenberg", "--max-order", "9"], "unrecognized arguments: --max-order"),
+        (["packets", "--family", "fakeheis", "--p", "3", "--max-order", "9"], "unrecognized arguments: --max-order"),
+        (["orbits", "--family", "heisenberg", "--sigma", "s.mat"], "unrecognized arguments: --sigma"),
+        (["chartable", "--family", "algebra", "--file", "FILE"], "invalid choice: 'algebra'"),
+        (["chartable", "--family", "usp4", "--q", "4"], "invalid choice: 'usp4'"),
+        (["golden", "--q", "2", "--family", "usp4"], "unrecognized arguments: --family"),
+    ],
+    ids=["validate-psi", "polarize-psi", "battery-psi", "validate-max-order", "orbits-max-order",
+         "packets-max-order", "orbits-sigma", "algebra-choice", "usp4-choice", "golden-family"],
+)
+def test_removed_options_and_dead_choices_exit_2(tmp_path, args, message):
+    ring = tmp_path / "h.ring"
+    ring.write_text(ringio.emit_liering(heisenberg_ring(3)))
+    r = run_cli([str(ring) if a == "FILE" else a for a in args])
+    _assert_input_error(r)
+    assert message in r.stderr
+
+
+def _options(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {a.option_strings[0] for a in sp._actions if a.dest != "help"}
+        for name, sp in sub.choices.items()
+    }
+
+
+def test_each_subcommand_offers_only_the_options_it_reads():
+    family = {"--family", "--p", "--s", "--n", "--q", "--dim", "--aij"}
+    assert _options(build_parser()) == {
+        "validate": family | {"--file", "--sigma", "--out"},
+        "chartable": family | {"--file", "--sigma", "--psi", "--out", "--max-order", "--oracle"},
+        "orbits": family | {"--file", "--psi", "--out"},
+        "packets": family | {"--psi", "--out", "--level"},
+        "polarize": family | {"--file", "--out", "--f"},
+        "golden": {"--q", "--psi", "--out", "--max-order", "--oracle"},
+        "counterexamples": {"--p", "--out"},
+    }
+    assert sum(map(len, _options(build_parser()).values())) == 60
+    # a subcommand's families are those of the kinds it takes
+    choices = {
+        name: next(a.choices for a in sp._actions if a.dest == "family")
+        for name, sp in next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices.items()
+        if name in KINDS
+    }
+    assert choices == {
+        "validate": ["fakeheis", "ul", "abelian", "heisenberg", "h2", "spas"],
+        "chartable": ["fakeheis", "ul", "abelian", "heisenberg", "h2", "spas"],
+        "orbits": ["fakeheis", "ul", "abelian", "heisenberg", "h2"],
+        "polarize": ["fakeheis", "ul", "abelian", "heisenberg", "h2"],
+        "packets": ["fakeheis", "ul", "abelian"],
+    }
+
+
+def test_non_prime_powers_exit_2(capsys):
+    for args in (["validate", "--family", "ul", "--q", "6"], ["golden", "--q", "12"]):
+        assert main(args) == 2
+        assert capsys.readouterr().err == "input error: %s is not a prime power\n" % args[-1]
+
+
+def test_orbits_reports_a_failed_base_change_check(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise AssertionError("base change is not Fr-equivariant")
+
+    monkeypatch.setattr(packets, "_check_fr_equivariance", broken)
+    assert main(["orbits", "--family", "fakeheis", "--p", "3", "--s", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failure: base change is not Fr-equivariant\n"
+
+
+def test_orbits_leaves_the_estimate_blank_past_the_ladder_budget(monkeypatch, capsys):
+    # with no level to climb to, the ladder gives up: a budget, not a fault
+    monkeypatch.setattr(packets, "MAX_LEVEL", 1)
+    with pytest.raises(ValueError, match="did not stabilize within level 1"):
+        packets.base_change_and_packets(families.fake_heisenberg_scheme(3, 1), 1)
+    assert main(["orbits", "--family", "fakeheis", "--p", "3", "--s", "1"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 1 + 9 and all(line.endswith(",") for line in lines[1:])

@@ -70,7 +70,7 @@ def test_algebra_group_table_equals_lazard_table():
     for (n, q) in ((3, 3), (3, 5)):
         Galg = fam.ul_group(n, q)
         talg = dixon_table(Galg)
-        ring = fam.ul_lie_scheme(n, *fam._split_prime_power(q)).at_level(1)
+        ring = fam.ul_lie_scheme(n, *linalg.prime_power(q)).at_level(1)
         tlaz, _ = ob.orbit_method_table(ring)
         Glaz = ob.lazard_group(ring)
         assert table_fingerprint(talg, Galg) == table_fingerprint(tlaz, Glaz)
@@ -242,6 +242,23 @@ def test_sp_a_sigma_trivial_algebra():
     A = fam.AssocAlgebra(3, np.zeros((1, 1, 1), dtype=np.int64))
     G = fam.sp_a_sigma(A, np.array([[2]]))  # sigma = -1: x + (-x) + x(-x) = 0
     assert G.n == 3  # A_- is everything for sigma = -id on a null algebra
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_sqrt_bijection_check_catches_mutants(q):
+    A, S = fam.usp4_flag_algebra(q)
+    members = fam.usp4_via_sp(q).members
+    fam._check_sqrt_bijection(A, S, members)
+    # a member listed twice has the same x_-
+    with pytest.raises(AssertionError, match="not injective"):
+        fam._check_sqrt_bijection(A, S, np.append(members, members[7]))
+    # x + v with sigma(v) = v keeps x_- and moves x_+: only recovery sees it
+    v = linalg.kernel((S - np.eye(A.dim, dtype=np.int64)) % q, q)[0]
+    x = linalg.decode_indices(members[7], A.dim, q)
+    bad = members.copy()
+    bad[7] = linalg.encode_vectors((x + v) % q, q)
+    with pytest.raises(AssertionError, match="square-root recovery"):
+        fam._check_sqrt_bijection(A, S, bad)
 
 
 def test_gutkin_witnesses():

@@ -362,7 +362,7 @@ def test_tensor_checks_match_basis_loops_on_class_le3_zoo():
                 (np.eye(d, dtype=np.int64), rng.integers(0, p, (d, d))),
                 (rng.integers(0, p, (d, d)), np.eye(d, dtype=np.int64)),
             ]:
-                fq = FqStructure(FqField(p, 1), d, None, F, (S,))
+                fq = FqStructure(FqField(p, 1), d, F, (S,))
                 _assert_checks_match(LieRing(p, ring.constants, fq=fq))
     for ring in (fake_heisenberg(3, 2), fake_heisenberg_scheme(3, 1).at_level(2), ul_lie_scheme(3, 3, 2).at_level(1)):
         _assert_checks_match(ring)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilorbit import linalg
@@ -76,3 +77,11 @@ def test_rref_full_rank_large_prime():
     assert pivots == list(range(40))
     assert (R[:, :40] == np.eye(40, dtype=np.int64)).all()
     assert (R == _reference_rref(X, p)[0]).all()
+
+
+def test_prime_power():
+    for q, want in ((2, (2, 1)), (9, (3, 2)), (32, (2, 5)), (125, (5, 3)), (65537, (65537, 1))):
+        assert linalg.prime_power(q) == want
+    for q in (-4, 0, 1, 6, 12, 100):
+        with pytest.raises(ValueError, match="^%d is not a prime power$" % q):
+            linalg.prime_power(q)
