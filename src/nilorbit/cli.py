@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import battery, families, linalg, packets, polar, ringio
-from .dixon import dixon_table
+from .dixon import DEFAULT_MAX_ORDER, check_order, dixon_table
 from .liering import heisenberg_ring
 from .orbits import coadjoint_orbits, lazard_group, orbit_method_table
 
@@ -33,17 +33,17 @@ def _read(path):
         return fh.read()
 
 
-def _parse_aij(args):
-    """Optional fake-Heisenberg coefficients: 'i:j:c,...' with c mod p;
-    the antisymmetric partner is filled in automatically."""
-    if not args.aij:
-        return None
-    out = {}
-    for tok in args.aij.split(","):
-        i, j, c = (int(t) for t in tok.split(":"))
-        out[(i, j)] = c % args.p
-        out.setdefault((j, i), (-c) % args.p)
-    return out
+def _fakeheis(args):
+    """The fake-Heisenberg scheme, with the optional coefficients --aij
+    'i:j:c,...' (c mod p; the antisymmetric partner is filled in)."""
+    coeffs = None
+    if args.aij:
+        coeffs = {}
+        for tok in args.aij.split(","):
+            i, j, c = (int(t) for t in tok.split(":"))
+            coeffs[(i, j)] = c % args.p
+            coeffs.setdefault((j, i), (-c) % args.p)
+    return families.fake_heisenberg_scheme(args.p, args.s, coeffs=coeffs)
 
 
 def _spas(args):
@@ -53,15 +53,18 @@ def _spas(args):
     return families.sp_a_sigma(alg, ringio.parse_matrix(_read(args.sigma)))
 
 
-# family -> (kind, builder from the parsed options)
+# family -> (kind, the parameters it reads, builder from the parsed options)
 FAMILIES = {
-    "fakeheis": ("scheme", lambda a: families.fake_heisenberg_scheme(a.p, a.s, coeffs=_parse_aij(a))),
-    "ul": ("scheme", lambda a: families.ul_lie_scheme(a.n, *linalg.prime_power(a.q or a.p))),
-    "abelian": ("scheme", lambda a: families.abelian_scheme(a.p, a.s, a.dim)),
-    "heisenberg": ("ring", lambda a: heisenberg_ring(a.p)),
-    "h2": ("ring", lambda a: battery.appendix_h2_ring(a.p)),
-    "spas": ("group", _spas),
+    "fakeheis": ("scheme", ("p", "s", "aij"), _fakeheis),
+    "ul": ("scheme", ("n", "q"), lambda a: families.ul_lie_scheme(a.n, *linalg.prime_power(a.q))),
+    "abelian": ("scheme", ("p", "s", "dim"), lambda a: families.abelian_scheme(a.p, a.s, a.dim)),
+    "heisenberg": ("ring", ("p",), lambda a: heisenberg_ring(a.p)),
+    "h2": ("ring", ("p",), lambda a: battery.appendix_h2_ring(a.p)),
+    "spas": ("group", (), _spas),
 }
+
+# family parameter -> the value a family that reads it takes when it is not given
+PARAMETERS = {"p": 5, "s": 1, "n": 3, "q": 5, "dim": 1, "aij": None}
 
 # subcommand -> the kinds of input it takes; --file gives a ring or an algebra
 KINDS = {
@@ -78,12 +81,24 @@ def _served_as(kind, kinds):
     return "ring" if kind == "scheme" and "scheme" not in kinds else kind
 
 
+def _refuse_given(args, names, where):
+    """Refuses the options among names that were given: they are not read where."""
+    values = {k: getattr(args, k) for k in names}
+    given = " ".join("--" + k for k, v in values.items() if v is not None and v is not False)
+    if given:
+        raise InputError("%s not read %s" % (given, where))
+
+
 def load(args):
     """The subcommand's one input as (kind, object), of a kind it takes."""
     kinds = KINDS[args.command]
     fam, path = args.family, getattr(args, "file", None)
     if getattr(args, "sigma", None) and fam != "spas":
         raise InputError("--sigma is read only with --family spas")
+    reads = FAMILIES[fam][1] if fam else ()
+    unread = [k for k in PARAMETERS if k not in reads]
+    _refuse_given(args, unread, "by family %s" % fam if fam else "with --file")
+    vars(args).update({k: PARAMETERS[k] for k in reads if getattr(args, k) is None})
     if fam is None:
         if path is None:
             raise InputError("need --family or --file")
@@ -92,7 +107,7 @@ def load(args):
     elif path is not None and fam != "spas":
         raise InputError("--family and --file are exclusive (only spas takes both)")
     else:
-        kind, build = FAMILIES[fam]
+        kind, _, build = FAMILIES[fam]
         obj = build(args)
         if _served_as(kind, kinds) != kind:
             kind, obj = "ring", obj.at_level(1)
@@ -122,13 +137,10 @@ def build_parser():
         if kinds:
             sp.add_argument(
                 "--family",
-                choices=[f for f, (k, _) in FAMILIES.items() if _served_as(k, kinds) in kinds],
+                choices=[f for f, (k, _, _) in FAMILIES.items() if _served_as(k, kinds) in kinds],
             )
-            sp.add_argument("--p", type=int, default=5)
-            sp.add_argument("--s", type=int, default=1)
-            sp.add_argument("--n", type=int, default=3)
-            sp.add_argument("--q", type=int, default=0)
-            sp.add_argument("--dim", type=int, default=1)
+            for k in ("p", "s", "n", "q", "dim"):
+                sp.add_argument("--" + k, type=int)
             sp.add_argument(
                 "--aij",
                 help="fakeheis coefficients 'i:j:c,...' (prime-field c; "
@@ -139,10 +151,10 @@ def build_parser():
             if "group" in kinds:
                 sp.add_argument("--sigma", help="anti-involution matrix file (spas)")
         if psi:
-            sp.add_argument("--psi", type=int, default=1, help="psi(1) = zeta_p^k")
+            sp.add_argument("--psi", type=int, help="psi(1) = zeta_p^k (default 1)")
         sp.add_argument("--out")
         if max_order:
-            sp.add_argument("--max-order", type=int, default=20000)
+            sp.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
         return sp
 
     add("validate", "validate a Lie ring or algebra")
@@ -159,6 +171,11 @@ def build_parser():
     sp = add("counterexamples", "the class>=3 counterexample battery")
     sp.add_argument("--p", type=int, default=5)
     return ap
+
+
+def _psi(args):
+    """--psi, or 1 where it is not given."""
+    return 1 if args.psi is None else args.psi
 
 
 def _emit(args, text):
@@ -197,18 +214,15 @@ def cmd_validate(args):
 def cmd_chartable(args):
     kind, obj = load(args)
     if kind == "ring":
-        table, _ = orbit_method_table(obj, psi_k=args.psi)
+        table, _ = orbit_method_table(obj, psi_k=_psi(args))
         if args.oracle:
-            G = lazard_group(obj)
-            if G.n > args.max_order:
-                raise InputError("group order exceeds --max-order for the oracle")
-            oracle = dixon_table(G, max_order=args.max_order)
+            oracle = dixon_table(lazard_group(obj), max_order=args.max_order)
             if not table.equals_as_set(oracle):
                 raise VerificationError("orbit-method table differs from the oracle")
     else:
+        # the table is Dixon's: no additive character, and no other table
+        _refuse_given(args, ("psi", "oracle"), "on %s input" % kind)
         G = obj if kind == "group" else families.algebra_group(obj, spot_check=False)
-        if G.n > args.max_order:
-            raise InputError("group order exceeds --max-order")
         table = dixon_table(G, max_order=args.max_order)
     table.verify()
     _emit(args, table.to_csv())
@@ -216,11 +230,11 @@ def cmd_chartable(args):
 
 def cmd_orbits(args):
     _, ring = load(args)
-    oset = coadjoint_orbits(ring, psi_k=args.psi)
+    oset = coadjoint_orbits(ring, psi_k=_psi(args))
     fdims = [None] * len(oset)
     if getattr(ring, "scheme", None) is not None:
         try:
-            _, rep = packets.base_change_and_packets(ring.scheme, 1, psi_k=args.psi)
+            _, rep = packets.base_change_and_packets(ring.scheme, 1, psi_k=_psi(args))
             fdims = rep.fdim_estimates()
         except ValueError:
             pass  # over a level or ladder budget: the column stays blank
@@ -239,7 +253,7 @@ def cmd_orbits(args):
 
 def cmd_packets(args):
     _, scheme = load(args)
-    _, rep = packets.base_change_and_packets(scheme, args.level, psi_k=args.psi)
+    _, rep = packets.base_change_and_packets(scheme, args.level, psi_k=_psi(args))
     _emit(args, rep.to_csv())
 
 
@@ -268,20 +282,17 @@ def cmd_golden(args):
     q = args.q
     lines = []
     even = linalg.prime_power(q)[0] == 2
+    if not even:  # the table is Dixon's: no additive character, and no other table
+        _refuse_given(args, ("psi", "oracle"), "at odd q")
     # the oracle runs on USp4(F_q), q^4 elements: refuse before any table
-    if even and args.oracle and q**4 > args.max_order:
-        raise InputError("oracle over budget at q=%d" % q)
-    if not even and q**4 > args.max_order:
-        raise InputError("group order %d exceeds the oracle budget %d" % (q**4, args.max_order))
+    if args.oracle or not even:
+        check_order(q**4, args.max_order)
     if even:
-        table = families.usp4_lusztig_table(q, psi_k=args.psi)
+        table = families.usp4_lusztig_table(q, psi_k=_psi(args))
         table.verify()
         counts = table.degree_multiset()
         expected = {1: q * q, q: 2 * (q - 1)}
-        if q > 2:
-            expected[q // 2] = 4 * (q - 1) * (q - 1)
-        else:
-            expected[1] += 4 * (q - 1) * (q - 1)
+        expected[q // 2] = expected.get(q // 2, 0) + 4 * (q - 1) ** 2  # q // 2 = 1 at q = 2
         if counts != expected:
             raise VerificationError("Lusztig degree counts are off: %s" % counts)
         lines.append("lusztig_counts %s" % sorted(counts.items()))
@@ -309,38 +320,27 @@ def cmd_golden(args):
     _emit(args, "\n".join(lines) + "\n")
 
 
+def _refuted(name, report):
+    """A report line for a statement the battery should refute, and whether it did."""
+    return "%s %s" % (name, "REFUTED" if report["refuted"] else "HOLDS"), report["refuted"]
+
+
 def cmd_counterexamples(args):
     res = battery.full_battery(args.p)
-    lines = []
-    ok = True
-
-    def mark(name, refuted, expect=True):
-        nonlocal ok
-        verdict = "REFUTED" if refuted else "HOLDS"
-        lines.append("%s %s" % (name, verdict))
-        if refuted != expect:
-            ok = False
-
-    mark("statement1_multiple_of_rho", res["statement1"]["refuted"])
-    mark("statement2_extends_to_polarization", res["statement2"]["refuted"])
-    mark("statement3_6_module_property", res["statement36"]["refuted"])
-    mark("statement3_module_structure_pair", res["statement3_pair"]["refuted"])
-    mark("statement7_perm_vs_tensor_class4", res["statement7_class4"]["refuted"])
-    lines.append(
-        "statement7_class_le3 HOLDS_ON %d RINGS %s"
-        % (res["statement7_class3"]["count"], res["statement7_class3"]["all_hold"])
-    )
-    if not res["statement7_class3"]["all_hold"]:
-        ok = False
-    lines.append("class2_statements_hold %s" % res["class2_module_property"]["all_hold"])
-    if not res["class2_module_property"]["all_hold"]:
-        ok = False
-    lines.append("parabola_fibers_equal %s" % res["parabola"]["equal"])
-    if not res["parabola"]["equal"]:
-        ok = False
-    mark("veronese_images_equal", res["veronese"]["refuted"])
-    _emit(args, "\n".join(lines) + "\n")
-    if not ok:
+    c3, c2, parabola = res["statement7_class3"], res["class2_module_property"], res["parabola"]
+    verdicts = [  # (report line, whether it is the expected verdict)
+        _refuted("statement1_multiple_of_rho", res["statement1"]),
+        _refuted("statement2_extends_to_polarization", res["statement2"]),
+        _refuted("statement3_6_module_property", res["statement36"]),
+        _refuted("statement3_module_structure_pair", res["statement3_pair"]),
+        _refuted("statement7_perm_vs_tensor_class4", res["statement7_class4"]),
+        ("statement7_class_le3 HOLDS_ON %(count)d RINGS %(all_hold)s" % c3, c3["all_hold"]),
+        ("class2_statements_hold %s" % c2["all_hold"], c2["all_hold"]),
+        ("parabola_fibers_equal %s" % parabola["equal"], parabola["equal"]),
+        _refuted("veronese_images_equal", res["veronese"]),
+    ]
+    _emit(args, "".join(line + "\n" for line, _ in verdicts))
+    if not all(ok for _, ok in verdicts):
         raise VerificationError("battery outcome differs from the expected verdicts")
 
 
@@ -360,10 +360,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         COMMANDS[args.command](args)
-    except InputError as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return 2
-    except (ringio.ParseError, FileNotFoundError, ValueError) as e:
+    except (InputError, FileNotFoundError, ValueError) as e:  # ringio.ParseError is a ValueError
         print("input error: %s" % e, file=sys.stderr)
         return 2
     except (VerificationError, AssertionError) as e:

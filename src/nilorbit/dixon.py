@@ -36,7 +36,7 @@ import numpy as np
 from .chartable import CharacterTable
 from . import linalg
 
-DEFAULT_MAX_ORDER = 20000
+DEFAULT_MAX_ORDER = 20000  # the oracle budget: the largest group order it takes
 BLOCK = 1 << 16  # group-law pairs, or gathered values, per bulk step
 # float64 holds every integer of magnitude at most 2^53
 _FLOAT_EXACT = 2**53
@@ -355,14 +355,19 @@ def _root_counts(chi_mod, pm, e, l):
     )
 
 
-def dixon_table(G, max_order=DEFAULT_MAX_ORDER):
-    """The character table of G by the Dixon-Burnside algorithm."""
-    cd = G.conjugacy_classes()
-    n = cd.n
+def check_order(n, max_order=DEFAULT_MAX_ORDER):
+    """Refuses a group of order n above the oracle budget max_order."""
     if n > max_order:
         raise ValueError("group order %d exceeds the oracle budget %d" % (n, max_order))
+
+
+def dixon_table(G, max_order=DEFAULT_MAX_ORDER):
+    """The character table of G by the Dixon-Burnside algorithm; a group
+    above max_order is refused before any use of its law."""
+    check_order(G.n, max_order)
+    cd = G.conjugacy_classes()
     e = G.exponent()
-    l = dixon_prime(n, e)
+    l = dixon_prime(G.n, e)
     pm = G.power_classes(e)
 
     chi_mod, deg = _characters_mod(_split_all(G, cd, l), cd, l)

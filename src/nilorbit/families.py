@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
+from . import kernels, linalg
 from .chartable import CharacterTable
 from .gfq import FqField, fq_embed, register_composite
 from .groups import AbelianGroup, FiniteGroup, is_homomorphism, little_groups
@@ -318,6 +318,8 @@ def sp_a_sigma(A, sigma):
     root bijection x_+ = -1 + (1 + x_-^2)^(1/2).
     """
     p, d = A.p, A.dim
+    if A.order > kernels.DENSE_BUDGET:
+        raise ValueError("Sp(A, sigma) scan over %d^%d points exceeds the dense budget" % (p, d))
     S = np.asarray(sigma, dtype=np.int64) % p
     if S.shape != (d, d):
         raise ValueError("sigma must be a %d x %d matrix" % (d, d))

@@ -45,22 +45,19 @@ from . import linalg
 
 BACKEND = "numpy"  # the kernel implementation, reported with benchmark results
 
-_MAX_DENSE_BITS = 24
+DENSE_BUDGET = 1 << 24  # points of one dense index space F_p^d
+HASHSET_BUDGET = 1 << 22  # points of one orbit found by hash-set BFS
 BLOCK = 1 << 16  # points per gather: each step's buffers stay cache-sized
 
 
 def orbit_partition(mats, p):
     """labels[i] = orbit id of point i; ids numbered by increasing seed.
 
-    Guard: the dense index space must fit 2^24 points (the documented
-    budget for dense visitation).
+    Refuses an index space beyond DENSE_BUDGET points.
     """
     d = mats.shape[1] if hasattr(mats, "shape") else len(mats[0])
-    if p**d > (1 << _MAX_DENSE_BITS):
-        raise ValueError(
-            "dense orbit enumeration over %d^%d points exceeds the 2^%d budget"
-            % (p, d, _MAX_DENSE_BITS)
-        )
+    if p**d > DENSE_BUDGET:
+        raise ValueError("orbit enumeration over %d^%d points exceeds the dense budget" % (p, d))
     mats = np.asarray(mats, dtype=np.int64) % p
     if mats.ndim != 3 or mats.shape[2] != d:
         raise ValueError("generator matrices must be square")
@@ -175,9 +172,10 @@ def _addition_table(p, c):
     return add
 
 
-def single_orbit(mats, p, seed_vec, limit=1 << 22):
+def single_orbit(mats, p, seed_vec):
     """One orbit by hash-set BFS: for index spaces beyond the dense budget,
-    where only the orbit of a given point is needed.
+    where only the orbit of a given point is needed.  Refuses an orbit of
+    more than HASHSET_BUDGET points.
 
     Returns the orbit as a sorted (size, d) array of points.  Frontier
     steps are vectorized; visited points are tracked by byte keys, so the
@@ -197,8 +195,8 @@ def single_orbit(mats, p, seed_vec, limit=1 << 22):
             if key not in seen:
                 seen.add(key)
                 fresh.append(row)
-                if len(seen) > limit:
-                    raise ValueError("orbit exceeds the hash-set budget")
+                if len(seen) > HASHSET_BUDGET:
+                    raise ValueError("orbit exceeds the hash-set budget %d" % HASHSET_BUDGET)
         if not fresh:
             break
         frontier = np.array(fresh, dtype=np.int64)

@@ -22,6 +22,7 @@ from .groups import ClassData, FiniteGroup
 
 # (dual point, point) pairs per counting block in verify_phi_idempotents
 PHI_BLOCK = 1 << 16
+MODULE_CHECK_BUDGET = 5**4  # group order of the exhaustive module_property_check
 
 
 class CoadjointOrbit:
@@ -126,19 +127,19 @@ def _first_indices(labels):
     return np.flatnonzero(first)
 
 
-def coadjoint_orbit_of(ring, lam, limit=1 << 22):
+def coadjoint_orbit_of(ring, lam):
     """The single coadjoint orbit through lam, as sorted dual points.
 
-    Uses the dense partition when the whole dual fits the 2^24 budget and
+    Uses the dense partition when the whole dual fits the dense budget and
     a hash-set BFS beyond it (cost proportional to the orbit).
     """
     _require_lazard(ring)
     lam = np.asarray(lam, dtype=np.int64) % ring.p
-    if ring.order <= (1 << 24):
+    if ring.order <= kernels.DENSE_BUDGET:
         oset = coadjoint_orbits(ring)
         orb = oset.orbit_of_index(ring.element_index(lam))
         return orb.points()
-    return kernels.single_orbit(ring.coadjoint_generators(), ring.p, lam, limit=limit)
+    return kernels.single_orbit(ring.coadjoint_generators(), ring.p, lam)
 
 
 def conjugacy_class_data(ring):
@@ -360,7 +361,7 @@ def pointset_fiber_comparison(points, tangent_spaces, p):
     }
 
 
-def module_property_check(ring, orbit, psi_k=1, max_order=5**4):
+def module_property_check(ring, orbit, psi_k=1):
     """Is Phi^{-1}(K(Omega)) a left ideal of the group algebra?
 
     K(Omega) = functions supported on Omega.  Checked on the generating
@@ -371,7 +372,7 @@ def module_property_check(ring, orbit, psi_k=1, max_order=5**4):
     """
     p, d = ring.p, ring.dim
     n = ring.order
-    if n > max_order:
+    if n > MODULE_CHECK_BUDGET:
         raise ValueError("group order %d exceeds the exhaustive-check budget" % n)
     X = ring.all_elements()
     lams = ring.all_elements()

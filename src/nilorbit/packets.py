@@ -139,7 +139,7 @@ def _affine_fusion_partition(scheme, m, n, psi_k=1):
     For class <= 2 the coadjoint orbit of lam is the affine subspace
     lam + W(lam), W(lam) = {lam o ad x : x}, and W is orbit-invariant, so
     fusion of embedded base points is a subspace membership test.  This
-    makes levels far beyond the dense 2^24 budget reachable (the dimension
+    makes levels far beyond the dense budget reachable (the dimension
     grows linearly in n while the point count grows exponentially).
     """
     _require_class_2(scheme, n)
@@ -181,9 +181,8 @@ def _require_class_2(scheme, n):
 def _partition_at(scheme, m, n, psi_k):
     """Fiber partition of level-m orbits at level n, dense when the orbit
     kernel can enumerate the level."""
-    ring_probe = scheme.at_level(1)
     d_n = scheme.dim_q * scheme.field.s * n
-    if ring_probe.p**d_n <= 1 << kernels._MAX_DENSE_BITS:
+    if scheme.field.p**d_n <= kernels.DENSE_BUDGET:
         mapping, om, on = base_change_map(scheme, m, n, psi_k=psi_k)
         return _fiber_partition(mapping), ("dense", mapping, om, on)
     part, om = _affine_fusion_partition(scheme, m, n, psi_k)

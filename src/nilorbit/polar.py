@@ -19,6 +19,8 @@ from .groups import induce_from_roots, is_homomorphism
 from .liering import Subspace
 from .orbits import conjugacy_class_data, lazard_group
 
+SEARCH_BUDGET = 5**5  # ring order of the exhaustive polarization_containment_search
+
 
 class FlagOfIdeals:
     """V_0 = 0 < V_1 < ... < V_n = g with dim steps <= 1, each V_i an ideal."""
@@ -527,14 +529,14 @@ def induced_character_and_rep(ring, f_vec, pol, class_data=None, psi_k=1):
 # -- containment search -----------------------------------------------------------
 
 
-def polarization_containment_search(ring, f_vec, h0_rows, max_order=5**5):
+def polarization_containment_search(ring, f_vec, h0_rows):
     """A polarization at f containing span(h0_rows), or None (exhaustive).
 
     DFS over bracket-closed isotropic extensions; prunes by the Lagrangian
     dimension bound and closure isotropy.
     """
-    if ring.order > max_order:
-        raise ValueError("ring order exceeds the search budget")
+    if ring.order > SEARCH_BUDGET:
+        raise ValueError("ring order %d exceeds the search budget" % ring.order)
     p = ring.p
     f_vec = np.asarray(f_vec, dtype=np.int64) % p
     B = ring.bf_matrix(f_vec)

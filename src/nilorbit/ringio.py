@@ -21,6 +21,8 @@ Emit and parse round-trip bit-exactly; parse errors carry line numbers,
 except failures of the whole object (a ring invariant, associativity).
 """
 
+import itertools
+
 import numpy as np
 
 from .families import AssocAlgebra
@@ -89,7 +91,15 @@ def _matrix_rows(lines, start, dim):
     return np.array(rows, dtype=np.int64)
 
 
-def _parse_terms(rhs, dim, lineno):
+def _parse_constants(line, word, dim, lineno):
+    """(a, b, {k: c}), 0-based, from the line 'word a b = k:c ...'."""
+    head, _, rhs = line.partition("=")
+    parts = head.split()
+    if len(parts) != 3:
+        raise ParseError(lineno, "%s needs two indices" % word)
+    a, b = _int(parts[1], lineno), _int(parts[2], lineno)
+    if not (1 <= a <= dim and 1 <= b <= dim):
+        raise ParseError(lineno, "%s indices out of range" % word)
     out = {}
     for tok in rhs.split():
         if ":" not in tok:
@@ -99,7 +109,7 @@ def _parse_terms(rhs, dim, lineno):
         if not (1 <= k <= dim):
             raise ParseError(lineno, "index %d out of range" % k)
         out[k - 1] = _int(c, lineno)
-    return out
+    return a - 1, b - 1, out
 
 
 def parse_liering(text):
@@ -122,16 +132,10 @@ def parse_liering(text):
             continue
         if not line.startswith("bracket"):
             raise ParseError(i + 1, "unexpected line %r" % line)
-        head, _, rhs = line.partition("=")
-        parts = head.split()
-        if len(parts) != 3:
-            raise ParseError(i + 1, "bracket needs two indices")
-        a, b = _int(parts[1], i + 1), _int(parts[2], i + 1)
-        if not (1 <= a <= dim and 1 <= b <= dim):
-            raise ParseError(i + 1, "bracket indices out of range")
-        for k, c in _parse_terms(rhs, dim, i + 1).items():
-            C[a - 1, b - 1, k] = c % p
-            C[b - 1, a - 1, k] = (-c) % p
+        a, b, terms = _parse_constants(line, "bracket", dim, i + 1)
+        for k, c in terms.items():
+            C[a, b, k] = c % p
+            C[b, a, k] = (-c) % p
         i += 1
     ring = LieRing(p, C)
     if frob is not None:
@@ -142,17 +146,20 @@ def parse_liering(text):
     return ring
 
 
+def _emit_constants(word, C, pairs):
+    """The lines 'word i j = k:c ...' of the pairs (i, j) with nonzero constants."""
+    lines = []
+    for i, j in pairs:
+        ks = np.flatnonzero(C[i, j])
+        if len(ks):
+            terms = " ".join("%d:%d" % (k + 1, C[i, j, k]) for k in ks)
+            lines.append("%s %d %d = %s" % (word, i + 1, j + 1, terms))
+    return lines
+
+
 def emit_liering(ring):
     lines = ["liering p=%d dim=%d" % (ring.p, ring.dim)]
-    for i in range(ring.dim):
-        for j in range(i + 1, ring.dim):
-            row = ring.constants[i, j]
-            if not row.any():
-                continue
-            terms = " ".join(
-                "%d:%d" % (k + 1, int(row[k])) for k in np.nonzero(row)[0]
-            )
-            lines.append("bracket %d %d = %s" % (i + 1, j + 1, terms))
+    lines += _emit_constants("bracket", ring.constants, itertools.combinations(range(ring.dim), 2))
     if getattr(ring, "parsed_frobenius", None) is not None:
         lines.append("frobenius")
         for r in ring.parsed_frobenius:
@@ -173,15 +180,9 @@ def parse_algebra(text):
             continue
         if not line.startswith("prod"):
             raise ParseError(i, "unexpected line %r" % line)
-        head, _, rhs = line.partition("=")
-        parts = head.split()
-        if len(parts) != 3:
-            raise ParseError(i, "prod needs two indices")
-        a, b = _int(parts[1], i), _int(parts[2], i)
-        if not (1 <= a <= dim and 1 <= b <= dim):
-            raise ParseError(i, "prod indices out of range")
-        for k, c in _parse_terms(rhs, dim, i).items():
-            C[a - 1, b - 1, k] = c % p
+        a, b, terms = _parse_constants(line, "prod", dim, i)
+        for k, c in terms.items():
+            C[a, b, k] = c % p
     try:
         return AssocAlgebra(p, C)
     except ValueError as e:
@@ -190,15 +191,7 @@ def parse_algebra(text):
 
 def emit_algebra(alg):
     lines = ["algebra p=%d dim=%d" % (alg.p, alg.dim)]
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            row = alg.constants[i, j]
-            if not row.any():
-                continue
-            terms = " ".join(
-                "%d:%d" % (k + 1, int(row[k])) for k in np.nonzero(row)[0]
-            )
-            lines.append("prod %d %d = %s" % (i + 1, j + 1, terms))
+    lines += _emit_constants("prod", alg.constants, itertools.product(range(alg.dim), repeat=2))
     return "\n".join(lines) + "\n"
 
 

@@ -156,18 +156,30 @@ def test_golden_oracle_budget_is_checked_first(capsys):
     start = time.perf_counter()
     assert main(["golden", "--q", "16", "--oracle"]) == 2
     assert time.perf_counter() - start < 30
-    assert "input error: oracle over budget at q=16" in capsys.readouterr().err
+    assert capsys.readouterr().err == "input error: group order 65536 exceeds the oracle budget 20000\n"
     # the odd-q branch always runs the oracle
     assert main(["golden", "--q", "3", "--max-order", "80"]) == 2
-    assert "input error: group order 81 exceeds the oracle budget 80" in capsys.readouterr().err
+    assert capsys.readouterr().err == "input error: group order 81 exceeds the oracle budget 80\n"
 
 
-def test_out_of_budget_inputs_exit_2(capsys):
+def test_out_of_budget_inputs_exit_2(tmp_path, capsys):
     assert main(["orbits", "--family", "ul", "--n", "5", "--q", "7"]) == 2
-    assert capsys.readouterr().err.startswith("input error:")
+    assert capsys.readouterr().err.startswith("input error: orbit enumeration over 7^10 points")
+    # the oracle budget has one message, from the oracle, on every input kind
     args = ["chartable", "--family", "ul", "--n", "4", "--q", "5", "--oracle", "--max-order", "100"]
     assert main(args) == 2
-    assert capsys.readouterr().err.startswith("input error:")
+    assert capsys.readouterr().err == "input error: group order 15625 exceeds the oracle budget 100\n"
+    alg, sig = _spas_files(tmp_path)
+    for args, n in ((["--file", alg], 3**6), (["--family", "spas", "--file", alg, "--sigma", sig], 3**4)):
+        assert main(["chartable", *args, "--max-order", "80"]) == 2
+        assert capsys.readouterr().err == "input error: group order %d exceeds the oracle budget 80\n" % n
+    # USp4(F_27) as Sp(A, sigma): 3^18 points of A to scan, beyond the dense budget
+    A, S = families.usp4_flag_algebra(27)
+    big_alg, big_sig = tmp_path / "big.alg", tmp_path / "big.mat"
+    big_alg.write_text(ringio.emit_algebra(A))
+    big_sig.write_text(ringio.emit_matrix(S))
+    assert main(["validate", "--family", "spas", "--file", str(big_alg), "--sigma", str(big_sig)]) == 2
+    assert capsys.readouterr().err.startswith("input error: Sp(A, sigma) scan over 3^18 points")
 
 
 def test_malformed_ring_headers_exit_2(tmp_path, capsys):
@@ -361,6 +373,62 @@ def test_orbits_reports_a_failed_base_change_check(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "verification failure: base change is not Fr-equivariant\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["validate", "--family", "fakeheis", "--p", "3", "--n", "9", "--dim", "7", "--q", "11"],
+         "--n --q --dim not read by family fakeheis"),
+        (["validate", "--family", "ul", "--n", "3", "--p", "3", "--q", "25"], "--p not read by family ul"),
+        (["orbits", "--family", "heisenberg", "--p", "3", "--s", "1"], "--s not read by family heisenberg"),
+        (["validate", "--family", "heisenberg", "--q", "0"], "--q not read by family heisenberg"),
+        (["packets", "--family", "abelian", "--p", "3", "--aij", "1:2:1"], "--aij not read by family abelian"),
+        (["validate", "--family", "spas", "--file", "ALG", "--sigma", "SIG", "--p", "3"],
+         "--p not read by family spas"),
+        (["polarize", "--file", "RING", "--f", "0,0,1", "--p", "3"], "--p not read with --file"),
+    ],
+    ids=["fakeheis", "ul-p-and-q", "heisenberg", "heisenberg-zero", "abelian", "spas", "file"],
+)
+def test_family_parameters_the_family_does_not_read_exit_2(tmp_path, capsys, args, message):
+    alg, sig = _spas_files(tmp_path)
+    ring = tmp_path / "h.ring"
+    ring.write_text(ringio.emit_liering(heisenberg_ring(3)))
+    paths = {"ALG": alg, "SIG": sig, "RING": str(ring)}
+    assert main([paths.get(a, a) for a in args]) == 2
+    assert capsys.readouterr().err == "input error: %s\n" % message
+
+
+def test_family_parameters_keep_their_defaults(capsys):
+    # a parameter the family reads takes its old default when not given
+    for short, full in (
+        (["--family", "ul"], ["--family", "ul", "--n", "3", "--q", "5"]),
+        (["--family", "fakeheis"], ["--family", "fakeheis", "--p", "5", "--s", "1"]),
+        (["--family", "abelian"], ["--family", "abelian", "--p", "5", "--s", "1", "--dim", "1"]),
+    ):
+        assert main(["validate", *short]) == 0
+        out = capsys.readouterr().out
+        assert main(["validate", *full]) == 0
+        assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["chartable", "--file", "ALG", "--oracle"], "--oracle not read on algebra input"),
+        (["chartable", "--file", "ALG", "--psi", "1"], "--psi not read on algebra input"),
+        (["chartable", "--family", "spas", "--file", "ALG", "--sigma", "SIG", "--psi", "2", "--oracle"],
+         "--psi --oracle not read on group input"),
+        (["golden", "--q", "3", "--psi", "2"], "--psi not read at odd q"),
+        (["golden", "--q", "3", "--oracle"], "--oracle not read at odd q"),
+    ],
+    ids=["algebra-oracle", "algebra-psi", "group-psi-oracle", "golden-odd-psi", "golden-odd-oracle"],
+)
+def test_options_read_on_only_some_paths_exit_2(tmp_path, capsys, args, message):
+    alg, sig = _spas_files(tmp_path)
+    assert main([{"ALG": alg, "SIG": sig}.get(a, a) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: %s\n" % message
 
 
 def test_orbits_leaves_the_estimate_blank_past_the_ladder_budget(monkeypatch, capsys):

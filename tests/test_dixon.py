@@ -26,7 +26,7 @@ from nilorbit.dixon import (
     dixon_table,
 )
 from nilorbit.families import fake_heisenberg, ul_group, usp4, usp4_via_sp
-from nilorbit.groups import build_group
+from nilorbit.groups import FiniteGroup, build_group
 from nilorbit.liering import heisenberg_ring
 
 
@@ -85,6 +85,19 @@ def test_budget_guard():
     G = ob.lazard_group(appendix_h2_ring(5))
     with pytest.raises(ValueError):
         dixon_table(G, max_order=100)
+
+
+def test_budget_is_checked_before_the_law_is_called():
+    # an over-budget group is refused on its order alone: no class is computed
+    def law(I, J):
+        raise AssertionError("the group law was called")
+
+    G = FiniteGroup(dixon.DEFAULT_MAX_ORDER + 1, law, inv_bulk=law)
+    with pytest.raises(ValueError, match="group order 20001 exceeds the oracle budget 20000"):
+        dixon_table(G)
+    with pytest.raises(ValueError, match="group order 81 exceeds the oracle budget 80"):
+        dixon.check_order(81, 80)
+    dixon.check_order(80, 80)
 
 
 def _package_imports(module):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilorbit import orbits as ob
 from nilorbit import families as fam
-from nilorbit import linalg
+from nilorbit import kernels, linalg
 from nilorbit.chartable import table_fingerprint
 from nilorbit.dixon import dixon_table
 from nilorbit.packets import TowerInstance
@@ -242,6 +242,18 @@ def test_sp_a_sigma_trivial_algebra():
     A = fam.AssocAlgebra(3, np.zeros((1, 1, 1), dtype=np.int64))
     G = fam.sp_a_sigma(A, np.array([[2]]))  # sigma = -1: x + (-x) + x(-x) = 0
     assert G.n == 3  # A_- is everything for sigma = -id on a null algebra
+
+
+def test_sp_a_sigma_scan_is_refused_beyond_the_dense_budget(monkeypatch):
+    # USp4(F_27): 3^18 points of A, refused before the scan
+    with pytest.raises(ValueError, match="scan over 3\\^18 points exceeds the dense budget"):
+        fam.usp4_via_sp(27)
+    # the budget is inclusive: USp4(F_3) scans exactly 3^6 points
+    monkeypatch.setattr(kernels, "DENSE_BUDGET", 3**6)
+    assert fam.usp4_via_sp(3).n == 81
+    monkeypatch.setattr(kernels, "DENSE_BUDGET", 3**6 - 1)
+    with pytest.raises(ValueError, match="scan over 3\\^6 points"):
+        fam.usp4_via_sp(3)
 
 
 @pytest.mark.parametrize("q", [3, 5])

@@ -115,6 +115,33 @@ def test_budget_guard():
         kernels.orbit_partition(mats, 3)
 
 
+def test_hashset_budget_guard(monkeypatch):
+    # the orbit of (0, 0, 1) in the Heisenberg dual over F_5 has 25 points
+    gens = heisenberg_ring(5).coadjoint_generators()
+    seed = np.array([0, 0, 1])
+    assert len(kernels.single_orbit(gens, 5, seed)) == 25
+    monkeypatch.setattr(kernels, "HASHSET_BUDGET", 24)
+    with pytest.raises(ValueError, match="orbit exceeds the hash-set budget 24"):
+        kernels.single_orbit(gens, 5, seed)
+    # coadjoint_orbit_of takes the hash-set path beyond the dense budget
+    from nilorbit import orbits as ob
+
+    monkeypatch.setattr(kernels, "DENSE_BUDGET", 5**3 - 1)
+    with pytest.raises(ValueError, match="hash-set budget"):
+        ob.coadjoint_orbit_of(heisenberg_ring(5), seed)
+    monkeypatch.setattr(kernels, "HASHSET_BUDGET", 25)
+    assert len(ob.coadjoint_orbit_of(heisenberg_ring(5), seed)) == 25
+
+
+def test_dense_budget_is_inclusive(monkeypatch):
+    mats = np.eye(3, dtype=np.int64).reshape(1, 3, 3)
+    monkeypatch.setattr(kernels, "DENSE_BUDGET", 27)
+    assert len(kernels.orbit_partition(mats, 3)) == 27
+    monkeypatch.setattr(kernels, "DENSE_BUDGET", 26)
+    with pytest.raises(ValueError, match="over 3\\^3 points exceeds the dense budget"):
+        kernels.orbit_partition(mats, 3)
+
+
 def test_image_tables_are_freed_before_the_ids():
     # two generators on 5^8 points: propagation holds 2 int32 tables and
     # one int32 label array (12 bytes a point), the renumbering int32

@@ -155,7 +155,7 @@ def test_perm_vs_tensor_examples():
     assert not equal
 
 
-def test_module_property_examples():
+def test_module_property_examples(monkeypatch):
     h5 = heisenberg_ring(5)
     for orb in ob.coadjoint_orbits(h5).orbits:
         assert ob.module_property_check(h5, orb)
@@ -166,8 +166,9 @@ def test_module_property_examples():
     lam[3] = 1
     orb = ob.coadjoint_orbits(w3).orbit_of_index(w3.element_index(lam))
     assert not ob.module_property_check(w3, orb)
-    with pytest.raises(ValueError):
-        ob.module_property_check(w3, orb, max_order=5)
+    monkeypatch.setattr(ob, "MODULE_CHECK_BUDGET", 5)
+    with pytest.raises(ValueError, match="exceeds the exhaustive-check budget"):
+        ob.module_property_check(w3, orb)
 
 
 def test_psi_choice_does_not_change_the_table_as_a_set():

@@ -250,3 +250,9 @@ def test_containment_search_examples():
         h3, np.array([0, 0, 1]), np.array([[0, 1, 0], [0, 0, 1]])
     )
     assert already.space.rows.tolist() == [[0, 1, 0], [0, 0, 1]]
+
+
+def test_containment_search_budget(monkeypatch):
+    monkeypatch.setattr(polar, "SEARCH_BUDGET", 26)
+    with pytest.raises(ValueError, match="ring order 27 exceeds the search budget"):
+        polar.polarization_containment_search(heisenberg_ring(3), np.array([0, 0, 1]), np.zeros((0, 3)))
