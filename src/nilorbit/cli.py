@@ -86,7 +86,7 @@ def _refuse_given(args, names, where):
     values = {k: getattr(args, k) for k in names}
     given = " ".join("--" + k for k, v in values.items() if v is not None and v is not False)
     if given:
-        raise InputError("%s not read %s" % (given, where))
+        raise InputError("%s not read %s" % (given.replace("_", "-"), where))
 
 
 def load(args):
@@ -154,7 +154,7 @@ def build_parser():
             sp.add_argument("--psi", type=int, help="psi(1) = zeta_p^k (default 1)")
         sp.add_argument("--out")
         if max_order:
-            sp.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
+            sp.add_argument("--max-order", type=int)
         return sp
 
     add("validate", "validate a Lie ring or algebra")
@@ -168,14 +168,18 @@ def build_parser():
     sp = add("golden", "USp4 golden-table suite", psi=True, max_order=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--oracle", action="store_true")
-    sp = add("counterexamples", "the class>=3 counterexample battery")
-    sp.add_argument("--p", type=int, default=5)
+    add("counterexamples", "the class>=3 counterexample battery, at p = 5")
     return ap
 
 
 def _psi(args):
     """--psi, or 1 where it is not given."""
     return 1 if args.psi is None else args.psi
+
+
+def _max_order(args):
+    """--max-order, or the oracle's default budget where it is not given."""
+    return DEFAULT_MAX_ORDER if args.max_order is None else args.max_order
 
 
 def _emit(args, text):
@@ -214,16 +218,18 @@ def cmd_validate(args):
 def cmd_chartable(args):
     kind, obj = load(args)
     if kind == "ring":
+        if not args.oracle:
+            _refuse_given(args, ("max_order",), "on ring input without --oracle")
         table, _ = orbit_method_table(obj, psi_k=_psi(args))
         if args.oracle:
-            oracle = dixon_table(lazard_group(obj), max_order=args.max_order)
+            oracle = dixon_table(lazard_group(obj), max_order=_max_order(args))
             if not table.equals_as_set(oracle):
                 raise VerificationError("orbit-method table differs from the oracle")
     else:
         # the table is Dixon's: no additive character, and no other table
         _refuse_given(args, ("psi", "oracle"), "on %s input" % kind)
         G = obj if kind == "group" else families.algebra_group(obj, spot_check=False)
-        table = dixon_table(G, max_order=args.max_order)
+        table = dixon_table(G, max_order=_max_order(args))
     table.verify()
     _emit(args, table.to_csv())
 
@@ -284,9 +290,11 @@ def cmd_golden(args):
     even = linalg.prime_power(q)[0] == 2
     if not even:  # the table is Dixon's: no additive character, and no other table
         _refuse_given(args, ("psi", "oracle"), "at odd q")
+    elif not args.oracle:
+        _refuse_given(args, ("max_order",), "at even q without --oracle")
     # the oracle runs on USp4(F_q), q^4 elements: refuse before any table
     if args.oracle or not even:
-        check_order(q**4, args.max_order)
+        check_order(q**4, _max_order(args))
     if even:
         table = families.usp4_lusztig_table(q, psi_k=_psi(args))
         table.verify()
@@ -298,7 +306,7 @@ def cmd_golden(args):
         lines.append("lusztig_counts %s" % sorted(counts.items()))
         if args.oracle:
             G = families.usp4(q, spot_check=False)
-            oracle = dixon_table(G, max_order=args.max_order)
+            oracle = dixon_table(G, max_order=_max_order(args))
             if not table.equals_as_set(oracle):
                 raise VerificationError("Lusztig table differs from the oracle")
             lg = families.usp4_little_groups_table(q)
@@ -308,7 +316,7 @@ def cmd_golden(args):
             lines.append("little_groups_match True")
     else:
         G = families.usp4_via_sp(q)
-        table = dixon_table(G, max_order=args.max_order)
+        table = dixon_table(G, max_order=_max_order(args))
         table.verify()
         degs = set(table.degrees)
         powers = {q**k for k in range(8)}
@@ -326,7 +334,7 @@ def _refuted(name, report):
 
 
 def cmd_counterexamples(args):
-    res = battery.full_battery(args.p)
+    res = battery.full_battery()
     c3, c2, parabola = res["statement7_class3"], res["class2_module_property"], res["parabola"]
     verdicts = [  # (report line, whether it is the expected verdict)
         _refuted("statement1_multiple_of_rho", res["statement1"]),

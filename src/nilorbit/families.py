@@ -277,26 +277,19 @@ def algebra_group(A, spot_check=True):
     p, d = A.p, A.dim
 
     def mult(I, J):
-        return linalg.encode_vectors(_algebra_mul(A, I, J), p)
+        X = linalg.decode_indices(I, d, p)
+        Y = linalg.decode_indices(J, d, p)
+        return linalg.encode_vectors(X + Y + A.product(X, Y), p)
 
     def inv(I):
         return linalg.encode_vectors(A.group_inv_vec(linalg.decode_indices(I, d, p)), p)
 
-    gens = [
-        int(linalg.encode_vectors(np.eye(d, dtype=np.int64)[k], p)) for k in range(d)
-    ]
+    gens = linalg.encode_vectors(np.eye(d, dtype=np.int64), p).tolist()
     G = FiniteGroup(A.order, mult, inv_bulk=inv, identity=0, gens=gens, name="1+A")
     G.algebra = A
     if spot_check:
         G.spot_check_axioms()
     return G
-
-
-def _algebra_mul(A, I, J):
-    """x o y = x + y + xy for the element indices I, J of 1 + A, as vectors."""
-    X = linalg.decode_indices(I, A.dim, A.p)
-    Y = linalg.decode_indices(J, A.dim, A.p)
-    return (X + Y + A.product(X, Y)) % A.p
 
 
 def ul_group(n, q):
@@ -343,28 +336,11 @@ def sp_a_sigma(A, sigma):
         if len(members) != p**minus_dim:
             raise AssertionError("|Sp(A,sigma)| != |A_-|")
         _check_sqrt_bijection(A, S, members)
-
-    def mult(I, J):
-        return _member_positions(members, _algebra_mul(A, members[I], members[J]), p)
-
-    def inv(I):
-        X = linalg.decode_indices(members[I], d, p)
-        return _member_positions(members, A.group_inv_vec(X), p)
-
-    G = FiniteGroup(len(members), mult, inv_bulk=inv, identity=0, name="Sp(A,sigma)")
-    G.members = members
+    # 1 + A may exceed the whole-group budget that the spot check needs
+    G = algebra_group(A, spot_check=False).subgroup(members)
+    G.name = "Sp(A,sigma)"
     G.algebra = A
     return G
-
-
-def _member_positions(members, X, p):
-    """Positions of the vectors X in the sorted member indices; a vector
-    outside the members is a product that left the group."""
-    idx = linalg.encode_vectors(X, p)
-    pos = np.minimum(np.searchsorted(members, idx), len(members) - 1)
-    if (members[pos] != idx).any():
-        raise AssertionError("a product left Sp(A, sigma) (bug)")
-    return pos
 
 
 def _binomial_half(j):
@@ -456,19 +432,13 @@ class USp4:
         self.n = q**4
 
     def index(self, quad):
-        F = self.field
-        out = 0
-        for x in reversed(quad):
-            out = out * self.q + F.index(x)
-        return out
+        """The base-q index of the field indices of a, b, c, d (a first)."""
+        return int(linalg.encode_vectors(np.ravel(quad), self.field.p))
 
     def from_index(self, idx):
         F = self.field
-        out = []
-        for _ in range(4):
-            out.append(F.from_index(idx % self.q))
-            idx //= self.q
-        return tuple(out)
+        coeffs = linalg.decode_indices(idx, 4 * F.s, F.p).tolist()
+        return tuple(tuple(coeffs[k * F.s : (k + 1) * F.s]) for k in range(4))
 
     def matrix(self, quad):
         F = self.field
@@ -496,23 +466,21 @@ class USp4:
     def mult_indices(self, I, J):
         """mult_quads on index arrays, through the field's index tables."""
         add, sub, mul = self.field.index_tables()
-        a, b, c, d = _base_q_digits(I, self.q)
-        a2, b2, c2, d2 = _base_q_digits(J, self.q)
+        # .T gives contiguous per-digit arrays, which the tables gather from
+        # faster, and on the stacked digits .T undoes itself
+        a, b, c, d = linalg.decode_indices(I, 4, self.q).T
+        a2, b2, c2, d2 = linalg.decode_indices(J, 4, self.q).T
         a3 = add[a, a2]
         b3 = add[add[b, b2], mul[a, d2]]
         inner = sub[mul[a2, d2], b2]
         c3 = add[add[c, c2], add[mul[a, inner], mul[b, a2]]]
         d3 = add[d, d2]
-        return a3 + self.q * (b3 + self.q * (c3 + self.q * d3))
+        return linalg.encode_vectors(np.array([a3, b3, c3, d3]).T, self.q)
 
     def group(self, spot_check=True):
         F = self.field
-        gens = []
-        for slot in range(4):
-            for t in range(F.s):
-                quad = [F.zero] * 4
-                quad[slot] = F.from_index(self.field.p**t)
-                gens.append(self.index(tuple(quad)))
+        # the quadruples with one coefficient 1, the others 0
+        gens = linalg.encode_vectors(np.eye(4 * F.s, dtype=np.int64), F.p).tolist()
         G = FiniteGroup(self.n, self.mult_indices, identity=0, gens=gens, name="USp4(%d)" % self.q)
         G.usp4 = self
         if spot_check:
@@ -535,12 +503,6 @@ class USp4:
         if (y % q).any():
             raise AssertionError("A is not normal (bug)")
         return H, A, (y // q).reshape(q, A.order)
-
-
-def _base_q_digits(I, q):
-    """The four base-q digits of quadruple indices (a first)."""
-    I = np.asarray(I, dtype=np.int64)
-    return [(I // q**k) % q for k in range(4)]
 
 
 def usp4(q, spot_check=True):
@@ -587,6 +549,8 @@ def usp4_lusztig_table(q, psi_k=1):
     F = U.field
     if F.p != 2:
         raise ValueError("the Lusztig table needs q = 2^s")
+    if psi_k % 2 == 0:
+        raise ValueError("additive character psi(1) = zeta_2^%d is trivial" % psi_k)
     G = U.group(spot_check=False)
     cd = G.conjugacy_classes()
 
@@ -595,7 +559,7 @@ def usp4_lusztig_table(q, psi_k=1):
     inv = np.argmax(mul == F.index(F.one), axis=1)  # inv[0] is unused
     trace = np.array([F.trace_to_prime(F.from_index(x)) for x in range(q)])
     psi0 = np.where((psi_k * trace) % 2, -1, 1)  # tr-composed additive character
-    a, b, c, d = _base_q_digits(np.arange(G.n), q)
+    a, b, c, d = linalg.decode_indices(np.arange(G.n), 4, q).T
 
     def formulas():
         for x in range(q):
@@ -661,14 +625,13 @@ def _linear_inducing(G, cd, chi, sub_elems):
     elementary-abelian machinery does not apply)."""
     from .dixon import dixon_table
     from .groups import induce_character
-    from .heisenberg import _subgroup_group
 
-    H = _subgroup_group(G, sub_elems)
+    H = G.subgroup(sub_elems)
     D = H.derived_subgroup()
     Q, coset_rep, qreps = H.quotient(D)
     qtable = dixon_table(Q)
     qcd = qtable.class_data
-    pos = {int(e): i for i, e in enumerate(H.parent_elems)}
+    pos = {int(e): i for i, e in enumerate(H.members)}
     for row in qtable.rows:
         def lam(e, row=row):
             h = pos[int(e)]

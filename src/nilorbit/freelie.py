@@ -498,5 +498,6 @@ def substitution_bijection(ring):
     PSI = evaluate(psi, ring, {X: XS, Y: YS})
     HX = _exp_ad_pairs(ring, PHI, XS, c)
     HY = _exp_ad_pairs(ring, PSI, YS, c)
-    keys = linalg.encode_vectors(HX, ring.p) * n + linalg.encode_vectors(HY, ring.p)
-    return len(np.unique(keys)) == n * n
+    # the pair (x, y) is one point of F_p^2d, x the high digits
+    keys = linalg.encode_vectors(np.concatenate([HY, HX], axis=1), ring.p)
+    return bool((np.bincount(keys, minlength=n * n) == 1).all())

@@ -245,9 +245,7 @@ def _first_irreducible(p, s, primitive=False):
     while start < p**s:
         idx = np.arange(start, min(start + size, p**s), dtype=np.int64)
         moduli = np.ones((len(idx), s + 1), dtype=np.int64)
-        for i in range(s):
-            moduli[:, i] = idx % p
-            idx //= p
+        moduli[:, :s] = linalg.decode_indices(idx, s, p)
         hit = np.flatnonzero(test(p, moduli))
         if len(hit):
             return tuple(int(c) for c in moduli[hit[0]])
@@ -327,17 +325,10 @@ class FqField:
             yield self.from_index(idx)
 
     def from_index(self, idx):
-        coeffs = []
-        for _ in range(self.s):
-            coeffs.append(idx % self.p)
-            idx //= self.p
-        return tuple(coeffs)
+        return tuple(linalg.decode_indices(idx, self.s, self.p).tolist())
 
     def index(self, x):
-        out = 0
-        for c in reversed(x):
-            out = out * self.p + c
-        return out
+        return int(linalg.encode_vectors(x, self.p))
 
     # -- arithmetic -----------------------------------------------------------
 

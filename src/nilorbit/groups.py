@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, linalg
 from .cyclo import from_ints, lincomb, times, to_ints
 
 # group-law pairs per call in class_pair_counts; larger blocks raise peak
@@ -224,7 +224,7 @@ class FiniteGroup:
         class_of = kernels.orbit_labels(
             [self._conj_bulk(g, everything).astype(np.int32) for g in self.generators()], self.n
         )
-        reps = np.unique(class_of, return_index=True)[1].astype(np.int64)
+        reps = kernels.first_indices(class_of).astype(np.int64)
         sizes = np.bincount(class_of, minlength=len(reps))
         inv_class = class_of[self.inv_bulk(reps)]
         self._classes = ClassData(
@@ -308,6 +308,31 @@ class FiniteGroup:
         a, b = self._generator_pairs()
         return bool((self.mult_bulk(a, b) == self.mult_bulk(b, a)).all())
 
+    def subgroup(self, elems):
+        """The subgroup on the distinct elements elems as its own group:
+        element k is members[k], the k-th least, under this group's law.  A
+        product, inverse or identity outside the set raises ValueError."""
+        members = np.sort(np.asarray(elems, dtype=np.int64))
+        if (members[1:] == members[:-1]).any():
+            raise ValueError("subgroup elements repeat")
+        padded = np.append(members, -1)  # a search past the end reads -1
+
+        def position(X):
+            pos = np.searchsorted(members, X)
+            if (padded[pos] != X).any():
+                raise ValueError("the elements are not closed under the law of %r" % self)
+            return pos
+
+        H = FiniteGroup(
+            len(members),
+            lambda I, J: position(self.mult_bulk(members[I], members[J])),
+            inv_bulk=lambda I: position(self.inv_bulk(members[I])),
+            identity=int(position(self.identity)),
+            name="subgroup of " + self.name,
+        )
+        H.members = members
+        return H
+
     def quotient(self, normal_elems):
         """Quotient by a normal subgroup N; returns (group, coset_rep, reps).
 
@@ -329,7 +354,7 @@ class FiniteGroup:
             g = np.full(self.n, np.argmax(outside), dtype=np.int64)
             tables.append(self.mult_bulk(everything, g).astype(np.int32))
             labels = kernels.orbit_labels(tables, self.n)
-        reps = np.unique(labels, return_index=True)[1].astype(np.int64)
+        reps = kernels.first_indices(labels).astype(np.int64)
         coset_rep = reps[labels]  # labels[x] is the index of x's coset in reps
 
         def qmult(I, J):
@@ -409,8 +434,8 @@ class AbelianGroup:
     """A finite abelian group presented as Z_{m1} x ... x Z_{mk}.
 
     Element indices are little-endian mixed radix (the first coordinate is
-    the least significant digit); the *_indices methods are the group law
-    on index arrays.
+    the least significant digit), through linalg's codec; the *_indices
+    methods are the group law on index arrays.
     """
 
     def __init__(self, moduli):
@@ -420,20 +445,12 @@ class AbelianGroup:
         self.order = math.prod(self.moduli)
         self.exponent = math.lcm(*self.moduli) if self.moduli else 1
         self._m = np.array(self.moduli, dtype=np.int64)
-        self._radix = np.cumprod((1,) + self.moduli[:-1], dtype=np.int64)[: len(self.moduli)]
 
     def index(self, x):
-        idx = 0
-        for c, m in zip(reversed(x), reversed(self.moduli)):
-            idx = idx * m + (c % m)
-        return idx
+        return int(self.encode(x))
 
     def from_index(self, idx):
-        out = []
-        for m in self.moduli:
-            out.append(idx % m)
-            idx //= m
-        return tuple(out)
+        return tuple(self.digits(idx).tolist())
 
     def add(self, x, y):
         return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
@@ -443,11 +460,11 @@ class AbelianGroup:
 
     def digits(self, I):
         """Coordinates of an index array, on a new trailing axis."""
-        return (np.asarray(I, dtype=np.int64)[..., None] // self._radix) % self._m
+        return linalg.decode_indices(I, len(self.moduli), self.moduli)
 
     def encode(self, D):
         """Indices of coordinate arrays (last axis), reduced mod the moduli."""
-        return (np.asarray(D, dtype=np.int64) % self._m) @ self._radix
+        return linalg.encode_vectors(D, self.moduli)
 
     def add_indices(self, I, J):
         return self.encode(self.digits(I) + self.digits(J))
@@ -457,7 +474,7 @@ class AbelianGroup:
 
     def unit_indices(self):
         """Index of the k-th coordinate vector, for each k."""
-        return self._radix * (1 % self._m)
+        return self.encode(np.eye(len(self.moduli), dtype=np.int64))
 
     def char_exponents(self, chi, I):
         """r[..., k] with chi(I[k]) = zeta_e^r (e the exponent), for the
@@ -510,7 +527,7 @@ def little_groups(H, A, table):
     # psi~ (x) chi~ at (h, a) is zeta_E^r, r the sum of both exponents at E
     E = math.lcm(H.exponent, A.exponent)
     counts, sizes = [], []  # row k has root counts counts[k] / sizes[k]
-    for chi in np.unique(orbit_of, return_index=True)[1]:
+    for chi in kernels.first_indices(orbit_of):
         stab = np.flatnonzero(dual[:, chi] == chi)  # H^chi, the same on the orbit
         S_elems = (stab[:, None] * nA + np.arange(nA)).ravel()
         r_chi = A.char_exponents(chi, np.arange(nA)) * (E // A.exponent)
@@ -621,7 +638,7 @@ def twisted_classes(G, phi, table=None):
         left = G.mult_bulk(np.full(n, phi[g], dtype=np.int64), everything)
         tables.append(G.mult_bulk(left, np.full(n, G.inv(g), dtype=np.int64)).astype(np.int32))
     labels = kernels.orbit_labels(tables, n)
-    reps = np.unique(labels, return_index=True)[1]
+    reps = kernels.first_indices(labels)
     report = {
         "labels": labels,
         "reps": reps.astype(np.int64),

@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg, polar
 from .chartable import ClassFunction
 from .cyclo import Cyclotomic, from_ints, lincomb, product_table
-from .groups import FiniteGroup, induce_character
+from .groups import induce_character
 
 
 class ElementaryCoords:
@@ -83,7 +83,7 @@ class AbCharacters:
     def __init__(self, G, elems, p):
         self.G = G
         self.p = p
-        self.H = _subgroup_group(G, elems)
+        self.H = G.subgroup(elems)
         D = self.H.derived_subgroup()
         self.Q, self.coset_rep, self.qreps = self.H.quotient(D)
         self.qcoords = ElementaryCoords(self.Q, np.arange(self.Q.n), p)
@@ -260,27 +260,6 @@ def _lift_subgroup(G, Q, qreps, coset_rep, qcoords, L_rows, p):
 # -- reduction process ----------------------------------------------------------
 
 
-def _subgroup_group(G, elems):
-    """The subgroup on sorted parent indices as its own FiniteGroup."""
-    elems = np.sort(np.asarray(elems, dtype=np.int64))
-
-    def mult_bulk(I, J):
-        return np.searchsorted(elems, G.mult_bulk(elems[I], elems[J]))
-
-    def inv_bulk(I):
-        return np.searchsorted(elems, G.inv_bulk(elems[I]))
-
-    H = FiniteGroup(
-        len(elems),
-        mult_bulk,
-        inv_bulk=inv_bulk,
-        identity=int(np.searchsorted(elems, G.identity)),
-        name="subgroup",
-    )
-    H.parent_elems = elems
-    return H
-
-
 def reduce_to_heisenberg(G, chi, p, psi_k=1, cd=None):
     """Canonical descent of an irreducible chi to a Heisenberg character.
 
@@ -312,7 +291,7 @@ def reduce_to_heisenberg(G, chi, p, psi_k=1, cd=None):
         AC = ElementaryCoords(cur_G, A, p)
         chi1 = _canonical_constituent(cur_cd, cur_chi, AC, p, psi_k)
         stab = _character_stabilizer(cur_G, AC, chi1, p)
-        H = _subgroup_group(cur_G, stab)
+        H = cur_G.subgroup(stab)
         hcd = H.conjugacy_classes()
         chi_next = _constituent_over(cur_G, cur_cd, cur_chi, H, hcd, AC, chi1, p, psi_k)
         # verify: re-induction reproduces chi
@@ -331,7 +310,7 @@ def reduce_to_heisenberg(G, chi, p, psi_k=1, cd=None):
 
 
 def _pos(H, e):
-    return int(np.searchsorted(H.parent_elems, int(e)))
+    return int(np.searchsorted(H.members, int(e)))
 
 
 def _residue_table(chi, p):
@@ -378,7 +357,7 @@ def _constituent_over(G, cd, chi, H, hcd, AC, mu, p, psi_k):
     P, M, den = _residue_table(chi, p)
     counts = []
     for r_idx in hcd.reps:
-        g = int(H.parent_elems[int(r_idx)])
+        g = int(H.members[int(r_idx)])
         prods = G.mult_bulk(np.full(len(elems), g, dtype=np.int64), elems)
         counts.append(np.bincount(cd.class_of[prods] * p + res, minlength=cd.num_classes * p))
     values = from_ints(lincomb(np.array(counts), P), M, den * len(elems))

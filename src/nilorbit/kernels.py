@@ -2,24 +2,25 @@
 
 The dense orbit enumeration over p^d indices dominates orbit censuses,
 conjugacy classes of Lazard groups and base-change towers.  Points are
-little-endian base-p indices; generators act as d x d matrices mod p on
-coordinate columns.  The kernel covers the whole index space, BLOCK
-points at a time: every gather of table building and propagation is an
-`np.take` into a cache-sized buffer, and neither allocates a full-size
-temporary.
+numbered by linalg's codec, little-endian base-p indices; generators act
+as d x d matrices mod p on coordinate columns.  The kernel covers the
+whole index space, BLOCK points at a time: every gather of table building
+and propagation is an `np.take` into a cache-sized buffer, and neither
+allocates a full-size temporary.
 
 * each generator's action is materialized as one int32 image table in
   O(p^d), meet-in-the-middle: the input digits split into a low and a high
   half, so M x = M x_lo + M x_hi, and each chunk of output digits of the
   image is read from one shared F_p-addition table indexed by the two
-  half-images' chunk indices, one block of high halves at a time;
+  half-images' chunk indices (the codec's indices of F_p^h), one block of
+  high halves at a time;
 * orbits are the connected components of the image graph, found by
   min-label propagation (lab = min(lab, lab[img]) over the generators)
   with pointer jumping (lab = lab[lab]), in place.  Labels never rise and
   lab[j] <= j, so propagation stops at the first pass that leaves the
   label sum unchanged.  Each label then points at its orbit's minimal
   index, so renumbering the roots in index order numbers the orbits by
-  increasing seed.
+  increasing seed, and `first_indices` finds every seed in one O(n) pass.
 
 Propagation along images alone reaches the whole orbit only when the
 generators generate a group, so singular generators are rejected.  The
@@ -102,6 +103,17 @@ def orbit_labels(images, n):
     return ids[lab]
 
 
+def first_indices(labels):
+    """The first (= minimal) index of each id of a partition whose ids are
+    numbered by increasing seed, as orbit_labels numbers them: the running
+    maximum of the labels steps up by one exactly at each id's first
+    index, so one O(n) pass finds them all, in id order."""
+    run = np.maximum.accumulate(labels)
+    first = np.ones(len(run), dtype=bool)
+    np.not_equal(run[1:], run[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
 def _is_table(t, n):
     """Whether t is a 1-D integer array of n entries in [0, n)."""
     if t.ndim != 1 or len(t) != n or t.dtype.kind not in "iu":
@@ -143,8 +155,8 @@ def _image_tables(mats, p):
         hi = (hi_pts @ M[:, h:].T) % p
         chunks = []  # (low, high indices into add, scale) per output chunk
         for a in range(0, d, h):
-            radix = p ** np.arange(min(h, d - a), dtype=np.intp)
-            chunks.append((lo[:, a : a + h] @ radix, hi[:, a : a + h] @ radix * P, p**a))
+            lo_idx = linalg.encode_vectors(lo[:, a : a + h], p)
+            chunks.append((lo_idx, linalg.encode_vectors(hi[:, a : a + h], p) * P, p**a))
         img = np.empty((len(hi), P), dtype=np.int32)  # [x_hi, x_lo]
         for r0 in range(0, len(hi), rows):
             out = img[r0 : r0 + rows]

@@ -9,6 +9,7 @@ helpers are shared by the field, cyclotomic, family and oracle modules and
 the CLI.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -243,28 +244,58 @@ def enumerate_row_space(R, p):
     return (coeffs @ R) % p
 
 
+# digits in all up to which decode_indices divides by every place value in
+# one call: below it numpy's per-call cost dominates, above it the division
+FEW_DIGITS = 1 << 10
+
+
+def _codec(p, d):
+    """(moduli, the modulus array, place values) of d little-endian digits:
+    p is one modulus for every digit or a sequence of d per-digit moduli."""
+    return _digits(int(p) if isinstance(p, (int, np.integer)) else tuple(map(int, p)), d)
+
+
+@lru_cache(maxsize=None)
+def _digits(p, d):
+    """_codec for an int or a tuple p; the arrays are shared, so read-only."""
+    moduli = (p,) * d if isinstance(p, int) else p
+    if len(moduli) != d:
+        raise ValueError("%d moduli for %d digits" % (len(moduli), d))
+    place = np.cumprod((1,) + moduli[:-1], dtype=np.int64)[:d]
+    m = np.array(p if isinstance(p, int) else moduli, dtype=np.int64)
+    place.flags.writeable = m.flags.writeable = False
+    return moduli, m, place
+
+
 def all_vectors(d, p):
-    """All vectors of F_p^d in index order (little-endian digits)."""
-    n = p**d
-    idx = np.arange(n)
-    out = np.empty((n, d), dtype=np.int64)
-    for j in range(d):
-        out[:, j] = idx % p
-        idx = idx // p
-    return out
+    """All vectors of F_p^d (or of the per-digit moduli p) in index order."""
+    return decode_indices(np.arange(math.prod(_codec(p, d)[0]), dtype=np.int64), d, p)
 
 
 def encode_vectors(V, p):
-    """Little-endian mixed-radix index of each row of V."""
-    d = V.shape[-1]
-    radix = p ** np.arange(d, dtype=np.int64)
-    return (np.asarray(V, dtype=np.int64) % p) @ radix
+    """Little-endian mixed-radix index of each row of V (its last axis);
+    digit j is read mod p, or mod p[j] for a sequence of d moduli.  This and
+    decode_indices are the one index <-> digit conversion."""
+    V = np.asarray(V, dtype=np.int64)
+    moduli, m, place = _codec(p, V.shape[-1])
+    # a negative digit reads as a huge unsigned one, so one max finds any
+    # digit out of range, at a tenth of the cost of the `%` it can skip
+    if V.size and V.view(np.uint64).max() >= min(moduli):
+        V = V % m
+    return V @ place
 
 
 def decode_indices(idx, d, p):
+    """The d little-endian digits of each index, on a new trailing axis
+    (moduli as in encode_vectors).  Beyond FEW_DIGITS digits in all they fill
+    a digit-first buffer, one pass per digit, and come as a view of it: X.T
+    gives each digit as a contiguous array (its other axes reversed)."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = np.empty(idx.shape + (d,), dtype=np.int64)
-    for j in range(d):
-        out[..., j] = idx % p
-        idx = idx // p
-    return out
+    moduli, m, place = _codec(p, d)
+    if idx.size * d <= FEW_DIGITS:  # two calls in all, not one per digit
+        return idx[..., None] // place % m
+    rest = idx.copy()  # divided in place
+    out = np.empty((d,) + idx.shape, dtype=np.int64)
+    for j, modulus in enumerate(moduli):
+        np.divmod(rest, modulus, out=(rest, out[j, ...]))
+    return out.transpose(tuple(range(1, out.ndim)) + (0,))

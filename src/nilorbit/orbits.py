@@ -75,7 +75,7 @@ class OrbitSet:
                 "orbit size %d is not an even power of %d" % (self.sizes[bad.argmax()], p)
             )
         self.half_logs = m2 // 2
-        self.base_indices = _first_indices(labels)
+        self.base_indices = kernels.first_indices(labels)
         self.base_points = linalg.decode_indices(self.base_indices, ring.dim, p)
 
     @functools.cached_property
@@ -101,8 +101,12 @@ def coadjoint_orbits(ring, psi_k=1):
     """Partition of g* into coadjoint orbits with stabilizer subspaces.
 
     The partition does not depend on psi_k; only the orbit objects carry it.
+    psi(1) = zeta_p^psi_k must be a nontrivial character: psi_k = 0 mod p
+    is refused.
     """
     _require_lazard(ring)
+    if psi_k % ring.p == 0:
+        raise ValueError("additive character psi(1) = zeta_%d^%d is trivial" % (ring.p, psi_k))
     key = ("orbits", psi_k)
     if key in ring._cache:
         return ring._cache[key]
@@ -113,18 +117,6 @@ def coadjoint_orbits(ring, psi_k=1):
     out = OrbitSet(ring, ring._cache["coadjoint_labels"], psi_k)
     ring._cache[key] = out
     return out
-
-
-def _first_indices(labels):
-    """The first (= minimal) index of each id of a kernel partition.
-
-    Ids are numbered by increasing seed, so the running maximum of the
-    labels steps up by one exactly at each id's first index.
-    """
-    run = np.maximum.accumulate(labels)
-    first = np.ones(len(run), dtype=bool)
-    np.not_equal(run[1:], run[:-1], out=first[1:])
-    return np.flatnonzero(first)
 
 
 def coadjoint_orbit_of(ring, lam):
@@ -149,7 +141,7 @@ def conjugacy_class_data(ring):
         return ring._cache["class_data"]
     labels = kernels.orbit_partition(ring.adjoint_generators(), ring.p)
     sizes = np.bincount(labels)
-    reps = _first_indices(labels)
+    reps = kernels.first_indices(labels)
     neg = linalg.encode_vectors(
         (-linalg.decode_indices(reps, ring.dim, ring.p)) % ring.p, ring.p
     )

@@ -121,7 +121,7 @@ def test_golden_q3_odd(capsys):
 
 
 def test_counterexamples_battery(capsys):
-    assert main(["counterexamples", "--p", "5"]) == 0
+    assert main(["counterexamples"]) == 0
     out = capsys.readouterr().out
     for line in (
         "statement1_multiple_of_rho REFUTED",
@@ -302,6 +302,8 @@ def test_family_and_file_are_exclusive(tmp_path, capsys):
         (["validate", "--family", "heisenberg", "--psi", "3"], "unrecognized arguments: --psi"),
         (["polarize", "--family", "h2", "--f", "0,0,0,1", "--psi", "2"], "unrecognized arguments: --psi"),
         (["counterexamples", "--psi", "2"], "unrecognized arguments: --psi"),
+        (["counterexamples", "--p", "3"], "unrecognized arguments: --p 3"),
+        (["counterexamples", "--p", "7"], "unrecognized arguments: --p 7"),
         (["validate", "--family", "heisenberg", "--max-order", "9"], "unrecognized arguments: --max-order"),
         (["orbits", "--family", "heisenberg", "--max-order", "9"], "unrecognized arguments: --max-order"),
         (["packets", "--family", "fakeheis", "--p", "3", "--max-order", "9"], "unrecognized arguments: --max-order"),
@@ -310,7 +312,8 @@ def test_family_and_file_are_exclusive(tmp_path, capsys):
         (["chartable", "--family", "usp4", "--q", "4"], "invalid choice: 'usp4'"),
         (["golden", "--q", "2", "--family", "usp4"], "unrecognized arguments: --family"),
     ],
-    ids=["validate-psi", "polarize-psi", "battery-psi", "validate-max-order", "orbits-max-order",
+    ids=["validate-psi", "polarize-psi", "battery-psi", "battery-p3", "battery-p7",
+         "validate-max-order", "orbits-max-order",
          "packets-max-order", "orbits-sigma", "algebra-choice", "usp4-choice", "golden-family"],
 )
 def test_removed_options_and_dead_choices_exit_2(tmp_path, args, message):
@@ -338,9 +341,9 @@ def test_each_subcommand_offers_only_the_options_it_reads():
         "packets": family | {"--psi", "--out", "--level"},
         "polarize": family | {"--file", "--out", "--f"},
         "golden": {"--q", "--psi", "--out", "--max-order", "--oracle"},
-        "counterexamples": {"--p", "--out"},
+        "counterexamples": {"--out"},
     }
-    assert sum(map(len, _options(build_parser()).values())) == 60
+    assert sum(map(len, _options(build_parser()).values())) == 59
     # a subcommand's families are those of the kinds it takes
     choices = {
         name: next(a.choices for a in sp._actions if a.dest == "family")
@@ -421,14 +424,36 @@ def test_family_parameters_keep_their_defaults(capsys):
          "--psi --oracle not read on group input"),
         (["golden", "--q", "3", "--psi", "2"], "--psi not read at odd q"),
         (["golden", "--q", "3", "--oracle"], "--oracle not read at odd q"),
+        (["chartable", "--family", "heisenberg", "--p", "3", "--max-order", "9"],
+         "--max-order not read on ring input without --oracle"),
+        (["golden", "--q", "4", "--max-order", "9"], "--max-order not read at even q without --oracle"),
     ],
-    ids=["algebra-oracle", "algebra-psi", "group-psi-oracle", "golden-odd-psi", "golden-odd-oracle"],
+    ids=["algebra-oracle", "algebra-psi", "group-psi-oracle", "golden-odd-psi", "golden-odd-oracle",
+         "ring-max-order", "golden-even-max-order"],
 )
 def test_options_read_on_only_some_paths_exit_2(tmp_path, capsys, args, message):
     alg, sig = _spas_files(tmp_path)
     assert main([{"ALG": alg, "SIG": sig}.get(a, a) for a in args]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "input error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "args, p, k",
+    [
+        (["orbits", "--family", "heisenberg", "--p", "3", "--psi", "0"], 3, 0),
+        (["chartable", "--family", "heisenberg", "--p", "3", "--psi", "3"], 3, 3),
+        (["packets", "--family", "fakeheis", "--p", "3", "--psi", "6"], 3, 6),
+        (["golden", "--q", "4", "--psi", "2"], 2, 2),
+    ],
+    ids=["orbits", "chartable", "packets", "golden"],
+)
+def test_trivial_additive_character_exits_2(capsys, args, p, k):
+    # psi(1) = zeta_p^k with k = 0 mod p is no character the orbit method can use
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: additive character psi(1) = zeta_%d^%d is trivial\n" % (p, k)
 
 
 def test_orbits_leaves_the_estimate_blank_past_the_ladder_budget(monkeypatch, capsys):

@@ -334,12 +334,19 @@ def test_sp_a_sigma_bulk_law_matches_member_lookup(seed):
 
 def test_sp_a_sigma_product_outside_the_members_raises():
     G = usp4_via_sp(3)
+    one_plus_a = fam.algebra_group(G.algebra, spot_check=False)
+    # Sp(A, sigma) is the checked subgroup of 1 + A on its members
+    assert G.members[0] == 0 and G.identity == 0
+    inside = G.members[[0, 5, 7]]
+    assert np.searchsorted(G.members, one_plus_a.mult_bulk(inside, inside)).tolist() == (
+        G.mult_bulk([0, 5, 7], [0, 5, 7]).tolist()
+    )
+    # three more points of 1 + A: some product of two of them leaves the set
     outside = np.setdiff1d(np.arange(G.algebra.order), G.members)[:3]
-    X = linalg.decode_indices(outside, G.algebra.dim, 3)
-    with pytest.raises(AssertionError):
-        fam._member_positions(G.members, X, 3)
-    inside = linalg.decode_indices(G.members[[0, 5, 7]], G.algebra.dim, 3)
-    assert fam._member_positions(G.members, inside, 3).tolist() == [0, 5, 7]
+    H = one_plus_a.subgroup(np.concatenate([G.members, outside]))
+    every = np.arange(H.n)
+    with pytest.raises(ValueError, match="not closed"):
+        H.mult_bulk(np.repeat(every, H.n), np.tile(every, H.n))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -733,6 +740,29 @@ def test_quotient_matches_per_coset_loop(name):
         I, J = rng.integers(0, Q.n, (2, 300))
         expected = np.searchsorted(ref_reps, ref_rep[G.mult_bulk(ref_reps[I], ref_reps[J])])
         assert Q.mult_bulk(I, J).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("name", ["S4", "D8", "heisenberg F3", "class-3 witness"])
+def test_subgroup_numbers_sorted_members_and_refuses_a_set_that_is_not_closed(name):
+    G = _SMALL_GROUPS[name]()
+    rng = np.random.default_rng(5)
+    for elems in (G.center(), G.derived_subgroup(), G.normal_closure(rng.integers(0, G.n, 1))):
+        H = G.subgroup(rng.permutation(elems))
+        assert H.members.tolist() == sorted(elems.tolist())
+        assert H.members[H.identity] == G.identity
+        I, J = rng.integers(0, H.n, (2, 200))
+        assert H.members[H.mult_bulk(I, J)].tolist() == G.mult_bulk(H.members[I], H.members[J]).tolist()
+        assert H.members[H.inv_bulk(I)].tolist() == G.inv_bulk(H.members[I]).tolist()
+    # an element of order > 2 and the identity: its square leaves the set
+    g = next(x for x in range(G.n) if G.mult(x, x) != G.identity)
+    H = G.subgroup([G.identity, g])
+    k = int(np.searchsorted(H.members, g))
+    with pytest.raises(ValueError, match="not closed"):
+        H.mult_bulk([k], [k])
+    with pytest.raises(ValueError, match="not closed"):
+        G.subgroup([g])  # the identity is missing
+    with pytest.raises(ValueError, match="repeat"):
+        G.subgroup([G.identity, g, g])
 
 
 def _traced_peak(fn):

@@ -1,7 +1,9 @@
-"""Source hygiene: no function parameter that its body never reads."""
+"""Source hygiene: no function parameter that its body never reads, and
+one module that turns indices into digits and back."""
 
 import ast
 import pathlib
+import re
 
 import nilorbit
 
@@ -59,3 +61,20 @@ def test_the_walk_finds_an_unread_parameter():
         "        pass\n"
     )
     assert _unread_parameters(tree, "t") == ["t:f.b", "t:f.rest", "t:f.g.d", "t:K.m.e"]
+
+
+# place values of a mixed-radix index: p ** np.arange(d), or a cumulative
+# product of moduli
+PLACE_VALUES = re.compile(r"\*\*\s*np\.arange|cumprod")
+
+
+def test_only_linalg_builds_place_values():
+    offenders = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "linalg.py" and PLACE_VALUES.search(path.read_text())
+    ]
+    assert offenders == []
+    assert PLACE_VALUES.search((SRC / "linalg.py").read_text())
+    for old in ("p ** np.arange(d, dtype=np.int64)", "np.cumprod((1,) + self.moduli[:-1])"):
+        assert PLACE_VALUES.search(old)

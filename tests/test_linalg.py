@@ -85,3 +85,52 @@ def test_prime_power():
     for q in (-4, 0, 1, 6, 12, 100):
         with pytest.raises(ValueError, match="^%d is not a prime power$" % q):
             linalg.prime_power(q)
+
+
+def _reference_digits(idx, moduli):
+    """Little-endian mixed-radix digits of idx, one Python division each."""
+    out = []
+    for m in moduli:
+        idx, r = divmod(idx, m)
+        out.append(r)
+    return out
+
+
+@st.composite
+def mixed_radix_cases(draw):
+    moduli = draw(st.lists(st.integers(1, 9), max_size=6))
+    n = int(np.prod(moduli, dtype=np.int64))
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20))
+    shifts = draw(st.lists(st.integers(-3, 3), min_size=len(moduli), max_size=len(moduli)))
+    return moduli, idx, shifts
+
+
+@settings(max_examples=200)
+@given(mixed_radix_cases())
+def test_codec_matches_python_reference_on_mixed_moduli(case):
+    moduli, idx, shifts = case
+    d = len(moduli)
+    ref = np.array([_reference_digits(i, moduli) for i in idx], dtype=np.int64).reshape(len(idx), d)
+    digits = linalg.decode_indices(idx, d, moduli)
+    assert digits.shape == (len(idx), d) and digits.tolist() == ref.tolist()
+    assert linalg.encode_vectors(digits, moduli).tolist() == idx
+    # index order: all_vectors lists the reference digits of 0, 1, 2, ...
+    every = linalg.all_vectors(d, moduli)
+    assert every.tolist() == [_reference_digits(i, moduli) for i in range(len(every))]
+    assert linalg.encode_vectors(every, moduli).tolist() == list(range(len(every)))
+    # a digit is read mod its modulus, so negative and oversized digits are welcome
+    assert linalg.encode_vectors(ref + np.array(shifts) * moduli, moduli).tolist() == idx
+    # one modulus is that modulus for every digit
+    if d and len(set(moduli)) == 1:
+        assert linalg.decode_indices(idx, d, moduli[0]).tolist() == ref.tolist()
+        assert linalg.encode_vectors(ref, moduli[0]).tolist() == idx
+
+
+def test_codec_shapes_and_moduli_count():
+    # a scalar index has one row of digits; the trailing axis holds them
+    assert linalg.decode_indices(17, 3, [2, 3, 5]).tolist() == [1, 2, 2]
+    assert linalg.decode_indices([[5], [7]], 2, 3).shape == (2, 1, 2)
+    with pytest.raises(ValueError, match="2 moduli for 3 digits"):
+        linalg.decode_indices([1], 3, [2, 3])
+    with pytest.raises(ValueError, match="2 moduli for 3 digits"):
+        linalg.encode_vectors([[1, 2, 3]], [5, 5])
