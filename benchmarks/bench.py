@@ -86,6 +86,7 @@ DIXON_STAGES = (
 )
 KERNEL_STAGES = ("kernels._image_tables", "kernels.orbit_labels")
 CONVOLUTION_STAGES = ("chartable.convolve", "orbits.verify_phi_idempotents")
+INDUCTION_STAGES = ("polar.induced_character", "groups.induce_character")
 GFQ_TRACED = (
     "gfq.FqField.mul.calls", "gfq.FqField.trace.calls", "gfq.FqField.bulk_mul.elements",
     "gfq.default_modulus.calls", "gfq.is_irreducible.calls", "gfq.is_irreducible.self_s",
@@ -116,6 +117,10 @@ REGISTRY = {
             "liering.LieRing.group_mul_bulk.calls", "liering.LieRing.group_mul_bulk.pairs",
             "liering.LieRing.bracket.calls", "chartable.convolve.self_s",
         )),
+    ],
+    "representations": [
+        timed("test_criterion_5_polarization_suite", INDUCTION_STAGES),
+        timed("test_criterion_7_counterexample_battery", INDUCTION_STAGES),
     ],
     "gfq": [
         timed("fq_probe"), timed("test_criterion_8_packets"), cli("packets_fakeheis_p5"),

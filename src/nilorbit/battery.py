@@ -30,6 +30,15 @@ from .polar import polarization_containment_search
 from .groups import induce_character
 from .cyclo import Cyclotomic
 
+# every report runs over F_5: the smallest prime above the witnesses'
+# nilpotence classes (the class-4 witness needs p > 4 for its Lazard law)
+P = 5
+# the class <= 3 rings statement7_class3_samples draws: how many, the seed
+# of random_class_le3_rings and their largest dimension
+CLASS3_SAMPLES = 20
+CLASS3_SEED = 11
+CLASS3_MAX_DIM = 5
+
 
 def appendix_h2_ring(p=5):
     """[x,y] = z, [x,z] = t; basis (x, y, z, t)."""
@@ -44,27 +53,21 @@ def witness_ring(p, adim):
     return from_bracket_table(p, 1 + adim, table)
 
 
-def statement1_report(p=5):
+def statement1_report():
     """Is Ind from the stabilizer a multiple of rho_Omega?  (No at class 3.)
 
     On the dim-4 ring with f = t*: the induced character from Exp(g^f) has
     at least two distinct irreducible constituents.
     """
-    ring = appendix_h2_ring(p)
+    ring = appendix_h2_ring(P)
     cd = conjugacy_class_data(ring)
     table, orbits = orbit_method_table(ring)
     f = np.zeros(ring.dim, dtype=np.int64)
     f[3] = 1
     stab = ring.stabilizer_subspace(f)
-    H_indices = np.sort(
-        linalg.encode_vectors(stab.points(), ring.p)
-    )
-
-    def chi_f(idx):
-        h = ring.element_from_index(int(idx))
-        return Cyclotomic.zeta(ring.p, int(f @ h) % ring.p)
-
-    ind = induce_character(None, H_indices, chi_f, class_data=cd)
+    points = stab.points()
+    zetas = [Cyclotomic.zeta(P, r) for r in range(P)]
+    ind = induce_character(cd, linalg.encode_vectors(points, P), points @ f % P, zetas)
     constituents = []
     for i, row in enumerate(table.rows):
         m = ind.inner(row)
@@ -79,9 +82,9 @@ def statement1_report(p=5):
     }
 
 
-def statement2_report(p=5):
+def statement2_report():
     """span(x, t) is isotropic for f = t* but lies in no polarization."""
-    ring = appendix_h2_ring(p)
+    ring = appendix_h2_ring(P)
     f = np.zeros(ring.dim, dtype=np.int64)
     f[3] = 1
     h0 = np.zeros((2, ring.dim), dtype=np.int64)
@@ -91,12 +94,12 @@ def statement2_report(p=5):
     return {"ring": "h2", "found": found, "refuted": found is None}
 
 
-def statement36_report(p=5):
+def statement36_report():
     """Phi^-1(K(Omega)) fails to be a left ideal at class 3.
 
     Witness: c x| a with dim a = 3, lambda nontrivial on (ad v)^2(a).
     """
-    ring = witness_ring(p, 3)
+    ring = witness_ring(P, 3)
     lam = np.zeros(ring.dim, dtype=np.int64)
     lam[3] = 1  # a3* is nontrivial on (ad v)^2(a) = span(a3)
     oset = coadjoint_orbits(ring)
@@ -105,15 +108,14 @@ def statement36_report(p=5):
     return {"ring": "class3-witness", "module_property": holds, "refuted": not holds}
 
 
-def statement3_explicit_pair(p=5):
+def statement3_explicit_pair():
     """An invariant x = e_Omega and a delta y with Phi(x*y) != Phi(x)Phi(y).
 
     Exhibits the module-structure failure of statement (3) directly on the
     class-3 witness (statements (3) and (6) are equivalent)."""
-    from .cyclo import Cyclotomic
     from .orbits import central_idempotent, lazard_group, phi_transform
 
-    ring = witness_ring(p, 3)
+    ring = witness_ring(P, 3)
     table, orbits = orbit_method_table(ring)
     cd = conjugacy_class_data(ring)
     G = lazard_group(ring)
@@ -128,17 +130,17 @@ def statement3_explicit_pair(p=5):
     )
     e = central_idempotent(ring, row, cd)
     n = ring.order
+    F_e = phi_transform(ring, e)
+    lams = ring.all_elements()
     for gi in range(ring.dim):
         gamma = int(ring.element_index(ring.basis_vector(gi)))
         # (e * delta_gamma)(g) = e(g gamma^-1)
         prods = G.mult_bulk(np.arange(n), np.full(n, G.inv(gamma)))
         shifted = [e[int(x)] for x in prods]
         lhs = phi_transform(ring, shifted)
-        F_e = phi_transform(ring, e)
         log_gamma = ring.element_from_index(gamma)
-        lams = ring.all_elements()
         for li in range(n):
-            rhs = F_e[li] * Cyclotomic.zeta(p, int(lams[li] @ log_gamma) % p)
+            rhs = F_e[li] * Cyclotomic.zeta(P, int(lams[li] @ log_gamma) % P)
             if lhs[li] != rhs:
                 return {
                     "refuted": True,
@@ -148,9 +150,9 @@ def statement3_explicit_pair(p=5):
     return {"refuted": False}
 
 
-def statement7_class4_report(p=5):
+def statement7_class4_report():
     """Perm(Omega) != rho tensor rho* on the class-4 witness."""
-    ring = witness_ring(p, 4)
+    ring = witness_ring(P, 4)
     if ring.nilpotence_class() != 4:
         raise AssertionError("witness ring does not have class 4")
     lam = np.zeros(ring.dim, dtype=np.int64)
@@ -166,10 +168,10 @@ def statement7_class4_report(p=5):
     }
 
 
-def statement7_class3_samples(p=5, count=20, seed=11, max_dim=5):
+def statement7_class3_samples():
     """Property (7) holds on every orbit of class <= 3 rings (sampled)."""
     results = []
-    for k, ring in enumerate(random_class_le3_rings(p, count, seed, max_dim)):
+    for ring in random_class_le3_rings(P, CLASS3_SAMPLES, CLASS3_SEED, CLASS3_MAX_DIM):
         oset = coadjoint_orbits(ring)
         ok = True
         for orb in oset.orbits:
@@ -223,23 +225,23 @@ def random_class_le3_rings(p, count, seed, max_dim=5):
     return out
 
 
-def parabola_report(p=5):
+def parabola_report():
     """pi and pi~ for the parabola (t, t^2): fiber counts agree."""
-    ts = np.arange(p, dtype=np.int64)
-    points = np.stack([ts, (ts * ts) % p], axis=1)
-    tangents = [np.array([[1, (2 * t) % p]], dtype=np.int64) for t in ts]
-    rep = pointset_fiber_comparison(points, tangents, p)
+    ts = np.arange(P, dtype=np.int64)
+    points = np.stack([ts, (ts * ts) % P], axis=1)
+    tangents = [np.array([[1, (2 * t) % P]], dtype=np.int64) for t in ts]
+    rep = pointset_fiber_comparison(points, tangents, P)
     return {"curve": "parabola", "equal": rep["equal"], "report": rep}
 
 
-def veronese_report(p=5):
+def veronese_report():
     """pi and pi~ for (t, t^2, t^3): the images differ."""
-    ts = np.arange(p, dtype=np.int64)
-    points = np.stack([ts, (ts * ts) % p, (ts * ts * ts) % p], axis=1)
+    ts = np.arange(P, dtype=np.int64)
+    points = np.stack([ts, (ts * ts) % P, (ts * ts * ts) % P], axis=1)
     tangents = [
-        np.array([[1, (2 * t) % p, (3 * t * t) % p]], dtype=np.int64) for t in ts
+        np.array([[1, (2 * t) % P, (3 * t * t) % P]], dtype=np.int64) for t in ts
     ]
-    rep = pointset_fiber_comparison(points, tangents, p)
+    rep = pointset_fiber_comparison(points, tangents, P)
     return {
         "curve": "veronese",
         "images_equal": rep["images_equal"],
@@ -248,28 +250,28 @@ def veronese_report(p=5):
     }
 
 
-def class2_module_property_samples(p=5):
+def class2_module_property_samples():
     """Statements (3)/(6) hold at class <= 2: Heisenberg and abelian."""
     from .liering import abelian_ring, heisenberg_ring
 
     out = []
-    for ring in (heisenberg_ring(p), abelian_ring(p, 2)):
+    for ring in (heisenberg_ring(P), abelian_ring(P, 2)):
         oset = coadjoint_orbits(ring)
         ok = all(module_property_check(ring, orb) for orb in oset.orbits)
         out.append(ok)
     return {"all_hold": all(out)}
 
 
-def full_battery(p=5):
+def full_battery():
     """Everything the counterexamples CLI subcommand reports."""
     return {
-        "statement1": statement1_report(p),
-        "statement2": statement2_report(p),
-        "statement36": statement36_report(p),
-        "statement3_pair": statement3_explicit_pair(p),
-        "statement7_class4": statement7_class4_report(p),
-        "statement7_class3": statement7_class3_samples(p),
-        "class2_module_property": class2_module_property_samples(p),
-        "parabola": parabola_report(p),
-        "veronese": veronese_report(p),
+        "statement1": statement1_report(),
+        "statement2": statement2_report(),
+        "statement36": statement36_report(),
+        "statement3_pair": statement3_explicit_pair(),
+        "statement7_class4": statement7_class4_report(),
+        "statement7_class3": statement7_class3_samples(),
+        "class2_module_property": class2_module_property_samples(),
+        "parabola": parabola_report(),
+        "veronese": veronese_report(),
     }

@@ -244,7 +244,8 @@ def to_ints(values, order=1):
             [[c * (den // values[i].den) for c in values[i].num] for i in rows],
             dtype=object,
         )
-        blocks.append(gather(ints, np.arange(_phi(m)) * (M // m), M))
+        # at the common order the coefficients are already the form
+        blocks.append(ints if m == M else gather(ints, np.arange(_phi(m)) * (M // m), M))
         idx += rows
     C = np.zeros((len(values), _phi(M)), dtype=np.int64)
     if blocks:

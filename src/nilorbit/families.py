@@ -17,8 +17,9 @@ import numpy as np
 
 from . import kernels, linalg
 from .chartable import CharacterTable
+from .cyclo import from_ints, lincomb, to_ints
 from .gfq import FqField, fq_embed, register_composite
-from .groups import AbelianGroup, FiniteGroup, is_homomorphism, little_groups
+from .groups import AbelianGroup, FiniteGroup, induce_from_roots, is_homomorphism, little_groups
 from .liering import FqStructure, LieRing
 
 
@@ -369,9 +370,7 @@ def _check_sqrt_bijection(A, S, members):
     term = sq
     j = 1
     while term.any():
-        coeff = _binomial_half(j)
-        c = (coeff.numerator * pow(coeff.denominator, -1, p)) % p
-        acc = (acc + c * term) % p
+        acc = (acc + linalg.rational_mod(_binomial_half(j), p) * term) % p
         term = A.product(term, sq)
         j += 1
     if (acc != ((X + SX) * inv2) % p).any():
@@ -622,23 +621,18 @@ def _linear_inducing(G, cd, chi, sub_elems):
 
     Linear characters are pulled back from the Dixon table of the
     abelianization of the subgroup (which may have exponent p^2, so the
-    elementary-abelian machinery does not apply)."""
+    elementary-abelian machinery does not apply).  A member's key is the
+    class of its image there, so one induction count serves every row."""
     from .dixon import dixon_table
-    from .groups import induce_character
 
     H = G.subgroup(sub_elems)
-    D = H.derived_subgroup()
-    Q, coset_rep, qreps = H.quotient(D)
+    Q, coset_rep, qreps = H.quotient(H.derived_subgroup())
     qtable = dixon_table(Q)
-    qcd = qtable.class_data
-    pos = {int(e): i for i, e in enumerate(H.members)}
-    for row in qtable.rows:
-        def lam(e, row=row):
-            h = pos[int(e)]
-            return row.values[qcd.class_of[int(np.searchsorted(qreps, coset_rep[h]))]]
-
-        ind = induce_character(G, sub_elems, lam, class_data=cd)
-        if ind == chi:
+    keys = qtable.class_data.class_of[np.searchsorted(qreps, coset_rep)]
+    counts = induce_from_roots(cd, H.members, keys, qtable.class_data.num_classes)
+    C, M, den = to_ints(qtable.values)
+    for row, index in zip(qtable.rows, qtable.index):
+        if tuple(from_ints(lincomb(counts, C[index]), M, den * H.n)) == chi.values:
             return row
     return None
 

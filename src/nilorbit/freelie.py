@@ -16,6 +16,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import rational_mod
+
 X, Y = 0, 1
 _GENS = (X, Y)
 _F0 = Fraction(0)
@@ -429,16 +431,6 @@ def phi_psi_series(c):
 # -- evaluation in concrete rings --------------------------------------------
 
 
-def _coeff_mod(v, p):
-    num = v.numerator % p
-    den = v.denominator % p
-    if den == 0:
-        raise ValueError(
-            "denominator %d not invertible mod %d (class >= p?)" % (v.denominator, p)
-        )
-    return (num * pow(den, -1, p)) % p
-
-
 def evaluate(series, ring, assignment):
     """Evaluate a LieSeries in a LieRing under generator -> vector.
 
@@ -451,7 +443,7 @@ def evaluate(series, ring, assignment):
     values = {g: np.asarray(v, dtype=np.int64) % ring.p for g, v in assignment.items()}
     acc = np.zeros(ring.dim, dtype=np.int64)
     for w, coeff in series.terms.items():
-        acc = (acc + _coeff_mod(coeff, ring.p) * _word_value(w, values, ring)) % ring.p
+        acc = (acc + rational_mod(coeff, ring.p) * _word_value(w, values, ring)) % ring.p
     return acc
 
 
@@ -477,7 +469,7 @@ def _exp_ad_pairs(ring, PHI, TARGET, c):
         cur = ring.bracket(PHI, cur)
         if not cur.any():
             break
-        out = (out + _coeff_mod(Fraction(1, math.factorial(k)), ring.p) * cur) % ring.p
+        out = (out + rational_mod(Fraction(1, math.factorial(k)), ring.p) * cur) % ring.p
     return out
 
 

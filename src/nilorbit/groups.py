@@ -11,6 +11,10 @@ orders one powering pass, closures one bulk call per frontier.  A scalar
 oracle enters through build_group, which loops over the pairs of each bulk
 call.  Homomorphism checks (actions, twisted automorphisms, the USp4
 correspondence) are one complete check on generators, is_homomorphism.
+Induction is one count, induce_from_roots: a class function on a subgroup
+is an integer key per member and a value per key, and the induced
+character is the per-class key counts times the centralizer orders,
+combined with the values over |H| (induce_character).
 """
 
 import math
@@ -19,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, linalg
-from .cyclo import from_ints, lincomb, times, to_ints
+from .chartable import CharacterTable, ClassFunction
+from .cyclo import from_ints, lincomb, to_ints
 
 # group-law pairs per call in class_pair_counts; larger blocks raise peak
 # memory through the temporaries of the Lazard law
@@ -43,9 +48,6 @@ class ClassData:
     @property
     def num_classes(self):
         return len(self.reps)
-
-    def centralizer_order(self, j):
-        return self.n // int(self.sizes[j])
 
     def same_as(self, other):
         return (
@@ -406,25 +408,14 @@ def build_group(mult, n, gens=None, inv=None, identity=0, spot_check=True, **kw)
 # -- induced characters ---------------------------------------------------------
 
 
-def induce_character(G, subgroup_elems, chi_sub, class_data=None):
-    """Induced class function Ind_H^G(chi) from values on a subgroup.
-
-    chi_sub maps element index -> Cyclotomic (callable or dict).  Uses
-    chi_ind(g) = |C_G(g)|/|H| * sum over class(g) meet H of chi values,
-    which is the standard induced-character formula grouped by conjugates.
-    """
-    cd = class_data or G.conjugacy_classes()
-    H = np.asarray(subgroup_elems, dtype=np.int64)
-    lookup = chi_sub if callable(chi_sub) else (lambda x: chi_sub[x])
-    elems = sorted(set(int(x) for x in H))
-    C, M, den = to_ints([lookup(x) for x in elems])
-    member = np.zeros((cd.num_classes, len(elems)), dtype=np.int64)
-    member[cd.class_of[elems], np.arange(len(elems))] = 1
-    centralizers = [[cd.centralizer_order(j)] for j in range(cd.num_classes)]
-    values = from_ints(times(lincomb(member, C), centralizers), M, den * len(H))
-    from .chartable import ClassFunction
-
-    return ClassFunction(cd, tuple(values))
+def induce_character(class_data, elems, keys, values):
+    """Ind_H^G of the class function on the subgroup H on the distinct
+    elems that is values[keys[i]] at elems[i], for integer keys below
+    len(values): the class counts of induce_from_roots combined with the
+    values over |H|, in integer form."""
+    C, M, den = to_ints(values)
+    counts = induce_from_roots(class_data, elems, keys, len(values))
+    return ClassFunction(class_data, tuple(from_ints(lincomb(counts, C), M, den * len(elems))))
 
 
 # -- abelian groups and the little-groups method --------------------------------
@@ -515,8 +506,6 @@ def little_groups(H, A, table):
     H^chi, and characters psi of H^chi; the irreducible for (Omega, psi) is
     Ind_{H^chi lt-semidirect A}^{G} (psi-tilde tensor chi-tilde).
     """
-    from .chartable import CharacterTable
-
     action = np.asarray(table, dtype=np.int64)
     _check_action(H, A, action)
     G = semidirect_product(H, A, action)
@@ -569,12 +558,15 @@ def _subgroup_characters(H, stab):
     return keys
 
 
-def induce_from_roots(cd, elems, r, e):
-    """Ind from the subgroup H on elems of the class function zeta_e^r[k] at
-    elems[k], as root counts: Ind(g) = sum_s counts[class(g), s] zeta_e^s / |H|,
-    with counts |C_G(g)| times the root counts on class(g) meet H."""
+def induce_from_roots(cd, elems, keys, k):
+    """The one induction count, from the subgroup H on the distinct elems
+    with an integer key below k at each: counts[class(g), s] is |C_G(g)|
+    times the number of elements of class(g) meet H with key s.  So the
+    class function with value v_s on key s induces to
+    Ind(g) = sum_s counts[class(g), s] v_s / |H|, the conjugation-count
+    formula; for keys r and v_s = zeta_e^s the counts are root counts."""
     t = cd.num_classes
-    counts = np.bincount(cd.class_of[elems] * e + r, minlength=t * e).reshape(t, e)
+    counts = np.bincount(cd.class_of[elems] * k + keys, minlength=t * k).reshape(t, k)
     return counts * (cd.n // cd.sizes).astype(np.int64)[:, None]
 
 

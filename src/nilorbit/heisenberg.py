@@ -11,7 +11,13 @@ to check the chain.
 
 Both routines assume the relevant abelian sections have prime exponent p,
 which covers every group this package builds (exponent-p Lazard groups and
-their subquotients).
+their subquotients).  Everything runs on index and coordinate arrays: an
+elementary abelian subgroup is its sorted elements with one row of F_p
+coordinates each, a character of it a dual vector and its values on
+elements one gather and product.  Each induction is one call of
+groups.induce_character: a Heisenberg character is keyed by zeta_p
+exponents on the Lagrangian lift, the re-induction check of the descent by
+the classes of the stabilizer.
 """
 
 import math
@@ -20,53 +26,59 @@ import numpy as np
 
 from . import linalg, polar
 from .chartable import ClassFunction
-from .cyclo import Cyclotomic, from_ints, lincomb, product_table
+from .cyclo import Cyclotomic, contract, from_ints, gather, lincomb, product_table, to_ints
 from .groups import induce_character
 
 
 class ElementaryCoords:
-    """F_p-coordinates on an elementary abelian subgroup given by elements."""
+    """F_p-coordinates on an elementary abelian subgroup given by elements.
+
+    elems are the sorted elements and coords[i] the coordinates of
+    elems[i] against basis: each basis element is the least element outside
+    the span of those before it, and the span grows by right products with
+    its powers, one bulk call per power.
+    """
 
     def __init__(self, G, elems, p):
-        self.G = G
         self.p = p
-        self.elems = np.asarray(sorted(int(x) for x in elems), dtype=np.int64)
-        coords = {G.identity: ()}
+        self.elems = np.sort(np.asarray(elems, dtype=np.int64))
+        spanned = np.zeros(G.n, dtype=bool)
+        spanned[G.identity] = True
+        span = np.array([G.identity], dtype=np.int64)
+        coords = np.zeros((1, 0), dtype=np.int64)
         basis = []
-        for a in self.elems:
-            a = int(a)
-            if a in coords:
-                continue
+        while True:
+            outside = ~spanned[self.elems]
+            if not outside.any():
+                break
+            a = self.elems[np.argmax(outside)]
             if G.element_orders([a])[0] != p:
                 raise ValueError("subgroup is not of prime exponent %d" % p)
-            k = len(basis)
             basis.append(a)
-            # powers[j - 1][i] = e_i a^j for every current element e_i
-            cur = np.fromiter(coords, dtype=np.int64, count=len(coords))
-            powers = []
+            powers = [span]
             for _ in range(1, p):
-                cur = G.mult_bulk(cur, np.full(len(cur), a, dtype=np.int64))
-                powers.append(cur.tolist())
-            new = {}
-            for i, c in enumerate(coords.values()):
-                for j in range(1, p):
-                    new[powers[j - 1][i]] = c + (j,)
-            for e, c in new.items():
-                if e in coords:
-                    raise ValueError("subgroup is not abelian of exponent p")
-                coords[e] = c
-            for e in list(coords):
-                coords[e] = coords[e] + (0,) * (k + 1 - len(coords[e]))
-        self.rank = len(basis)
-        self.basis = basis
-        self.coords = {
-            e: tuple(c) + (0,) * (self.rank - len(c)) for e, c in coords.items()
-        }
-        if len(self.coords) != len(self.elems):
+                powers.append(G.mult_bulk(powers[-1], np.full(len(span), a, dtype=np.int64)))
+            new = np.concatenate(powers[1:])
+            # s a^j = s' a^l with j != l puts s' a^(l-j) = s in the span
+            # already, so new elements repeat only if one meets the span
+            if spanned[new].any():
+                raise ValueError("subgroup is not abelian of exponent p")
+            spanned[new] = True
+            span = np.concatenate(powers)
+            j = np.repeat(np.arange(p, dtype=np.int64), len(coords))
+            coords = np.hstack([np.tile(coords, (p, 1)), j[:, None]])
+        if len(span) != len(self.elems):
             raise ValueError("element set is not a subgroup")
+        self.basis = np.array(basis, dtype=np.int64)
+        self.rank = len(basis)
+        self.coords = coords[np.argsort(span)]
 
-    def coord_vector(self, e):
-        return self.coords[int(e)]
+    def positions(self, X):
+        """Index into elems of each element of X, which must lie in it."""
+        pos = np.minimum(np.searchsorted(self.elems, X), len(self.elems) - 1)
+        if (self.elems[pos] != X).any():
+            raise ValueError("element outside the subgroup")
+        return pos
 
     def dual_vectors(self):
         return linalg.all_vectors(self.rank, self.p)
@@ -77,70 +89,51 @@ class AbCharacters:
 
     Works through the abelianization of the subgroup (which must have
     prime exponent p): characters are dual vectors in the abelianized
-    coordinates, evaluated on parent-group elements.
+    coordinates, coords[k] those of the k-th member of the subgroup.
     """
 
     def __init__(self, G, elems, p):
-        self.G = G
         self.p = p
         self.H = G.subgroup(elems)
-        D = self.H.derived_subgroup()
-        self.Q, self.coset_rep, self.qreps = self.H.quotient(D)
-        self.qcoords = ElementaryCoords(self.Q, np.arange(self.Q.n), p)
-        self.rank = self.qcoords.rank
+        Q, coset_rep, qreps = self.H.quotient(self.H.derived_subgroup())
+        # Q's elements are its coset reps' positions, so its coordinates
+        # are rows of one gather
+        self.coords = ElementaryCoords(Q, np.arange(Q.n), p).coords[
+            np.searchsorted(qreps, coset_rep)
+        ]
 
-    def residue(self, mu, parent_element):
-        h = _pos(self.H, parent_element)
-        q = int(np.searchsorted(self.qreps, self.coset_rep[h]))
-        return int(np.dot(mu, self.qcoords.coord_vector(q))) % self.p
+    def exponents(self, mu, elems):
+        """r with mu(e) = zeta_p^r at each parent-group element e of elems."""
+        pos = np.searchsorted(self.H.members, elems)
+        return (self.coords[pos] @ np.asarray(mu, dtype=np.int64)) % self.p
 
-    def value(self, mu, parent_element, psi_k=1):
-        r = (psi_k * self.residue(mu, parent_element)) % self.p
-        return Cyclotomic.zeta(self.p, r)
-
-    def dual_vectors(self):
-        return linalg.all_vectors(self.rank, self.p)
-
-    def extensions(self, sub_elems, target):
-        """All duals mu with residue(mu, e) == target[e] for e in sub_elems."""
-        rows = []
-        rhs = []
-        for e in sub_elems:
-            h = _pos(self.H, e)
-            q = int(np.searchsorted(self.qreps, self.coset_rep[h]))
-            rows.append(list(self.qcoords.coord_vector(q)))
-            rhs.append(target[int(e)] % self.p)
-        if not rows:
-            return [tuple(v) for v in self.dual_vectors()]
-        part = linalg.solve(np.array(rows, dtype=np.int64), np.array(rhs, dtype=np.int64), self.p)
+    def extensions(self, sub_elems, targets):
+        """All duals mu, as sorted tuples, with exponents(mu, sub_elems)
+        equal to targets mod p."""
+        rows = self.coords[np.searchsorted(self.H.members, sub_elems)]
+        part = linalg.solve(rows, targets, self.p)
         if part is None:
             return []
-        K = linalg.kernel(np.array(rows, dtype=np.int64), self.p)
-        out = []
-        if K.shape[0] == 0:
-            return [tuple(int(v) for v in part)]
-        for coeffs in linalg.all_vectors(K.shape[0], self.p):
-            out.append(tuple(int(v) for v in (part + coeffs @ K) % self.p))
-        return sorted(set(out))
+        K = linalg.kernel(rows, self.p)
+        mus = (part + linalg.all_vectors(K.shape[0], self.p) @ K) % self.p
+        return sorted(set(map(tuple, mus.tolist())))
 
 
 def _scalar_classes(chi, cd):
     """Classes on which the representation acts by scalars:
-    chi(g) conj(chi(g)) = chi(1)^2."""
-    d2 = chi.degree * chi.degree
-    out = []
-    for j in range(cd.num_classes):
-        v = chi.values[j]
-        if v * v.conj() == d2:
-            out.append(j)
-    return out
+    chi(g) conj(chi(g)) = chi(1)^2, one contraction of the values' integer
+    forms against their conjugates (zeta^k -> zeta^-k).  On the identity
+    class the product is deg^2 den^2 at zeta^0."""
+    C, M, _ = to_ints(chi.values)
+    conj = gather(C, -np.arange(C.shape[1]), M)
+    norms = contract(C[:, None, None], conj[:, None, None], M)[:, 0, 0]
+    return np.flatnonzero((norms == norms[cd.identity_class]).all(axis=1))
 
 
 def is_heisenberg_character(G, chi, cd=None):
     """True iff Gamma/N is abelian for N = scalar-acting elements."""
     cd = cd or G.conjugacy_classes()
-    scal = set(_scalar_classes(chi, cd))
-    N = np.nonzero(np.isin(cd.class_of, list(scal)))[0]
+    N = np.flatnonzero(np.isin(cd.class_of, _scalar_classes(chi, cd)))
     Q, coset_rep, reps = G.quotient(N)
     return Q.is_abelian()
 
@@ -163,40 +156,20 @@ def heisenberg_classify(G, p, psi_k=1, cd=None, flag_perm=None):
         invariant_nus = [None]
     else:
         # nu(g a g^-1) - nu(a) = nu([g, a]) on the elementary abelian D
-        comms = G.commutator_bulk(np.repeat(gens, len(DC.basis)), np.tile(DC.basis, len(gens)))
-        coords = np.array([DC.coord_vector(c) for c in comms], dtype=np.int64)
+        comms = G.commutator_bulk(np.repeat(gens, DC.rank), np.tile(DC.basis, len(gens)))
+        coords = DC.coords[DC.positions(comms)]
         duals = DC.dual_vectors()
         invariant_nus = list(duals[~((duals @ coords.T) % p).any(axis=1)])
     for mu in invariant_nus:
-        if mu is None or not np.asarray(mu).any():
-            ker = D
-        else:
-            ker = np.array(
-                [e for e in D if np.dot(mu, DC.coord_vector(e)) % p == 0],
-                dtype=np.int64,
-            )
-        Q, coset_rep, qreps = G.quotient(ker)
-        Zq = Q.center()
-        C = np.nonzero(
-            np.isin(coset_rep, [int(qreps[z]) for z in Zq])
-        )[0].astype(np.int64)
+        # nu on D (sorted, as DC.elems) as zeta_p exponents
+        target = np.zeros(len(D), dtype=np.int64) if mu is None else (DC.coords @ mu) % p
+        Q, coset_rep, qreps = G.quotient(D[target == 0])
+        C = np.flatnonzero(np.isin(coset_rep, qreps[Q.center()]))
         CC = AbCharacters(G, C, p)
         # nu~ ranges over characters of C restricting to nu on D
-        target = {}
-        for e in D:
-            r = 0 if mu is None else int(np.dot(mu, DC.coord_vector(e))) % p
-            target[int(e)] = r
         for lam in CC.extensions(D, target):
-            chi = _heisenberg_character(
-                G, cd, C, CC, lam, p, psi_k, flag_perm=flag_perm
-            )
-            out.append(
-                (
-                    None if mu is None else tuple(int(x) for x in mu),
-                    tuple(int(x) for x in lam),
-                    chi,
-                )
-            )
+            chi = _heisenberg_character(G, cd, C, CC, lam, p, psi_k, flag_perm=flag_perm)
+            out.append((None if mu is None else tuple(int(x) for x in mu), lam, chi))
     return out
 
 
@@ -213,7 +186,7 @@ def _heisenberg_character(G, cd, C, CC, lam, p, psi_k, flag_perm=None):
     k = qcoords.rank
     lifts = qreps[qcoords.basis]
     comms = G.commutator_bulk(np.repeat(lifts, k), np.tile(lifts, k))
-    B = np.array([CC.residue(lam, c) for c in comms], dtype=np.int64).reshape(k, k)
+    B = CC.exponents(lam, comms).reshape(k, k)
     if ((B + B.T) % p).any() or B.diagonal().any():
         raise AssertionError("commutator pairing is not alternating (bug)")
     if linalg.rank(B, p) != k:
@@ -222,39 +195,28 @@ def _heisenberg_character(G, cd, C, CC, lam, p, psi_k, flag_perm=None):
     if flag_perm is not None and sorted(flag_perm) == list(range(k)):
         flag_rows = np.eye(k, dtype=np.int64)[list(flag_perm)]
     _, sigma, L_rows = polar.good_basis_and_involution(B, p, flag_rows=flag_rows)
-    # lift the Lagrangian rows to subgroup elements of G
-    Ltilde = _lift_subgroup(G, Q, qreps, coset_rep, qcoords, L_rows, p)
+    Ltilde = _lift_subgroup(qcoords, np.searchsorted(qreps, coset_rep), L_rows, p)
     # extend nu~ to a character f of Ltilde (through its abelianization)
     LC = AbCharacters(G, Ltilde, p)
-    target = {int(e): CC.residue(lam, int(e)) for e in C}
-    fs = LC.extensions(C, target)
+    fs = LC.extensions(C, CC.exponents(lam, C))
     if not fs:
         raise AssertionError("character extension to the Lagrangian failed (bug)")
-    f_vec = fs[0]
-    chi = induce_character(
-        G,
-        Ltilde,
-        lambda e: LC.value(f_vec, int(e), psi_k),
-        class_data=cd,
-    )
+    keys = (psi_k * LC.exponents(fs[0], Ltilde)) % p
+    chi = induce_character(cd, Ltilde, keys, [Cyclotomic.zeta(p, r) for r in range(p)])
     expected_deg = math.isqrt(G.n // len(C))
     if chi.degree != Cyclotomic.rational(expected_deg):
         raise AssertionError("Heisenberg degree != sqrt([G : C]) (bug)")
     return chi
 
 
-def _lift_subgroup(G, Q, qreps, coset_rep, qcoords, L_rows, p):
-    """Preimage in G of the subgroup of Q spanned by L_rows (coordinates)."""
-    # enumerate quotient elements whose coordinates lie in the row space
-    if len(L_rows) == 0:
-        members_q = {Q.identity}
-    else:
-        R, _ = linalg.rref(np.asarray(L_rows, dtype=np.int64) % p, p)
-        V = np.array([qcoords.coord_vector(e) for e in range(Q.n)], dtype=np.int64)
-        members_q = set(np.flatnonzero(~linalg.reduce_by(R, V, p).any(axis=1)).tolist())
-    member_reps = {int(qreps[e]) for e in members_q}
-    out = [x for x in range(G.n) if int(coset_rep[x]) in member_reps]
-    return np.array(sorted(out), dtype=np.int64)
+def _lift_subgroup(qcoords, labels, L_rows, p):
+    """Preimage in G of the subgroup of the quotient spanned by L_rows
+    (coordinates), with labels[x] the quotient element of x in G."""
+    V = qcoords.coords
+    if len(L_rows):
+        V = linalg.reduce_by(linalg.rref(L_rows, p)[0], V, p)
+    # x lifts a member when its coset's coordinates lie in the row space
+    return np.flatnonzero(~V.any(axis=1)[labels])
 
 
 # -- reduction process ----------------------------------------------------------
@@ -274,18 +236,15 @@ def reduce_to_heisenberg(G, chi, p, psi_k=1, cd=None):
     cur_G, cur_cd, cur_chi = G, cd, chi
     cur_elems = np.arange(G.n, dtype=np.int64)
     while True:
-        scal = _scalar_classes(cur_chi, cur_cd)
-        N = np.nonzero(np.isin(cur_cd.class_of, scal))[0].astype(np.int64)
+        N = np.flatnonzero(np.isin(cur_cd.class_of, _scalar_classes(cur_chi, cur_cd)))
         Q, coset_rep, qreps = cur_G.quotient(N)
-        Zq = Q.center()
         # pairing on Z(Q): nu([z, z']) with nu the scalar character on N
-        Z_lift = qreps[Zq]
+        Z_lift = qreps[Q.center()]
         # degenerate part Z0 = {z in Z : chi([z, z']) = chi(1) for all z'}
         at_degree = np.array([v == cur_chi.degree for v in cur_chi.values])
         comms = cur_G.commutator_bulk(np.repeat(Z_lift, len(Z_lift)), np.tile(Z_lift, len(Z_lift)))
         trivial = at_degree[cur_cd.class_of[comms]].reshape(len(Z_lift), len(Z_lift))
-        zreps = {int(coset_rep[z]) for z in Z_lift[trivial.all(axis=1)]}
-        A = np.nonzero(np.isin(coset_rep, sorted(zreps)))[0].astype(np.int64)
+        A = np.flatnonzero(np.isin(coset_rep, coset_rep[Z_lift[trivial.all(axis=1)]]))
         if len(A) == len(N):
             break  # rho(A) scalar: Heisenberg stage reached
         AC = ElementaryCoords(cur_G, A, p)
@@ -294,23 +253,13 @@ def reduce_to_heisenberg(G, chi, p, psi_k=1, cd=None):
         H = cur_G.subgroup(stab)
         hcd = H.conjugacy_classes()
         chi_next = _constituent_over(cur_G, cur_cd, cur_chi, H, hcd, AC, chi1, p, psi_k)
-        # verify: re-induction reproduces chi
-        chi_back = induce_character(
-            cur_G,
-            stab,
-            lambda e: chi_next.values[hcd.class_of[_pos(H, e)]],
-            class_data=cur_cd,
-        )
-        if chi_back != cur_chi:
+        # verify: re-induction reproduces chi (stab is H.members, in order)
+        if induce_character(cur_cd, stab, hcd.class_of, chi_next.values) != cur_chi:
             raise AssertionError("re-induction failed to reproduce chi (bug)")
-        chain.append((cur_elems[stab] if cur_elems is not None else stab, chi_next))
         cur_elems = cur_elems[stab]
+        chain.append((cur_elems, chi_next))
         cur_G, cur_cd, cur_chi = H, hcd, chi_next
     return chain, (cur_G, cur_cd, cur_chi)
-
-
-def _pos(H, e):
-    return int(np.searchsorted(H.members, int(e)))
 
 
 def _residue_table(chi, p):
@@ -321,44 +270,35 @@ def _residue_table(chi, p):
 
 def _canonical_constituent(cd, chi, AC, p, psi_k):
     """The lex-least character of A with nonzero multiplicity in Res_A chi."""
-    elems = AC.elems
-    coords = np.array([AC.coord_vector(int(e)) for e in elems], dtype=np.int64)
     P, _, _ = _residue_table(chi, p)
-    key = cd.class_of[elems] * p
+    key = cd.class_of[AC.elems] * p
     for mu in AC.dual_vectors():
-        counts = np.bincount(key + (psi_k * (coords @ mu)) % p, minlength=cd.num_classes * p)
+        counts = np.bincount(key + (psi_k * (AC.coords @ mu)) % p, minlength=cd.num_classes * p)
         if lincomb(counts, P).any():
             return mu
     raise AssertionError("restriction has no constituent (bug)")
 
 
 def _character_stabilizer(G, AC, mu, p):
-    """{g : chi1(g^-1 a g) = chi1(a) for a in A}, as sorted indices."""
-    n = G.n
-    keep = np.ones(n, dtype=bool)
-    all_idx = np.arange(n, dtype=np.int64)
-    inv_all = G.inv_bulk(all_idx)
-    for a in AC.basis:
-        conj = G.mult_bulk(G.mult_bulk(inv_all, np.full(n, int(a), dtype=np.int64)), all_idx)
-        target = int(np.dot(mu, AC.coord_vector(int(a)))) % p
-        vals = np.array(
-            [int(np.dot(mu, AC.coord_vector(int(c)))) % p if int(c) in AC.coords else -1 for c in conj],
-            dtype=np.int64,
-        )
-        keep &= vals == target
-    return np.nonzero(keep)[0].astype(np.int64)
+    """{g : chi1(g^-1 a g) = chi1(a) for a in A}, as sorted indices; A is
+    normal, so every conjugate has coordinates."""
+    everything = np.arange(G.n, dtype=np.int64)
+    inverses = G.inv_bulk(everything)
+    values = (AC.coords @ mu) % p
+    keep = np.ones(G.n, dtype=bool)
+    for a, target in zip(AC.basis, values[AC.positions(AC.basis)]):
+        conj = G.mult_bulk(G.mult_bulk(inverses, np.full(G.n, a, dtype=np.int64)), everything)
+        keep &= values[AC.positions(conj)] == target
+    return np.flatnonzero(keep)
 
 
 def _constituent_over(G, cd, chi, H, hcd, AC, mu, p, psi_k):
-    """chi' on the stabilizer H: chi'(g) = |A|^-1 sum_a chi(g a) chi1(a)^-1."""
-    elems = AC.elems
-    coords = np.array([AC.coord_vector(int(e)) for e in elems], dtype=np.int64)
-    res = (psi_k * (coords @ mu)) % p
+    """chi' on the stabilizer H: chi'(g) = |A|^-1 sum_a chi(g a) chi1(a)^-1,
+    with the products g a for every class rep g of H in one bulk call."""
+    n_a, t, k = len(AC.elems), cd.num_classes, hcd.num_classes
+    res = (psi_k * (AC.coords @ mu)) % p
+    prods = G.mult_bulk(np.repeat(H.members[hcd.reps], n_a), np.tile(AC.elems, k))
+    keys = (np.repeat(np.arange(k) * t, n_a) + cd.class_of[prods]) * p + np.tile(res, k)
+    counts = np.bincount(keys, minlength=k * t * p).reshape(k, t * p)
     P, M, den = _residue_table(chi, p)
-    counts = []
-    for r_idx in hcd.reps:
-        g = int(H.members[int(r_idx)])
-        prods = G.mult_bulk(np.full(len(elems), g, dtype=np.int64), elems)
-        counts.append(np.bincount(cd.class_of[prods] * p + res, minlength=cd.num_classes * p))
-    values = from_ints(lincomb(np.array(counts), P), M, den * len(elems))
-    return ClassFunction(hcd, tuple(values))
+    return ClassFunction(hcd, tuple(from_ints(lincomb(counts, P), M, den * n_a)))

@@ -4,12 +4,13 @@ Matrices are numpy int64 arrays with entries reduced mod p.  Sizes here are
 small (dimensions <= ~20 for ring computations, a few hundred for the Dixon
 oracle), so clarity wins over asymptotics; row operations are vectorized.
 `bilinear` is the one structure-constant contraction behind every Lie
-bracket and algebra product.  The primality, prime-factor and prime-power
-helpers are shared by the field, cyclotomic, family and oracle modules and
-the CLI.
+bracket and algebra product.  `rational_mod` is the one map from exact
+rationals to F_p.  The primality, prime-factor and prime-power helpers are
+shared by the field, cyclotomic, family and oracle modules and the CLI.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -24,6 +25,17 @@ def modinv(a, p):
     if a == 0:
         raise ZeroDivisionError("inverse of 0 mod %d" % p)
     return pow(a, -1, p)
+
+
+def rational_mod(v, p):
+    """The rational v (a Fraction or an int) as an element of F_p."""
+    num = v.numerator % p
+    den = v.denominator % p
+    if den == 0:
+        raise ValueError(
+            "denominator %d not invertible mod %d (class >= p?)" % (v.denominator, p)
+        )
+    return (num * pow(den, -1, p)) % p
 
 
 def is_prime(n):
@@ -181,14 +193,7 @@ def nilpotent_exp(A, p):
             break
         if i >= p:
             raise ValueError("matrix not nilpotent of index < p")
-        out = (out + term * modinv(_factorial_mod(i, p), p)) % p
-    return out
-
-
-def _factorial_mod(i, p):
-    out = 1
-    for k in range(2, i + 1):
-        out = (out * k) % p
+        out = (out + term * rational_mod(Fraction(1, math.factorial(i)), p)) % p
     return out
 
 

@@ -5,17 +5,16 @@ recursive descent through V_k-perp), the good-basis/involution
 classification of (flag, alternating form) pairs, the associative-algebra
 variant, the reduction to Heisenberg quasi-polarizations, Kirillov
 induction, and an exhaustive containment search used by the counterexample
-battery.
+battery.  The induced character of chi_f is groups.induce_character with the
+zeta_p exponent psi_k f(h) of each member h of the polarization as its key;
+MonomialRep builds the representation itself, coset by coset.
 """
-
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .chartable import ClassFunction
 from .cyclo import Cyclotomic
-from .groups import induce_from_roots, is_homomorphism
+from .groups import induce_character, is_homomorphism
 from .liering import Subspace
 from .orbits import conjugacy_class_data, lazard_group
 
@@ -497,22 +496,15 @@ class MonomialRep:
 
 
 def induced_character(ring, pol, class_data=None, psi_k=1):
-    """Character of Ind_{Exp h}^Gamma chi_f by the conjugation-count formula:
-    chi(g) = |C(g)|/|H| * sum over class(g) meet H of chi_f."""
+    """Character of Ind_{Exp h}^Gamma chi_f by the conjugation-count formula,
+    chi(g) = |C(g)|/|H| * sum over class(g) meet H of chi_f: one
+    induce_character keyed by the zeta_p exponent of chi_f on each member."""
     cd = class_data or conjugacy_class_data(ring)
     p = ring.p
-    H_rows = pol.space.rows
-    D = linalg.kernel(H_rows, p) if pol.space.dim else np.eye(ring.dim, dtype=np.int64)
-    all_pts = ring.all_elements()
-    in_H = (
-        ~((all_pts @ D.T % p).any(axis=1))
-        if D.shape[0]
-        else np.ones(ring.order, dtype=bool)
-    )
-    members = np.nonzero(in_H)[0]
-    res = (psi_k * (all_pts[members] @ pol.f_vec)) % p
-    counts = induce_from_roots(cd, members, res, p)
-    return ClassFunction(cd, Cyclotomic.from_root_counts(p, counts, Fraction(1, len(members))))
+    points = pol.space.points()
+    keys = (psi_k * (points @ pol.f_vec)) % p
+    zetas = [Cyclotomic.zeta(p, r) for r in range(p)]
+    return induce_character(cd, linalg.encode_vectors(points, p), keys, zetas)
 
 
 def induced_character_and_rep(ring, f_vec, pol, class_data=None, psi_k=1):

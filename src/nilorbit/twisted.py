@@ -12,7 +12,10 @@ import numpy as np
 from .cyclo import ZERO, Cyclotomic, contract, from_ints, lincomb, to_ints
 from .groups import twisted_classes
 
-# Seeds seed, seed + 1, ... tried before a vanishing Schur average is an error.
+# The seeds SCHUR_SEED, SCHUR_SEED + 1, ... of the random matrix averaged
+# by schur_intertwiner, _SCHUR_SEEDS of them before a vanishing Schur
+# average is an error.
+SCHUR_SEED = 1
 _SCHUR_SEEDS = 8
 
 
@@ -47,7 +50,7 @@ def _twisted_traces(T, rep, gs):
     return from_ints(lincomb(np.ones(n, dtype=np.int64), diag.swapaxes(0, 1)), M, den * den)
 
 
-def schur_intertwiner(ring, rep, phi, seed=1):
+def schur_intertwiner(ring, rep, phi):
     """phi_rho = sum_g rho(phi(g)) M rho(g)^-1, normalized.
 
     phi: map on ring vectors (callable).  Retries with fresh seeds if the
@@ -56,7 +59,7 @@ def schur_intertwiner(ring, rep, phi, seed=1):
     n = rep.dim
     p = ring.p
     for attempt in range(_SCHUR_SEEDS):
-        rng = np.random.default_rng(seed + attempt)
+        rng = np.random.default_rng(SCHUR_SEED + attempt)
         M = [
             [Cyclotomic.rational(int(v)) for v in row]
             for row in rng.integers(0, p, (n, n))
@@ -97,7 +100,7 @@ def verify_intertwiner(ring, rep, phi, T):
     return True
 
 
-def twisted_trace_basis(ring, G, phi_matrix, table, orbit_reps, seed=1):
+def twisted_trace_basis(ring, G, phi_matrix, table, orbit_reps):
     """The full twisted-conjugacy analysis for a Lazard group.
 
     phi_matrix: automorphism of the ring as a matrix (e.g. Frobenius).
@@ -119,7 +122,7 @@ def twisted_trace_basis(ring, G, phi_matrix, table, orbit_reps, seed=1):
     labels = report["labels"]
     basis_rows = []
     for row_idx, rep in orbit_reps:
-        T = schur_intertwiner(ring, rep, phi, seed=seed)
+        T = schur_intertwiner(ring, rep, phi)
         if not verify_intertwiner(ring, rep, phi, T):
             raise AssertionError("Schur average is not an intertwiner (bug)")
         full = _twisted_traces(T, rep, [ring.element_from_index(i) for i in range(ring.order)])

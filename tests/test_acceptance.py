@@ -152,16 +152,16 @@ def test_criterion_6_bch_phipsi_substitution():
 
 def test_criterion_7_counterexample_battery():
     with _Timer("criterion 7: Appendix-style battery", 600):
-        assert battery.statement1_report(5)["refuted"]
-        assert battery.statement2_report(5)["refuted"]
-        assert battery.statement36_report(5)["refuted"]
-        assert battery.statement3_explicit_pair(5)["refuted"]
-        assert battery.statement7_class4_report(5)["refuted"]
-        samples = battery.statement7_class3_samples(5, count=20)
+        assert battery.statement1_report()["refuted"]
+        assert battery.statement2_report()["refuted"]
+        assert battery.statement36_report()["refuted"]
+        assert battery.statement3_explicit_pair()["refuted"]
+        assert battery.statement7_class4_report()["refuted"]
+        samples = battery.statement7_class3_samples()
         assert samples["count"] == 20 and samples["all_hold"]
-        assert battery.class2_module_property_samples(5)["all_hold"]
-        assert battery.veronese_report(5)["refuted"]
-        assert battery.parabola_report(5)["equal"]
+        assert battery.class2_module_property_samples()["all_hold"]
+        assert battery.veronese_report()["refuted"]
+        assert battery.parabola_report()["equal"]
 
 
 def test_criterion_8_packets():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from nilorbit import families as fam
 from nilorbit import linalg
 from nilorbit import orbits as ob
+from nilorbit import polar
 from nilorbit.battery import appendix_h2_ring, witness_ring
 from nilorbit.chartable import ClassFunction, convolve, regular_character, trivial_character
 from nilorbit.cyclo import Cyclotomic, from_ints, lincomb, product_table
@@ -73,13 +74,17 @@ def test_class_function_ops():
     )
 
 
+def _zetas(p):
+    return [Cyclotomic.zeta(p, r) for r in range(p)]
+
+
 def test_induce_character_examples():
     h3 = heisenberg_ring(3)
     G = ob.lazard_group(h3)
     cd = G.conjugacy_classes()
     table, _ = ob.orbit_method_table(h3)
     # Ind of trivial character of the trivial subgroup = regular character
-    ind = induce_character(G, np.array([0]), lambda e: Cyclotomic.rational(1), class_data=cd)
+    ind = induce_character(cd, np.array([0]), np.array([0]), [Cyclotomic.rational(1)])
     assert ind == regular_character(cd)
     # Heisenberg F_3: Ind of chi_f from a 9-element polarization subgroup is
     # an irreducible of degree 3
@@ -90,9 +95,9 @@ def test_induce_character_examples():
 
     def chi_f(idx):
         h = h3.element_from_index(int(idx))
-        return Cyclotomic.zeta(3, int(f @ h) % 3)
+        return int(f @ h) % 3
 
-    ind = induce_character(G, H, chi_f, class_data=cd)
+    ind = induce_character(cd, H, [chi_f(e) for e in H], _zetas(3))
     assert ind.degree == Cyclotomic.rational(3)
     assert any(ind == row for row in table.rows)
 
@@ -111,7 +116,8 @@ def test_frobenius_reciprocity():
             h = h3.element_from_index(int(idx))
             return Cyclotomic.zeta(3, int(f_vec @ h) % 3)
 
-        ind = induce_character(G, H, chi_H, class_data=cd)
+        keys = [int(f_vec @ h3.element_from_index(int(idx))) % 3 for idx in H]
+        ind = induce_character(cd, H, keys, _zetas(3))
         for chi_G in table.rows[::4]:
             lhs = ind.inner(chi_G)
             # <chi_H, Res chi_G>_H computed directly
@@ -121,6 +127,53 @@ def test_frobenius_reciprocity():
                 acc = acc + chi_H(int(idx)) * chi_G.values[cd.class_of[g_inv]]
             rhs = acc * Fraction(1, len(H))
             assert lhs == rhs
+
+
+# Lie rings whose drawn bracket-closed subspaces give the subgroups below:
+# Heisenberg over F_3 and F_5, and the strictly upper triangular 3 x 3
+# matrices over F_3
+INDUCTION_RINGS = {
+    "heisenberg_f3": lambda: heisenberg_ring(3),
+    "heisenberg_f5": lambda: heisenberg_ring(5),
+    "ul3_f3": lambda: fam.ul_lie_scheme(3, 3).at_level(1),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_induce_character_matches_the_definition(data):
+    """induce_character on a drawn subgroup, keys and values against
+    Ind(g) = |H|^-1 sum over x in G of chi°(x g x^-1), chi° the values on H
+    and 0 off it, summed term by term over the bulk law."""
+    ring = INDUCTION_RINGS[data.draw(st.sampled_from(sorted(INDUCTION_RINGS)))]()
+    p, d = ring.p, ring.dim
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=d, max_size=d), max_size=d))
+    sub = polar.bracket_closure(ring, ring.subspace(np.array(rows, dtype=np.int64).reshape(-1, d)))
+    elems = linalg.encode_vectors(sub.points(), p)
+    m = data.draw(st.sampled_from([1, 3, 4, 5, 12]))
+    coeffs = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+    values = [
+        Cyclotomic.from_root_counts(m, c, Fraction(1, data.draw(st.integers(1, 4))))
+        for c in data.draw(st.lists(coeffs, min_size=1, max_size=4))
+    ]
+    keys = np.array(
+        data.draw(st.lists(st.integers(0, len(values) - 1), min_size=len(elems), max_size=len(elems)))
+    )
+    G = ob.lazard_group(ring)
+    cd = G.conjugacy_classes()
+    got = induce_character(cd, elems, keys, values)
+    key_of = np.full(G.n, -1)
+    key_of[elems] = keys
+    everything = np.arange(G.n)
+    want = []
+    for g in cd.reps:
+        conj = G.mult_bulk(G.mult_bulk(everything, np.full(G.n, g)), G.inverses())
+        total = Cyclotomic.rational(0)
+        for k in key_of[conj]:
+            if k >= 0:
+                total = total + values[k]
+        want.append(total * Fraction(1, len(elems)))
+    assert got == ClassFunction(cd, tuple(want))
 
 
 def _action_table(H, A, act):

@@ -62,7 +62,7 @@ def test_elementary_coords_match_scalar_reference():
         want = _reference_coords(G, elems, p)
         try:
             ec = ElementaryCoords(G, elems, p)
-            got = ec.basis, ec.coords
+            got = ec.basis.tolist(), dict(zip(ec.elems.tolist(), map(tuple, ec.coords.tolist())))
         except ValueError as e:
             got = str(e)
         assert got == want
