@@ -121,6 +121,7 @@ REGISTRY = {
     "representations": [
         timed("test_criterion_5_polarization_suite", INDUCTION_STAGES),
         timed("test_criterion_7_counterexample_battery", INDUCTION_STAGES),
+        timed("test_criterion_10_twisted_conjugacy", ("twisted.twisted_trace_basis",)),
     ],
     "gfq": [
         timed("fq_probe"), timed("test_criterion_8_packets"), cli("packets_fakeheis_p5"),

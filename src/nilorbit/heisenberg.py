@@ -166,26 +166,36 @@ def heisenberg_classify(G, p, psi_k=1, cd=None, flag_perm=None):
         Q, coset_rep, qreps = G.quotient(D[target == 0])
         C = np.flatnonzero(np.isin(coset_rep, qreps[Q.center()]))
         CC = AbCharacters(G, C, p)
+        quotient = _quotient_coords(G, C, p)
         # nu~ ranges over characters of C restricting to nu on D
         for lam in CC.extensions(D, target):
-            chi = _heisenberg_character(G, cd, C, CC, lam, p, psi_k, flag_perm=flag_perm)
+            chi = _heisenberg_character(G, cd, C, CC, quotient, lam, p, psi_k, flag_perm=flag_perm)
             out.append((None if mu is None else tuple(int(x) for x in mu), lam, chi))
     return out
 
 
-def _heisenberg_character(G, cd, C, CC, lam, p, psi_k, flag_perm=None):
-    """Induce nu~ (given by dual vector lam on C) through a Lagrangian.
-
-    flag_perm permutes the flag basis fed to the good-basis construction;
-    different permutations generally select different Lagrangians, and the
-    resulting character must not depend on the choice.
-    """
-    # coordinates on G/C: use the quotient group
+def _quotient_coords(G, C, p):
+    """What G/C gives every extension on C: its coordinates (qcoords), the
+    quotient element of each element of G (labels) and the commutators
+    [l_a, l_b] of the lifts of its basis, row-major."""
     Q, coset_rep, qreps = G.quotient(C)
     qcoords = ElementaryCoords(Q, np.arange(Q.n), p)
     k = qcoords.rank
     lifts = qreps[qcoords.basis]
     comms = G.commutator_bulk(np.repeat(lifts, k), np.tile(lifts, k))
+    return qcoords, np.searchsorted(qreps, coset_rep), comms
+
+
+def _heisenberg_character(G, cd, C, CC, quotient, lam, p, psi_k, flag_perm=None):
+    """Induce nu~ (given by dual vector lam on C) through a Lagrangian;
+    quotient is _quotient_coords(G, C, p).
+
+    flag_perm permutes the flag basis fed to the good-basis construction;
+    different permutations generally select different Lagrangians, and the
+    resulting character must not depend on the choice.
+    """
+    qcoords, labels, comms = quotient
+    k = qcoords.rank
     B = CC.exponents(lam, comms).reshape(k, k)
     if ((B + B.T) % p).any() or B.diagonal().any():
         raise AssertionError("commutator pairing is not alternating (bug)")
@@ -195,7 +205,7 @@ def _heisenberg_character(G, cd, C, CC, lam, p, psi_k, flag_perm=None):
     if flag_perm is not None and sorted(flag_perm) == list(range(k)):
         flag_rows = np.eye(k, dtype=np.int64)[list(flag_perm)]
     _, sigma, L_rows = polar.good_basis_and_involution(B, p, flag_rows=flag_rows)
-    Ltilde = _lift_subgroup(qcoords, np.searchsorted(qreps, coset_rep), L_rows, p)
+    Ltilde = _lift_subgroup(qcoords, labels, L_rows, p)
     # extend nu~ to a character f of Ltilde (through its abelianization)
     LC = AbCharacters(G, Ltilde, p)
     fs = LC.extensions(C, CC.exponents(lam, C))

@@ -29,7 +29,8 @@ groups partition themselves into conjugacy classes with it.  It checks
 once that every table maps [0, n) into itself, so the gathers need no
 bounds check.  Memory is one int32 table per generator and one int32
 label array, 4k + 4 bytes a point for k generators, plus the block
-buffers; the tables are freed before the int64 ids are built.
+buffers.  The tables are freed before the ids are built: the roots are
+renumbered in int32 and gathered into the int64 ids a block at a time.
 
 The orbits of a group are the components under any generating set, so the
 cost is per generator, not per group element.  Exp(g) needs only the
@@ -98,9 +99,13 @@ def orbit_labels(images, n):
         if total == last:
             break
     del images
-    ids = np.cumsum(lab == np.arange(n, dtype=np.int32), dtype=np.int64)
-    ids -= 1
-    return ids[lab]
+    # the roots renumbered in int32, gathered into the int64 ids a block at a time
+    roots = np.cumsum(lab == np.arange(n, dtype=np.int32), dtype=np.int32)
+    roots -= 1
+    ids = np.empty(n, dtype=np.int64)
+    for r0 in range(0, n, BLOCK):
+        ids[r0 : r0 + BLOCK] = roots[lab[r0 : r0 + BLOCK]]
+    return ids
 
 
 def first_indices(labels):

@@ -3,18 +3,21 @@
 Vergne's flag construction in both forms (direct sum-of-kernels and the
 recursive descent through V_k-perp), the good-basis/involution
 classification of (flag, alternating form) pairs, the associative-algebra
-variant, the reduction to Heisenberg quasi-polarizations, Kirillov
-induction, and an exhaustive containment search used by the counterexample
-battery.  The induced character of chi_f is groups.induce_character with the
-zeta_p exponent psi_k f(h) of each member h of the polarization as its key;
-MonomialRep builds the representation itself, coset by coset.
+variant (the same sum of kernels), the reduction to Heisenberg
+quasi-polarizations, Kirillov induction, and an exhaustive containment
+search used by the counterexample battery.  The induced character of chi_f
+is groups.induce_character with the zeta_p exponent psi_k f(h) of each
+member h of the polarization as its key.  MonomialRep builds the
+representation itself as two (|Gamma|, dim) index tables: its cosets are
+the orbit kernel's components of right products by the polarization's
+basis, and the tables come from two bulk group-law calls.
 """
 
 import numpy as np
 
-from . import linalg
+from . import kernels, linalg
 from .cyclo import Cyclotomic
-from .groups import induce_character, is_homomorphism
+from .groups import WHOLE_GROUP_BUDGET, induce_character, is_homomorphism
 from .liering import Subspace
 from .orbits import conjugacy_class_data, lazard_group
 
@@ -167,7 +170,7 @@ def vergne_polarization(ring, flag, f_vec, mode="direct"):
     B = ring.bf_matrix(f_vec)
     spaces = [V for V in flag.spaces]
     if mode == "direct":
-        L = _vergne_direct(ring, B, spaces)
+        L = _vergne_direct(B, spaces, ring.p)
     elif mode == "recursive":
         L = _vergne_recursive(ring, B, spaces, ring.full_subspace())
     else:
@@ -185,22 +188,20 @@ def vergne_polarization(ring, flag, f_vec, mode="direct"):
     return pol
 
 
-def _restricted_kernel(ring, B, V):
+def _restricted_kernel(B, V, p):
     """{v in V : B(v, V) = 0} as a Subspace."""
     if V.dim == 0:
         return V
     S = V.rows
-    M = (S @ B @ S.T) % ring.p
-    K = linalg.kernel(M.T, ring.p)  # rows c with c @ M = 0  <=> M^T c = 0
-    if K.shape[0] == 0:
-        return ring.zero_subspace()
-    return ring.subspace((K @ S) % ring.p)
+    K = linalg.kernel(((S @ B @ S.T) % p).T, p)  # rows c with c @ M = 0
+    return Subspace((K @ S) % p, p, d=V.ambient)
 
 
-def _vergne_direct(ring, B, spaces):
-    total = ring.zero_subspace()
+def _vergne_direct(B, spaces, p):
+    """The Vergne subspace sum_i ker(B | V_i) of the flag spaces."""
+    total = Subspace(np.zeros((0, len(B)), dtype=np.int64), p, d=len(B))
     for V in spaces:
-        total = total.sum(_restricted_kernel(ring, B, V))
+        total = total.sum(_restricted_kernel(B, V, p))
     return total
 
 
@@ -337,7 +338,6 @@ def associative_vergne(algebra, flag_spaces, B):
     multiplicatively closed."""
     p = algebra.p
     B = np.asarray(B, dtype=np.int64) % p
-    d = algebra.dim
     # T[i, j, k] = B(e_i e_j, e_k); the identity is T + its two cyclic shifts
     T = (algebra.constants @ B) % p
     if ((T + T.transpose(2, 0, 1) + T.transpose(1, 2, 0)) % p).any():
@@ -345,15 +345,7 @@ def associative_vergne(algebra, flag_spaces, B):
     for V in flag_spaces:
         if not _is_twosided_ideal(algebra, V):
             raise ValueError("flag member is not a two-sided ideal")
-    total = Subspace(np.zeros((0, d), dtype=np.int64), p, d=d)
-    for V in flag_spaces:
-        if V.dim == 0:
-            continue
-        S = V.rows
-        M = (S @ B @ S.T) % p
-        K = linalg.kernel(M.T, p)
-        if K.shape[0]:
-            total = total.sum(Subspace((K @ S) % p, p, d=d))
+    total = _vergne_direct(B, flag_spaces, p)
     # multiplicative closure
     if not total.contains(algebra.product(total.rows[:, None], total.rows)):
         raise AssertionError("associative Vergne output not closed")
@@ -423,51 +415,44 @@ def quasi_polarization(ring, f_vec):
 
 
 class MonomialRep:
-    """Ind_{Exp h}^{Gamma} chi_f as generalized permutation matrices."""
+    """Ind_{Exp h}^{Gamma} chi_f as generalized permutation matrices.
+
+    The cosets x Exp(h) are the components of right products by the
+    polarization's basis rows; reps are their least elements, in order,
+    and a coset's label is its rep's position.  The representation is two
+    read-only (|Gamma|, dim) int64 tables: g * rep_i = rep_{perm[g, i]} * h
+    with chi_f(h) = zeta_p^exps[g, i], g an element index.  Refuses tables
+    of more than WHOLE_GROUP_BUDGET entries.
+    """
 
     def __init__(self, ring, pol, psi_k=1):
         self.ring = ring
-        self.pol = pol
-        self.psi_k = psi_k
-        p, d = ring.p, ring.dim
-        H_pts = pol.space.points()
-        self.H_indices = np.sort(linalg.encode_vectors(H_pts, p))
-        n = ring.order
-        in_H = np.zeros(n, dtype=bool)
-        in_H[self.H_indices] = True
-        coset_rep = np.full(n, -1, dtype=np.int64)
-        reps = []
-        H_arr = linalg.decode_indices(self.H_indices, d, p)
-        for x in range(n):
-            if coset_rep[x] >= 0:
-                continue
-            xv = ring.element_from_index(x)
-            coset = ring.group_mul_bulk(np.tile(xv, (len(H_arr), 1)), H_arr)
-            idxs = linalg.encode_vectors(coset, p)
-            coset_rep[idxs] = x
-            reps.append(x)
-        self.coset_rep = coset_rep
-        self.reps = np.array(reps, dtype=np.int64)
-        self.rep_pos = {int(r): i for i, r in enumerate(reps)}
-        self.dim = len(reps)
+        p, n = ring.p, ring.order
+        self.dim = p ** (ring.dim - pol.dim)
+        if n * self.dim > WHOLE_GROUP_BUDGET:
+            raise ValueError(
+                "monomial tables of %d x %d entries exceed the budget %d"
+                % (n, self.dim, WHOLE_GROUP_BUDGET)
+            )
+        X = ring.all_elements()
+        products = [ring.group_mul_bulk(X, np.tile(h, (n, 1))) for h in pol.space.rows]
+        labels = kernels.orbit_labels(
+            [linalg.encode_vectors(Y, p).astype(np.int32) for Y in products], n
+        )
+        self.reps = kernels.first_indices(labels).astype(np.int64)
+        R = X[self.reps]
+        # XR[x * dim + i] = x * rep_i = rep_{perm[x, i]} * h
+        XR = ring.group_mul_bulk(np.repeat(X, self.dim, axis=0), np.tile(R, (n, 1)))
+        self.perm = labels[linalg.encode_vectors(XR, p)].reshape(n, self.dim)
+        H = ring.group_mul_bulk(-R[self.perm.ravel()] % p, XR)
+        self.exps = (psi_k * (H @ pol.f_vec) % p).reshape(n, self.dim)
+        self.perm.flags.writeable = self.exps.flags.writeable = False
 
     def matrix(self, g_vec):
         """(perm, exps): column i carries chi_f(h) = zeta_p^exps[i] at row
         perm[i], where g * rep_i = rep_{perm[i]} * h."""
-        ring = self.ring
-        p = ring.p
-        perm = np.zeros(self.dim, dtype=np.int64)
-        exps = np.zeros(self.dim, dtype=np.int64)
-        for i, r in enumerate(self.reps):
-            rv = ring.element_from_index(int(r))
-            w = ring.group_mul(g_vec, rv)
-            widx = int(ring.element_index(w))
-            rep2 = int(self.coset_rep[widx])
-            perm[i] = self.rep_pos[rep2]
-            r2v = ring.element_from_index(rep2)
-            h = ring.group_mul(ring.group_inv(r2v), w)
-            exps[i] = self.psi_k * int(self.pol.f_vec @ h % p) % p
-        return perm, exps
+        g = self.ring.element_index(g_vec)
+        return self.perm[g], self.exps[g]
 
     def trace(self, g_vec):
         perm, exps = self.matrix(g_vec)
@@ -475,21 +460,20 @@ class MonomialRep:
         return Cyclotomic.from_root_counts(self.ring.p, np.bincount(fixed, minlength=self.ring.p))
 
     def check_homomorphism(self):
-        """matrix is a homomorphism on Exp(g), by groups.is_homomorphism over
-        its bulk law and generators: a matrix is one row (perm, exps) and the
-        destination law the monomial product (perm1[perm2], exps1[perm2] +
-        exps2 mod p)."""
-        ring, n = self.ring, self.dim
-        G = lazard_group(ring)
+        """The tables are a homomorphism on Exp(g), by groups.is_homomorphism
+        over its bulk law and generators: a matrix is one row (perm, exps)
+        and the destination law the monomial product (perm1[perm2],
+        exps1[perm2] + exps2 mod p)."""
+        n = self.dim
+        G = lazard_group(self.ring)
 
         def rows(I):
-            mats = [self.matrix(ring.element_from_index(int(x))) for x in I]
-            return np.array([np.concatenate(m) for m in mats])
+            return np.hstack([self.perm[I], self.exps[I]])
 
         def product(A, B):
             P2 = B[:, :n]
             P = np.take_along_axis(A[:, :n], P2, axis=1)
-            E = (np.take_along_axis(A[:, n:], P2, axis=1) + B[:, n:]) % ring.p
+            E = (np.take_along_axis(A[:, n:], P2, axis=1) + B[:, n:]) % self.ring.p
             return np.hstack([P, E])
 
         return is_homomorphism(rows, G.mult_bulk, product, G.n, G.gens)

@@ -1,15 +1,22 @@
 """Twisted-trace bases for phi-class functions.
 
-For each phi-fixed irreducible rho an intertwiner phi_rho with
-rho(phi(g)) = phi_rho^-1 rho(g) phi_rho is found by Schur averaging over a
-seeded random matrix and normalized so its first nonzero entry is 1; the
-functions g -> tr(phi_rho rho(g)) are then constant on phi-conjugacy
-classes and form a basis of the space of phi-class functions.
+For each phi-fixed irreducible rho, a MonomialRep, an intertwiner phi_rho
+with rho(phi(g)) = phi_rho^-1 rho(g) phi_rho is found by Schur averaging
+over a seeded random matrix and normalized so its first nonzero entry is
+1; the functions g -> tr(phi_rho rho(g)) are then constant on
+phi-conjugacy classes and form a basis of the space of phi-class
+functions.  Everything runs on root counts: a value at the prime p is p
+integer counts, one per power of zeta_p, and two values are equal
+exactly when their counts differ by a constant.  The Schur average is a
+weighted bincount over (row, column, exponent), one column of rho(phi(g))
+at a time, and the intertwiner check and the traces are gathers of it
+with exponent shifts.
 """
 
 import numpy as np
 
-from .cyclo import ZERO, Cyclotomic, contract, from_ints, lincomb, to_ints
+from . import linalg
+from .cyclo import Cyclotomic, from_ints, product_table
 from .groups import twisted_classes
 
 # The seeds SCHUR_SEED, SCHUR_SEED + 1, ... of the random matrix averaged
@@ -19,85 +26,57 @@ SCHUR_SEED = 1
 _SCHUR_SEEDS = 8
 
 
-def _dense_matrix(rep, g_vec):
-    perm, exps = rep.matrix(g_vec)
-    n = rep.dim
-    M = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        M[int(perm[i])][i] = Cyclotomic.zeta(rep.ring.p, int(exps[i]))
-    return M
+def _equal(X, Y):
+    """Whether the root counts X and Y (last axis p) hold equal values: at a
+    prime p the only relation is 1 + zeta_p + ... + zeta_p^(p-1) = 0."""
+    D = X - Y
+    return (D == D[..., :1]).all(axis=-1)
 
 
-def _nested(values, n):
-    return [values[i * n:(i + 1) * n] for i in range(n)]
+def _shift(counts, e):
+    """The root counts of zeta_p^e times those of counts, with e of one
+    axis less, the leading axes broadcast: exponent s moves to s + e."""
+    p = counts.shape[-1]
+    return np.take_along_axis(counts, (np.arange(p) - e[..., None]) % p, axis=-1)
 
 
-def _mat_mul(A, B):
-    """A @ B for n x n matrices of Cyclotomic values (nested lists)."""
-    n = len(A)
-    C, M, den = to_ints([v for row in A + B for v in row])
-    X = C.reshape(2, n, n, -1)
-    return _nested(from_ints(contract(X[0], X[1], M), M, den * den), n)
+def schur_intertwiner(rep, phi, inv):
+    """(A, scale): the root counts (dim, dim, p) of the Schur average
+    A = sum_g rho(phi(g)) M rho(g^-1) and the inverse of its first nonzero
+    entry in row-major order, so that phi_rho = scale * A.
 
-
-def _twisted_traces(T, rep, gs):
-    """tr(T rho(g)) for every g in gs."""
-    n = rep.dim
-    mats = [T] + [_dense_matrix(rep, g) for g in gs]
-    C, M, den = to_ints([v for A in mats for row in A for v in row])
-    C = C.reshape(len(mats), n, n, -1)
-    diag = contract(C[0], C[1:], M)[:, np.arange(n), np.arange(n)]  # [g, i]
-    return from_ints(lincomb(np.ones(n, dtype=np.int64), diag.swapaxes(0, 1)), M, den * den)
-
-
-def schur_intertwiner(ring, rep, phi):
-    """phi_rho = sum_g rho(phi(g)) M rho(g)^-1, normalized.
-
-    phi: map on ring vectors (callable).  Retries with fresh seeds if the
-    average vanishes (possible for unlucky M).
+    phi and inv map element indices to those of phi(g) and g^-1.  Retries
+    with fresh seeds if the average vanishes (possible for unlucky M).
     """
-    n = rep.dim
-    p = ring.p
+    n, p = rep.dim, rep.ring.p
+    P, E = rep.perm[phi], rep.exps[phi]
+    Pinv, Einv = rep.perm[inv], rep.exps[inv]
+    # rho(phi(g)) has zeta^E[g, j] at (P[g, j], j) and rho(g^-1) has
+    # zeta^Einv[g, b] at (Pinv[g, b], b), so every (g, j, b) adds
+    # M[j, Pinv[g, b]] zeta^(E[g, j] + Einv[g, b]) to A[P[g, j], b]
     for attempt in range(_SCHUR_SEEDS):
-        rng = np.random.default_rng(SCHUR_SEED + attempt)
-        M = [
-            [Cyclotomic.rational(int(v)) for v in row]
-            for row in rng.integers(0, p, (n, n))
-        ]
-        gs = [ring.element_from_index(idx) for idx in range(ring.order)]
-        mats = [_dense_matrix(rep, phi(g)) for g in gs] + [M]
-        mats += [_dense_matrix(rep, ring.group_inv(g)) for g in gs]
-        C, order, den = to_ints([v for A in mats for row in A for v in row])
-        C = C.reshape(len(mats), n, n, -1)
-        N = len(gs)
-        terms = contract(contract(C[:N], C[N], order), C[N + 1:], order)
-        total = lincomb(np.ones(N, dtype=np.int64), terms.reshape(N, -1))
-        acc = _nested(from_ints(total, order, den**3), n)
-        # normalize: first nonzero entry in row-major order becomes 1
-        piv = None
-        for i in range(n):
-            for j in range(n):
-                if not acc[i][j].is_zero():
-                    piv = acc[i][j]
-                    break
-            if piv is not None:
-                break
-        if piv is None:
-            continue
-        inv = piv.inv()
-        return [[acc[i][j] * inv for j in range(n)] for i in range(n)]
+        M = np.random.default_rng(SCHUR_SEED + attempt).integers(0, p, (n, n))
+        A = np.zeros(n * n * p)
+        for j in range(n):  # one column of rho(phi(g)) at a time
+            key = (P[:, j, None] * n + np.arange(n)) * p + (E[:, j, None] + Einv) % p
+            A += np.bincount(key.ravel(), M[j, Pinv].ravel(), minlength=n * n * p)
+        A = np.rint(A).astype(np.int64).reshape(n, n, p)
+        nonzero = np.flatnonzero(~_equal(A, 0))
+        if len(nonzero):
+            return A, Cyclotomic.from_root_counts(p, A.reshape(-1, p)[nonzero[0]]).inv()
     raise ArithmeticError("Schur average vanished for all seeds")
 
 
-def verify_intertwiner(ring, rep, phi, T):
-    """rho(phi(g)) T = T rho(g) on ring basis generators."""
-    for i in range(ring.dim):
-        g = ring.basis_vector(i)
-        lhs = _mat_mul(_dense_matrix(rep, phi(g)), T)
-        rhs = _mat_mul(T, _dense_matrix(rep, g))
-        if any(lhs[a][b] != rhs[a][b] for a in range(rep.dim) for b in range(rep.dim)):
-            return False
-    return True
+def _intertwines(rep, phi, A, gens):
+    """rho(phi(g)) A = A rho(g) for each element index g in gens.  Row
+    P[phi g, j] of the left side is zeta^E[phi g, j] times row j of A, and
+    column b of the right side zeta^E[g, b] times column P[g, b] of A."""
+    P, E = rep.perm, rep.exps
+    gens = np.asarray(gens, dtype=np.int64)
+    left = np.empty((len(gens),) + A.shape, dtype=A.dtype)
+    left[np.arange(len(gens))[:, None], P[phi[gens]]] = _shift(A[None], E[phi[gens]][:, :, None])
+    right = _shift(A[:, P[gens]].swapaxes(0, 1), E[gens][:, None, :])
+    return bool(_equal(left, right).all())
 
 
 def twisted_trace_basis(ring, G, phi_matrix, table, orbit_reps):
@@ -108,29 +87,23 @@ def twisted_trace_basis(ring, G, phi_matrix, table, orbit_reps):
     Returns the report of groups.twisted_classes extended with the basis
     values and rank/constancy verdicts.
     """
-    from . import linalg as la
-
     p = ring.p
-    perm = la.encode_vectors(
+    phi = linalg.encode_vectors(
         (ring.all_elements() @ np.asarray(phi_matrix, dtype=np.int64).T) % p, p
     )
-    report = twisted_classes(G, perm, table=table)
-
-    def phi(v):
-        return (np.asarray(phi_matrix, dtype=np.int64) @ v) % p
-
-    labels = report["labels"]
+    report = twisted_classes(G, phi, table=table)
+    reps = report["reps"]
     basis_rows = []
-    for row_idx, rep in orbit_reps:
-        T = schur_intertwiner(ring, rep, phi)
-        if not verify_intertwiner(ring, rep, phi, T):
+    for _, rep in orbit_reps:
+        A, scale = schur_intertwiner(rep, phi, G.inverses())
+        if not _intertwines(rep, phi, A, G.generators()):
             raise AssertionError("Schur average is not an intertwiner (bug)")
-        full = _twisted_traces(T, rep, [ring.element_from_index(i) for i in range(ring.order)])
-        for idx in range(ring.order):
-            rep_idx = int(report["reps"][labels[idx]])
-            if full[idx] != full[rep_idx]:
-                raise AssertionError("twisted trace is not phi-class constant")
-        basis_rows.append([full[int(r)] for r in report["reps"]])
+        # tr(A rho(g)) = sum_i A[i, perm[g, i]] zeta^exps[g, i], for every g
+        traces = sum(_shift(A[i, rep.perm[:, i]], rep.exps[:, i]) for i in range(rep.dim))
+        if not _equal(traces, traces[reps[report["labels"]]]).all():
+            raise AssertionError("twisted trace is not phi-class constant")
+        values, M, den = product_table(Cyclotomic.from_root_counts(p, traces[reps]), (scale,))
+        basis_rows.append(from_ints(values, M, den))
     report["basis"] = basis_rows
     report["basis_rank"] = _cyclo_rank(basis_rows)
     report["basis_is_basis"] = report["basis_rank"] == report["num_classes"] == len(

@@ -221,10 +221,26 @@ def test_twisted_classes_counts():
         twisted_classes(G6, np.array([0, 2, 1, 3, 4, 5]), table=table)
 
 
+def _dense_matrix(rep, g_vec):
+    """rho(g) as nested lists of Cyclotomic entries, read off rep.matrix."""
+    perm, exps = rep.matrix(g_vec)
+    M = [[Cyclotomic.rational(0)] * rep.dim for _ in range(rep.dim)]
+    for i in range(rep.dim):
+        M[int(perm[i])][i] = Cyclotomic.zeta(rep.ring.p, int(exps[i]))
+    return M
+
+
+def _mat_mul(A, B):
+    n = len(A)
+    return [
+        [sum((A[i][k] * B[k][j] for k in range(n)), Cyclotomic.rational(0)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def test_minimal_ideal_elements_via_monomial_reps():
     # psi_V(f) acts as f on V and 0 on W, tested with monomial matrices
     from nilorbit import polar
-    from nilorbit.twisted import _dense_matrix, _mat_mul
 
     h3 = heisenberg_ring(3)
     cd = ob.conjugacy_class_data(h3)

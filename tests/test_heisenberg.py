@@ -181,18 +181,22 @@ def test_twisted_classes_reject_maps_that_are_automorphisms_only_on_generators()
     assert twisted_classes(G, np.arange(G.n))["num_classes"] == 11
 
 
-def test_twisted_trace_basis_fake_heisenberg():
-    ring = fake_heisenberg(3, 2)
+def test_twisted_trace_basis_ul3_f9():
+    # UL3(F_9) under Frobenius: 11 fixed rows, two of them of degree 9
+    ring = ul_lie_scheme(3, 3, 2).at_level(1)
     G = ob.lazard_group(ring)
     table, orbits = ob.orbit_method_table(ring)
     F = ring.fq.frobenius_matrix
     perm = linalg.encode_vectors((ring.all_elements() @ F.T) % 3, 3)
     counts = twisted_classes(G, perm, table=table)
-    assert counts["counts_match"]
+    assert counts["counts_match"] and len(counts["fixed_rows"]) == 11
     flag = polar.flag_from_weights(ring)
     fixed_reps = []
     for i in counts["fixed_rows"]:
         pol = polar.vergne_polarization(ring, flag, orbits[i].base_point)
         fixed_reps.append((i, polar.MonomialRep(ring, pol)))
     rep = twisted_trace_basis(ring, G, F, table, fixed_reps)
-    assert rep["basis_is_basis"]
+    assert rep["basis_rank"] == 11 and rep["basis_is_basis"]
+    large = [r for _, r in fixed_reps if r.dim == 9]
+    assert len(large) == 2
+    assert all(r.check_homomorphism() for r in large)

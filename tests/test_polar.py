@@ -1,9 +1,12 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilorbit import orbits as ob, polar
 from nilorbit.battery import appendix_h2_ring, random_class_le3_rings
-from nilorbit.families import strict_upper_algebra
+from nilorbit.families import fake_heisenberg, strict_upper_algebra
 from nilorbit.liering import Subspace, abelian_ring, heisenberg_ring
 
 
@@ -223,17 +226,61 @@ def test_monomial_rep_checks():
     assert rep.check_homomorphism()
     for j, r in enumerate(cd.reps):
         assert rep.trace(h3.element_from_index(int(r))) == chi.values[j]
-    # the identity monomial at (2, 2, 1), neither a generator nor a product
-    # of two generators, breaks the homomorphism
-    matrix = rep.matrix
-
-    def mutant(g_vec):
-        if tuple(int(v) for v in g_vec) == (2, 2, 1):
-            return np.arange(rep.dim), np.zeros(rep.dim, dtype=np.int64)
-        return matrix(g_vec)
-
-    rep.matrix = mutant
+    # the identity monomial in the table row of (2, 2, 1), neither a
+    # generator nor a product of two generators, breaks the homomorphism
+    g = h3.element_index((2, 2, 1))
+    perm, exps = rep.perm.copy(), rep.exps.copy()
+    perm[g], exps[g] = np.arange(rep.dim), 0
+    rep.perm, rep.exps = perm, exps
     assert not rep.check_homomorphism()
+
+
+def test_monomial_rep_refuses_tables_beyond_the_budget():
+    # 37^3 elements, below the whole-group budget, but 37^3 x 37 table entries
+    h = heisenberg_ring(37)
+    pol = polar.vergne_polarization(h, polar.flag_from_weights(h), np.array([0, 0, 1]))
+    with pytest.raises(ValueError, match="exceed the budget"):
+        polar.MonomialRep(h, pol)
+
+
+@lru_cache(maxsize=None)
+def _monomial_cases():
+    """(ring, polarization, psi_k, MonomialRep) at every orbit's base point
+    of a few rings, class 3 included."""
+    cases = []
+    rings = (
+        (heisenberg_ring(3), 1),
+        (heisenberg_ring(5), 2),
+        (fake_heisenberg(3, 2), 1),
+        (appendix_h2_ring(5), 3),
+    )
+    for ring, psi_k in rings:
+        flag = polar.flag_from_weights(ring)
+        for orb in ob.orbit_method_table(ring)[1]:
+            pol = polar.vergne_polarization(ring, flag, orb.base_point)
+            cases.append((ring, pol, psi_k, polar.MonomialRep(ring, pol, psi_k=psi_k)))
+    return cases
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_monomial_tables_match_the_scalar_law(data):
+    # the tables against their definition, one scalar product at a time:
+    # the reps are the least elements of distinct cosets x H, and
+    # g rep_i = rep_perm[i] h with h in H and exps[i] = psi_k f(h)
+    ring, pol, psi_k, rep = data.draw(st.sampled_from(_monomial_cases()))
+    p, H = ring.p, pol.space.points()
+    R = [ring.element_from_index(int(r)) for r in rep.reps]
+    assert len(set(rep.reps.tolist())) == rep.dim == ring.order // len(H)
+    for r, x in zip(rep.reps, R):
+        assert min(ring.element_index(ring.group_mul(x, h)) for h in H) == r
+    for g in data.draw(st.lists(st.integers(0, ring.order - 1), min_size=1, max_size=4)):
+        g_vec = ring.element_from_index(g)
+        perm, exps = rep.matrix(g_vec)
+        for i, x in enumerate(R):
+            h = ring.group_mul(ring.group_inv(R[perm[i]]), ring.group_mul(g_vec, x))
+            assert pol.space.contains(h)
+            assert exps[i] == psi_k * int(pol.f_vec @ h) % p
 
 
 def test_containment_search_examples():
