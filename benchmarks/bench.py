@@ -113,6 +113,8 @@ REGISTRY = {
     "convolution": [
         perfbench("convolution"), timed("convolution", CONVOLUTION_STAGES),
         timed("test_criterion_9_function_theory", CONVOLUTION_STAGES),
+        timed("test_criterion_7_counterexample_battery",
+              ("orbits.module_property_check", "battery.statement3_explicit_pair")),
         traced("convolution", (
             "liering.LieRing.group_mul_bulk.calls", "liering.LieRing.group_mul_bulk.pairs",
             "liering.LieRing.bracket.calls", "chartable.convolve.self_s",

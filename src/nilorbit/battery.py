@@ -19,6 +19,7 @@ from . import linalg
 from .families import ul_lie_scheme
 from .liering import from_bracket_table
 from .orbits import (
+    _residue_counts,
     coadjoint_orbits,
     conjugacy_class_data,
     module_property_check,
@@ -28,7 +29,7 @@ from .orbits import (
 )
 from .polar import polarization_containment_search
 from .groups import induce_character
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, lincomb, product_table
 
 # every report runs over F_5: the smallest prime above the witnesses'
 # nilpotence classes (the class-4 witness needs p > 4 for its Lazard law)
@@ -112,40 +113,41 @@ def statement3_explicit_pair():
     """An invariant x = e_Omega and a delta y with Phi(x*y) != Phi(x)Phi(y).
 
     Exhibits the module-structure failure of statement (3) directly on the
-    class-3 witness (statements (3) and (6) are equivalent)."""
-    from .orbits import central_idempotent, lazard_group, phi_transform
-
+    class-3 witness (statements (3) and (6) are equivalent).  With
+    e(exp x) = (deg/|G|) chi(exp(-x)), the sides are the transforms of
+    e(exp(x) gamma^-1) and of e(exp(x - log gamma)): residue counts keyed by
+    the inverse class of the point, whose integer forms (deg/|G| left out)
+    are compared a block of lambdas at a time."""
     ring = witness_ring(P, 3)
     table, orbits = orbit_method_table(ring)
-    cd = conjugacy_class_data(ring)
-    G = lazard_group(ring)
+    cd = table.class_data
     lam = np.zeros(ring.dim, dtype=np.int64)
     lam[3] = 1
     oset = coadjoint_orbits(ring)
     target_label = int(oset.labels[ring.element_index(lam)])
-    row, orb = next(
-        (r, o)
-        for r, o in zip(table.rows, orbits)
-        if int(oset.labels[o.base_index]) == target_label
+    row = next(
+        r for r, o in zip(table.rows, orbits) if int(oset.labels[o.base_index]) == target_label
     )
-    e = central_idempotent(ring, row, cd)
-    n = ring.order
-    F_e = phi_transform(ring, e)
-    lams = ring.all_elements()
+    t = cd.num_classes
+    products, _, _ = product_table(row.values, [Cyclotomic.zeta(P, r) for r in range(P)])
+    products = products.reshape(t * P, -1)
+    X = ring.all_elements()
+
+    def inverse_class(points):
+        return cd.inv_class[cd.class_of[linalg.encode_vectors(points % P, P)]]
+
     for gi in range(ring.dim):
-        gamma = int(ring.element_index(ring.basis_vector(gi)))
-        # (e * delta_gamma)(g) = e(g gamma^-1)
-        prods = G.mult_bulk(np.arange(n), np.full(n, G.inv(gamma)))
-        shifted = [e[int(x)] for x in prods]
-        lhs = phi_transform(ring, shifted)
-        log_gamma = ring.element_from_index(gamma)
-        for li in range(n):
-            rhs = F_e[li] * Cyclotomic.zeta(P, int(lams[li] @ log_gamma) % P)
-            if lhs[li] != rhs:
+        log_gamma = ring.basis_vector(gi)
+        left = inverse_class(ring.group_mul_bulk(X, np.tile(-log_gamma, (len(X), 1))))
+        right = inverse_class(X - log_gamma)
+        pairs = zip(_residue_counts(X, X, left, t, 1, P), _residue_counts(X, X, right, t, 1, P))
+        for (start, lhs), (_, rhs) in pairs:
+            differ = lincomb(lhs - rhs, products).any(axis=1)
+            if differ.any():
                 return {
                     "refuted": True,
-                    "gamma_index": gamma,
-                    "lambda_index": li,
+                    "gamma_index": ring.element_index(log_gamma),
+                    "lambda_index": start + int(differ.argmax()),
                 }
     return {"refuted": False}
 

@@ -7,6 +7,12 @@ Orbits are connected components of the dual index space under the coadjoint
 matrices of the exponentials of a basis of a complement of [g,g] (they
 generate Exp(g)), found by the dense kernel; conjugacy classes of Exp(g) are
 adjoint-matrix components of the same index space.
+
+Every Fourier pairing of Exp(g) with g* (the character formula, Phi, its
+inverse and the checks on them) is one block-wise residue count,
+`_residue_counts`, keyed per caller, combined with integers only: a product
+table of values against zeta_p^r, or the test that p-th roots with counts
+c_r sum to 0 exactly when all c_r agree.
 """
 
 import functools
@@ -17,10 +23,10 @@ import numpy as np
 
 from . import kernels, linalg
 from .chartable import CharacterTable, ClassFunction
-from .cyclo import Cyclotomic, contract, from_ints, lincomb, product_table, times, to_ints
+from .cyclo import Cyclotomic, from_ints, lincomb, product_table, times
 from .groups import ClassData, FiniteGroup
 
-# (dual point, point) pairs per counting block in verify_phi_idempotents
+# (dual point, row) pairs per block of _residue_counts
 PHI_BLOCK = 1 << 16
 MODULE_CHECK_BUDGET = 5**4  # group order of the exhaustive module_property_check
 
@@ -178,14 +184,28 @@ def lazard_group(ring):
     return G
 
 
+def _residue_counts(lams, X, keys, width, k, p):
+    """Yield (start, counts) per block of the dual points lams[start:]:
+    counts[i, key * p + r] is the number of rows x of X with keys[x] = key
+    and k lams[start + i] . x = r (mod p), for keys in [0, width).
+
+    A block holds max(1, PHI_BLOCK // len(X)) dual points, so the keys of a
+    block take about PHI_BLOCK entries and its counts width * p times that.
+    """
+    block = max(1, PHI_BLOCK // max(1, len(X)))
+    for start in range(0, len(lams), block):
+        lam = lams[start : start + block]
+        b = len(lam)
+        flat = keys * p + (k * (lam @ X.T)) % p + np.arange(b)[:, None] * (width * p)
+        yield start, np.bincount(flat.ravel(), minlength=b * width * p).reshape(b, width * p)
+
+
 def _orbit_counts(ring, orbit, cd, psi_k):
     """counts[j, r]: the points f of the orbit with psi_k f . log rep_j = r (mod p)."""
     pts = orbit.points()
-    p = ring.p
-    reps = linalg.decode_indices(cd.reps, ring.dim, p)
-    t = cd.num_classes
-    res = (psi_k * (pts @ reps.T)) % p  # |Omega| x t
-    return np.bincount((res + p * np.arange(t)).ravel(), minlength=t * p).reshape(t, p)
+    reps = linalg.decode_indices(cd.reps, ring.dim, ring.p)
+    blocks = _residue_counts(reps, pts, np.zeros(len(pts), dtype=np.int64), 1, psi_k, ring.p)
+    return np.concatenate([counts for _, counts in blocks])
 
 
 def orbit_character(ring, orbit, class_data=None, psi_k=1):
@@ -224,28 +244,26 @@ def phi_transform(ring, mu, psi_k=1):
     Returns the dense list of values over dual indices.  The kernel sign is
     fixed so that central idempotents map to orbit indicators.
     """
-    return _fourier(ring, mu, psi_k, 1)
+    C, M, den = _transform(ring, mu, psi_k)
+    return from_ints(C, M, den)
 
 
 def phi_inverse(ring, F, psi_k=1):
     """Inverse of phi_transform (inverse finite Fourier + exp_*)."""
-    return _fourier(ring, F, -psi_k, ring.order)
+    C, M, den = _transform(ring, F, -psi_k)
+    return from_ints(C, M, den * ring.order)
 
 
-def _fourier(ring, values, k, divisor):
-    """sum_x values[x] * zeta_p^(k y.x) / divisor for every index y.
-
-    Values are summed per residue r = k y.x (one indicator matmul per r),
-    then the p sums are contracted against zeta_p^r.
-    """
+def _transform(ring, values, k):
+    """(C, M, den): sum_x values[x] zeta_p^(k y.x) = C[y] / den at order M
+    for every index y, with each x of the support keyed by its position."""
     p = ring.p
     X = ring.all_elements()
-    C, M, den = to_ints(values, order=p)
-    nonzero = np.nonzero(C.any(axis=1))[0]
-    res = (k * (X @ X[nonzero].T)) % p  # n x n_nonzero
-    sums = np.stack([lincomb((res == r).astype(np.int64), C[nonzero]) for r in range(p)], axis=1)
-    Z, _, _ = to_ints([Cyclotomic.zeta(p, r) for r in range(p)], order=M)
-    return from_ints(contract(sums, Z[:, None], M), M, den * divisor)
+    P, M, den = product_table(values, [Cyclotomic.zeta(p, r) for r in range(p)])
+    support = np.flatnonzero(P.any(axis=(1, 2)))
+    P = P[support].reshape(len(support) * p, P.shape[-1])
+    blocks = _residue_counts(X, X[support], np.arange(len(support)), len(support), k, p)
+    return np.concatenate([lincomb(counts, P) for _, counts in blocks]), M, den
 
 
 def central_idempotent(ring, character, class_data=None):
@@ -291,14 +309,9 @@ def verify_phi_idempotents(ring, table, orbits, psi_k=1):
     owner = np.repeat(np.arange(rows), [len(orb.indices) for orb in orbits])
     by_point = np.argsort(points, kind="stable")
     points, owner = points[by_point], owner[by_point]
-    block = max(1, PHI_BLOCK // n)
-    for start in range(0, n, block):
-        lam = X[start : start + block]
-        b = len(lam)
-        # counts[lambda, j * p + r]: x in class j of exp(-x) with psi_k(lambda . x) = r
-        keys = neg_class * p + (psi_k * (lam @ X.T)) % p
-        keys += np.arange(b)[:, None] * (t * p)
-        counts = np.bincount(keys.ravel(), minlength=b * t * p).reshape(b, t * p)
+    # counts[lambda, j * p + r]: x in class j of exp(-x) with psi_k(lambda . x) = r
+    for start, counts in _residue_counts(X, X, neg_class, t, psi_k, p):
+        b = len(counts)
         got = times(lincomb(counts, P).reshape(b, rows, phi), degrees)
         inside = np.zeros((b, rows), dtype=bool)
         lo, hi = np.searchsorted(points, [start, start + b])
@@ -360,30 +373,30 @@ def module_property_check(ring, orbit, psi_k=1):
     deltas: for each basis exponential gamma and each lambda0 in Omega the
     transform of delta_gamma * Phi^{-1}(1_lambda0) must vanish outside
     Omega.  A sum of p-th roots with residue counts c_r vanishes iff all
-    c_r agree, which keeps the check in integer arithmetic.
+    c_r agree, which keeps the check in integer arithmetic: each x is keyed
+    by a = -psi lambda0 . log(gamma^-1 exp x), and c_s at lambda is the sum
+    over a of the residue counts of (a, s - a).
     """
     p, d = ring.p, ring.dim
     n = ring.order
     if n > MODULE_CHECK_BUDGET:
         raise ValueError("group order %d exceeds the exhaustive-check budget" % n)
     X = ring.all_elements()
-    lams = ring.all_elements()
     in_orbit = np.zeros(n, dtype=bool)
     in_orbit[orbit.indices] = True
-    outside = np.nonzero(~in_orbit)[0]
-    U = lams[outside]
-    P = (psi_k * (U @ X.T)) % p  # len(outside) x n
+    U = X[~in_orbit]
+    # [s, a] -> the count column of key a and residue s - a
+    antidiagonals = (np.arange(p)[:, None] - np.arange(p)) % p + np.arange(p) * p
     for gi in range(d):
         gamma_inv = -ring.basis_vector(gi) % p
         # w(x) = log(gamma^-1 * exp x) for all x at once
         W = ring.group_mul_bulk(np.tile(gamma_inv, (n, 1)), X)
-        for lam0_idx in orbit.indices:
-            lam0 = ring.element_from_index(int(lam0_idx))
-            A = (-psi_k * (W @ lam0)) % p  # length n
-            R = (P + A[None, :]) % p
-            counts = np.stack([(R == r).sum(axis=1) for r in range(p)])
-            if (counts != counts[0]).any():
-                return False
+        for lam0 in orbit.points():
+            keys = (-psi_k * (W @ lam0)) % p
+            for _, counts in _residue_counts(U, X, keys, p, psi_k, p):
+                c = counts[:, antidiagonals].sum(axis=-1)
+                if (c != c[:, :1]).any():
+                    return False
     return True
 
 

@@ -138,35 +138,27 @@ def _affine_fusion_partition(scheme, m, n, psi_k=1):
 
     For class <= 2 the coadjoint orbit of lam is the affine subspace
     lam + W(lam), W(lam) = {lam o ad x : x}, and W is orbit-invariant, so
-    fusion of embedded base points is a subspace membership test.  This
-    makes levels far beyond the dense budget reachable (the dimension
-    grows linearly in n while the point count grows exponentially).
+    fusion of embedded base points is a subspace membership test and an
+    equivalence: each point still open is a class representative, whose
+    W fuses it with the open points of its class.  This makes levels far
+    beyond the dense budget reachable (the dimension grows linearly in n
+    while the point count grows exponentially).
     """
     _require_class_2(scheme, n)
     ring_n = scheme.at_level(n)
     p = ring_n.p
     om = tower_instance(scheme, m).orbits(psi_k)
     points = (om.base_points @ dual_embedding_matrix(scheme, m, n).T) % p
-    # row i of B_f is lam o ad(e_i), so B_f spans W(lam)
-    bases = [linalg.rref(ring_n.bf_matrix(lam_n), p)[0] for lam_n in points]
-    # union-find by pairwise membership of differences
-    parent = list(range(len(points)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    # the least point each point fuses with
+    label = np.full(len(points), -1)
     for i in range(len(points)):
-        fused = ~linalg.reduce_by(bases[i], points[i + 1 :] - points[i], p).any(axis=1)
-        for j in i + 1 + np.flatnonzero(fused):
-            if find(i) != find(j):
-                parent[find(j)] = find(i)
-    groups = {}
-    for i in range(len(points)):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(tuple(v) for v in groups.values()), om
+        if label[i] < 0:
+            # row i of B_f is lam o ad(e_i), so B_f spans W(lam)
+            basis = linalg.rref(ring_n.bf_matrix(points[i]), p)[0]
+            unlabeled = np.flatnonzero(label < 0)
+            fused = ~linalg.reduce_by(basis, points[unlabeled] - points[i], p).any(axis=1)
+            label[unlabeled[fused]] = i
+    return _fiber_partition(label), om
 
 
 def _require_class_2(scheme, n):

@@ -88,6 +88,9 @@ def _matrix_rows(lines, start, dim):
         rows.append([_int(t, i) for t in line.split()])
         if len(rows[-1]) != dim:
             raise ParseError(i, "matrix row needs %d entries" % dim)
+        big = next((v for v in rows[-1] if not -(2**63) <= v < 2**63), None)
+        if big is not None:
+            raise ParseError(i, "matrix entry %d does not fit int64" % big)
     return np.array(rows, dtype=np.int64)
 
 

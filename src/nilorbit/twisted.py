@@ -10,13 +10,14 @@ integer counts, one per power of zeta_p, and two values are equal
 exactly when their counts differ by a constant.  The Schur average is a
 weighted bincount over (row, column, exponent), one column of rho(phi(g))
 at a time, and the intertwiner check and the traces are gathers of it
-with exponent shifts.
+with exponent shifts.  The basis rank is that of their Gram matrix, one
+contraction against the conjugates, which Schur orthogonality makes diagonal.
 """
 
 import numpy as np
 
 from . import linalg
-from .cyclo import Cyclotomic, from_ints, product_table
+from .cyclo import Cyclotomic, contract, from_ints, gather, product_table, times, to_ints
 from .groups import twisted_classes
 
 # The seeds SCHUR_SEED, SCHUR_SEED + 1, ... of the random matrix averaged
@@ -105,34 +106,18 @@ def twisted_trace_basis(ring, G, phi_matrix, table, orbit_reps):
         values, M, den = product_table(Cyclotomic.from_root_counts(p, traces[reps]), (scale,))
         basis_rows.append(from_ints(values, M, den))
     report["basis"] = basis_rows
-    report["basis_rank"] = _cyclo_rank(basis_rows)
+    # the reps are unitary and pairwise inequivalent, so sum_c |c| x(c)
+    # conj(y(c)) over the twisted classes c is zero for distinct x and y
+    C, M, _ = to_ints([v for row in basis_rows for v in row])
+    C = C.reshape(len(basis_rows), len(reps), C.shape[-1])
+    conj = gather(C, -np.arange(C.shape[-1]), M)
+    sizes = np.bincount(report["labels"])
+    gram = contract(times(C, sizes[None, :, None]), conj.transpose(1, 0, 2), M)
+    nonzero = gram.any(axis=-1)
+    if (nonzero & ~np.eye(len(basis_rows), dtype=bool)).any():
+        raise AssertionError("twisted traces of two fixed reps are not orthogonal")
+    report["basis_rank"] = int(np.diagonal(nonzero).sum())
     report["basis_is_basis"] = report["basis_rank"] == report["num_classes"] == len(
         basis_rows
     )
     return report
-
-
-def _cyclo_rank(rows):
-    """Rank of a matrix of Cyclotomic values by exact elimination."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    used = [False] * len(mat)
-    for c in range(ncols):
-        piv = None
-        for r in range(len(mat)):
-            if not used[r] and not mat[r][c].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        used[piv] = True
-        rank += 1
-        inv = mat[piv][c].inv()
-        prow = [v * inv for v in mat[piv]]
-        mat[piv] = prow
-        for r in range(len(mat)):
-            if r != piv and not mat[r][c].is_zero():
-                f = mat[r][c]
-                mat[r] = [a - f * b for a, b in zip(mat[r], prow)]
-    return rank

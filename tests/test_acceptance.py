@@ -155,7 +155,8 @@ def test_criterion_7_counterexample_battery():
         assert battery.statement1_report()["refuted"]
         assert battery.statement2_report()["refuted"]
         assert battery.statement36_report()["refuted"]
-        assert battery.statement3_explicit_pair()["refuted"]
+        pair = battery.statement3_explicit_pair()
+        assert pair == {"refuted": True, "gamma_index": 1, "lambda_index": 125}
         assert battery.statement7_class4_report()["refuted"]
         samples = battery.statement7_class3_samples()
         assert samples["count"] == 20 and samples["all_hold"]

@@ -213,10 +213,13 @@ _SIGMA = ringio.emit_matrix(families.usp4_flag_algebra(2)[1]).splitlines()
         ("\n".join(["matrix dim=6 p=2"] + _SIGMA[1:]), "input error: line 1: unexpected header field 'p=2'"),
         ("\n".join(_SIGMA[:-1]), "input error: line 7: matrix truncated: 5 of 6 rows"),
         ("\n".join(_SIGMA[:3] + ["1 0 x 0 0 0"] + _SIGMA[4:]), "input error: line 4: 'x' is"),
+        ("\n".join(_SIGMA[:3] + ["1 0 %d 0 0 0" % 10**23] + _SIGMA[4:]),
+         "input error: line 4: matrix entry 100000000000000000000000 does not fit int64"),
         ("\n".join(_SIGMA + ["1 0 0 0 0 0"]), "input error: line 8: unexpected line"),
         ("matrix dim=2\n1 0\n0 1\n", "input error: sigma must be a 6 x 6 matrix"),
     ],
-    ids=["empty", "no-dim", "bad-dim", "extra-key", "truncated", "bad-entry", "extra-row", "wrong-size"],
+    ids=["empty", "no-dim", "bad-dim", "extra-key", "truncated", "bad-entry", "big-entry",
+         "extra-row", "wrong-size"],
 )
 def test_malformed_sigma_exits_2_with_its_line(tmp_path, capsys, sigma, message):
     alg_file, sig_file = tmp_path / "flag.alg", tmp_path / "sigma.mat"
@@ -235,13 +238,16 @@ def test_malformed_sigma_exits_2_with_its_line(tmp_path, capsys, sigma, message)
         ("liering p=3 dim=x\n", "input error: line 1: 'x' is not an integer"),
         ("algebra p=3 dim=2\n\nprod 1 1 = 2:1.5\n", "input error: line 3: '1.5' is not"),
         ("liering p=3 dim=2\nfrobenius\n1 0\n0 z\n", "input error: line 4: 'z' is not"),
+        ("liering p=3 dim=2\nfrobenius\n1 0\n0 99999999999999999999999\n",
+         "input error: line 4: matrix entry 99999999999999999999999 does not fit int64"),
         # whole-object failures carry no line number
         ("liering p=5 dim=3\nbracket 1 2 = 3:1\nbracket 1 3 = 1:1\n",
          "input error: ring invariants fail: [('jacobi'"),
         ("algebra p=2 dim=2\nprod 1 1 = 2:1\nprod 1 2 = 1:1\n",
          "input error: product is not associative"),
     ],
-    ids=["coefficient", "index", "dim", "fraction", "frobenius", "jacobi", "non-associative"],
+    ids=["coefficient", "index", "dim", "fraction", "frobenius", "big-frobenius", "jacobi",
+         "non-associative"],
 )
 def test_malformed_ring_exits_2_with_its_line(tmp_path, capsys, text, message):
     f = tmp_path / "bad.ring"

@@ -197,6 +197,9 @@ def test_twisted_trace_basis_ul3_f9():
         fixed_reps.append((i, polar.MonomialRep(ring, pol)))
     rep = twisted_trace_basis(ring, G, F, table, fixed_reps)
     assert rep["basis_rank"] == 11 and rep["basis_is_basis"]
+    # equal reps have equal traces, which Schur orthogonality rules out
+    with pytest.raises(AssertionError, match="not orthogonal"):
+        twisted_trace_basis(ring, G, F, table, fixed_reps + fixed_reps[:1])
     large = [r for _, r in fixed_reps if r.dim == 9]
     assert len(large) == 2
     assert all(r.check_homomorphism() for r in large)

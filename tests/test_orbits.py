@@ -229,6 +229,24 @@ def test_phi_idempotents_count_in_bounded_blocks():
     assert peak < 64 * 2**20
 
 
+def test_phi_transform_counts_in_bounded_blocks():
+    # Phi keys each x of the support by its position in blocks of dual
+    # points, so on the class-4 witness (n = 5^5) it holds no n x n array
+    import tracemalloc
+
+    ring = witness_ring(5, 4)
+    n = ring.order
+    mu = [int(v) for v in np.random.default_rng(4).integers(-3, 4, n)]
+    tracemalloc.start()
+    try:
+        F = ob.phi_transform(ring, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert sum(F[1:], F[0]) == mu[0] * n
+
+
 @pytest.mark.parametrize("per_block", [None, 7])
 def test_phi_idempotents_fail_on_one_late_block(monkeypatch, per_block):
     # the check compares one block of dual points at a time, so a fault

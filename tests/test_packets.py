@@ -250,6 +250,30 @@ def test_base_change_arrays_match_per_orbit_loops(scheme, m, n):
         assert (got is None) == (_per_orbit_reference(scheme, m, n, bad)[1] is None)
 
 
+@pytest.mark.parametrize(
+    "scheme, n, classes",
+    [
+        (fake_heisenberg_scheme(3, 1), 2, 9),
+        (fake_heisenberg_scheme(3, 1), 4, 9),
+        (fake_heisenberg_scheme(3, 1), 6, 5),
+        (fake_heisenberg_scheme(5, 1), 2, 25),
+        (ul_lie_scheme(3, 3), 2, 11),
+        (ul_lie_scheme(3, 3), 3, 11),
+        (abelian_scheme(3, 1, 1), 2, 3),
+        (abelian_scheme(3, 1, 1), 3, 3),
+    ],
+    ids=["fakeheis3-2", "fakeheis3-4", "fakeheis3-6", "fakeheis5-2", "ul3-2", "ul3-3",
+         "abelian-2", "abelian-3"],
+)
+def test_affine_fusion_matches_dense_fibers(scheme, n, classes):
+    # the class <= 2 engine, one W(lam) per fused class, against the fibers
+    # of the densely enumerated base-change map at the same level
+    part, _ = pk._affine_fusion_partition(scheme, 1, n)
+    mapping, _, _ = pk.base_change_map(scheme, 1, n)
+    assert part == pk._fiber_partition(mapping)
+    assert len(part) == classes
+
+
 def test_affine_engine_rejects_class_3_scheme():
     # UL4(F5) has class 3; level 2 (5^12 points) is beyond the dense budget
     with pytest.raises(ValueError, match="class <= 2"):

@@ -1,9 +1,13 @@
+import functools
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilorbit import ringio
 from nilorbit.battery import appendix_h2_ring
-from nilorbit.families import strict_upper_algebra
+from nilorbit.families import strict_upper_algebra, ul_lie_scheme
 from nilorbit.liering import heisenberg_ring
 
 HEIS_TEXT = """liering p=3 dim=3
@@ -111,3 +115,44 @@ def test_header_bounds_dim_before_allocating(kind):
     for dim in (257, 100000, 0, -3):
         with pytest.raises(ringio.ParseError, match="dim=%d is not in 1 <= dim" % dim):
             ringio.parse_spec("%s p=5 dim=%d\n" % (kind, dim))
+
+
+@functools.cache
+def _fuzz_seeds():
+    """Emitted texts of each format, the starting points of the token edits."""
+    ul = ul_lie_scheme(3, 3, 2).at_level(1)
+    ul.parsed_frobenius = ul.fq.frobenius_matrix
+    return (
+        ringio.emit_liering(appendix_h2_ring(5)),
+        ringio.emit_liering(heisenberg_ring(3)),
+        ringio.emit_liering(ul),
+        ringio.emit_algebra(strict_upper_algebra(3, 3)),
+        ringio.emit_matrix(np.array([[1, 2, 0], [0, 1, 4], [3, 0, 1]], dtype=np.int64)),
+    )
+
+
+_EDIT_TOKENS = ["-1", "0", "2", "x", "=", ":", "3:1", str(10**23), "frobenius", "bracket",
+                "prod", "matrix", "#", "\n"]
+
+
+@given(st.integers(0, 4), st.data())
+@settings(max_examples=200)
+def test_token_edits_parse_or_raise_value_error(seed, data):
+    # a token is a run of non-space characters or a line break, so inserting
+    # "\n" adds a blank line; every edited text must parse or raise a
+    # ValueError (ParseError is one), never anything else
+    tokens = re.findall(r"\S+|\n", _fuzz_seeds()[seed])
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        pos = data.draw(st.integers(0, len(tokens) - (op != "insert")))
+        if op == "delete":
+            del tokens[pos]
+        else:
+            tok = data.draw(st.sampled_from(_EDIT_TOKENS))
+            tokens[pos : pos + (op == "replace")] = [tok]
+    text = "".join(t if t == "\n" else t + " " for t in tokens)
+    for parse in (ringio.parse_spec, ringio.parse_matrix):
+        try:
+            parse(text)
+        except ValueError:
+            pass
