@@ -193,25 +193,29 @@ def _residue_counts(lams, X, keys, width, k, p):
     block take about PHI_BLOCK entries and its counts width * p times that.
     """
     block = max(1, PHI_BLOCK // max(1, len(X)))
+    keys = keys * p
     for start in range(0, len(lams), block):
         lam = lams[start : start + block]
         b = len(lam)
-        flat = keys * p + (k * (lam @ X.T)) % p + np.arange(b)[:, None] * (width * p)
+        flat = (k * (lam @ X.T)) % p
+        flat += keys
+        flat += np.arange(b)[:, None] * (width * p)
         yield start, np.bincount(flat.ravel(), minlength=b * width * p).reshape(b, width * p)
 
 
-def _orbit_counts(ring, orbit, cd, psi_k):
-    """counts[j, r]: the points f of the orbit with psi_k f . log rep_j = r (mod p)."""
-    pts = orbit.points()
+def _class_counts(ring, cd, X, keys, width, psi_k):
+    """counts[j, key * p + r]: the rows f of X with keys[f] = key and
+    psi_k f . log rep_j = r (mod p), for keys in [0, width)."""
     reps = linalg.decode_indices(cd.reps, ring.dim, ring.p)
-    blocks = _residue_counts(reps, pts, np.zeros(len(pts), dtype=np.int64), 1, psi_k, ring.p)
+    blocks = _residue_counts(reps, X, keys, width, psi_k, ring.p)
     return np.concatenate([counts for _, counts in blocks])
 
 
 def orbit_character(ring, orbit, class_data=None, psi_k=1):
     """chi_Omega(g) = |Omega|^(-1/2) sum_{f in Omega} psi(f . log g)."""
     cd = class_data or conjugacy_class_data(ring)
-    counts = _orbit_counts(ring, orbit, cd, psi_k)
+    keys = np.zeros(len(orbit.indices), dtype=np.int64)
+    counts = _class_counts(ring, cd, orbit.points(), keys, 1, psi_k)
     values = Cyclotomic.from_root_counts(ring.p, counts, Fraction(1, ring.p**orbit.half_log))
     return ClassFunction(cd, tuple(values))
 
@@ -219,17 +223,18 @@ def orbit_character(ring, orbit, class_data=None, psi_k=1):
 def orbit_method_table(ring, psi_k=1):
     """The full character table of Exp(g) via the orbit method.
 
-    Returns (table, orbits) with orbits aligned to table row order.  The
-    orbits' root counts are lifted to one denominator p^(largest half_log).
+    Returns (table, orbits) with orbits aligned to table row order.  All
+    orbits are counted at once, each dual point keyed by its orbit, and
+    their root counts lifted to one denominator p^(largest half_log).
     """
     cd = conjugacy_class_data(ring)
     oset = coadjoint_orbits(ring, psi_k=psi_k)
-    if len(oset) != cd.num_classes:
-        raise AssertionError(
-            "orbit count %d != class count %d" % (len(oset), cd.num_classes)
-        )
+    t = cd.num_classes
+    if len(oset) != t:
+        raise AssertionError("orbit count %d != class count %d" % (len(oset), t))
     p, top = ring.p, int(oset.half_logs.max())
-    counts = [_orbit_counts(ring, o, cd, psi_k) * p ** (top - o.half_log) for o in oset.orbits]
+    counts = _class_counts(ring, cd, ring.all_elements(), oset.labels, t, psi_k)
+    counts = counts.reshape(t, t, p).transpose(1, 0, 2) * p ** (top - oset.half_logs)[:, None, None]
     table, perm = CharacterTable.from_root_counts(cd, p, counts, p**top)
     return table, [oset.orbits[i] for i in perm]
 

@@ -10,8 +10,9 @@ integer counts, one per power of zeta_p, and two values are equal
 exactly when their counts differ by a constant.  The Schur average is a
 weighted bincount over (row, column, exponent), one column of rho(phi(g))
 at a time, and the intertwiner check and the traces are gathers of it
-with exponent shifts.  The basis rank is that of their Gram matrix, one
-contraction against the conjugates, which Schur orthogonality makes diagonal.
+with exponent shifts.  Schur orthogonality makes the traces independent:
+their Gram matrix, one contraction against the conjugates, is checked to be
+diagonal with a nonzero diagonal, so the basis rank is their number.
 """
 
 import numpy as np
@@ -106,18 +107,16 @@ def twisted_trace_basis(ring, G, phi_matrix, table, orbit_reps):
         values, M, den = product_table(Cyclotomic.from_root_counts(p, traces[reps]), (scale,))
         basis_rows.append(from_ints(values, M, den))
     report["basis"] = basis_rows
-    # the reps are unitary and pairwise inequivalent, so sum_c |c| x(c)
-    # conj(y(c)) over the twisted classes c is zero for distinct x and y
+    # the reps are unitary and pairwise inequivalent, so the Gram matrix
+    # sum_c |c| x(c) conj(y(c)) over the twisted classes c is diagonal with a
+    # nonzero diagonal: its rows, and so the traces, are independent
     C, M, _ = to_ints([v for row in basis_rows for v in row])
     C = C.reshape(len(basis_rows), len(reps), C.shape[-1])
     conj = gather(C, -np.arange(C.shape[-1]), M)
     sizes = np.bincount(report["labels"])
     gram = contract(times(C, sizes[None, :, None]), conj.transpose(1, 0, 2), M)
-    nonzero = gram.any(axis=-1)
-    if (nonzero & ~np.eye(len(basis_rows), dtype=bool)).any():
-        raise AssertionError("twisted traces of two fixed reps are not orthogonal")
-    report["basis_rank"] = int(np.diagonal(nonzero).sum())
-    report["basis_is_basis"] = report["basis_rank"] == report["num_classes"] == len(
-        basis_rows
-    )
+    if (gram.any(axis=-1) != np.eye(len(basis_rows), dtype=bool)).any():
+        raise AssertionError("twisted traces of the fixed reps are not orthogonal")
+    report["basis_rank"] = len(basis_rows)
+    report["basis_is_basis"] = report["num_classes"] == len(basis_rows)
     return report

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nilorbit import ringio
 from nilorbit.battery import appendix_h2_ring
@@ -135,20 +135,32 @@ _EDIT_TOKENS = ["-1", "0", "2", "x", "=", ":", "3:1", str(10**23), "frobenius", 
                 "prod", "matrix", "#", "\n"]
 
 
-@given(st.integers(0, 4), st.data())
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["replace", "delete", "insert"]), st.integers(0, 1 << 16),
+              st.sampled_from(_EDIT_TOKENS)),
+    max_size=3,
+)
+
+
+@given(st.integers(0, 4), st.integers(0, 1 << 16),
+       st.one_of(st.integers(), st.sampled_from(_EDIT_TOKENS)), _EDITS)
+@example(4, 0, 10**23, [])
 @settings(max_examples=200)
-def test_token_edits_parse_or_raise_value_error(seed, data):
+def test_token_edits_parse_or_raise_value_error(seed, entry, value, edits):
     # a token is a run of non-space characters or a line break, so inserting
-    # "\n" adds a blank line; every edited text must parse or raise a
-    # ValueError (ParseError is one), never anything else
+    # "\n" adds a blank line.  The first edit puts the drawn value in place
+    # of a bare integer, most of them matrix entries (frobenius rows, the
+    # matrix), so unbounded integers reach the matrix parser.  Every edited
+    # text must parse or raise a ValueError (ParseError is one), never
+    # anything else
     tokens = re.findall(r"\S+|\n", _fuzz_seeds()[seed])
-    for _ in range(data.draw(st.integers(1, 4))):
-        op = data.draw(st.sampled_from(["replace", "delete", "insert"]))
-        pos = data.draw(st.integers(0, len(tokens) - (op != "insert")))
+    ints = [i for i, tok in enumerate(tokens) if tok.isdigit()]
+    tokens[ints[entry % len(ints)]] = str(value)
+    for op, pos, tok in edits:
+        pos %= len(tokens) + (op == "insert")
         if op == "delete":
             del tokens[pos]
         else:
-            tok = data.draw(st.sampled_from(_EDIT_TOKENS))
             tokens[pos : pos + (op == "replace")] = [tok]
     text = "".join(t if t == "\n" else t + " " for t in tokens)
     for parse in (ringio.parse_spec, ringio.parse_matrix):
