@@ -85,7 +85,9 @@ DIXON_STAGES = (
     "families.usp4_little_groups_table",
 )
 KERNEL_STAGES = ("kernels._image_tables", "kernels.orbit_labels")
-CONVOLUTION_STAGES = ("chartable.convolve", "orbits.verify_phi_idempotents")
+CONVOLUTION_STAGES = (
+    "chartable.convolve", "orbits.verify_phi_idempotents", "linalg.bilinear", "freelie.evaluate",
+)
 INDUCTION_STAGES = ("polar.induced_character", "groups.induce_character")
 GFQ_TRACED = (
     "gfq.FqField.mul.calls", "gfq.FqField.trace.calls", "gfq.FqField.bulk_mul.elements",
@@ -117,7 +119,8 @@ REGISTRY = {
               ("orbits.module_property_check", "battery.statement3_explicit_pair")),
         traced("convolution", (
             "liering.LieRing.group_mul_bulk.calls", "liering.LieRing.group_mul_bulk.pairs",
-            "liering.LieRing.bracket.calls", "chartable.convolve.self_s",
+            "liering.LieRing.group_mul_bulk.self_s", "liering.LieRing.bracket.calls",
+            "liering.LieRing.bracket.self_s", "chartable.convolve.self_s",
         )),
     ],
     "representations": [

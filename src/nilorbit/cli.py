@@ -40,7 +40,10 @@ def _fakeheis(args):
     if args.aij:
         coeffs = {}
         for tok in args.aij.split(","):
-            i, j, c = (int(t) for t in tok.split(":"))
+            try:
+                i, j, c = (int(t) for t in tok.split(":"))
+            except ValueError:
+                raise InputError("--aij takes 'i:j:c,...' with integers i, j, c, not %r" % tok) from None
             coeffs[(i, j)] = c % args.p
             coeffs.setdefault((j, i), (-c) % args.p)
     return families.fake_heisenberg_scheme(args.p, args.s, coeffs=coeffs)
@@ -258,6 +261,8 @@ def cmd_orbits(args):
 
 
 def cmd_packets(args):
+    if args.level < 1:
+        raise InputError("--level must be >= 1, not %d" % args.level)
     _, scheme = load(args)
     _, rep = packets.base_change_and_packets(scheme, args.level, psi_k=_psi(args))
     _emit(args, rep.to_csv())

@@ -42,12 +42,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .linalg import prime_factors
+from .linalg import FLOAT_EXACT, prime_factors
 
 _INT64_MAX = np.iinfo(np.int64).max
-# float64 holds every integer of magnitude at most 2^53, so a product whose
-# partial sums all stay within it is exact on BLAS
-_FLOAT_EXACT = 2**53
 # entries per row block of a product (512 KiB of float64)
 _BLOCK = 1 << 16
 # Prime for computing the (unimodular) descent inverses; the result is
@@ -154,7 +151,7 @@ def _product(bound, *arrays):
     """The integer factors of a sum of products whose partial sums are all
     at most `bound` in magnitude, in the ladder's dtype: float64 up to
     2^53, then as `_exact` gives them."""
-    if bound <= _FLOAT_EXACT:
+    if bound <= FLOAT_EXACT:
         return [np.ascontiguousarray(a, dtype=np.float64) for a in arrays]
     return _exact(bound, *arrays)
 

@@ -38,8 +38,6 @@ from . import linalg
 
 DEFAULT_MAX_ORDER = 20000  # the oracle budget: the largest group order it takes
 BLOCK = 1 << 16  # group-law pairs, or gathered values, per bulk step
-# float64 holds every integer of magnitude at most 2^53
-_FLOAT_EXACT = 2**53
 # multiply-adds per matrix from which a float64 product beats int64
 _BLAS_MIN = 1 << 12
 
@@ -102,7 +100,7 @@ def _mulmod(A, B, l):
     l, so for every group order up to 2^20, the whole-group budget.
     """
     inner = A.shape[-1]
-    if inner * l * l > _FLOAT_EXACT or A.shape[-2] * inner * B.shape[-1] < _BLAS_MIN:
+    if inner * l * l > linalg.FLOAT_EXACT or A.shape[-2] * inner * B.shape[-1] < _BLAS_MIN:
         out = A @ B
         out %= l
         return out

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import rational_mod
+from .linalg import rational_mod, reduced
 
 X, Y = 0, 1
 _GENS = (X, Y)
@@ -436,14 +436,21 @@ def evaluate(series, ring, assignment):
 
     assignment maps X and Y (or just the generators appearing) to ring
     vectors or to (n, d) batches of rows, evaluated rowwise; requires ring
-    nilpotence class <= series bound and < p.
+    nilpotence class <= series bound and < p.  Each term is below p^2, so
+    the terms are summed in int64 and reduced once at the end, or after
+    every `run` terms where p^2 times their number would not fit.
     """
     import numpy as np
 
-    values = {g: np.asarray(v, dtype=np.int64) % ring.p for g, v in assignment.items()}
+    p = ring.p
+    values = {g: reduced(v, p) for g, v in assignment.items()}
+    run = max(1, (2**63 - 1) // p**2)
     acc = np.zeros(ring.dim, dtype=np.int64)
-    for w, coeff in series.terms.items():
-        acc = (acc + rational_mod(coeff, ring.p) * _word_value(w, values, ring)) % ring.p
+    for i, (w, coeff) in enumerate(series.terms.items(), 1):
+        acc = acc + rational_mod(coeff, p) * _word_value(w, values, ring)
+        if i % run == 0:
+            acc %= p
+    acc %= p
     return acc
 
 

@@ -4,7 +4,10 @@ Matrices are numpy int64 arrays with entries reduced mod p.  Sizes here are
 small (dimensions <= ~20 for ring computations, a few hundred for the Dixon
 oracle), so clarity wins over asymptotics; row operations are vectorized.
 `bilinear` is the one structure-constant contraction behind every Lie
-bracket and algebra product.  `rational_mod` is the one map from exact
+bracket and algebra product.  It has two exactness regimes: while every
+partial sum of the contraction fits in FLOAT_EXACT it runs in float64 on
+BLAS, exact in any summation order; above that it runs in int64, reduced
+after each stage.  `rational_mod` is the one map from exact
 rationals to F_p.  The primality, prime-factor and prime-power helpers are
 shared by the field, cyclotomic, family and oracle modules and the CLI.
 """
@@ -15,9 +18,30 @@ from functools import lru_cache
 
 import numpy as np
 
+# float64 holds every integer of magnitude at most 2^53, so a product whose
+# partial sums all stay within it is exact on BLAS, in any summation order
+FLOAT_EXACT = 2**53
+# entries from which reduced() checks the range rather than reducing
+FEW_ENTRIES = 1 << 8
+
 
 def asmod(a, p):
     return np.asarray(a, dtype=np.int64) % p
+
+
+def _out_of_range(V, bound):
+    """Whether a non-empty int64 array has an entry outside [0, bound).  A
+    negative entry reads as a huge unsigned one, so one max finds any such
+    entry, at a fraction of the cost of the `%` it lets a caller skip."""
+    return np.maximum.reduce(V.view(np.uint64), axis=None) >= bound
+
+
+def reduced(a, p):
+    """a as int64 entries in [0, p), not to be written to: a itself when
+    it has at least FEW_ENTRIES entries, all in range already.  Below that
+    the `%` costs less than the check."""
+    a = np.asarray(a, dtype=np.int64)
+    return a % p if a.size < FEW_ENTRIES or _out_of_range(a, p) else a
 
 
 def modinv(a, p):
@@ -212,14 +236,26 @@ def bilinear(C, X, Y, p):
     batches of rows that broadcast against each other over their leading
     axes.
 
-    The contraction runs one slot at a time, reduced mod p after each stage,
-    so every partial sum stays below d * (p-1)^2 and the result is exact
-    while that is < 2^63.
+    X and Y go through `reduced`, so a large batch already in range is not
+    copied.  The contraction runs one slot at a time, X against C and then
+    Y against that, in one of two exact regimes:
+
+    * while d^2 (p-1)^3 <= FLOAT_EXACT, in float64 on BLAS: every partial
+      sum is a non-negative integer at most d^2 (p-1)^3, so any summation
+      order is exact, and the result is reduced once, at the end;
+    * above it (e.g. p = 3000017), in int64, reduced after each stage, so
+      every partial sum stays below d (p-1)^2: exact while that is < 2^63.
     """
     d = C.shape[0]
-    X = asmod(X, p)
-    T = ((X @ C.reshape(d, d * d)) % p).reshape(X.shape[:-1] + (d, d))
-    return (asmod(Y, p)[..., None, :] @ T)[..., 0, :] % p
+    X, Y = reduced(X, p), reduced(Y, p)
+    dtype = np.float64 if d * d * (int(p) - 1) ** 3 <= FLOAT_EXACT else np.int64
+    T = X.astype(dtype, copy=False) @ C.reshape(d, d * d).astype(dtype, copy=False)
+    if dtype is np.int64:
+        T %= p
+    T = T.reshape(X.shape[:-1] + (d, d))
+    out = (Y.astype(dtype, copy=False)[..., None, :] @ T)[..., 0, :].astype(np.int64, copy=False)
+    out %= p
+    return out
 
 
 def intersect_row_spaces(A, B, p):
@@ -283,9 +319,7 @@ def encode_vectors(V, p):
     decode_indices are the one index <-> digit conversion."""
     V = np.asarray(V, dtype=np.int64)
     moduli, m, place = _codec(p, V.shape[-1])
-    # a negative digit reads as a huge unsigned one, so one max finds any
-    # digit out of range, at a tenth of the cost of the `%` it can skip
-    if V.size and V.view(np.uint64).max() >= min(moduli):
+    if V.size and _out_of_range(V, min(moduli)):
         V = V % m
     return V @ place
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels, linalg
-from .chartable import CharacterTable, ClassFunction
+from .chartable import CharacterTable, ClassFunction, _intern
 from .cyclo import Cyclotomic, from_ints, lincomb, product_table, times
 from .groups import ClassData, FiniteGroup
 
@@ -288,8 +288,9 @@ def verify_phi_idempotents(ring, table, orbits, psi_k=1):
 
     e_Omega(exp x) = (deg/|G|) chi(exp(-x)) has values in (1/|G|) Z[zeta_p],
     so |G| Phi(e)(lambda) = deg * sum_{j,r} counts[lambda, j, r] chi_j zeta^r
-    with counts the residue counts per class.  One product table of every
-    row value against zeta_p^r; then, per block of dual points, one count,
+    with counts the residue counts per class.  One product table of each
+    distinct row value against zeta_p^r, gathered by the rows' positions
+    among those values; then, per block of dual points, one count,
     one contraction with the counts for all rows and one product with the
     degrees give every transform there, compared against |G| * indicator
     exactly, so nothing larger than a block is held.
@@ -304,10 +305,11 @@ def verify_phi_idempotents(ring, table, orbits, psi_k=1):
     X = ring.all_elements()
     neg_class = cd.class_of[linalg.encode_vectors((-X) % p, p)]  # class of exp(-x)
     zetas = [Cyclotomic.zeta(p, r) for r in range(p)]
-    P, M, den = product_table([v for row in table.rows for v in row.values], zetas)
+    values, index = _intern((row.values for row in table.rows), t)
+    P, M, den = product_table(values, zetas)
     phi = P.shape[-1]
-    # P[row, (j, r)] -> [(j, r), (row, coefficient)], matching the counts
-    P = P.reshape(rows, t * p, phi).transpose(1, 0, 2).reshape(t * p, rows * phi)
+    # P[value, r] -> [(j, r), (row, coefficient)], matching the counts
+    P = P[index.T].swapaxes(1, 2).reshape(t * p, rows * phi)
     degrees = [[int(row.degree.rational_value())] for row in table.rows]
     # (dual point, row) for every point of every row's orbit, by point
     points = np.concatenate([np.asarray(orb.indices, dtype=np.int64) for orb in orbits])

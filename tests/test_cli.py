@@ -470,3 +470,23 @@ def test_orbits_leaves_the_estimate_blank_past_the_ladder_budget(monkeypatch, ca
     assert main(["orbits", "--family", "fakeheis", "--p", "3", "--s", "1"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 1 + 9 and all(line.endswith(",") for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["packets", "--family", "fakeheis", "--p", "5", "--s", "1", "--level", "0"],
+         "--level must be >= 1, not 0"),
+        (["packets", "--family", "fakeheis", "--p", "5", "--s", "1", "--level", "-1"],
+         "--level must be >= 1, not -1"),
+        (["validate", "--family", "fakeheis", "--p", "3", "--aij", "1,2,3"],
+         "--aij takes 'i:j:c,...' with integers i, j, c, not '1'"),
+        (["validate", "--family", "fakeheis", "--p", "3", "--aij", "1:0:1,0:1:x"],
+         "--aij takes 'i:j:c,...' with integers i, j, c, not '0:1:x'"),
+    ],
+    ids=["level-0", "level-negative", "aij-no-colons", "aij-not-an-integer"],
+)
+def test_malformed_option_values_exit_2_naming_the_option(capsys, args, message):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: %s\n" % message

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nilorbit import freelie as fl
-from nilorbit.liering import abelian_ring, heisenberg_ring
+from nilorbit import linalg
+from nilorbit.liering import abelian_ring, from_bracket_table, heisenberg_ring
 
 
 def test_bch_low_degrees():
@@ -90,6 +91,27 @@ def test_evaluate_batches_match_scalar():
         assert (bulk[k] == single).all()
         single = fl.evaluate(h5.bch(), h5, {fl.X: XS[k], fl.Y: YS[0]})
         assert (against_one[k] == single).all()
+
+
+def test_evaluate_sums_exactly_wherever_the_bracket_is_exact():
+    # on the class-3 filiform ring at this p the bracket is exact in int64
+    # (d (p-1)^2 < 2^63), but the five terms below are each (p-1)^2 in
+    # the last coordinate of the first row, so their sum is not
+    p, d = 1518500213, 4
+    assert d * (p - 1) ** 2 < 2**63 <= 5 * (p - 1) ** 2
+    ring = from_bracket_table(p, d, {(0, 1): {2: 1}, (0, 2): {3: 1}})
+    XY = (fl.X, fl.Y)
+    series = fl.LieSeries(3, {w: -1 for w in (fl.X, fl.Y, XY, (XY, fl.X), (XY, fl.Y))})
+    rng = np.random.default_rng(5)
+    X, Y = rng.integers(0, p, (2, 20, d))
+    X[0], Y[0] = [1, 0, 1, -1], [1, 1, 0, -1]
+    values = {fl.X: X % p, fl.Y: Y % p}
+    terms = [
+        linalg.rational_mod(c, p) * fl._word_value(w, values, ring).astype(object)
+        for w, c in series.terms.items()
+    ]
+    assert [t[0, 3] for t in terms] == [(p - 1) ** 2] * 5
+    assert (fl.evaluate(series, ring, {fl.X: X, fl.Y: Y}) == sum(terms) % p).all()
 
 
 def test_substitution_bijection_small_rings():

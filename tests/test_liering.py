@@ -12,7 +12,6 @@ from nilorbit.liering import (
     Subspace,
     ValidationReport,
     abelian_ring,
-    from_bracket_table,
     heisenberg_ring,
 )
 from nilorbit.packets import TowerInstance
@@ -210,26 +209,44 @@ def test_subring_and_quotient():
     assert q.nilpotence_class() == 2
 
 
-def test_bracket_and_product_exact_at_large_prime():
-    # (p-1)^3 overflows int64; each contraction stage stays below d (p-1)^2
-    p = 3000017
-    ring = from_bracket_table(p, 3, {(0, 1): {2: p - 1}})
-    assert ring.bracket([p - 1, 0, 0], [0, p - 1, 0]).tolist() == [0, 0, p - 1]
-    C = np.zeros((3, 3, 3), dtype=np.int64)
-    C[0, 1, 2] = p - 1
-    assert AssocAlgebra(p, C).product([p - 1, 0, 0], [0, p - 1, 0]).tolist() == [0, 0, p - 1]
-    # full random tensors and batches against Python-int arithmetic
-    rng = np.random.default_rng(3)
+def _bilinear_exact(C, X, Y, p):
+    """linalg.bilinear in Python ints, row by broadcast row."""
+    d = C.shape[0]
+    lead = np.broadcast_shapes(np.shape(X)[:-1], np.shape(Y)[:-1])
+    X, Y = np.broadcast_to(X, lead + (d,)), np.broadcast_to(Y, lead + (d,))
+    out = np.zeros(lead + (d,), dtype=np.int64)
+    for at in np.ndindex(lead):
+        x, y = [int(v) for v in X[at]], [int(v) for v in Y[at]]
+        for k in range(d):
+            out[at + (k,)] = sum(x[i] * y[j] * int(C[i, j, k]) for i in range(d) for j in range(d)) % p
+    return out
+
+
+# d = 4: the primes on either side of d^2 (p-1)^3 = 2^53, where the
+# contraction leaves float64 for int64, and one where (p-1)^3 overflows int64
+@pytest.mark.parametrize("p", [82571, 82591, 3000017])
+def test_bracket_and_product_exact_at_large_prime(p):
     d = 4
-    C = rng.integers(0, p, (d, d, d))
-    X = rng.integers(0, p, (6, d))
-    Y = rng.integers(0, p, (6, d))
-    exact = [
-        [sum(int(x[i]) * int(y[j]) * int(C[i, j, k]) for i in range(d) for j in range(d)) % p for k in range(d)]
-        for x, y in zip(X, Y)
-    ]
-    assert LieRing(p, C).bracket(X, Y).tolist() == exact
-    assert LieRing(p, C).bracket(X[2], Y[2]).tolist() == exact[2]
+    assert (d * d * (p - 1) ** 3 <= linalg.FLOAT_EXACT) == (p == 82571)
+    rng = np.random.default_rng(p)
+    # entries near p - 1, so the partial sums come near d^2 (p-1)^3 with
+    # low bits a float64 above 2^53 would round away
+    C = rng.integers(p - 8, p, (d, d, d))
+    C[0, 0] = p - 1
+    X, Y = rng.integers(p - 8, p, (2, 5, d))
+    X[0] = Y[0] = p - 1
+    ring = LieRing(p, C)
+    for x, y in [(X, Y), (X - p, Y + 3 * p), (X + 5 * p, -Y)]:
+        for a, b in [(x[1], y[2]), (x, y), (x[:, None], y), (x[:3, None], y[1])]:
+            want = _bilinear_exact(C, a % p, b % p, p)
+            got = linalg.bilinear(C, a, b, p)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert (got == want).all()
+        assert (ring.bracket(x, y) == _bilinear_exact(C, x % p, y % p, p)).all()
+    # a two-step nilpotent algebra's product, through AssocAlgebra
+    N = np.zeros((d, d, d), dtype=np.int64)
+    N[0, 1, 2] = N[1, 0, 3] = p - 1
+    assert AssocAlgebra(p, N).product([p - 1, 0, 0, 0], [0, -1, 0, 0]).tolist() == [0, 0, p - 1, 0]
 
 
 # -- basis-vector loop versions of the tensor checks, kept as references -------
