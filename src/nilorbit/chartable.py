@@ -23,15 +23,12 @@ from functools import cached_property
 import numpy as np
 
 from .cyclo import (
-    ONE,
-    ZERO,
     Cyclotomic,
     contract,
     distinct,
     from_ints,
     gather,
     lincomb,
-    parse,
     product_table,
     render,
     times,
@@ -232,21 +229,10 @@ class CharacterTable:
     def to_csv(self):
         texts = [render(v) for v in self.values]
         rows = [",".join(map(texts.__getitem__, row)) for row in self.index.tolist()]
-        return "\n".join(_csv_header(self.class_data) + rows) + "\n"
-
-    @staticmethod
-    def from_csv(text, class_data):
-        lines = text.strip().split("\n")
-        if lines[:2] != _csv_header(class_data):
-            raise ValueError("class data mismatch in CSV")
-        keys, index = _intern((ln.split(",") for ln in lines[2:]), class_data.num_classes)
-        return CharacterTable.from_index(class_data, [parse(k) for k in keys], index)[0]
-
-
-def _csv_header(cd):
-    """The two CSV lines of the class reps and sizes."""
-    return ["rep," + ",".join(map(str, cd.reps.tolist())),
-            "size," + ",".join(map(str, cd.sizes.tolist()))]
+        cd = self.class_data
+        header = ["rep," + ",".join(map(str, cd.reps.tolist())),
+                  "size," + ",".join(map(str, cd.sizes.tolist()))]
+        return "\n".join(header + rows) + "\n"
 
 
 def _orthogonal(X, Y, M, diag, what):
@@ -258,26 +244,3 @@ def _orthogonal(X, Y, M, diag, what):
         bad = np.argwhere(Z != target)
         raise AssertionError("%s orthogonality fails at %s" % (what, bad[0]))
 
-
-def table_fingerprint(table, group):
-    """A cross-group canonical form: rows as multisets of
-    (class size, element order of the rep, value).  Two isomorphic groups
-    with equal tables fingerprint equally regardless of element indexing.
-    """
-    cd = table.class_data
-    classes = list(zip(cd.sizes.tolist(), group.element_orders(cd.reps).tolist()))
-    keys = [(v.order, v.den, v.num) for v in table.values]
-    return sorted(
-        tuple(sorted((size, order, keys[i]) for (size, order), i in zip(classes, row)))
-        for row in table.index.tolist()
-    )
-
-
-def regular_character(class_data):
-    vals = [ZERO] * class_data.num_classes
-    vals[class_data.identity_class] = Cyclotomic.rational(class_data.n)
-    return ClassFunction(class_data, tuple(vals))
-
-
-def trivial_character(class_data):
-    return ClassFunction(class_data, tuple([ONE] * class_data.num_classes))

@@ -111,9 +111,16 @@ def load(args):
         raise InputError("--family and --file are exclusive (only spas takes both)")
     else:
         kind, _, build = FAMILIES[fam]
-        obj = build(args)
-        if _served_as(kind, kinds) != kind:
-            kind, obj = "ring", obj.at_level(1)
+        try:
+            obj = build(args)
+            if _served_as(kind, kinds) != kind:
+                kind, obj = "ring", obj.at_level(1)
+        except ValueError as e:
+            # a refused family input: name the parameters that chose it
+            given = ["--%s %s" % (k, getattr(args, k)) for k in reads if getattr(args, k) is not None]
+            if not given:
+                raise
+            raise InputError("family %s %s: %s" % (fam, " ".join(given), e)) from None
     if kind not in kinds:
         raise InputError("%s takes %s input, not %s" % (args.command, " or ".join(kinds), kind))
     return kind, obj

@@ -356,9 +356,6 @@ class Cyclotomic:
 
     # -- canonical access --------------------------------------------------
 
-    def is_rational(self):
-        return self.order == 1
-
     def rational_value(self):
         if self.order != 1:
             raise ValueError("not rational: %r" % (self,))
@@ -495,12 +492,6 @@ def _zeta(m, k):
 
 
 ZERO = Cyclotomic.rational(0)
-ONE = Cyclotomic.rational(1)
-
-
-def root_of_unity(m, k=1):
-    """zeta_m^k in canonical form; root_of_unity(m, 0) = 1."""
-    return Cyclotomic.zeta(m, k)
 
 
 # -- text form: "a0+a1*z+a2*z^2@m" ----------------------------------------
@@ -522,24 +513,3 @@ def render(x):
             parts.append("%s*z^%d" % (coeff, k))
     return "+".join(parts or ["0"]) + "@%d" % x.order
 
-
-def parse(text):
-    body, _, m = text.rpartition("@")
-    if not _:
-        raise ValueError("missing @order in %r" % text)
-    m = int(m)
-    coeffs = [Fraction(0)] * max(_phi(m), 1)
-    # '-' signs are attached to the numerators
-    for term in body.split("+"):
-        term = term.strip()
-        if not term:
-            continue
-        if "*z" in term:
-            c, _, rest = term.partition("*z")
-            k = int(rest[1:]) if rest.startswith("^") else 1
-        else:
-            c, k = term, 0
-        coeffs[k] += Fraction(c)
-    den = math.lcm(1, *(c.denominator for c in coeffs))
-    ints = np.array([[c.numerator * (den // c.denominator) for c in coeffs]], dtype=object)
-    return from_ints(gather(ints, np.arange(len(coeffs)), m), m, den)[0]

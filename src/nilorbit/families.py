@@ -20,7 +20,7 @@ from .chartable import CharacterTable
 from .cyclo import from_ints, lincomb, to_ints
 from .gfq import FqField, fq_embed, register_composite
 from .groups import AbelianGroup, FiniteGroup, induce_from_roots, is_homomorphism, little_groups
-from .liering import FqStructure, LieRing
+from .liering import TENSOR_BUDGET, FqStructure, LieRing
 
 
 # -- F_q Lie ring schemes -----------------------------------------------------
@@ -49,6 +49,7 @@ class FqLieScheme:
         if n in self._levels:
             return self._levels[n]
         p = self.field.p
+        _check_tensor("%s at level %d" % (self.name, n), self.dim_q * self.field.s * n, p)
         K = self.level_field(n)
         base_emb = fq_embed(self.field, K)
         sn = K.s
@@ -122,6 +123,16 @@ class FqLieScheme:
             register_composite(a, b, c)
 
 
+def _check_tensor(what, dim, p):
+    """Refuses a ring of dimension dim over F_p whose dim^3 structure
+    constants exceed TENSOR_BUDGET, before they are allocated."""
+    if dim**3 > TENSOR_BUDGET:
+        raise ValueError(
+            "%s has dimension %d over F_%d: its %d^3 structure constants exceed the tensor budget %d"
+            % (what, dim, p, dim, TENSOR_BUDGET)
+        )
+
+
 def fake_heisenberg_scheme(p, s, coeffs=None):
     """The fake Heisenberg Lie ring scheme over F_q, q = p^s.
 
@@ -157,6 +168,7 @@ def fake_heisenberg(p, s, coeffs=None):
 def ul_lie_scheme(n, p, s=1):
     """The Lie algebra of strictly upper triangular n x n matrices over F_q
     as an honest (untwisted) FqLieScheme."""
+    _check_tensor("UL_%d(F_%d)" % (n, p**s), n * (n - 1) // 2 * s, p)
     F = FqField(p, s)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     idx = {pr: t for t, pr in enumerate(pairs)}
@@ -291,12 +303,6 @@ def algebra_group(A, spot_check=True):
     if spot_check:
         G.spot_check_axioms()
     return G
-
-
-def ul_group(n, q):
-    """UL_n(F_q) as an algebra group (q = p^s)."""
-    p, s = linalg.prime_power(q)
-    return algebra_group(strict_upper_algebra(n, p, s))
 
 
 # -- generalized unipotent symplectic groups -------------------------------------
@@ -451,19 +457,9 @@ class USp4:
         ]
         return rows
 
-    def mult_quads(self, x, y):
-        F = self.field
-        a, b, c, d = x
-        a2, b2, c2, d2 = y
-        a3 = F.add(a, a2)
-        b3 = F.add(F.add(b, b2), F.mul(a, d2))
-        inner = F.sub(F.mul(a2, d2), b2)
-        c3 = F.add(F.add(c, c2), F.add(F.mul(a, inner), F.mul(b, a2)))
-        d3 = F.add(d, d2)
-        return (a3, b3, c3, d3)
-
     def mult_indices(self, I, J):
-        """mult_quads on index arrays, through the field's index tables."""
+        """The product of (a, b, c, d) quads on index arrays, through the
+        field's index tables."""
         add, sub, mul = self.field.index_tables()
         # .T gives contiguous per-digit arrays, which the tables gather from
         # faster, and on the stacked digits .T undoes itself

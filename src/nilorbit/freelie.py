@@ -63,19 +63,6 @@ def hall_words(c):
     return tuple(out)
 
 
-def is_hall(w):
-    if isinstance(w, int):
-        return w in _GENS
-    u, v = w
-    if not (is_hall(u) and is_hall(v)):
-        return False
-    if word_key(u) <= word_key(v):
-        return False
-    if isinstance(u, tuple) and word_key(u[1]) > word_key(v):
-        return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def bracket_words(a, b):
     """[a, b] for Hall words a, b as a Hall-basis combination (dict)."""

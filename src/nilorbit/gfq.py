@@ -17,11 +17,11 @@ moduli at once by the modulus search): the rows t^k mod (p, f).
 - Q, the Frobenius matrix, has row i = (t^i)^p = t^(ip), so a^p = a @ Q.  At
   small p it is the rows t^0, t^p, ..., t^((s-1)p) of the table; at large p
   the table stops at t^(2s-1) and Q is the identity rows raised to the p-th
-  power (`_table_top` picks the cheaper).  Frobenius, its inverse and the
-  traces are products with powers and sums of Q, cached per field.
+  power (`_table_top` picks the cheaper).  Frobenius and the traces are
+  products with powers and sums of Q, cached per field.
 - `is_irreducible` is Rabin's test on the iterates x^(p^i) = x^(p^(i-1)) @ Q,
-  and `is_primitive` powers t through the square-and-multiply; both test a
-  batch of moduli at once.
+  and the primitivity test `_primitive` powers t through the
+  square-and-multiply; both test a batch of moduli at once.
 Coefficients are int64 while a sum of s products below p^2 fits, Python ints
 beyond, so the arithmetic is exact for any p.  The scalar `FqField.mul` is
 the one pure-int product (schoolbook and long division), for callers that
@@ -178,13 +178,6 @@ def is_irreducible(modulus, p):
     if len(modulus) < 2 or modulus[-1] != 1:
         return False
     return bool(_irreducible(p, [modulus])[0])
-
-
-def is_primitive(modulus, p):
-    """Irreducible, and t generates the multiplicative group."""
-    if len(modulus) < 2 or modulus[-1] != 1:
-        return False
-    return bool(_primitive(p, [modulus])[0])
 
 
 def _irreducible(p, moduli):
@@ -383,9 +376,6 @@ class FqField:
         """One absolute Frobenius step x -> x^p."""
         return self._apply(a, _frobenius_power(self, 1))
 
-    def frobenius_inv(self, a):
-        return self._apply(a, _frobenius_power(self, self.s - 1))
-
     def trace(self, a, subdeg=1):
         """Trace to the subfield of degree subdeg: sum of x^(p^(i*subdeg))."""
         if self.s % subdeg != 0:
@@ -477,15 +467,6 @@ def _index_tables(field):
     return tuple(tables)
 
 
-def fq_trace_frobenius(field, subdeg, x):
-    """(trace to the degree-subdeg subfield as a subfield element, x^p)."""
-    tr_big = field.trace(x, subdeg)
-    sub = FqField(field.p, subdeg)
-    emb = fq_embed(sub, field)
-    tr_small = emb.preimage(tr_big)
-    return tr_small, field.frobenius(x)
-
-
 class FieldEmbedding:
     """An F_p-algebra embedding small -> big, as a linear map on coefficients."""
 
@@ -502,14 +483,14 @@ class FieldEmbedding:
         vec = (self.matrix @ np.array(x, dtype=np.int64)) % self.big.p
         return tuple(int(v) for v in vec)
 
-    def preimage(self, y):
-        sol = linalg.solve(self.matrix, np.array(y, dtype=np.int64), self.big.p)
-        if sol is None:
-            raise ValueError("element not in the embedded subfield")
-        return tuple(int(v) for v in sol)
-
 
 _embedding_registry = {}
+
+# Points of the subfield that one embedding's root search enumerates: 2^16.
+# A 2^16-point scan at p = 2 takes about 2 s and 95 MiB on a 2-core Xeon;
+# the test suite, the benchmark and the CLI runs pinned in CHANGES.md
+# search at most 5^3 points.
+ROOT_SCAN_BUDGET = 1 << 16
 
 
 def fq_embed(small, big):
@@ -548,10 +529,15 @@ def _least_root(modulus, big):
     """Least-index root of modulus among big's elements.
 
     A root of a degree-s modulus lies in the subfield F_{p^s} of big, the
-    kernel of Frob^s - I, so only that subfield's p^s points are tried.
+    kernel of Frob^s - I, so only that subfield's p^s points are tried,
+    and no more than ROOT_SCAN_BUDGET of them.
     """
-    p = big.p
-    frob_s = _frobenius_power(big, len(modulus) - 1).T
+    p, s = big.p, len(modulus) - 1
+    if p**s > ROOT_SCAN_BUDGET:
+        raise ValueError(
+            "root search over %d^%d points exceeds the root-scan budget %d" % (p, s, ROOT_SCAN_BUDGET)
+        )
+    frob_s = _frobenius_power(big, s).T
     sub = linalg.kernel((frob_s - np.eye(big.s, dtype=np.int64)) % p, p)
     pts = linalg.enumerate_row_space(sub, p)
     pts = pts[np.argsort(linalg.encode_vectors(pts, p))]

@@ -3,7 +3,7 @@
 A Heisenberg representation is an irreducible rho whose image modulo
 scalars is abelian.  heisenberg_classify enumerates them as pairs
 (nu, nu~): a Gamma-invariant character nu of [Gamma, Gamma] and an
-extension nu~ to the preimage C of the center of Gamma/ker nu; the
+extension nu~ to the inverse image C of the center of Gamma/ker nu; the
 representation is induced from any Lagrangian lift and is independent of
 that choice.  reduce_to_heisenberg descends an arbitrary irreducible
 character through stabilizers until it becomes Heisenberg and re-induces
@@ -142,7 +142,7 @@ def heisenberg_classify(G, p, psi_k=1, cd=None, flag_perm=None):
     """All Heisenberg representations of G as (nu, nu_tilde, ClassFunction).
 
     nu ranges over Gamma-invariant characters of [Gamma, Gamma] and
-    nu_tilde over its extensions to the preimage C of the center of
+    nu_tilde over its extensions to the inverse image C of the center of
     Gamma/ker nu; the character is Ind from a Lagrangian lift.  Passing a
     flag_perm changes which Lagrangian the good-basis construction picks,
     which must not change any character (Lagrangian independence).

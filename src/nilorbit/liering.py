@@ -13,6 +13,11 @@ import numpy as np
 
 from . import freelie, linalg
 
+# Entries of the dense dim^3 int64 structure-constant tensor of a ring or an
+# algebra that a file or a family may ask for: 2^24 (dim <= 256, 128 MiB),
+# checked before the tensor is allocated.
+TENSOR_BUDGET = 1 << 24
+
 
 class Subspace:
     """A subspace of F_p^d as a row-reduced (RREF) basis matrix."""
@@ -279,9 +284,6 @@ class LieRing:
 
     group_mul_bulk = group_mul
 
-    def group_inv(self, x):
-        return (-np.asarray(x, dtype=np.int64)) % self.p
-
     def adjoint_matrix(self, x):
         """Ad(exp x) = exp(ad x) acting on the ring (column convention)."""
         return linalg.nilpotent_exp(self.ad_matrix(x), self.p)
@@ -329,11 +331,6 @@ class LieRing:
 
     def element_index(self, x):
         return int(linalg.encode_vectors(np.asarray(x, dtype=np.int64), self.p))
-
-    def element_from_index(self, idx):
-        if not (0 <= idx < self.order):
-            raise IndexError("element index out of range")
-        return linalg.decode_indices(np.int64(idx), self.dim, self.p)
 
     def all_elements(self):
         return linalg.all_vectors(self.dim, self.p)

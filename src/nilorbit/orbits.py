@@ -8,11 +8,11 @@ matrices of the exponentials of a basis of a complement of [g,g] (they
 generate Exp(g)), found by the dense kernel; conjugacy classes of Exp(g) are
 adjoint-matrix components of the same index space.
 
-Every Fourier pairing of Exp(g) with g* (the character formula, Phi, its
-inverse and the checks on them) is one block-wise residue count,
-`_residue_counts`, keyed per caller, combined with integers only: a product
-table of values against zeta_p^r, or the test that p-th roots with counts
-c_r sum to 0 exactly when all c_r agree.
+Every Fourier pairing of Exp(g) with g* (the character formula, Phi, whose
+inverse is Phi at -psi over |G|, and the checks on them) is one block-wise
+residue count, `_residue_counts`, keyed per caller, combined with integers
+only: a product table of values against zeta_p^r, or the test that p-th
+roots with counts c_r sum to 0 exactly when all c_r agree.
 """
 
 import functools
@@ -42,10 +42,6 @@ class CoadjointOrbit:
         self.half_log = half_log
         self.base_point = base_point
         self.psi_k = psi_k
-
-    @functools.cached_property
-    def stabilizer(self):
-        return self.ring.stabilizer_subspace(self.base_point)
 
     def points(self):
         return linalg.decode_indices(self.indices, self.ring.dim, self.ring.p)
@@ -253,12 +249,6 @@ def phi_transform(ring, mu, psi_k=1):
     return from_ints(C, M, den)
 
 
-def phi_inverse(ring, F, psi_k=1):
-    """Inverse of phi_transform (inverse finite Fourier + exp_*)."""
-    C, M, den = _transform(ring, F, -psi_k)
-    return from_ints(C, M, den * ring.order)
-
-
 def _transform(ring, values, k):
     """(C, M, den): sum_x values[x] zeta_p^(k y.x) = C[y] / den at order M
     for every index y, with each x of the support keyed by its position."""
@@ -269,18 +259,6 @@ def _transform(ring, values, k):
     P = P[support].reshape(len(support) * p, P.shape[-1])
     blocks = _residue_counts(X, X[support], np.arange(len(support)), len(support), k, p)
     return np.concatenate([lincomb(counts, P) for _, counts in blocks]), M, den
-
-
-def central_idempotent(ring, character, class_data=None):
-    """e_chi as a dense function on group indices:
-    e(g) = (deg/|G|) chi(g^-1)."""
-    cd = class_data or conjugacy_class_data(ring)
-    n = ring.order
-    scale = character.degree * Fraction(1, n)
-    vals_by_class = [
-        character.values[cd.inv_class[j]] * scale for j in range(cd.num_classes)
-    ]
-    return [vals_by_class[cd.class_of[i]] for i in range(n)]
 
 
 def verify_phi_idempotents(ring, table, orbits, psi_k=1):

@@ -51,13 +51,6 @@ class TowerInstance:
         # in u-coordinates this is u -> u^(1/p)
         self.dual_frobenius = self.frobenius.T.copy() % p
 
-    def dual_to_u(self, lam):
-        """u-coordinates (flat) of the functional lam (dot-pairing vector)."""
-        return (self.gram_full_inv @ np.asarray(lam, dtype=np.int64)) % self.ring.p
-
-    def u_to_dual(self, u_flat):
-        return (self.gram_full @ np.asarray(u_flat, dtype=np.int64)) % self.ring.p
-
     def orbits(self, psi_k=1):
         return coadjoint_orbits(self.ring, psi_k=psi_k)
 
@@ -296,21 +289,22 @@ class PacketReport:
             for oid in pack:
                 self._packet_of[oid] = pid
 
-    def packet_sizes(self):
-        return sorted(len(p) for p in self.packets)
-
     def max_packet_size(self):
         return max(len(p) for p in self.packets)
 
     def fdim_estimates(self):
         """Per level-m orbit: (1/2) log_q of the orbit-size growth ratio
         between the last two densely materialized levels, an exact Fraction
-        since all orbit sizes are powers of p."""
-        if len(self.dense_rounds) < 2:
-            return [None] * len(self.orbit_set)
+        since all orbit sizes are powers of p; None for every orbit when
+        fewer than two distinct levels are dense.  At p = 2 the confirmation
+        level p n equals the next doubling level, so the last two rounds can
+        share a level: the earlier level is the last one below the final."""
         # each dense round holds T_m^n from the ladder's level m (it starts
         # at 2m, so no round is at level m itself)
-        (n1, map1, _, on1), (n2, map2, _, on2) = self.dense_rounds[-2:]
+        earlier = [r for r in self.dense_rounds[:-1] if r[0] != self.dense_rounds[-1][0]]
+        if not earlier:
+            return [None] * len(self.orbit_set)
+        (n1, map1, _, on1), (n2, map2, _, on2) = earlier[-1], self.dense_rounds[-1]
         s = self.scheme.field.s
         growth = on2.half_logs[map2] - on1.half_logs[map1]
         return [Fraction(e, s * (n2 - n1)) for e in growth.tolist()]

@@ -491,17 +491,6 @@ def induced_character(ring, pol, class_data=None, psi_k=1):
     return induce_character(cd, linalg.encode_vectors(points, p), keys, zetas)
 
 
-def induced_character_and_rep(ring, f_vec, pol, class_data=None, psi_k=1):
-    """(ClassFunction, MonomialRep) for Ind from a polarization at f."""
-    f_vec = np.asarray(f_vec, dtype=np.int64) % ring.p
-    if (pol.f_vec != f_vec).any():
-        raise ValueError("polarization base functional mismatch")
-    pol.verify()
-    chi = induced_character(ring, pol, class_data=class_data, psi_k=psi_k)
-    rep = MonomialRep(ring, pol, psi_k=psi_k)
-    return chi, rep
-
-
 # -- containment search -----------------------------------------------------------
 
 

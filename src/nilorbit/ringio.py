@@ -27,11 +27,7 @@ import numpy as np
 
 from .families import AssocAlgebra
 from .linalg import is_prime
-from .liering import LieRing
-
-# Entries of the dense dim^3 int64 structure-constant tensor a header may
-# ask for: 2^24 (dim <= 256, 128 MiB), checked before it is allocated.
-TENSOR_BUDGET = 1 << 24
+from .liering import TENSOR_BUDGET, LieRing
 
 
 class ParseError(ValueError):

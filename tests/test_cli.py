@@ -368,9 +368,11 @@ def test_each_subcommand_offers_only_the_options_it_reads():
 
 
 def test_non_prime_powers_exit_2(capsys):
-    for args in (["validate", "--family", "ul", "--q", "6"], ["golden", "--q", "12"]):
+    # a refused family input names the parameters that chose it
+    for args, given in ((["validate", "--family", "ul", "--q", "6"], "family ul --n 3 --q 6: "),
+                        (["golden", "--q", "12"], "")):
         assert main(args) == 2
-        assert capsys.readouterr().err == "input error: %s is not a prime power\n" % args[-1]
+        assert capsys.readouterr().err == "input error: %s%s is not a prime power\n" % (given, args[-1])
 
 
 def test_orbits_reports_a_failed_base_change_check(monkeypatch, capsys):
@@ -470,6 +472,37 @@ def test_orbits_leaves_the_estimate_blank_past_the_ladder_budget(monkeypatch, ca
     assert main(["orbits", "--family", "fakeheis", "--p", "3", "--s", "1"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 1 + 9 and all(line.endswith(",") for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["validate", "--family", "ul", "--n", "40", "--q", "5"],
+         "family ul --n 40 --q 5: UL_40(F_5) has dimension 780 over F_5: "
+         "its 780^3 structure constants exceed the tensor budget 16777216"),
+        (["chartable", "--family", "fakeheis", "--p", "3", "--s", "40"],
+         "family fakeheis --p 3 --s 40: root search over 3^40 points exceeds the root-scan budget 65536"),
+    ],
+    ids=["ul-tensor", "fakeheis-root-scan"],
+)
+def test_family_inputs_beyond_a_budget_exit_2_naming_the_option(capsys, args, message):
+    # both used to end in numpy's allocation errors: a 3.5 GiB tensor, a
+    # 3^40-point scan
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "input error: %s\n" % message
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("q, dim", [(2, 1), (8, 3)])
+def test_orbits_fdim_at_p_2(capsys, q, dim):
+    # UL_2(F_q) = F_q: q one-point orbits whose size never grows; at p = 2
+    # the last two dense rounds share a level, which used to divide 0 by 0
+    assert main(["orbits", "--family", "ul", "--n", "2", "--q", str(q)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.strip().split("\n")
+    assert len(lines) == 1 + q and all(line.endswith(",1,%d,0" % dim) for line in lines[1:])
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import nilorbit
 from nilorbit import dixon, linalg, orbits as ob
 from nilorbit.battery import appendix_h2_ring, random_class_le3_rings
 from nilorbit.chartable import CharacterTable, ClassFunction
-from nilorbit.cyclo import Cyclotomic, root_of_unity
+from nilorbit.cyclo import Cyclotomic
 from nilorbit.dixon import (
     _charpoly_mod,
     _eigen_split,
@@ -25,9 +25,11 @@ from nilorbit.dixon import (
     dixon_prime,
     dixon_table,
 )
-from nilorbit.families import fake_heisenberg, ul_group, usp4, usp4_via_sp
+from nilorbit.families import fake_heisenberg, usp4, usp4_via_sp
 from nilorbit.groups import FiniteGroup, build_group
 from nilorbit.liering import heisenberg_ring
+
+from helpers import ul_group
 
 
 def test_dixon_prime():
@@ -56,7 +58,7 @@ def test_charpoly_against_eigen_structure():
 def test_c3_table():
     G3 = build_group(lambda i, j: (i + j) % 3, 3, gens=[1], inv=lambda i: (-i) % 3)
     t = dixon_table(G3)
-    z = root_of_unity(3)
+    z = Cyclotomic.zeta(3)
     expected = {
         (Cyclotomic.rational(1),) * 3,
         (Cyclotomic.rational(1), z, z * z),

@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 from nilorbit import orbits as ob
 from nilorbit import families as fam
 from nilorbit import kernels, linalg
-from nilorbit.chartable import table_fingerprint
 from nilorbit.dixon import dixon_table
 from nilorbit.packets import TowerInstance
+
+from helpers import table_fingerprint, ul_group, usp4_mult_quads
 
 
 def test_fake_heisenberg_examples():
@@ -38,7 +39,7 @@ def test_fake_heisenberg_geometric_stabilizer_equation():
                 x = K.from_index(xi)
                 gvec = np.zeros(ring.dim, dtype=np.int64)
                 gvec[:s] = x
-                lam = tw.u_to_dual(np.concatenate([np.array(K.one), np.array(v)]))
+                lam = tw.gram_full @ np.concatenate([np.array(K.one), np.array(v)]) % 3
                 fixes = ((ring.coadjoint_matrix(gvec) @ lam) % 3 == lam).all()
                 eq = K.mul(K.pow(x, K.p**2), K.pow(v, K.p)) == K.mul(x, v)
                 assert fixes == eq
@@ -58,8 +59,8 @@ def test_unread_bracket_coordinates_imply_class_2_at_every_level():
 
 
 def test_ul_groups():
-    assert fam.ul_group(4, 2).n == 64
-    u33 = fam.ul_group(3, 3)
+    assert ul_group(4, 2).n == 64
+    u33 = ul_group(3, 3)
     t = dixon_table(u33)
     assert t.degree_multiset() == {1: 9, 3: 2}
 
@@ -68,7 +69,7 @@ def test_algebra_group_table_equals_lazard_table():
     # x+y+xy group vs BCH group: equal tables (compared by fingerprint,
     # the groups live on different index sets)
     for (n, q) in ((3, 3), (3, 5)):
-        Galg = fam.ul_group(n, q)
+        Galg = ul_group(n, q)
         talg = dixon_table(Galg)
         ring = fam.ul_lie_scheme(n, *linalg.prime_power(q)).at_level(1)
         tlaz, _ = ob.orbit_method_table(ring)
@@ -105,7 +106,7 @@ def test_usp4_structure():
     for _ in range(30):
         x = U.from_index(int(rng.integers(0, U.n)))
         y = U.from_index(int(rng.integers(0, U.n)))
-        assert matmul_f(U.matrix(x), U.matrix(y)) == U.matrix(U.mult_quads(x, y))
+        assert matmul_f(U.matrix(x), U.matrix(y)) == U.matrix(usp4_mult_quads(U, x, y))
 
 
 def test_usp4_center_sizes_and_char2_coincidence():
@@ -254,6 +255,20 @@ def test_sp_a_sigma_scan_is_refused_beyond_the_dense_budget(monkeypatch):
     monkeypatch.setattr(kernels, "DENSE_BUDGET", 3**6 - 1)
     with pytest.raises(ValueError, match="scan over 3\\^6 points"):
         fam.usp4_via_sp(3)
+
+
+def test_family_rings_are_refused_beyond_the_tensor_budget(monkeypatch):
+    # UL_24 has dimension 276 > 256, refused before its bracket table
+    with pytest.raises(ValueError, match="UL_24\\(F_5\\) has dimension 276 over F_5: its 276\\^3"):
+        fam.ul_lie_scheme(24, 5)
+    # every level is checked before its tensor, and the budget is inclusive
+    monkeypatch.setattr(fam, "TENSOR_BUDGET", 2**3)
+    scheme = fam.abelian_scheme(3, 1, 1)
+    assert scheme.at_level(2).dim == 2
+    with pytest.raises(ValueError, match="Ga\\^1 at level 3 has dimension 3 over F_3"):
+        scheme.at_level(3)
+    monkeypatch.setattr(fam, "TENSOR_BUDGET", 3**3)
+    assert scheme.at_level(3).dim == 3
 
 
 @pytest.mark.parametrize("q", [3, 5])

@@ -12,10 +12,10 @@ from nilorbit import linalg
 from nilorbit import orbits as ob
 from nilorbit import polar
 from nilorbit.battery import appendix_h2_ring, witness_ring
-from nilorbit.chartable import ClassFunction, convolve, regular_character, trivial_character
+from nilorbit.chartable import ClassFunction, convolve
 from nilorbit.cyclo import Cyclotomic, from_ints, lincomb, product_table
 from nilorbit.dixon import dixon_table
-from nilorbit.families import USp4, ul_group, usp4, usp4_via_sp
+from nilorbit.families import USp4, usp4, usp4_via_sp
 from nilorbit.groups import (
     WHOLE_GROUP_BUDGET,
     AbelianGroup,
@@ -29,6 +29,8 @@ from nilorbit.groups import (
     twisted_classes,
 )
 from nilorbit.liering import heisenberg_ring
+
+from helpers import element_from_index, regular_character, trivial_character, ul_group, usp4_mult_quads
 
 
 def test_build_group_examples():
@@ -94,7 +96,7 @@ def test_induce_character_examples():
     f = np.array([0, 0, 1])
 
     def chi_f(idx):
-        h = h3.element_from_index(int(idx))
+        h = element_from_index(h3, int(idx))
         return int(f @ h) % 3
 
     ind = induce_character(cd, H, [chi_f(e) for e in H], _zetas(3))
@@ -113,10 +115,10 @@ def test_frobenius_reciprocity():
     rng = np.random.default_rng(3)
     for f_vec in rng.integers(0, 3, (4, 3)):
         def chi_H(idx, f_vec=f_vec):
-            h = h3.element_from_index(int(idx))
+            h = element_from_index(h3, int(idx))
             return Cyclotomic.zeta(3, int(f_vec @ h) % 3)
 
-        keys = [int(f_vec @ h3.element_from_index(int(idx))) % 3 for idx in H]
+        keys = [int(f_vec @ element_from_index(h3, int(idx))) % 3 for idx in H]
         ind = induce_character(cd, H, keys, _zetas(3))
         for chi_G in table.rows[::4]:
             lhs = ind.inner(chi_G)
@@ -253,12 +255,12 @@ def test_minimal_ideal_elements_via_monomial_reps():
     repV = polar.MonomialRep(h3, polar.vergne_polarization(h3, flag, orbV.base_point))
     repW = polar.MonomialRep(h3, polar.vergne_polarization(h3, flag, orbW.base_point))
     # f = rho_V(g0) for a noncentral g0; psi_V(f) = (dim/|G|) sum tr(f rho(g^-1)) g
-    g0 = h3.element_from_index(1)
+    g0 = element_from_index(h3, 1)
     f_mat = _dense_matrix(repV, g0)
     n = h3.order
     coeffs = []
     for idx in range(n):
-        ginv = (-h3.element_from_index(idx)) % 3
+        ginv = (-element_from_index(h3, idx)) % 3
         tr = Cyclotomic.rational(0)
         M = _mat_mul(f_mat, _dense_matrix(repV, ginv))
         for i in range(repV.dim):
@@ -269,7 +271,7 @@ def test_minimal_ideal_elements_via_monomial_reps():
         for idx in range(n):
             if coeffs[idx].is_zero():
                 continue
-            M = _dense_matrix(rep, h3.element_from_index(idx))
+            M = _dense_matrix(rep, element_from_index(h3, idx))
             for i in range(rep.dim):
                 for j in range(rep.dim):
                     acc[i][j] = acc[i][j] + coeffs[idx] * M[i][j]
@@ -292,7 +294,7 @@ def test_minimal_ideal_elements_via_monomial_reps():
 
 
 def _usp4_scalar(U):
-    return lambda i, j: U.index(U.mult_quads(U.from_index(i), U.from_index(j)))
+    return lambda i, j: U.index(usp4_mult_quads(U, U.from_index(i), U.from_index(j)))
 
 
 def _sp_scalar(G):
@@ -604,12 +606,13 @@ def test_little_groups_rejects_a_bad_row_at_a_non_generator():
 
 def _usp4_conjugation(U):
     """act(h, a): (0,b,c,d) conjugated by (h,0,0,0) in USp4, one quadruple
-    at a time through mult_quads, with H and A coordinates as F_q tuples."""
+    at a time through usp4_mult_quads, with H and A coordinates as F_q tuples."""
     F, s = U.field, U.field.s
 
     def act(h, a):
         g, g_inv = (h, F.zero, F.zero, F.zero), (F.neg(h), F.zero, F.zero, F.zero)
-        y = U.mult_quads(U.mult_quads(g, (F.zero, a[:s], a[s : 2 * s], a[2 * s :])), g_inv)
+        ga = usp4_mult_quads(U, g, (F.zero, a[:s], a[s : 2 * s], a[2 * s :]))
+        y = usp4_mult_quads(U, ga, g_inv)
         assert y[0] == F.zero
         return tuple(y[1]) + tuple(y[2]) + tuple(y[3])
 

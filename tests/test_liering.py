@@ -69,7 +69,7 @@ def test_group_law_examples():
     h5 = heisenberg_ring(5)
     assert h5.group_mul([1, 0, 0], [0, 1, 0]).tolist() == [1, 1, 3]
     x = np.array([2, 3, 1])
-    assert not h5.group_mul(x, h5.group_inv(x)).any()
+    assert not h5.group_mul(x, -x % 5).any()
     ab = abelian_ring(5, 3)
     assert ab.group_mul([1, 2, 3], [4, 4, 4]).tolist() == [0, 1, 2]
 
@@ -133,7 +133,7 @@ def test_fake_heisenberg_coadjoint_closed_form():
             gvec[:s] = x
             M = ring.coadjoint_matrix(gvec)
             img_u = ((tower.gram_full_inv @ (M @ lam.T % p)).T % p)[:, :s]
-            xinv = np.array(K.frobenius_inv(x), dtype=np.int64)
+            xinv = np.array(K.pow(x, p ** (s - 1)), dtype=np.int64)  # x^(1/p)
             xp = np.array(K.pow(x, p), dtype=np.int64)
             shift = (
                 K.bulk_mul(np.tile(xinv, (len(pairs_v), 1)), vp_inv)
@@ -180,10 +180,8 @@ def test_element_index_roundtrip():
     assert ring.element_index(np.zeros(3, dtype=np.int64)) == 0
     r2 = abelian_ring(3, 2)
     assert r2.element_index(np.array([2, 1])) == 5
-    for idx in range(ring.order):
-        assert ring.element_index(ring.element_from_index(idx)) == idx
-    with pytest.raises(IndexError):
-        ring.element_from_index(27)
+    # all_elements lists the elements in index order
+    assert [ring.element_index(x) for x in ring.all_elements()] == list(range(ring.order))
 
 
 def test_subspace_operations():

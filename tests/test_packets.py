@@ -13,9 +13,9 @@ def test_dual_frobenius_is_inverse_frobenius_in_u_coords():
     K = t2.field
     for idx in range(K.order):
         u = K.from_index(idx)
-        lam = t2.u_to_dual(np.array(u, dtype=np.int64))
+        lam = t2.gram_full @ np.array(u, dtype=np.int64) % 3
         moved = (t2.dual_frobenius @ lam) % 3
-        assert tuple(int(v) for v in t2.dual_to_u(moved)) == K.frobenius_inv(u)
+        assert tuple(int(v) for v in t2.gram_full_inv @ moved % 3) == K.pow(u, 3 ** (K.s - 1))
 
 
 def test_dual_frobenius_adjoint_identity():
@@ -88,7 +88,7 @@ def test_exponential_type_packets_trivial():
 
 def test_fake_heisenberg_packets_nontrivial():
     _, rep = pk.base_change_and_packets(fake_heisenberg_scheme(3, 1), 1)
-    assert rep.packet_sizes() == [1, 1, 1, 3, 3]
+    assert sorted(map(len, rep.packets)) == [1, 1, 1, 3, 3]
     # trivial packets are exactly the v = 0 orbits
     om = rep.orbit_set
     for pack in rep.packets:
@@ -100,7 +100,7 @@ def test_fake_heisenberg_packets_nontrivial():
         else:
             assert len(pack) == 3
     # packet sizes sum to the orbit count
-    assert sum(rep.packet_sizes()) == len(om.orbits)
+    assert sum(map(len, rep.packets)) == len(om.orbits)
 
 
 def test_fdim_estimates_fake_heisenberg():
@@ -112,6 +112,17 @@ def test_fdim_estimates_fake_heisenberg():
     for i, orb in enumerate(om.orbits):
         v = int(orb.base_point[1])
         assert fdims[i] == (Fraction(1, 2) if v else Fraction(0))
+
+
+def test_fdim_estimates_at_p_2_take_two_distinct_levels():
+    # at p = 2 the confirmation level 2 * 2 is the second doubling level, so
+    # the last two dense rounds share level 4: the growth is taken from 2 to 4
+    _, rep = pk.base_change_and_packets(ul_lie_scheme(2, 2), 1)
+    assert [r[0] for r in rep.dense_rounds] == [2, 4, 4]
+    assert rep.fdim_estimates() == [0, 0]
+    # with one dense level left there is no growth to read
+    rep.dense_rounds = rep.dense_rounds[1:]
+    assert rep.fdim_estimates() == [None, None]
 
 
 def test_fdim_estimates_reuse_the_ladder_maps(monkeypatch):

@@ -9,6 +9,8 @@ from nilorbit.battery import appendix_h2_ring, random_class_le3_rings
 from nilorbit.families import fake_heisenberg, strict_upper_algebra
 from nilorbit.liering import Subspace, abelian_ring, heisenberg_ring
 
+from helpers import element_from_index
+
 
 def test_vergne_heisenberg_example():
     h5 = heisenberg_ring(5)
@@ -191,7 +193,7 @@ def test_quasi_polarization_reinduction_matches_orbit_character():
     lifted_rows = (tpol.space.rows @ embed) % h2.p
     pol = polar.Polarization(h2, h2.subspace(lifted_rows), f, kind="quasi")
     pol.verify()
-    chi, _ = polar.induced_character_and_rep(h2, f, pol, class_data=cd)
+    chi = polar.induced_character(h2, pol, class_data=cd)
     target = next(
         row
         for row, orb in zip(table.rows, orbits)
@@ -208,9 +210,9 @@ def test_kirillov_induction_matches_orbit_characters():
         flag = polar.flag_from_weights(ring)
         for row, orb in zip(table.rows, orbits):
             pol = polar.vergne_polarization(ring, flag, orb.base_point)
-            chi, rep = polar.induced_character_and_rep(
-                ring, orb.base_point, pol, class_data=cd
-            )
+            pol.verify()
+            chi = polar.induced_character(ring, pol, class_data=cd)
+            rep = polar.MonomialRep(ring, pol)
             assert chi == row
             assert rep.dim == int(row.degree.rational_value())
 
@@ -222,10 +224,11 @@ def test_monomial_rep_checks():
     flag = polar.flag_from_weights(h3)
     row, orb = next((r, o) for r, o in zip(table.rows, orbits) if o.size > 1)
     pol = polar.vergne_polarization(h3, flag, orb.base_point)
-    chi, rep = polar.induced_character_and_rep(h3, orb.base_point, pol, class_data=cd)
+    chi = polar.induced_character(h3, pol, class_data=cd)
+    rep = polar.MonomialRep(h3, pol)
     assert rep.check_homomorphism()
     for j, r in enumerate(cd.reps):
-        assert rep.trace(h3.element_from_index(int(r))) == chi.values[j]
+        assert rep.trace(element_from_index(h3, int(r))) == chi.values[j]
     # the identity monomial in the table row of (2, 2, 1), neither a
     # generator nor a product of two generators, breaks the homomorphism
     g = h3.element_index((2, 2, 1))
@@ -270,15 +273,15 @@ def test_monomial_tables_match_the_scalar_law(data):
     # g rep_i = rep_perm[i] h with h in H and exps[i] = psi_k f(h)
     ring, pol, psi_k, rep = data.draw(st.sampled_from(_monomial_cases()))
     p, H = ring.p, pol.space.points()
-    R = [ring.element_from_index(int(r)) for r in rep.reps]
+    R = [element_from_index(ring, int(r)) for r in rep.reps]
     assert len(set(rep.reps.tolist())) == rep.dim == ring.order // len(H)
     for r, x in zip(rep.reps, R):
         assert min(ring.element_index(ring.group_mul(x, h)) for h in H) == r
     for g in data.draw(st.lists(st.integers(0, ring.order - 1), min_size=1, max_size=4)):
-        g_vec = ring.element_from_index(g)
+        g_vec = element_from_index(ring, g)
         perm, exps = rep.matrix(g_vec)
         for i, x in enumerate(R):
-            h = ring.group_mul(ring.group_inv(R[perm[i]]), ring.group_mul(g_vec, x))
+            h = ring.group_mul(-R[perm[i]] % p, ring.group_mul(g_vec, x))
             assert pol.space.contains(h)
             assert exps[i] == psi_k * int(pol.f_vec @ h) % p
 
