@@ -111,16 +111,9 @@ def load(args):
         raise InputError("--family and --file are exclusive (only spas takes both)")
     else:
         kind, _, build = FAMILIES[fam]
-        try:
-            obj = build(args)
-            if _served_as(kind, kinds) != kind:
-                kind, obj = "ring", obj.at_level(1)
-        except ValueError as e:
-            # a refused family input: name the parameters that chose it
-            given = ["--%s %s" % (k, getattr(args, k)) for k in reads if getattr(args, k) is not None]
-            if not given:
-                raise
-            raise InputError("family %s %s: %s" % (fam, " ".join(given), e)) from None
+        obj = build(args)
+        if _served_as(kind, kinds) != kind:
+            kind, obj = "ring", obj.at_level(1)
     if kind not in kinds:
         raise InputError("%s takes %s input, not %s" % (args.command, " or ".join(kinds), kind))
     return kind, obj
@@ -375,13 +368,24 @@ COMMANDS = {
 }
 
 
+def _chosen_by(args):
+    """'family <name> --<param> <value> ...: ', the parameters that chose a
+    family input, which its refusals name wherever they are raised; empty
+    for any other input."""
+    fam = getattr(args, "family", None)
+    reads = FAMILIES[fam][1] if fam else ()
+    given = ["--%s %s" % (k, getattr(args, k)) for k in reads if getattr(args, k) is not None]
+    return "family %s %s: " % (fam, " ".join(given)) if given else ""
+
+
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
         COMMANDS[args.command](args)
     except (InputError, FileNotFoundError, ValueError) as e:  # ringio.ParseError is a ValueError
-        print("input error: %s" % e, file=sys.stderr)
+        named = _chosen_by(args) if isinstance(e, ValueError) else ""
+        print("input error: %s%s" % (named, e), file=sys.stderr)
         return 2
     except (VerificationError, AssertionError) as e:
         print("verification failure: %s" % e, file=sys.stderr)

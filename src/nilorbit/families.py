@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels, linalg
 from .chartable import CharacterTable
 from .cyclo import from_ints, lincomb, to_ints
-from .gfq import FqField, fq_embed, register_composite
+from .gfq import FqField, fq_embed
 from .groups import AbelianGroup, FiniteGroup, induce_from_roots, is_homomorphism, little_groups
 from .liering import TENSOR_BUDGET, FqStructure, LieRing
 
@@ -115,12 +115,6 @@ class FqLieScheme:
                 read.update(ij)
                 written.update(row)
         return not read & written
-
-    def pin_tower(self, levels):
-        """Register composite embeddings along a chain of levels."""
-        fields = [self.level_field(n) for n in levels]
-        for a, b, c in zip(fields, fields[1:], fields[2:]):
-            register_composite(a, b, c)
 
 
 def _check_tensor(what, dim, p):

@@ -4,8 +4,8 @@ Elements are coefficient tuples of length s over Z/p (little-endian against
 the power basis 1, t, ..., t^{s-1} of F_p[t]/(modulus)).  Moduli come from a
 fixed table for small (p, s) so embeddings reproduce across runs; otherwise
 the lexicographically first irreducible monic polynomial is used.  Embeddings
-pick the lexicographically least root of the small modulus in the big field
-and compose consistently within a run via a registry.
+pick the least root of the small modulus in the big field that agrees with
+the embeddings of the small field's subfields, so they compose.
 
 Everything polynomial derives from one table per modulus f of degree s
 (`_Monomials`, cached per field, and built for a whole batch of candidate
@@ -478,55 +478,50 @@ class FieldEmbedding:
         for _ in range(small.s - 1):
             powers.append(big.mul(powers[-1], root))
         self.matrix = np.array(powers, dtype=np.int64).T  # big.s x small.s
+        self.matrix.flags.writeable = False  # fq_embed hands it to every caller
 
     def __call__(self, x):
         vec = (self.matrix @ np.array(x, dtype=np.int64)) % self.big.p
         return tuple(int(v) for v in vec)
 
 
-_embedding_registry = {}
-
 # Points of the subfield that one embedding's root search enumerates: 2^16.
 # A 2^16-point scan at p = 2 takes about 2 s and 95 MiB on a 2-core Xeon;
-# the test suite, the benchmark and the CLI runs pinned in CHANGES.md
-# search at most 5^3 points.
+# the benchmark and the CLI runs pinned in CHANGES.md search at most 5^2
+# points, the test suite 3^6.
 ROOT_SCAN_BUDGET = 1 << 16
 
 
+@lru_cache(maxsize=None)
 def fq_embed(small, big):
-    """Deterministic embedding small -> big (degrees must divide).
+    """The embedding small -> big (degrees must divide), a function of the
+    two fields alone.
 
-    The root is the root of small.modulus in big with the least element
-    index (little-endian digits).  Within a run, embeddings along a chain
-    that was explicitly composed are registered so that composites stay
-    consistent.
+    A prime field maps by its one root and a field maps to itself by the
+    identity.  Otherwise the root is the least-index root of small.modulus
+    in big (little-endian digits) that agrees with the embeddings of every
+    proper subfield D = FqField(p, d), 1 < d < small.s: the root's image of
+    fq_embed(D, small).root is fq_embed(D, big).root.  So on the default
+    fields the embeddings form one compatible lattice, fq_embed(E, F) o
+    fq_embed(D, E) = fq_embed(D, F) (Bosma, Cannon and Steel, "Lattices of
+    compatibly embedded finite fields", J. Symbolic Comput. 24 (1997)).
     """
     if small.p != big.p or big.s % small.s != 0:
         raise ValueError("no embedding: degrees incompatible")
-    key = (small, big)
-    if key in _embedding_registry:
-        return _embedding_registry[key]
     if small.s == 1:
-        emb = FieldEmbedding(small, big, big.element(small.gen()[0]))
-    else:
-        root = _least_root(small.modulus, big)
-        emb = FieldEmbedding(small, big, root)
-    _embedding_registry[key] = emb
-    return emb
+        return FieldEmbedding(small, big, big.element(small.gen()[0]))
+    if small == big:
+        return FieldEmbedding(small, big, small.gen())
+    subs = [FqField(small.p, d) for d in range(2, small.s) if small.s % d == 0]
+    for root in _roots(small.modulus, big):
+        emb = FieldEmbedding(small, big, tuple(int(v) for v in root))
+        if all(emb(fq_embed(D, small).root) == fq_embed(D, big).root for D in subs):
+            return emb
+    raise ArithmeticError("no root of the modulus agrees with the subfield embeddings")
 
 
-def register_composite(small, mid, big):
-    """Pin embed(small, big) := embed(mid, big) o embed(small, mid)."""
-    e1 = fq_embed(small, mid)
-    e2 = fq_embed(mid, big)
-    root = e2(e1.root) if small.s > 1 else big.element(small.gen()[0])
-    emb = FieldEmbedding(small, big, root)
-    _embedding_registry[(small, big)] = emb
-    return emb
-
-
-def _least_root(modulus, big):
-    """Least-index root of modulus among big's elements.
+def _roots(modulus, big):
+    """The roots of modulus among big's elements, in index order.
 
     A root of a degree-s modulus lies in the subfield F_{p^s} of big, the
     kernel of Frob^s - I, so only that subfield's p^s points are tried,
@@ -546,7 +541,4 @@ def _least_root(modulus, big):
     for c in reversed(modulus[:-1]):
         acc = big.bulk_mul(acc, pts)
         acc[:, 0] = (acc[:, 0] + c) % p
-    hit = np.nonzero(~acc.any(axis=1))[0]
-    if len(hit):
-        return tuple(int(v) for v in pts[hit[0]])
-    raise ArithmeticError("modulus has no root in the big field")
+    return pts[~acc.any(axis=1)]

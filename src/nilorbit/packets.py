@@ -181,9 +181,11 @@ def base_change_and_packets(scheme, m=1, psi_k=1):
     agree, a confirmation round at p times the first agreeing level runs
     before certifying (the component group of a unipotent stabilizer is a
     p-group, so fusion can first appear at levels divisible by p, which a
-    pure doubling ladder never reaches).  If confirmation reveals new
-    fusion the ladder restarts from that level.  Levels beyond the dense
-    enumeration budget use the affine class-2 engine.
+    pure doubling ladder never reaches).  At p = 2 the confirmation level
+    is the doubling level just run, so it adds no new level: certification
+    there means two consecutive doubling rounds agree.  If confirmation
+    reveals new fusion the ladder restarts from that level.  Levels beyond
+    the dense enumeration budget use the affine class-2 engine.
 
     Returns (mapping or None, PacketReport); the report carries the
     certified and confirmation levels, packet sizes, and fdim estimates.

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from nilorbit import families, packets, ringio
+from nilorbit import families, linalg, packets, ringio
 from nilorbit.cli import KINDS, build_parser, main
 from nilorbit.liering import heisenberg_ring
 
@@ -164,11 +164,16 @@ def test_golden_oracle_budget_is_checked_first(capsys):
 
 def test_out_of_budget_inputs_exit_2(tmp_path, capsys):
     assert main(["orbits", "--family", "ul", "--n", "5", "--q", "7"]) == 2
-    assert capsys.readouterr().err.startswith("input error: orbit enumeration over 7^10 points")
+    assert capsys.readouterr().err.startswith(
+        "input error: family ul --n 5 --q 7: orbit enumeration over 7^10 points"
+    )
     # the oracle budget has one message, from the oracle, on every input kind
+    # (after the parameters that chose a family input)
     args = ["chartable", "--family", "ul", "--n", "4", "--q", "5", "--oracle", "--max-order", "100"]
     assert main(args) == 2
-    assert capsys.readouterr().err == "input error: group order 15625 exceeds the oracle budget 100\n"
+    assert capsys.readouterr().err == (
+        "input error: family ul --n 4 --q 5: group order 15625 exceeds the oracle budget 100\n"
+    )
     alg, sig = _spas_files(tmp_path)
     for args, n in ((["--file", alg], 3**6), (["--family", "spas", "--file", alg, "--sigma", sig], 3**4)):
         assert main(["chartable", *args, "--max-order", "80"]) == 2
@@ -447,21 +452,21 @@ def test_options_read_on_only_some_paths_exit_2(tmp_path, capsys, args, message)
 
 
 @pytest.mark.parametrize(
-    "args, p, k",
+    "args, given, p, k",
     [
-        (["orbits", "--family", "heisenberg", "--p", "3", "--psi", "0"], 3, 0),
-        (["chartable", "--family", "heisenberg", "--p", "3", "--psi", "3"], 3, 3),
-        (["packets", "--family", "fakeheis", "--p", "3", "--psi", "6"], 3, 6),
-        (["golden", "--q", "4", "--psi", "2"], 2, 2),
+        (["orbits", "--family", "heisenberg", "--p", "3", "--psi", "0"], "family heisenberg --p 3: ", 3, 0),
+        (["chartable", "--family", "heisenberg", "--p", "3", "--psi", "3"], "family heisenberg --p 3: ", 3, 3),
+        (["packets", "--family", "fakeheis", "--p", "3", "--psi", "6"], "family fakeheis --p 3 --s 1: ", 3, 6),
+        (["golden", "--q", "4", "--psi", "2"], "", 2, 2),
     ],
     ids=["orbits", "chartable", "packets", "golden"],
 )
-def test_trivial_additive_character_exits_2(capsys, args, p, k):
+def test_trivial_additive_character_exits_2(capsys, args, given, p, k):
     # psi(1) = zeta_p^k with k = 0 mod p is no character the orbit method can use
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "input error: additive character psi(1) = zeta_%d^%d is trivial\n" % (p, k)
+    assert captured.err == "input error: %sadditive character psi(1) = zeta_%d^%d is trivial\n" % (given, p, k)
 
 
 def test_orbits_leaves_the_estimate_blank_past_the_ladder_budget(monkeypatch, capsys):
@@ -480,18 +485,47 @@ def test_orbits_leaves_the_estimate_blank_past_the_ladder_budget(monkeypatch, ca
         (["validate", "--family", "ul", "--n", "40", "--q", "5"],
          "family ul --n 40 --q 5: UL_40(F_5) has dimension 780 over F_5: "
          "its 780^3 structure constants exceed the tensor budget 16777216"),
-        (["chartable", "--family", "fakeheis", "--p", "3", "--s", "40"],
+        (["packets", "--family", "fakeheis", "--p", "3", "--s", "40"],
          "family fakeheis --p 3 --s 40: root search over 3^40 points exceeds the root-scan budget 65536"),
+        (["chartable", "--family", "fakeheis", "--p", "3", "--s", "40"],
+         "family fakeheis --p 3 --s 40: orbit enumeration over 3^80 points exceeds the dense budget"),
+        (["orbits", "--family", "ul", "--n", "5", "--q", "7"],
+         "family ul --n 5 --q 7: orbit enumeration over 7^10 points exceeds the dense budget"),
+        (["packets", "--family", "abelian", "--p", "2", "--dim", "300"],
+         "family abelian --p 2 --s 1 --dim 300: Ga^300 at level 2 has dimension 600 over F_2: "
+         "its 600^3 structure constants exceed the tensor budget 16777216"),
     ],
-    ids=["ul-tensor", "fakeheis-root-scan"],
+    ids=["ul-tensor", "fakeheis-root-scan", "fakeheis-dense", "ul-dense", "abelian-level-tensor"],
 )
 def test_family_inputs_beyond_a_budget_exit_2_naming_the_option(capsys, args, message):
-    # both used to end in numpy's allocation errors: a 3.5 GiB tensor, a
-    # 3^40-point scan
+    # a refusal names the options wherever it is raised: building the family
+    # (a 3.5 GiB tensor), embedding the base field in level 2 (a 3^40-point
+    # scan), enumerating the level-1 orbits, or a ladder level's tensor
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "input error: %s\n" % message
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, p, d, row",
+    [
+        (["orbits", "--family", "abelian", "--p", "2", "--s", "2", "--dim", "1"], 2, 2, "{i},{x},1,2,0"),
+        (["orbits", "--family", "ul", "--n", "2", "--q", "4"], 2, 2, "{i},{x},1,2,0"),
+        (["packets", "--family", "ul", "--n", "2", "--q", "4"], 2, 2, "{i},{x},1,0,{i},1,4"),
+        (["packets", "--family", "abelian", "--p", "3", "--s", "3"], 3, 3, "{i},{x},1,0,{i},1,4"),
+    ],
+    ids=["orbits-abelian-f4", "orbits-ul-f4", "packets-ul-f4", "packets-abelian-f27"],
+)
+def test_base_change_composes_on_abelian_towers(capsys, args, p, d, row):
+    # G_a over F_4 and F_27: the ladder's maps T_2^4 o T_1^2 and T_1^4 used to
+    # disagree (exit 1, "base-change maps do not compose"); each of the q
+    # one-point orbits is its own packet
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    points = [" ".join(map(str, x)) for x in linalg.all_vectors(d, p).tolist()]
+    assert captured.out.split("\n")[1:] == [row.format(i=i, x=x) for i, x in enumerate(points)] + [""]
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("q, dim", [(2, 1), (8, 3)])

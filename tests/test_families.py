@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from nilorbit import orbits as ob
 from nilorbit import families as fam
-from nilorbit import kernels, linalg
+from nilorbit import gfq, kernels, linalg
 from nilorbit.dixon import dixon_table
 from nilorbit.packets import TowerInstance
 
@@ -269,6 +269,19 @@ def test_family_rings_are_refused_beyond_the_tensor_budget(monkeypatch):
         scheme.at_level(3)
     monkeypatch.setattr(fam, "TENSOR_BUDGET", 3**3)
     assert scheme.at_level(3).dim == 3
+
+
+def test_level_1_searches_no_root(monkeypatch):
+    # the base field embeds in level 1 by the identity: no root scan, which
+    # over F_{2^16} used to take 2^16 points, about 2 s and 95 MiB
+    monkeypatch.setattr(gfq, "ROOT_SCAN_BUDGET", 1)
+    for scheme in (fam.abelian_scheme(2, 16, 1), fam.fake_heisenberg_scheme(3, 5), fam.ul_lie_scheme(3, 2, 4)):
+        ring, F = scheme.at_level(1), scheme.field
+        assert ring.order == F.order**scheme.dim_q
+        e = gfq.fq_embed(F, F)
+        assert e.root == F.gen() and (e.matrix == np.eye(F.s, dtype=np.int64)).all()
+    with pytest.raises(ValueError, match="root search over 2\\^16 points"):
+        fam.abelian_scheme(2, 16, 1).at_level(2)
 
 
 @pytest.mark.parametrize("q", [3, 5])

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +12,13 @@ from nilorbit.gfq import (
     _Monomials,
     _first_irreducible,
     _irreducible,
-    _least_root,
     _poly_gcd_mod,
     _primitive,
+    _roots,
     _table_top,
     default_modulus,
     fq_embed,
     is_irreducible,
-    register_composite,
 )
 
 
@@ -107,13 +109,33 @@ def test_embeddings():
         fq_embed(FqField(2, 3), F16)
 
 
-def test_register_composite_pins_chain():
-    F3, F9, F81 = FqField(3, 1), FqField(3, 2), FqField(3, 4)
-    emb = register_composite(F3, F9, F81)
-    e1, e2 = fq_embed(F3, F9), fq_embed(F9, F81)
-    for x in F3.elements():
-        assert emb(x) == e2(e1(x))
-        assert fq_embed(F3, F81)(x) == e2(e1(x))
+# the fields F_{p^d}, d | D, of each (p, D), and a script that embeds each
+# in each larger one in the order given and prints the roots
+_LATTICES = [(2, 16), (2, 12), (3, 12), (5, 4)]
+_EMBED_ALL = """
+import ast, sys
+from nilorbit.gfq import FqField, fq_embed
+pairs = ast.literal_eval(sys.argv[1])
+print(sorted((p, d, e, fq_embed(FqField(p, d), FqField(p, e)).root) for p, d, e in pairs))
+"""
+
+
+def test_embeddings_do_not_depend_on_the_order_they_are_built_in():
+    pairs = [
+        (p, d, e)
+        for p, D in _LATTICES
+        for d in range(1, D + 1)
+        for e in range(d, D + 1)
+        if D % d == 0 and D % e == 0 and e % d == 0
+    ]
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _EMBED_ALL, repr(order)], capture_output=True, text=True, check=True
+        ).stdout
+        for order in (pairs, pairs[::-1])
+    ]
+    here = sorted((p, d, e, fq_embed(FqField(p, d), FqField(p, e)).root) for p, d, e in pairs)
+    assert outs[0] == outs[1] == "%s\n" % here
 
 
 def test_bulk_ops_match_scalar():
@@ -164,19 +186,28 @@ def _least_root_brute_force(modulus, big):
 )
 def test_least_root_searches_the_subfield(p, s, S):
     small, big = FqField(p, s), FqField(p, S)
-    assert _least_root(small.modulus, big) == _least_root_brute_force(small.modulus, big)
+    roots = _roots(small.modulus, big)
+    assert tuple(roots[0].tolist()) == _least_root_brute_force(small.modulus, big)
+    # all s roots, the conjugates of the least one, in index order
+    idx = linalg.encode_vectors(roots, p)
+    assert len(roots) == s and (np.diff(idx) > 0).all()
+    x, conjugates = tuple(roots[0].tolist()), set()
+    for _ in range(s):
+        conjugates.add(x)
+        x = big.frobenius(x)
+    assert {tuple(r) for r in roots.tolist()} == conjugates
 
 
 def test_least_root_refuses_a_scan_beyond_its_budget(monkeypatch):
     # F_{3^40} in itself: 3^40 points, refused before the subfield is built
     F = FqField(3, 40)
     with pytest.raises(ValueError, match="root search over 3\\^40 points exceeds the root-scan budget 65536"):
-        _least_root(F.modulus, F)
+        _roots(F.modulus, F)
     # the budget is inclusive: F_9 in F_81 scans exactly 3^2 points
     monkeypatch.setattr(gfq, "ROOT_SCAN_BUDGET", 9)
-    assert _least_root(FqField(3, 2).modulus, FqField(3, 4)) is not None
+    assert len(_roots(FqField(3, 2).modulus, FqField(3, 4))) == 2
     with pytest.raises(ValueError, match="3\\^3 points"):
-        _least_root(FqField(3, 3).modulus, FqField(3, 6))
+        _roots(FqField(3, 3).modulus, FqField(3, 6))
 
 
 def _mulmod_schoolbook(a, b, mod, p):

@@ -105,8 +105,6 @@ ALLOWED = {
     "on abelian towers",
     "polar:associative_vergne": "paper content: Vergne's construction on an associative algebra",
     "orbits:coadjoint_orbit_of": "paper content: one orbit by hash-set BFS beyond the dense budget",
-    "families:FqLieScheme.pin_tower": "ROADMAP item 3 builds the compatible embeddings on it",
-    "gfq:register_composite": "ROADMAP item 3 builds the compatible embeddings on it",
     "families:AssocAlgebra.lie_ring": "ROADMAP item 7 takes the orbit method to algebra input with it",
     "ringio:emit_liering": "writes the ring format that --file reads",
     "ringio:emit_algebra": "writes the algebra format that --file reads",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilorbit import linalg, packets as pk
+from nilorbit.gfq import FqField, fq_embed
 from nilorbit.families import abelian_scheme, fake_heisenberg_scheme, ul_lie_scheme
 from nilorbit.packets import TowerInstance
 
@@ -41,7 +43,6 @@ def test_tower_embedding_consistency():
     fh = fake_heisenberg_scheme(3, 1)
     E12 = fh.embedding_matrix(1, 2)
     E24 = fh.embedding_matrix(2, 4)
-    fh.pin_tower([1, 2, 4])
     E14 = fh.embedding_matrix(1, 4)
     pts = np.eye(fh.at_level(1).dim, dtype=np.int64)
     assert ((E24 @ E12) % 3 == E14 % 3).all()
@@ -73,6 +74,35 @@ def test_base_change_map_composes_and_equivariant():
     m24, _, o4 = pk.base_change_map(fh, 2, 4)
     m14, _, _ = pk.base_change_map(fh, 1, 4)
     assert (m24[m12] == m14).all()
+
+
+# every tower F_q <= F_{q^m} < F_{q^k} < F_{q^n} with q^n <= 2^16, m | k | n
+_TOWERS = [
+    (p, s, m, k, n)
+    for p in (2, 3, 5, 7)
+    for s in range(1, 17)
+    for n in range(1, 17)
+    if p ** (s * n) <= 1 << 16
+    for k in range(1, n)
+    if n % k == 0
+    for m in range(1, k)
+    if k % m == 0
+]
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(_TOWERS))
+def test_embeddings_and_base_change_compose_on_every_tower(tower):
+    # the lattice is compatible: iota_{k,n} o iota_{m,k} = iota_{m,n}, so
+    # T_k^n o T_m^k = T_m^n exactly, as maps of orbit ids
+    p, s, m, k, n = tower
+    Fm, Fk, Fn = (FqField(p, s * x) for x in (m, k, n))
+    assert fq_embed(Fk, Fn)(fq_embed(Fm, Fk).root) == fq_embed(Fm, Fn).root
+    ga = abelian_scheme(p, s, 1)
+    mk, _, _ = pk.base_change_map(ga, m, k)
+    kn, _, _ = pk.base_change_map(ga, k, n)
+    mn, _, _ = pk.base_change_map(ga, m, n)
+    assert (kn[mk] == mn).all()
 
 
 def test_abelian_packets_trivial_and_bijective_onto_stable():
