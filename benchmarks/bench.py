@@ -51,6 +51,7 @@ WORKLOADS = ("oracle_tables", "convolution", "packets", "golden")
 CLI_RUNS = {
     "golden_q16": ["golden", "--q", "16"],
     "golden_q8_oracle": ["golden", "--q", "8", "--oracle"],
+    "golden_q16_oracle": ["golden", "--q", "16", "--oracle", "--max-order", "70000"],
     "chartable_ul4_q5_oracle": ["chartable", "--family", "ul", "--n", "4", "--q", "5", "--oracle"],
     "orbits_ul5_q5": ["orbits", "--family", "ul", "--n", "5", "--q", "5"],
     "packets_fakeheis_p5": ["packets", "--family", "fakeheis", "--p", "5", "--s", "1"],
@@ -108,7 +109,8 @@ REGISTRY = {
         )),
     ],
     "dixon": [
-        cli("chartable_ul4_q5_oracle"), cli("golden_q8_oracle"), *map(perfbench, WORKLOADS),
+        cli("chartable_ul4_q5_oracle"), cli("golden_q8_oracle"), cli("golden_q16_oracle"),
+        *map(perfbench, WORKLOADS),
         *(timed(case, DIXON_STAGES)
           for case in ("oracle_tables", "chartable_ul4_q5_oracle", "golden_q8_oracle")),
     ],

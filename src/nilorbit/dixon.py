@@ -8,17 +8,30 @@ transform over the power map, giving exact values in Z[zeta_e].
 
 Each stage is a few whole-array operations over F_l:
 
-* a class matrix is one bulk pass of the group law over all its
-  (x^-1, rep_k) pairs and one bincount;
-* splitting is column-lazy, after G. J. A. Schneider, "Dixon's character
-  table algorithm revisited", J. Symbolic Comput. 9 (1990): a class acts on
-  an RREF subspace S by S @ N at the pivot columns of S, so only those
-  columns of N are computed.  The subspaces of one dimension are tested
-  together, by one stacked product and one comparison, and those on which
-  the action is scalar are kept whole.  The others split with no kernel per
-  eigenvalue: the action A is diagonalizable, so the lambda-eigenrows are
-  the row space of the product of A - mu I over the other roots mu, taken
-  from prefix and suffix products; a simple root needs no elimination.
+* an action is one bulk pass of the group law over the (x^-1, rep_k)
+  pairs of its classes and one weighted bincount.  The classes act in
+  batches of BATCH, in order of size, each batch as one combination
+  N = sum_j c_j N_j with seeded draws c_j in F_l^x (G. J. A. Schneider,
+  "Dixon's character table algorithm revisited", J. Symbolic Comput. 9
+  (1990)).  N is scalar on a space where every N_j is; where some N_j is
+  not, the draws that make N scalar form a proper subspace, so a batch
+  misses a split with probability at most 1/l per space.  A miss only
+  delays the split: any space the batches leave whole then meets the
+  classes one at a time, so the table is exact whatever the draws;
+* splitting is column-lazy: an action on an RREF subspace S is S @ N at
+  the pivot columns of S, so only those columns of N are computed.  The
+  subspaces of one dimension are tested together, by one stacked product
+  and one comparison, and those on which the action is scalar are kept
+  whole.  The others split with no kernel per eigenvalue.  The action A
+  is diagonalizable (J. D. Dixon, "High speed computation of group
+  characters", Numer. Math. 10 (1967)), so with f the product of x - mu
+  over its m distinct roots, the lambda-eigenrows are the row space of
+  (f / (x - lambda))(A).  The roots and their multiplicities come from
+  the squarefree factorization of the characteristic polynomial, so a
+  root scan costs l m, not l k.  The roots share one block Krylov
+  sequence X A^i, i < m, of drawn rows: every simple root comes from its
+  first row v, vA, ..., vA^(m-1) and one product with the quotients, and
+  a root of multiplicity d from its first d rows.
   Products mod l run in float64 on BLAS while their partial sums stay
   within 2^53;
 * the multiplicities of all rows come from one product of the character
@@ -29,7 +42,9 @@ The only inputs are the multiplication oracle and the class partition, so
 agreement with the orbit-method table is a genuine cross-validation.
 """
 
+import itertools
 import math
+import random
 
 import numpy as np
 
@@ -37,7 +52,18 @@ from .chartable import CharacterTable
 from . import linalg
 
 DEFAULT_MAX_ORDER = 20000  # the oracle budget: the largest group order it takes
-BLOCK = 1 << 16  # group-law pairs, or gathered values, per bulk step
+# values per bulk step: gathered, in a row block of a product, or in a
+# chunk of Krylov steps
+BLOCK = 1 << 16
+# group-law pairs per law call of an action: a batch of classes fills
+# every call, so this bounds the law's temporaries, and with them the peak
+PAIR_BLOCK = 1 << 10
+BATCH = 16  # classes combined into one action
+DRAW_SEED = 1  # seeds every draw: class coefficients and Krylov rows
+# draws per eigenspace before a projection still short of its dimension
+# is taken for a bug; an honest draw falls short with probability about
+# 1/l, and l >= 5 wherever a space splits
+_ATTEMPTS = 32
 # multiply-adds per matrix from which a float64 product beats int64
 _BLAS_MIN = 1 << 12
 
@@ -62,28 +88,48 @@ def _primitive_root(l):
     raise ArithmeticError("no primitive root found")
 
 
-def class_matrix(G, cd, j, cols=None):
-    """Columns `cols` (all by default) of N_j, where
+def _draws(l, shape, key):
+    """Draws from F_l^x of the given shape, the same on every run for the
+    same DRAW_SEED and key: a stdlib generator seeded by both supplies the
+    bytes, so the oracle never imports numpy.random."""
+    n = math.prod(shape)
+    raw = random.Random("%d %s" % (DRAW_SEED, key)).randbytes(8 * n)
+    c = np.frombuffer(raw, dtype=np.uint64) % np.uint64(l - 1)
+    return c.astype(np.int64).reshape(shape) + 1
+
+
+def class_matrix(G, cd, classes, cols=None, coeffs=None):
+    """Columns `cols` (all by default) of sum_j c_j N_j over `classes` (one
+    class or a sequence of them) with coefficients `coeffs` (every c_j = 1
+    by default), where
     N_j[i, k] = #{(x, y) : x in C_j, y in C_i, x y = rep_k}.
 
-    This is the transpose of the multiplication-by-C_j matrix, so candidate
+    N_j is the transpose of the multiplication-by-C_j matrix, so candidate
     character rows v satisfy v @ N_j = omega_j * v.  y = x^-1 rep_k, so the
-    (x^-1, rep_k) pairs of every requested column go through the group law
-    together, in blocks of at most BLOCK pairs, and one bincount over
-    (class of y, column) per block fills the matrix.
+    (x^-1, rep_k) pairs of every member x of the classes and every
+    requested column go through the group law together, PAIR_BLOCK pairs
+    per call, column by column.  One bincount over (column, class of y),
+    weighted by c_j and spanning only the columns of the call, adds each
+    call to the sum.  The sums are integers below max(c_j) |G|, exact in
+    float64 for every coefficient below l and every order up to 2^20.
     """
     t = cd.num_classes
     cols = np.arange(t) if cols is None else np.asarray(cols, dtype=np.int64)
-    inv_members = G.inv_bulk(np.flatnonzero(cd.class_of == j))
-    m, c = len(inv_members), len(cols)
+    weight = np.zeros(t)
+    weight[classes] = 1 if coeffs is None else coeffs
+    members = np.flatnonzero(weight[cd.class_of])
+    inv_members, w = G.inv_bulk(members), weight[cd.class_of[members]]
+    m, c = len(members), len(cols)
     reps = np.asarray(cd.reps, dtype=np.int64)[cols]
-    counts = np.zeros(t * c, dtype=np.int64)
-    for a in range(0, m * c, BLOCK):
-        pair = np.arange(a, min(a + BLOCK, m * c), dtype=np.int64)
-        k = pair // m
-        ys = G.mult_bulk(inv_members[pair % m], reps[k])
-        counts += np.bincount(cd.class_of[ys] * c + k, minlength=t * c)
-    return counts.reshape(t, c)
+    counts = np.zeros(c * t)
+    for a in range(0, m * c, PAIR_BLOCK):
+        pair = np.arange(a, min(a + PAIR_BLOCK, m * c), dtype=np.int64)
+        k, x = pair // m, pair % m
+        ys = G.mult_bulk(inv_members[x], reps[k])
+        k0 = int(k[0])
+        span = np.bincount((k - k0) * t + cd.class_of[ys], weights=w[x])
+        counts[k0 * t:k0 * t + len(span)] += span
+    return counts.astype(np.int64).reshape(c, t).T
 
 
 def _mulmod(A, B, l):
@@ -185,31 +231,146 @@ def _roots_mod(poly, l):
     return np.flatnonzero(_poly_at(poly, np.arange(l, dtype=np.int64), l) == 0).tolist()
 
 
-def _excluded_products(A, roots, l):
-    """Yields g_i = prod_{j != i} (A - roots[j] I) mod l for each i in turn,
-    as a prefix product times a suffix product of the factors: about 3m
-    products of k x k matrices for m roots, with the m suffixes held."""
+def _trim(poly):
+    n = len(poly)
+    while n and not poly[n - 1]:
+        n -= 1
+    return poly[:n]
+
+
+def _poly_divmod(a, b, l):
+    """(q, r): a = q b + r mod l with deg r < deg b, for ascending
+    coefficient arrays with b nonzero and trimmed."""
+    r, db = a.copy(), len(b) - 1
+    q = np.zeros(max(len(a) - db, 0), dtype=np.int64)
+    inv = pow(int(b[-1]), -1, l)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = c = int(r[i + db]) * inv % l
+        if c:
+            r[i:i + db + 1] = (r[i:i + db + 1] - c * b) % l
+    return q, _trim(r[:db])
+
+
+def _poly_gcd(a, b, l):
+    """The monic gcd of a nonzero a and b."""
+    while len(b):
+        a, b = b, _poly_divmod(a, b, l)[1]
+    return a * pow(int(a[-1]), -1, l) % l
+
+
+def _squarefree_roots(f, l):
+    """The roots of a monic squarefree f in F_l (l odd), ascending: by
+    formula at degree 1 and 2, else by the l-point scan."""
+    if len(f) > 3:
+        return _roots_mod(f, l)
+    if len(f) == 3:
+        b, c = int(f[1]), int(f[0])
+        s = _sqrt_mod(b * b - 4 * c, l)
+        half = pow(2, -1, l)
+        return [] if s is None else sorted({(-b + s) * half % l, (-b - s) * half % l})
+    return [-int(f[0]) % l] if len(f) == 2 else []
+
+
+def _eigenvalues(chi, l):
+    """(roots, mults): the distinct roots in F_l of the monic chi, ascending,
+    and their multiplicities, from its squarefree factorization.
+
+    With c = gcd(chi, chi'), the squarefree part f = chi / c has the m
+    distinct roots, so a scan costs l m, not l k, and chi' / c is the sum
+    of d_lambda f / (x - lambda), so d_lambda = (chi' / c)(lambda) /
+    f'(lambda) mod l.  In the oracle deg chi <= t < l, so that is d_lambda.
+    Otherwise a root that l divides the multiplicity of is no root of f,
+    and chi over the prod of (x - lambda)^(d_lambda mod l) is a polynomial
+    in x^l: its roots, with multiplicities over l, recurse as one in x.
+    """
+    dchi = _trim(chi[1:] * np.arange(1, len(chi)) % l)
+    c = _poly_gcd(chi, dchi, l)
+    f = _poly_divmod(chi, c, l)[0]
+    roots = np.array(_squarefree_roots(f, l), dtype=np.int64)
+    slope = _poly_at(f[1:] * np.arange(1, len(f)) % l, roots, l).tolist()
+    mults = _poly_at(_poly_divmod(dchi, c, l)[0], roots, l)
+    mults = mults * np.array([pow(s, -1, l) for s in slope], dtype=np.int64) % l
+    if len(chi) > l:
+        rest = _poly_divmod(chi, _from_roots(np.repeat(roots, mults), l), l)[0]
+        if len(rest) > 1:
+            total = dict(zip(roots.tolist(), mults.tolist()))
+            for r, d in zip(*_eigenvalues(rest[::l], l)):
+                total[int(r)] = total.get(int(r), 0) + l * int(d)
+            roots, mults = (np.array(x, dtype=np.int64) for x in zip(*sorted(total.items())))
+    return roots, mults
+
+
+def _from_roots(roots, l):
+    """The product of x - mu over roots (with repeats) mod l, ascending."""
+    f = np.ones(1, dtype=np.int64)
+    for mu in roots.tolist():
+        f = (np.concatenate([[0], f]) - mu * np.concatenate([f, [0]])) % l
+    return f
+
+
+def _quotients(roots, l):
+    """Q[i] = f / (x - roots[i]) mod l, ascending, with f the product of
+    x - mu over the distinct roots: row i is the product over the others."""
     m = len(roots)
+    f = _from_roots(roots, l)
+    Q = np.ones((m, m), dtype=np.int64)
+    for i in range(m - 1, 0, -1):  # synthetic division by every x - lambda at once
+        Q[:, i - 1] = (f[i] + roots * Q[:, i]) % l
+    return Q
 
-    def factor(mu):  # A - mu I mod l
-        F = A.copy()
-        F.flat[::len(A) + 1] -= mu
-        F %= l
-        return F
 
-    def times(X, Y):  # None is the empty product I
-        return Y if X is None else X if Y is None else _mulmod(X, Y, l)
+def _eigenrows(A, Q, mults, l):
+    """For each root of the diagonalizable action A, with quotients Q from
+    _quotients and multiplicities mults, the RREF rows of its
+    eigen-row-space: the row space of Q_i(A), of dimension d_i = mults[i].
 
-    # suffix[i] = F_{i+1} ... F_{m-1}, with F_j = A - roots[j] I
-    suffix = [None] * m
-    for i in range(m - 2, -1, -1):
-        suffix[i] = times(factor(roots[i + 1]), suffix[i + 1])
-    prefix = None  # F_0 ... F_{i-1}
-    for i in range(m):
-        g = times(prefix, suffix[i])
-        yield np.eye(len(A), dtype=np.int64) if g is None else g
-        if i < m - 1:
-            prefix = times(prefix, factor(roots[i]))
+    d_i drawn rows projected by Q_i(A) span it unless the draw was
+    unlucky; a projection short of its dimension is drawn again, at most
+    _ATTEMPTS times.  The roots share one block Krylov sequence X A^j,
+    j < m, of max d_i rows, BLOCK values of it at a time: row r of X serves
+    the roots of multiplicity above r, by one product with their
+    quotients, so every simple root comes from row 0.  A line is scaled to
+    a leading 1, a larger space takes one rref.
+    """
+    k, m = A.shape[0], len(mults)
+    # rows times A mod l, in float64 on BLAS while k l^2 <= 2^53
+    At = A.astype(np.float64) if k * l * l <= linalg.FLOAT_EXACT else A
+    parts = [None] * m
+    for attempt in range(_ATTEMPTS):
+        short = np.array([i for i in range(m) if parts[i] is None], dtype=np.int64)
+        if not len(short):
+            return parts
+        # short roots by multiplicity, largest first: row r of X projects
+        # the first n_r of them, those of multiplicity above r
+        short = short[np.argsort(-mults[short], kind="stable")]
+        d = mults[short]
+        n = [int((d > r).sum()) for r in range(int(d[0]))]
+        X = _draws(l, (len(n), k), "rows %d" % attempt).astype(At.dtype)
+        Qs = Q[short].astype(At.dtype)
+        P = [np.zeros((nr, k), dtype=At.dtype) for nr in n]
+        # P[r] = sum_j Q[short[:n_r], j] X_r A^j, over chunks of the steps
+        # of at most BLOCK values; each sum has m <= k terms below l^2, as
+        # in a step, so it is reduced once, at the end
+        step = max(1, BLOCK // X.size)
+        for a in range(0, m, step):
+            K = np.empty((min(step, m - a),) + X.shape, dtype=At.dtype)
+            for j in range(len(K)):
+                if a + j:
+                    X = X @ At
+                    X %= l
+                K[j] = X
+            for r, nr in enumerate(n):
+                P[r] += Qs[:nr, a:a + len(K)] @ K[:, r]
+        for p, (i, di) in enumerate(zip(short.tolist(), d.tolist())):
+            Pi = np.array([P[r][p] for r in range(di)], dtype=np.int64) % l
+            if di == 1 and Pi.any():
+                parts[i] = Pi * pow(int(Pi[0, (Pi[0] != 0).argmax()]), -1, l) % l
+            elif di > 1:
+                R = linalg.rref(Pi, l)[0]
+                parts[i] = R if len(R) == di else None
+    if any(R is None for R in parts):
+        raise ArithmeticError("eigen split drew no full eigenspace in %d draws (bug)" % _ATTEMPTS)
+    return parts
 
 
 def _eigen_split(S, A, l):
@@ -217,33 +378,19 @@ def _eigen_split(S, A, l):
     action A, a k x k matrix that is not scalar: row i of A is S_i N in the
     basis S.
 
-    The class algebra is commutative and semisimple over F_l, so A is
-    diagonalizable (J. D. Dixon, "High speed computation of group
-    characters", Numer. Math. 10 (1967)): for each root lambda of its
-    characteristic polynomial chi, the lambda-eigenrows are the row space of
-    g(A) = prod over the other roots mu of (A - mu I), and no kernel is
-    needed.  A simple root (chi'(lambda) != 0) gives a line: one nonzero row
-    of g(A), scaled to a leading 1.  A repeated root takes one rref.  Each
+    A is diagonalizable, so with f the product of x - mu over the m
+    distinct roots of its characteristic polynomial, the lambda-eigenrows
+    are the row space of (f / (x - lambda))(A), taken by _eigenrows.  Each
     R is RREF and S[:, pivots] = I, so R @ S is RREF as well.  A
     non-diagonalizable A (a bug) fails the check R @ A = lambda R and
     raises ArithmeticError.
     """
     k = A.shape[0]
-    chi = _charpoly_mod(A, l)
-    roots = _roots_mod(chi, l)
-    slope = _poly_at(chi[1:] * np.arange(1, len(chi)) % l, np.array(roots, dtype=np.int64), l)
-    parts = []
-    for d, g in zip(slope, _excluded_products(A, roots, l)):
-        if d:  # a simple root: g(A) is nonzero, of rank one if A is diagonalizable
-            row = g[g.any(axis=1).argmax()]
-            parts.append((row * pow(int(row[(row != 0).argmax()]), -1, l) % l)[None])
-        else:
-            parts.append(linalg.rref(g, l)[0])
-    dims = [len(R) for R in parts]
-    if sum(dims) != k:
+    roots, mults = _eigenvalues(_charpoly_mod(A, l), l)
+    if mults.sum() != k:
         raise ArithmeticError("eigen split lost dimensions (bug)")
-    R = np.concatenate(parts)
-    del parts  # each k x k temporary is dropped before the next product
+    dims = mults.tolist()
+    R = np.concatenate(_eigenrows(A, _quotients(roots, l), mults, l))
     off = _mulmod(R, A, l)
     off -= np.repeat(roots, dims)[:, None] * R
     off %= l
@@ -256,8 +403,9 @@ def _eigen_split(S, A, l):
 
 
 def _split_by(spaces, N, cols, l):
-    """Each RREF space S split by the class matrix N, given the columns
-    of N at the pivots of S, in order.
+    """Each RREF space S split by the action N (a class matrix or a
+    combination of them), given the columns of N at the pivots of S, in
+    order.
 
     Spaces of one dimension k are tested together: one gather and one
     stacked product give every action A = S @ N[:, cols] and one comparison
@@ -286,21 +434,31 @@ def _split_by(spaces, N, cols, l):
 def _split_all(G, cd, l):
     """Common eigenvectors of the class algebra: one row per irreducible.
 
-    Classes act in order of size; each class matrix is computed only at
-    the union of the pivot columns of the spaces still to split.
+    The classes other than the identity act in order of size: first in
+    batches of BATCH, each batch as one combination with seeded
+    coefficients, then, while any space is left whole, one class at a time.
+    Each action is computed only at the union of the pivot columns of the
+    spaces still to split.
     """
     t = cd.num_classes
+    order = sorted(
+        (j for j in range(t) if j != cd.identity_class),
+        key=lambda j: (int(cd.sizes[j]), int(cd.reps[j])),
+    )
+    batches = [order[a:a + BATCH] for a in range(0, len(order), BATCH)]
+    actions = itertools.chain(
+        ((js, _draws(l, (len(js),), "classes %d" % b)) for b, js in enumerate(batches)),
+        ((j, None) for j in order),
+    )
     spaces = [np.eye(t, dtype=np.int64)]
-    for j in sorted(range(t), key=lambda j: (int(cd.sizes[j]), int(cd.reps[j]))):
+    for classes, coeffs in actions:
         todo = [S for S in spaces if S.shape[0] > 1]
         if not todo:
             break
-        if j == cd.identity_class:
-            continue
         pivots = [(S != 0).argmax(axis=1) for S in todo]
         wanted = np.zeros(t, dtype=bool)
         wanted[np.concatenate(pivots)] = True
-        N = class_matrix(G, cd, j, np.flatnonzero(wanted)) % l
+        N = class_matrix(G, cd, classes, np.flatnonzero(wanted), coeffs) % l
         col_of = np.cumsum(wanted) - 1  # class -> column of N
         spaces = [S for S in spaces if S.shape[0] == 1] + _split_by(
             todo, N, [col_of[piv] for piv in pivots], l

@@ -1,5 +1,10 @@
 import ast
+import collections
+import itertools
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +21,7 @@ from nilorbit.cyclo import Cyclotomic
 from nilorbit.dixon import (
     _charpoly_mod,
     _eigen_split,
+    _eigenvalues,
     _mulmod,
     _primitive_root,
     _roots_mod,
@@ -228,6 +234,25 @@ def test_class_matrix_matches_per_rep_reference():
             assert (class_matrix(G, cd, j, cols) == want[:, cols]).all()
 
 
+def test_class_matrix_is_the_weighted_sum_of_its_classes():
+    # a batch action is sum_j c_j N_j mod l; one class with coefficient 1
+    # is N_j itself, unreduced
+    rng = np.random.default_rng(4)
+    for G in _differential_groups():
+        cd = G.conjugacy_classes()
+        t = cd.num_classes
+        l = dixon_prime(cd.n, G.exponent())
+        ref = [_reference_class_matrix(G, cd, j) for j in range(t)]
+        for _ in range(4):
+            js = rng.choice(t, int(rng.integers(1, min(t, dixon.BATCH) + 1)), replace=False)
+            c = rng.integers(1, l, len(js))
+            cols = rng.choice(t, int(rng.integers(1, t + 1)), replace=False)
+            want = sum(int(cj) * ref[j][:, cols] for j, cj in zip(js, c)) % l
+            assert (class_matrix(G, cd, js.tolist(), cols, c) % l == want).all()
+            j = int(js[0])
+            assert (class_matrix(G, cd, [j], cols, np.array([1])) == ref[j][:, cols]).all()
+
+
 def test_dixon_table_matches_reference():
     for G in _differential_groups():
         assert dixon_table(G).to_csv() == _reference_dixon_table(G).to_csv()
@@ -237,6 +262,125 @@ def test_dixon_table_matches_reference_on_usp4_f8():
     # a non-Lazard black-box group, at p = 2
     G = usp4(8, spot_check=False)
     assert dixon_table(G).to_csv() == _reference_dixon_table(G).to_csv()
+
+
+def _cyclic(n):
+    return build_group(lambda i, j: (i + j) % n, n, inv=lambda i: (-i) % n)
+
+
+def _s3():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return build_group(lambda i, j: index[tuple(perms[i][x] for x in perms[j])], 6)
+
+
+def test_dixon_table_does_not_depend_on_the_draws():
+    # on tiny groups l <= 13, so a batch combination often misses a split;
+    # with zero class coefficients every batch action is scalar and the
+    # one-class loop does all the work
+    real = dixon._draws
+
+    def no_class_coefficients(l, shape, key):
+        return np.zeros(shape, dtype=np.int64) if key.startswith("classes") else real(l, shape, key)
+
+    groups = [_cyclic(n) for n in range(1, 10)] + [_s3(), *_differential_groups()]
+    for G in groups:
+        want = _reference_dixon_table(G).to_csv()
+        assert dixon_table(G).to_csv() == want
+        with mock.patch.object(dixon, "DRAW_SEED", 2):
+            assert dixon_table(G).to_csv() == want
+        with mock.patch.object(dixon, "_draws", no_class_coefficients):
+            assert dixon_table(G).to_csv() == want
+
+
+def test_the_oracle_never_imports_numpy_random():
+    # the draws come from the standard library: importing numpy.random
+    # would cost every run its import time and memory
+    code = (
+        "import sys, nilorbit.cli\n"
+        "from nilorbit import dixon, groups\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "G = groups.build_group(lambda i, j: (i + j) % 6, 6, spot_check=False)\n"
+        "dixon.dixon_table(G)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(nilorbit.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
+
+
+def _reference_multiplicity(poly, lam, l):
+    """How many times x - lam divides poly, by synthetic division."""
+    poly, d = [int(c) for c in poly], 0
+    while True:
+        quot, acc = [], 0
+        for c in reversed(poly):
+            acc = (acc * lam + c) % l
+            quot.append(acc)
+        if quot[-1]:
+            return d
+        poly, d = quot[-2::-1], d + 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_eigenvalues_match_the_scan_and_the_multiplicities(data):
+    # roots and multiplicities from the squarefree factorization against the
+    # l-point scan of the Hessenberg characteristic polynomial, on
+    # diagonalizable actions with repeated roots (at l = 5 up to
+    # multiplicity 9, so some are divisible by l) and on any action when
+    # the degree is below l
+    l = data.draw(st.sampled_from([5, 101, 1000003]))
+    k = data.draw(st.integers(1, 9))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if l > k and data.draw(st.booleans()):
+        A = rng.integers(0, l, (k, k))
+        diag = None
+    else:
+        values = data.draw(
+            st.lists(st.integers(0, l - 1), min_size=1, max_size=min(k, l), unique=True)
+        )
+        more = k - len(values)
+        diag = values + data.draw(st.lists(st.sampled_from(values), min_size=more, max_size=more))
+        A = _conjugated(rng, [[[v]] for v in diag], l)[1]
+    chi = _charpoly_mod(A, l)
+    roots, mults = _eigenvalues(chi, l)
+    want = _roots_mod(chi, l)
+    assert roots.tolist() == want
+    assert mults.tolist() == [_reference_multiplicity(chi, r, l) for r in want]
+    if diag is not None:
+        assert mults.tolist() == [diag.count(r) for r in want]
+
+
+@pytest.mark.parametrize("diag", [[3] * 5, [1] * 5 + [2] * 2, [2] * 10, [0] * 6 + [4] * 3 + [1]])
+def test_eigenvalues_at_multiplicities_of_l_and_above(diag):
+    # at l = 5: chi' = 0 for (x - 3)^5, and a multiplicity that l divides
+    # leaves its root out of the squarefree part
+    l = 5
+    A = _conjugated(np.random.default_rng(len(diag)), [[[v]] for v in diag], l)[1]
+    roots, mults = _eigenvalues(_charpoly_mod(A, l), l)
+    assert roots.tolist() == sorted(set(diag))
+    assert mults.tolist() == [diag.count(r) for r in sorted(set(diag))]
+
+
+def test_eigen_split_gives_up_after_a_bounded_number_of_draws():
+    # draws that never project onto an eigenspace end in ArithmeticError
+    # after _ATTEMPTS draws, not in an endless retry
+    rng = np.random.default_rng(6)
+    l = 101
+    _, A = _conjugated(rng, [[[4]], [[4]], [[9]]], l)
+    draws = []
+
+    def zeros(l, shape, key):
+        draws.append(key)
+        return np.zeros(shape, dtype=np.int64)
+
+    with mock.patch.object(dixon, "_draws", zeros):
+        with pytest.raises(ArithmeticError, match="no full eigenspace"):
+            _eigen_split(np.eye(3, dtype=np.int64), A, l)
+    assert len(draws) == dixon._ATTEMPTS
 
 
 def _pivots(S):
